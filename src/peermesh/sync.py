@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv4Address
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .topology import ClusterPlan, NeighborhoodMap, NodeAddress, NotAMemberError
 
@@ -147,32 +147,16 @@ class Phase(Enum):
     DONE = "done"
 
 
-_PHASE_ORDER = (
-    Phase.INTRA_FORWARD,
-    Phase.INTRA_REVERSE,
-    Phase.LEADER_RING,
-    Phase.REDISTRIBUTE,
-    Phase.DONE,
-)
-
-
-class _Chain:
-    """One cluster's live member chain with a moving cursor."""
-
-    __slots__ = ("members", "pos")
-
-    def __init__(self, members: list[NodeAddress]):
-        self.members = members
-        self.pos = 0
-
-
 class UpdateRound:
-    """State machine for one four-phase synchronization round.
+    """One four-phase synchronization round, delivered one hop per step().
 
-    Mutated only through step(); owned by a single event loop. `is_active`
-    is consulted at every hop, so members lost mid-round are skipped and
-    marked stale instead of stalling a chain. Only hop targets are checked;
-    a current list holder going down mid-phase is not modeled.
+    The round is the generator `_run`: the four phases in order as plain
+    loops, pausing before every hop, so `phase` names the phase of the next
+    hop. Within a phase the cluster chains go one after another. Owned by a
+    single event loop. `is_active` is consulted for each hop target as the
+    hop is delivered, so members lost mid-round are skipped and marked stale
+    instead of stalling a chain. Only hop targets are checked; a current
+    list holder going down mid-phase is not modeled.
     """
 
     def __init__(
@@ -191,197 +175,88 @@ class UpdateRound:
         }
         self.stale: set[NodeAddress] = set()
         self.message_count = 0
-        self.phase_messages: dict[Phase, int] = {p: 0 for p in _PHASE_ORDER if p is not Phase.DONE}
-
-        self._chains: list[_Chain] = []
-        for cluster in plan.clusters:
-            live = []
-            for addr in cluster:
-                if self.is_active(addr):
-                    live.append(addr)
-                else:
-                    self.stale.add(addr)
-            if live:  # clusters with no live member drop out of the round
-                self._chains.append(_Chain(live))
+        self.phase_messages: dict[Phase, int] = {p: 0 for p in Phase if p is not Phase.DONE}
+        # Live member chains; clusters with no live member drop out of the round.
+        chains = [[a for a in cluster if self._live(a)] for cluster in plan.clusters]
+        self._chains = [c for c in chains if c]
         if not self._chains:
             raise ConfigurationError("no active members in any cluster")
-
         self.cluster_final: list[AttributeList | None] = [None] * len(self._chains)
-        self._carried: list[AttributeList] = [
-            self.lists[c.members[0]].copy() for c in self._chains
-        ]
         self.neighborhood_final: AttributeList | None = None
-        self._ring: _Chain | None = None
-        self._ring_carried: AttributeList | None = None
-        self._ring_descending = False
-        self._rr = 0  # round-robin cursor over cluster chains
-        self.phase = Phase.INTRA_FORWARD
-        self._settle()
+        self._hops = self._run()
+        next(self._hops, None)  # up to the first hop
 
-    # -- phase bookkeeping -------------------------------------------------
-
-    def _forward_done(self, chain: _Chain) -> bool:
-        return chain.pos >= len(chain.members) - 1
-
-    def _phase_has_work(self, phase: Phase) -> bool:
-        if phase in (Phase.INTRA_FORWARD, Phase.REDISTRIBUTE):
-            return any(not self._forward_done(c) for c in self._chains)
-        if phase is Phase.INTRA_REVERSE:
-            return any(c.pos > 0 for c in self._chains)
-        if phase is Phase.LEADER_RING:
-            ring = self._ring
-            assert ring is not None
-            if len(ring.members) <= 1:
-                return False
-            if not self._ring_descending:
-                return True
-            return ring.pos > 0
+    def _live(self, addr: NodeAddress) -> bool:
+        if self.is_active(addr):
+            return True
+        self.stale.add(addr)
         return False
 
-    def _enter(self, phase: Phase) -> None:
-        self.phase = phase
-        if phase is Phase.INTRA_REVERSE:
-            for i, chain in enumerate(self._chains):
-                self.cluster_final[i] = self._carried[i]
-                holder = chain.members[chain.pos]
-                self.lists[holder] = merge_lists(self.lists[holder], self._carried[i])
-                # descent starts at the current holder
-        elif phase is Phase.LEADER_RING:
-            leaders = [c.members[0] for c in self._chains]
-            self._ring = _Chain(leaders)
-            self._ring_descending = len(leaders) <= 1
-            self._ring_carried = self.cluster_final[0].copy()
-        elif phase is Phase.REDISTRIBUTE:
-            self.neighborhood_final = self._ring_carried
-            for chain in self._chains:
-                chain.pos = 0
+    def _give(self, target: NodeAddress, src: AttributeList) -> None:
+        self.lists[target] = merge_lists(self.lists[target], src)
 
-    def _settle(self) -> None:
-        """Advance past phases that have no hops left to perform."""
-        while self.phase is not Phase.DONE and not self._phase_has_work(self.phase):
-            self._enter(_PHASE_ORDER[_PHASE_ORDER.index(self.phase) + 1])
+    def _walk(self, chain: list, step: int, deliver: Callable, live: Callable) -> Iterator[None]:
+        """Hop along `chain` up from its first entry (step 1) or down from its
+        last (step -1), pausing before each hop. On resume, dead targets leave
+        the chain and the next live one gets deliver(target)."""
+        i = 0 if step > 0 else len(chain) - 1
+        while 0 <= i + step < len(chain):
+            yield
+            i += step
+            while 0 <= i < len(chain) and not live(chain[i]):
+                del chain[i]
+                if step < 0:
+                    i -= 1
+            if 0 <= i < len(chain):
+                self.message_count += 1
+                self.phase_messages[self.phase] += 1
+                deliver(chain[i])
 
-    # -- hop mechanics -------------------------------------------------------
+    def _run(self) -> Iterator[None]:
+        chains, final = self._chains, self.cluster_final
+        carried = None
 
-    def _next_live(self, chain: _Chain, descending: bool = False) -> int | None:
-        """Index of the next live member past the cursor; dead ones go stale
-        and leave the chain."""
-        if descending:
-            i = chain.pos - 1
-            while i >= 0:
-                addr = chain.members[i]
-                if self.is_active(addr):
-                    return i
-                self.stale.add(addr)
-                del chain.members[i]
-                chain.pos -= 1
-                i -= 1
-            return None
-        i = chain.pos + 1
-        while i < len(chain.members):
-            addr = chain.members[i]
-            if self.is_active(addr):
-                return i
-            self.stale.add(addr)
-            del chain.members[i]  # next candidate slides into slot i
-        return None
+        def take(src: AttributeList) -> None:
+            nonlocal carried
+            carried = merge_lists(carried, src)
 
-    def _pick_chain(self, pred: Callable[[_Chain], bool]) -> int | None:
-        n = len(self._chains)
-        for off in range(n):
-            i = (self._rr + off) % n
-            if pred(self._chains[i]):
-                self._rr = (i + 1) % n
-                return i
-        return None
+        # Each chain ascends from its leader, gathering its members' entries.
+        self.phase = Phase.INTRA_FORWARD
+        for k, chain in enumerate(chains):
+            carried = self.lists[chain[0]].copy()
+            yield from self._walk(chain, 1, lambda t: take(self.lists[t]), self._live)
+            final[k] = carried
 
-    def _count(self) -> None:
-        self.message_count += 1
-        self.phase_messages[self.phase] += 1
+        # The top of each chain keeps the cluster list and sends it back down.
+        self.phase = Phase.INTRA_REVERSE
+        for k, chain in enumerate(chains):
+            self._give(chain[-1], final[k])
+            yield from self._walk(chain, -1, lambda t: self._give(t, final[k]), self._live)
+
+        # Leaders gather the cluster lists up the ring, then pass the result down.
+        self.phase = Phase.LEADER_RING
+        ring = list(range(len(chains)))
+        head_live = lambda k: self._live(chains[k][0])
+        carried = final[0].copy()
+        if len(ring) > 1:
+            yield from self._walk(ring, 1, lambda k: take(final[k]), head_live)
+            self._give(chains[ring[-1]][0], carried)
+            yield from self._walk(ring, -1, lambda k: self._give(chains[k][0], carried), head_live)
+        self.neighborhood_final = carried
+
+        # Each leader pushes what it holds up its chain once more.
+        self.phase = Phase.REDISTRIBUTE
+        for chain in chains:
+            head = self.lists[chain[0]]
+            yield from self._walk(chain, 1, lambda t: self._give(t, head), self._live)
+        self.phase = Phase.DONE
 
     def step(self) -> "UpdateRound":
         """Deliver one message hop. Raises once the round is Done."""
-        if self.phase is Phase.DONE:
+        if self.done:
             raise ConfigurationError("round already complete")
-        if self.phase in (Phase.INTRA_FORWARD, Phase.REDISTRIBUTE):
-            self._step_ascending()
-        elif self.phase is Phase.INTRA_REVERSE:
-            self._step_descending()
-        else:
-            self._step_ring()
-        self._settle()
+        next(self._hops, None)
         return self
-
-    def _step_ascending(self) -> None:
-        i = self._pick_chain(lambda c: not self._forward_done(c))
-        if i is None:
-            return
-        chain = self._chains[i]
-        j = self._next_live(chain)
-        if j is None:
-            return
-        target = chain.members[j]
-        self._count()
-        if self.phase is Phase.INTRA_FORWARD:
-            self._carried[i] = merge_lists(self._carried[i], self.lists[target])
-        else:  # Redistribute: the leader pushes what it holds up the chain.
-            leader = chain.members[0]
-            self.lists[target] = merge_lists(self.lists[target], self.lists[leader])
-        chain.pos = j
-
-    def _step_descending(self) -> None:
-        i = self._pick_chain(lambda c: c.pos > 0)
-        if i is None:
-            return
-        chain = self._chains[i]
-        j = self._next_live(chain, descending=True)
-        if j is None:
-            chain.pos = 0
-            return
-        target = chain.members[j]
-        self._count()
-        self.lists[target] = merge_lists(self.lists[target], self.cluster_final[i])
-        chain.pos = j
-
-    def _step_ring(self) -> None:
-        ring = self._ring
-        assert ring is not None and self._ring_carried is not None
-        if not self._ring_descending:
-            j = self._next_live(ring)
-            if j is None:
-                self._flip_ring()
-                return
-            target = ring.members[j]
-            self._count()
-            self._ring_carried = merge_lists(
-                self._ring_carried, self.cluster_final[self._leader_cluster_index(target)]
-            )
-            ring.pos = j
-            if self._forward_done(ring):
-                self._flip_ring()
-        else:
-            j = self._next_live(ring, descending=True)
-            if j is None:
-                ring.pos = 0
-                return
-            target = ring.members[j]
-            self._count()
-            self.lists[target] = merge_lists(self.lists[target], self._ring_carried)
-            ring.pos = j
-
-    def _flip_ring(self) -> None:
-        ring = self._ring
-        holder = ring.members[ring.pos]
-        self.lists[holder] = merge_lists(self.lists[holder], self._ring_carried)
-        self._ring_descending = True
-
-    def _leader_cluster_index(self, leader: NodeAddress) -> int:
-        for i, chain in enumerate(self._chains):
-            if chain.members and chain.members[0] == leader:
-                return i
-        raise ConfigurationError(f"{leader} is not a cluster leader")
-
-    # -- results -------------------------------------------------------------
 
     @property
     def done(self) -> bool:
@@ -393,25 +268,13 @@ class UpdateRound:
         return dict(self.lists)
 
 
-def start_round(
-    plan: ClusterPlan,
-    lists: Mapping[NodeAddress, AttributeList],
-    is_active: Callable[[NodeAddress], bool] | None = None,
-) -> UpdateRound:
-    return UpdateRound(plan, lists, is_active)
-
-
-def step(round_: UpdateRound) -> UpdateRound:
-    return round_.step()
-
-
 def run_round(
     plan: ClusterPlan,
     lists: Mapping[NodeAddress, AttributeList],
     is_active: Callable[[NodeAddress], bool] | None = None,
 ) -> UpdateRound:
     """Start a round and step it to completion."""
-    r = start_round(plan, lists, is_active)
+    r = UpdateRound(plan, lists, is_active)
     while not r.done:
         r.step()
     return r

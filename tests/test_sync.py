@@ -10,6 +10,7 @@ from peermesh.sync import (
     NeighborhoodView,
     NotInGroupError,
     Phase,
+    UpdateRound,
     ack,
     expire,
     load_attribute_seeds,
@@ -17,7 +18,6 @@ from peermesh.sync import (
     merge_lists,
     propose_commit,
     run_round,
-    start_round,
     update_period,
     validate_scope,
 )
@@ -261,7 +261,7 @@ def test_mid_round_churn_marks_stale_and_still_completes():
     plan = make_plan(8, 4)
     lists = seed_lists(plan)
     dead = set()
-    r = start_round(plan, lists, is_active=lambda a: a not in dead)
+    r = UpdateRound(plan, lists, is_active=lambda a: a not in dead)
     r.step()
     dead.add(plan.members[3])  # dies while the round is in flight
     while not r.done:
