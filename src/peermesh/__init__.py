@@ -1,6 +1,6 @@
 """Deterministic simulator and sizing toolkit for serverless app meshes."""
 
-from .simcore import DEFAULT_SEED, Engine, LatencyModel, RandomStream, units_to_ms
+from .simcore import DEFAULT_SEED, Engine, RandomStream, units_to_ms
 from .topology import NeighborhoodMap, NodeRecord, RouterCriteria, form_clusters
 from .sync import AttributeEntry, AttributeList, merge_lists, run_round, update_period
 from .timing import HopsArrayDims, find_optimum, monte_carlo, simulate_once, sweep
@@ -15,7 +15,6 @@ __all__ = [
     "DEFAULT_SEED",
     "Engine",
     "HopsArrayDims",
-    "LatencyModel",
     "MMOneInputs",
     "NeighborhoodMap",
     "NodeRecord",

@@ -83,35 +83,6 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id!r})"
 
 
-def sample_hop_delay(stream: RandomStream) -> int:
-    """Draw one per-hop delay, uniform on {1..10} virtual units."""
-    return stream.hop_delay()
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Per-hop delay model and the real-world caps that anchor the unit scale."""
-
-    hop_low: int = HOP_DELAY_MIN
-    hop_high: int = HOP_DELAY_MAX
-    local_cap_ms: int = 10
-    regional_cap_ms: int = 500
-
-    def __post_init__(self):
-        if not (1 <= self.hop_low <= self.hop_high):
-            raise ValueError("need 1 <= hop_low <= hop_high")
-        if not (0 < self.local_cap_ms <= self.regional_cap_ms):
-            raise ValueError("need 0 < local_cap_ms <= regional_cap_ms")
-
-    @property
-    def ms_per_unit(self) -> float:
-        # Worst-case regional delay spread across the hop value range.
-        return self.regional_cap_ms / self.hop_high
-
-    def sample_hop(self, stream: RandomStream) -> int:
-        return int(stream.integers(self.hop_low, self.hop_high))
-
-
 @dataclass(frozen=True)
 class SimEvent:
     """A scheduled occurrence. Ordering key is (at, seq); seq breaks ties."""

@@ -12,8 +12,10 @@ member of a neighborhood in four phases:
                  cluster chain once more.
 
 A hop whose target is inactive is skipped and the target marked stale; the
-round still completes over the live membership. Scoped writes outside a
-round go through a receipt-counted commit with a timeout.
+round still completes over the live membership. A cluster leader found dead
+in the leader ring is passed over by a re-send to the next live member of its
+chain, which holds the cluster list, so its cluster still converges. Scoped
+writes outside a round go through a receipt-counted commit with a timeout.
 """
 
 from __future__ import annotations
@@ -155,8 +157,11 @@ class UpdateRound:
     hop. Within a phase the cluster chains go one after another. Owned by a
     single event loop. `is_active` is consulted for each hop target as the
     hop is delivered, so members lost mid-round are skipped and marked stale
-    instead of stalling a chain. Only hop targets are checked; a current
-    list holder going down mid-phase is not modeled.
+    instead of stalling a chain. A cluster head found dead in the leader
+    ring is passed over by a re-send to the next live member of its chain.
+    That member took the cluster list during IntraReverse and becomes the
+    head the ring and Redistribute use. Re-sends count in `retransmits`,
+    not in `phase_messages`.
     """
 
     def __init__(
@@ -175,6 +180,7 @@ class UpdateRound:
         }
         self.stale: set[NodeAddress] = set()
         self.message_count = 0
+        self.retransmits = 0
         self.phase_messages: dict[Phase, int] = {p: 0 for p in Phase if p is not Phase.DONE}
         # Live member chains; clusters with no live member drop out of the round.
         chains = [[a for a in cluster if self._live(a)] for cluster in plan.clusters]
@@ -191,6 +197,15 @@ class UpdateRound:
             return True
         self.stale.add(addr)
         return False
+
+    def _head_live(self, k: int) -> bool:
+        """Whether cluster k still has a live head, re-sending past dead ones."""
+        chain = self._chains[k]
+        while chain and not self._live(chain[0]):
+            del chain[0]
+            if chain:
+                self.retransmits += 1
+        return bool(chain)
 
     def _give(self, target: NodeAddress, src: AttributeList) -> None:
         self.lists[target] = merge_lists(self.lists[target], src)
@@ -236,17 +251,17 @@ class UpdateRound:
         # Leaders gather the cluster lists up the ring, then pass the result down.
         self.phase = Phase.LEADER_RING
         ring = list(range(len(chains)))
-        head_live = lambda k: self._live(chains[k][0])
         carried = final[0].copy()
         if len(ring) > 1:
-            yield from self._walk(ring, 1, lambda k: take(final[k]), head_live)
+            yield from self._walk(ring, 1, lambda k: take(final[k]), self._head_live)
             self._give(chains[ring[-1]][0], carried)
-            yield from self._walk(ring, -1, lambda k: self._give(chains[k][0], carried), head_live)
+            push = lambda k: self._give(chains[k][0], carried)
+            yield from self._walk(ring, -1, push, self._head_live)
         self.neighborhood_final = carried
 
         # Each leader pushes what it holds up its chain once more.
         self.phase = Phase.REDISTRIBUTE
-        for chain in chains:
+        for chain in filter(None, chains):  # a cluster may have died out in the ring
             head = self.lists[chain[0]]
             yield from self._walk(chain, 1, lambda t: self._give(t, head), self._live)
         self.phase = Phase.DONE

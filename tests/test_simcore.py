@@ -7,10 +7,8 @@ from peermesh.simcore import (
     HOP_DELAY_MIN,
     MS_PER_UNIT,
     Engine,
-    LatencyModel,
     RandomStream,
     derive_seed,
-    sample_hop_delay,
     units_to_ms,
 )
 
@@ -52,12 +50,6 @@ def test_hop_delay_frequencies():
         assert abs(c / n - 0.1) < 0.01
 
 
-def test_sample_hop_delay_matches_stream():
-    a = RandomStream(9, "x")
-    b = RandomStream(9, "x")
-    assert [sample_hop_delay(a) for _ in range(50)] == [b.hop_delay() for _ in range(50)]
-
-
 def test_derive_seed_stable():
     assert derive_seed(7919, "timing/trial/0") == derive_seed(7919, "timing/trial/0")
     assert derive_seed(7919, "a") != derive_seed(7919, "b")
@@ -92,20 +84,11 @@ def test_integers_endpoint_inclusive():
 
 
 def test_latency_model_unit_scale():
-    model = LatencyModel()
-    assert model.ms_per_unit == 500 / 10 == MS_PER_UNIT
+    # one unit is the 500 ms regional worst case spread over the largest hop delay
+    assert MS_PER_UNIT == 500 / HOP_DELAY_MAX == 500 / 10
     s = RandomStream(11, "lat")
     for _ in range(100):
-        assert 1 <= model.sample_hop(s) <= 10
-
-
-def test_latency_model_validation():
-    with pytest.raises(ValueError):
-        LatencyModel(hop_low=0)
-    with pytest.raises(ValueError):
-        LatencyModel(hop_low=5, hop_high=4)
-    with pytest.raises(ValueError):
-        LatencyModel(local_cap_ms=600, regional_cap_ms=500)
+        assert HOP_DELAY_MIN <= s.hop_delay() <= HOP_DELAY_MAX
 
 
 def test_engine_orders_by_time_then_seq():

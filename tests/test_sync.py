@@ -269,6 +269,27 @@ def test_mid_round_churn_marks_stale_and_still_completes():
     assert plan.members[3] in r.stale
 
 
+def test_round_survivors_converge_when_a_ring_leader_drops():
+    # The cluster-2 leader drops right after the ascending ring reaches it,
+    # holding its cluster's list; its chain's next member takes over as head.
+    plan = make_plan(20, 4)
+    lists = seed_lists(plan, random.Random(5))
+    victim = plan.leaders[2]
+    down = set()
+    r = UpdateRound(plan, lists, is_active=lambda a: a not in down)
+    while not r.done:
+        in_ring = r.phase is Phase.LEADER_RING
+        r.step()
+        if in_ring and not down and r.phase_messages[Phase.LEADER_RING] == 2:
+            down.add(victim)
+    want = oracle_merge(lists)  # the victim's entries joined the ring before it dropped
+    finals = r.final_lists()
+    assert all(finals[a] == want for a in plan.members if a != victim)
+    assert r.stale == {victim}
+    assert r.retransmits == 1
+    assert r.phase_messages[Phase.LEADER_RING] == 2 * (len(plan.clusters) - 1)
+
+
 def test_stepping_a_done_round_raises():
     plan = make_plan(2, 2)
     r = run_round(plan, seed_lists(plan))

@@ -1,7 +1,10 @@
+from ipaddress import IPv4Address
+
 import numpy as np
 import pytest
 
 from peermesh.simcore import DEFAULT_SEED, RandomStream
+from peermesh.sync import AttributeList, Phase, run_round
 from peermesh.timing import (
     MODE_EQUATION_LITERAL,
     MODE_TABLE_CONSISTENT,
@@ -16,6 +19,7 @@ from peermesh.timing import (
     sweep,
     trial_stream,
 )
+from peermesh.topology import NeighborhoodMap, NodeRecord, form_clusters
 
 
 class FixedStream:
@@ -195,3 +199,31 @@ def test_trial_streams_are_disjoint_across_trials_and_modes():
     c = simulate_once(dims, trial_stream(1, dims, MODE_EQUATION_LITERAL, 0), mode=MODE_EQUATION_LITERAL)
     assert a != b  # distinct trial indices draw from distinct streams
     assert a != c  # the mode is part of the stream identity
+
+
+class RecordingStream(RandomStream):
+    """A real stream that also records how many hop delays each draw asks for."""
+
+    def __init__(self, seed: int, stream_id: str):
+        super().__init__(seed, stream_id)
+        self.sizes: list[int] = []
+
+    def hop_delays(self, size):
+        self.sizes.append(int(np.prod(size)))
+        return super().hop_delays(size)
+
+
+@pytest.mark.parametrize("dims", default_factor_pairs(256), ids=str)
+def test_equation_literal_draws_match_update_round_messages(dims):
+    # The timing model draws one delay per hop of a real round over
+    # `columns` clusters of `rows + 1` members.
+    stream = RecordingStream(DEFAULT_SEED, "differential")
+    simulate_once(dims, stream, mode=MODE_EQUATION_LITERAL)
+    forward, ring, redistribute = stream.sizes
+    count = dims.columns * (dims.rows + 1)
+    nmap = NeighborhoodMap.build(NodeRecord(IPv4Address(0x0A000000 + i)) for i in range(count))
+    plan = form_clusters(nmap, dims.rows + 1)
+    messages = run_round(plan, {a: AttributeList() for a in plan.members}).phase_messages
+    assert forward == messages[Phase.INTRA_FORWARD] == messages[Phase.INTRA_REVERSE]
+    assert ring == messages[Phase.LEADER_RING]
+    assert redistribute == messages[Phase.REDISTRIBUTE]
