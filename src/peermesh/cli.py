@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import queueing, timing
-from .scenario import ScenarioParseError, load_scenario, render_report, run_scenario
+from .scenario import ScenarioError, ScenarioParseError, load_scenario, render_report, run_scenario
 from .simcore import DEFAULT_SEED, units_to_ms
 
 FORMATS = ("csv", "plot-data", "pretty")
@@ -165,7 +165,11 @@ def _cmd_mm1(args) -> int:
         if args.clients is None or args.payload_bytes is None:
             print("mm1 --broadcast needs --clients and --bytes", file=sys.stderr)
             return 2
-        load = queueing.naive_broadcast_load(args.clients, args.payload_bytes, args.interval)
+        try:
+            load = queueing.naive_broadcast_load(args.clients, args.payload_bytes, args.interval)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"broadcast_bps {load:.6f}")
         return 0
     try:
@@ -222,13 +226,17 @@ def _cmd_scenario_run(args) -> int:
     path = _resolve_scenario(args.file)
     if path is None:
         print(f"no such scenario: {args.file}", file=sys.stderr)
-        return 1
+        return 2
     try:
         script = load_scenario(path)
-        report = run_scenario(script, seed=args.seed)
-    except ScenarioParseError as exc:
+    except (ScenarioParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 1
+        return 2
+    try:
+        report = run_scenario(script, seed=args.seed)
+    except ScenarioError as exc:
+        print(f"scenario error: {script.name}: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(render_report(report, show_trace=not args.quiet))
     return 0 if report.passed else 1
 
@@ -253,7 +261,11 @@ def main(argv: list[str] | None = None) -> int:
             "optimum": _cmd_timing_optimum,
             "figure9": _cmd_timing_curve,
         }[args.timing_command]
-        return handler(args)
+        try:
+            return handler(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.command == "mm1":
         return _cmd_mm1(args)
     if args.command == "scenario":

@@ -10,6 +10,7 @@ at their deadline.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,10 +31,9 @@ class DownloadRecord:
 
 @dataclass(frozen=True)
 class DirectoryExcerpt:
-    """Up to cap prior registrants, nearest by address distance first."""
+    """Prior registrants, nearest by address distance first."""
 
     entries: tuple[DownloadRecord, ...]
-    cap: int = EXCERPT_CAP
 
     def addresses(self) -> tuple[NodeAddress, ...]:
         return tuple(r.address for r in self.entries)
@@ -47,6 +47,7 @@ class DownloadRegistry:
 
     def __init__(self):
         self._records: list[DownloadRecord] = []
+        self._latest: dict[NodeAddress, DownloadRecord] = {}
 
     def register(
         self, address: NodeAddress, domain: str, at: int, cap: int = EXCERPT_CAP
@@ -57,17 +58,17 @@ class DownloadRegistry:
         distance (ties to the lower address), deduplicated by address and
         excluding the registrant itself.
         """
+        if cap < 0:
+            raise ValueError(f"excerpt cap must be non-negative, got {cap}")
         if self._records and at < self._records[-1].at:
             raise ValueError(f"download at {at} precedes the last record at {self._records[-1].at}")
-        latest: dict[NodeAddress, DownloadRecord] = {}
-        for rec in self._records:
-            if rec.address != address:
-                latest[rec.address] = rec
-        nearest = sorted(
-            latest.values(), key=lambda r: (address_distance(r.address, address), int(r.address))
-        )[:cap]
+        others = (r for r in self._latest.values() if r.address != address)
+        nearest = heapq.nsmallest(
+            cap, others, key=lambda r: (address_distance(r.address, address), r.address)
+        )
         self._records.append(DownloadRecord(address=address, domain=domain, at=at))
-        return DirectoryExcerpt(entries=tuple(nearest), cap=cap)
+        self._latest[address] = self._records[-1]
+        return DirectoryExcerpt(entries=tuple(nearest))
 
     def records(self) -> tuple[DownloadRecord, ...]:
         return tuple(self._records)
@@ -162,7 +163,6 @@ class BootstrapResult:
     connected_to: NodeAddress | None
     attempts: tuple[ProbeAttempt, ...]
     dead_targets: tuple[NodeAddress, ...]
-    registered: bool  # fell through to the search-engine directory
     finished_at: int
 
     @property
@@ -173,7 +173,7 @@ class BootstrapResult:
 def probe_order(origin: NodeAddress, excerpt: DirectoryExcerpt) -> tuple[NodeAddress, ...]:
     """Excerpt targets in ascending address-distance order, ties to lower address."""
     return tuple(
-        sorted(excerpt.addresses(), key=lambda a: (address_distance(a, origin), int(a)))
+        sorted(excerpt.addresses(), key=lambda a: (address_distance(a, origin), a))
     )
 
 
@@ -189,7 +189,7 @@ def bootstrap(
     Each attempt costs one sampled hop delay on a local clock cursor. Dead
     targets are reported so the caller can queue introductions for them; if
     every target is dead (or the excerpt is empty) the instance must fall
-    back to the search-engine directory (registered=True).
+    back to the search-engine directory (the result is isolated).
     """
     t = now
     attempts: list[ProbeAttempt] = []
@@ -204,7 +204,6 @@ def bootstrap(
                 connected_to=target,
                 attempts=tuple(attempts),
                 dead_targets=tuple(dead),
-                registered=False,
                 finished_at=t,
             )
         dead.append(target)
@@ -213,7 +212,6 @@ def bootstrap(
         connected_to=None,
         attempts=tuple(attempts),
         dead_targets=tuple(dead),
-        registered=True,
         finished_at=t,
     )
 
@@ -236,17 +234,17 @@ def neighborhood_scan(
     starts just above it and wraps around the range at most once, spending at
     most `budget` probes.
     """
-    lo, hi = int(address_range[0]), int(address_range[1])
+    lo, hi = address_range
     if lo > hi:
         raise ValueError("address range is inverted")
-    if not lo <= int(last_known) <= hi:
+    if not lo <= last_known <= hi:
         raise ValueError("last-known address outside the range")
     if budget < 0:
         raise ValueError("budget must be non-negative")
     span = hi - lo + 1
     found: list[NodeAddress] = []
     probes = min(budget, span)
-    cursor = int(last_known)
+    cursor = last_known
     for _ in range(probes):
         cursor += 1
         if cursor > hi:
@@ -270,13 +268,12 @@ def router_refresh(
     """
     if router not in nmap:
         raise ValueError(f"refresh by non-member {router}")
-    addrs = nmap.addresses()
-    lo, hi = int(addrs[0]), int(addrs[-1])
+    lo, hi = nmap.members[0].address, nmap.members[-1].address
     added = []
     for ad in directory.advertised():
         if ad.is_router or ad.address in nmap:
             continue
-        if lo <= int(ad.address) <= hi:
+        if lo <= ad.address <= hi:
             nmap = nmap.add(NodeRecord(address=ad.address, domain=ad.domain))
             directory.deregister(ad.address)
             added.append(ad.address)

@@ -73,6 +73,52 @@ CHECK_KINDS = (
 
 DEFAULT_HORIZON_MARGIN = 1000
 
+# Typed parameters as name -> (cast, test, what a value must be). The parser
+# checks them, so a script that parses never fails on a value in a handler.
+_INT = (int, lambda v: True, "an integer")
+_NUMBER = (float, lambda v: True, "a number")
+_COUNT = (int, lambda v: v >= 0, "a non-negative integer")
+_POSITIVE = (int, lambda v: v > 0, "a positive integer")
+_CONFIG_PARAMS = {
+    "critical_mass": _POSITIVE,
+    "excerpt_cap": _COUNT,
+    "min_clients": _INT,
+    "min_uptime": _NUMBER,
+    "min_capacity": _NUMBER,
+    "beacon_period": _POSITIVE,
+    "beacon_timeout_factor": _INT,
+    "refresh_period": _POSITIVE,
+    "intro_timeout": _COUNT,
+    "commit_timeout": _POSITIVE,
+    "horizon": _INT,
+}
+_AT = {"at": _COUNT}
+_EVENT_PARAMS = {
+    "download": {
+        **_AT,
+        "uptime": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+        "capacity": (float, lambda v: v > 0, "a positive number"),
+        "metric": (float, lambda v: v >= 0, "a non-negative number"),
+    },
+    "up": _AT,
+    "down": _AT,
+    "send": {
+        **_AT,
+        "timeout": _POSITIVE,
+        "scope": (sync.validate_scope, lambda v: True, "local, global or group:<id>"),
+    },
+    "subdivide": {**_AT, "critical_mass": _POSITIVE},
+}
+# Parameters an event or check cannot do without.
+_REQUIRED_PARAMS = {
+    "send": ("key",),
+    "router": ("addr",),
+    "no-router": ("addr",),
+    "member": ("addr",),
+    "isolated": ("addr",),
+    "committed": ("key",),
+}
+
 
 class ScenarioParseError(ValueError):
     pass
@@ -121,6 +167,29 @@ def _split_pairs(tokens: list[str], where: str) -> dict[str, str]:
     return out
 
 
+def _check(params: dict[str, str], kind: str, typed: Mapping, where: str) -> None:
+    """Reject a line that lacks a required parameter or carries a bad value."""
+    for key in _REQUIRED_PARAMS.get(kind, ()):
+        if key not in params:
+            raise ScenarioParseError(f"{where}: {kind} needs {key}=")
+    for key, (cast, test, wants) in typed.items():
+        if key not in params:
+            continue
+        try:
+            ok = test(cast(params[key]))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ScenarioParseError(f"{where}: {key} must be {wants}, got {params[key]!r}")
+
+
+def _address(text: str, where: str) -> NodeAddress:
+    try:
+        return parse_address(text)
+    except ValueError as exc:
+        raise ScenarioParseError(f"{where}: {exc}") from None
+
+
 def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
     config: dict[str, str] = {}
     events: list[ScriptEvent] = []
@@ -132,7 +201,12 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
         where = f"{name}:{lineno}"
         tokens = line.split()
         if tokens[0] == "config":
-            config.update(_split_pairs(tokens[1:], where))
+            pairs = _split_pairs(tokens[1:], where)
+            unknown = [k for k in pairs if k not in _CONFIG_PARAMS]
+            if unknown:
+                raise ScenarioParseError(f"{where}: unknown config key {unknown[0]!r}")
+            _check(pairs, "config", _CONFIG_PARAMS, where)
+            config.update(pairs)
             continue
         if tokens[0] == "assert":
             if len(tokens) < 2:
@@ -141,6 +215,9 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
             if kind not in CHECK_KINDS:
                 raise ScenarioParseError(f"{where}: unknown assert kind {kind!r}")
             params = _split_pairs(tokens[2:], where)
+            _check(params, kind, _AT, where)
+            if "addr" in params:
+                _address(params["addr"], where)
             at_s = params.pop("at", None)
             at = int(at_s) if at_s is not None else None
             checks.append(ScriptCheck(kind=kind, params=params, at=at, line=lineno))
@@ -152,13 +229,9 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
         kind = pairs.pop("event")
         if kind not in EVENT_KINDS:
             raise ScenarioParseError(f"{where}: unknown event {kind!r}")
-        try:
-            at = int(pairs.pop("at"))
-            addr = parse_address(pairs.pop("addr"))
-        except ValueError as exc:
-            raise ScenarioParseError(f"{where}: {exc}") from exc
-        if at < 0:
-            raise ScenarioParseError(f"{where}: at must be non-negative")
+        _check(pairs, kind, _EVENT_PARAMS[kind], where)
+        at = int(pairs.pop("at"))
+        addr = _address(pairs.pop("addr"), where)
         events.append(ScriptEvent(at=at, kind=kind, addr=addr, params=pairs, line=lineno))
     return ScenarioScript(name=name, config=config, events=tuple(events), checks=tuple(checks))
 
@@ -190,23 +263,10 @@ class WorldConfig:
     @classmethod
     def from_mapping(cls, raw: Mapping[str, str]) -> "WorldConfig":
         cfg = cls()
-        casts = {
-            "critical_mass": int,
-            "excerpt_cap": int,
-            "min_clients": int,
-            "min_uptime": float,
-            "min_capacity": float,
-            "beacon_period": int,
-            "beacon_timeout_factor": int,
-            "refresh_period": int,
-            "intro_timeout": int,
-            "commit_timeout": int,
-            "horizon": int,
-        }
         for key, value in raw.items():
-            if key not in casts:
+            if key not in _CONFIG_PARAMS:
                 raise ScenarioParseError(f"unknown config key {key!r}")
-            setattr(cfg, key, casts[key](value))
+            setattr(cfg, key, _CONFIG_PARAMS[key][0](value))
         return cfg
 
     @property
@@ -542,9 +602,8 @@ class World:
         nid = self.nid_of.get(addr)
         if nid is None:
             raise ScenarioError(f"send from unmapped instance {addr}")
-        if "key" not in params:
-            raise ScenarioError(f"send from {addr} needs key=")
-        group = [r.address for r in self.neighborhoods[nid].active_members()]
+        # A live proposer is online even if an earlier commit flagged it offline.
+        group = {addr, *(r.address for r in self.neighborhoods[nid].active_members())}
         timeout = int(params.get("timeout", self.config.commit_timeout))
         commit = sync.propose_commit(
             group=group,

@@ -24,11 +24,10 @@ import re
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
-from ipaddress import IPv4Address
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .topology import ClusterPlan, NeighborhoodMap, NodeAddress, NotAMemberError
+from .topology import ClusterPlan, NeighborhoodMap, NodeAddress, NotAMemberError, parse_address
 
 SCOPE_LOCAL = "local"
 SCOPE_GLOBAL = "global"
@@ -106,7 +105,7 @@ class AttributeList:
         return self._entries.get((key, owner))
 
     def entries(self) -> tuple[AttributeEntry, ...]:
-        return tuple(self._entries[k] for k in sorted(self._entries, key=lambda s: (s[0], int(s[1]))))
+        return tuple(self._entries[k] for k in sorted(self._entries))
 
     def owners_matching(self, key: str, value: bytes) -> tuple[NodeAddress, ...]:
         return tuple(e.owner for e in self.entries() if e.key == key and e.value == value)
@@ -509,7 +508,7 @@ def load_attribute_seeds(path: str | Path) -> dict[NodeAddress, AttributeList]:
             raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
         owner_s, key, scope, update_class, value = parts
         try:
-            owner = IPv4Address(owner_s)
+            owner = parse_address(owner_s)
             entry = AttributeEntry(
                 key=key,
                 scope=scope,

@@ -1,9 +1,10 @@
 """Node addressing, neighborhood maps, clustering and router election.
 
-Addresses are 32-bit values rendered as dotted quads (stdlib IPv4Address).
-A neighborhood map is an immutable snapshot; every mutation returns a new
-snapshot with a higher version. Clusters are contiguous chunks of the sorted
-active membership, the lowest address in each chunk acting as cluster leader.
+An address is a 32-bit integer: hashed, ordered and measured as that number,
+and printed as a dotted quad. A neighborhood map is an immutable snapshot;
+every mutation returns a new snapshot with a higher version. Clusters are
+contiguous chunks of the sorted active membership, the lowest address in each
+chunk acting as cluster leader.
 """
 
 from __future__ import annotations
@@ -12,9 +13,18 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from ipaddress import IPv4Address
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-NodeAddress = IPv4Address
+
+class NodeAddress(int):
+    """A 32-bit address: an int that prints as a dotted quad. Built by parse_address."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return ".".join(map(str, self.to_bytes(4, "big")))
+
+    __repr__ = __str__
 
 
 class EmptyNeighborhoodError(ValueError):
@@ -31,9 +41,9 @@ class NoSplitNeeded(ValueError):
 
 def parse_address(value: str | int | IPv4Address) -> NodeAddress:
     """Accept dotted-quad text, a 32-bit integer, or an existing address."""
-    if isinstance(value, IPv4Address):
+    if isinstance(value, NodeAddress):
         return value
-    return IPv4Address(value)
+    return NodeAddress(IPv4Address(value))
 
 
 def address_distance(a: NodeAddress, b: NodeAddress) -> int:
@@ -42,7 +52,7 @@ def address_distance(a: NodeAddress, b: NodeAddress) -> int:
     Stands in for network proximity: numerically close addresses tend to sit
     in the same provider range.
     """
-    return abs(int(a) - int(b))
+    return abs(a - b)
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,7 @@ class NeighborhoodMap:
         return tuple(r.address for r in self.members)
 
     def member(self, address: NodeAddress) -> NodeRecord | None:
-        i = bisect_left(self.addresses(), address)
+        i = bisect_left(self.members, address, key=lambda r: r.address)
         if i < len(self.members) and self.members[i].address == address:
             return self.members[i]
         return None
@@ -212,34 +222,19 @@ def subdivide(nmap: NeighborhoodMap, critical_mass: int) -> tuple[NeighborhoodMa
     return lower, upper
 
 
-def _score(record: NodeRecord) -> tuple[float, float, float]:
-    # Lexicographic: uptime first, then capacity, then closeness (low metric).
-    return (record.uptime_fraction, record.link_capacity_bps, -record.metric)
-
-
-def router_eligibility(
-    record: NodeRecord, nmap: NeighborhoodMap, criteria: RouterCriteria
-) -> tuple[bool, tuple[float, float, float]]:
-    """Gate a member against the router thresholds; returns (eligible, score).
-
-    A candidate must be active: an offline node cannot route, and failover
-    must never re-elect the node whose loss triggered it.
-    """
-    if record.address not in nmap:
-        raise NotAMemberError(str(record.address))
-    population = len(nmap.active_members())
-    eligible = (
-        record.active
-        and population >= criteria.min_clients
-        and record.uptime_fraction >= criteria.min_uptime_fraction
-        and record.link_capacity_bps >= criteria.min_capacity_bps
-    )
-    return eligible, _score(record)
-
-
 def ranked_candidates(nmap: NeighborhoodMap, criteria: RouterCriteria) -> list[NodeAddress]:
-    """Eligible members in takeover order: best score first, ties by lowest address."""
-    eligible = [r for r in nmap.members if router_eligibility(r, nmap, criteria)[0]]
+    """Eligible members in takeover order: highest uptime, then capacity, then
+    closeness (low metric), ties by lowest address.
+
+    Needs min_clients active members. A candidate must clear the uptime and
+    capacity thresholds and be active: an offline node cannot route, and
+    failover must never re-elect the node whose loss triggered it.
+    """
+    active = nmap.active_members()
+    if len(active) < criteria.min_clients:
+        return []
+    min_up, min_bps = criteria.min_uptime_fraction, criteria.min_capacity_bps
+    eligible = [r for r in active if r.uptime_fraction >= min_up and r.link_capacity_bps >= min_bps]
     eligible.sort(key=lambda r: (-r.uptime_fraction, -r.link_capacity_bps, r.metric, r.address))
     return [r.address for r in eligible]
 

@@ -150,7 +150,7 @@ def test_scenario_run_bundled_by_name(capsys):
 
 def test_scenario_run_missing_file(capsys):
     code, _, err = run_cli(capsys, "scenario", "run", "no-such-thing")
-    assert code == 1
+    assert code == 2
     assert "no such scenario" in err
 
 
@@ -166,8 +166,37 @@ def test_scenario_run_parse_error(capsys, tmp_path):
     p = tmp_path / "bad.scenario"
     p.write_text("at=0 event=download addr=10.0.0.1\nat=1 event=warp addr=10.0.0.2\n")
     code, _, err = run_cli(capsys, "scenario", "run", str(p))
-    assert code == 1
+    assert code == 2
     assert "bad.scenario:2" in err
+
+
+@pytest.mark.parametrize(
+    "script,argv",
+    [
+        ("at=0 event=down addr=10.0.0.9\n", ()),
+        ("at=0 event=up addr=10.0.0.9\n", ()),
+        ("at=0 event=download addr=10.0.0.1\nat=1 event=send addr=10.0.0.1\n", ()),
+        ("at=0 event=download addr=10.0.0.1\nat=1 event=send addr=10.0.0.1 key=k timeout=0\n", ()),
+        ("at=0 event=download addr=10.0.0.1\nassert connected at=abc\n", ()),
+        ("config horizon=abc\n", ()),
+        ("assert router\n", ()),
+        (None, ("timing", "sweep", "--total", "100")),
+        (None, ("timing", "sweep", "--total", "256", "--trials", "0")),
+        (None, ("timing", "optimum", "--total", "100")),
+        (None, ("timing", "tables", "--trials", "1", "--out", "taken")),
+        (None, ("mm1", "--broadcast", "--clients", "-5", "--bytes", "64")),
+    ],
+)
+def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, script, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").touch()
+    if script is not None:
+        (tmp_path / "bad.scenario").write_text(script)
+        argv = ("scenario", "run", "bad.scenario")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 # -- determinism --------------------------------------------------------------

@@ -1,5 +1,4 @@
 import random
-from ipaddress import IPv4Address
 
 import pytest
 
@@ -14,11 +13,11 @@ from peermesh.discovery import (
     router_refresh,
 )
 from peermesh.simcore import RandomStream
-from peermesh.topology import NeighborhoodMap, NodeRecord, address_distance, parse_address
+from peermesh.topology import NeighborhoodMap, NodeAddress, NodeRecord, address_distance, parse_address
 
 
-def addr(i: int) -> IPv4Address:
-    return IPv4Address(i)
+def addr(i: int) -> NodeAddress:
+    return parse_address(i)
 
 
 def test_register_returns_nearest_prior_registrants():
@@ -43,6 +42,11 @@ def test_register_excerpt_respects_cap_and_excludes_self():
     assert len(excerpt) == 3
     first = reg.register(addr(7), "net", at=10, cap=0)
     assert len(first) == 0
+    with pytest.raises(ValueError, match="cap"):
+        reg.register(addr(8), "net", at=11, cap=-1)  # would slice from the end
+    assert len(reg) == 7
+    (nearest,) = reg.register(addr(31), "net", at=12, cap=1).entries
+    assert (nearest.address, nearest.at) == (addr(30), 9)  # the latest record of 30
 
 
 def test_register_empty_registry():
@@ -80,7 +84,7 @@ def test_bootstrap_connects_to_first_live_target():
     )
     assert res.connected_to == addr(110)
     assert res.dead_targets == (addr(90),)
-    assert not res.registered and not res.isolated
+    assert not res.isolated
     assert [a.target for a in res.attempts] == [addr(90), addr(110)]
     ats = [a.at for a in res.attempts]
     assert ats[0] > 10 and ats == sorted(ats)
@@ -94,14 +98,14 @@ def test_bootstrap_every_target_dead_falls_back_to_directory():
     excerpt = reg.register(addr(10), "net", at=5)
     res = bootstrap(addr(10), excerpt, is_active=lambda a: False, stream=RandomStream(1, "b"), now=5)
     assert res.connected_to is None
-    assert res.isolated and res.registered
+    assert res.isolated
     assert set(res.dead_targets) == {addr(1), addr(2), addr(3)}
 
 
 def test_bootstrap_empty_excerpt_registers_without_probing():
     excerpt = DownloadRegistry().register(addr(1), "net", at=0)
     res = bootstrap(addr(1), excerpt, is_active=lambda a: True, stream=RandomStream(1, "b"), now=4)
-    assert res.registered and res.attempts == ()
+    assert res.isolated and res.attempts == ()
     assert res.finished_at == 4
 
 

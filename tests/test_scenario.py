@@ -5,6 +5,7 @@ import pytest
 from peermesh.scenario import (
     ScenarioError,
     ScenarioParseError,
+    ScenarioScript,
     load_scenario,
     parse_scenario,
     render_report,
@@ -52,6 +53,19 @@ def test_parse_full_grammar():
         ("at=0 event=up addr=10.0.0.1 at=2", "duplicate"),
         ("assert", "assert needs a kind"),
         ("assert warp addr=10.0.0.1", "unknown assert kind"),
+        ("assert connected at=abc", "at must be a non-negative integer"),
+        ("assert member at=-5 addr=10.0.0.1", "at must be a non-negative integer"),
+        ("assert router", "router needs addr="),
+        ("assert isolated addr=10.0.0.300", "inline:1"),
+        ("assert committed acks=2", "committed needs key="),
+        ("config horizon=abc", "horizon must be an integer"),
+        ("config beacon_period=0", "beacon_period must be a positive integer"),
+        ("config warp_factor=9", "unknown config key 'warp_factor'"),
+        ("at=0 event=send addr=10.0.0.1 value=v", "send needs key="),
+        ("at=0 event=send addr=10.0.0.1 key=k timeout=0", "timeout must be a positive integer"),
+        ("at=0 event=download addr=10.0.0.1 uptime=1.5", r"uptime must be a number in \[0, 1\]"),
+        ("at=0 event=download addr=10.0.0.1 capacity=fast", "capacity must be a positive number"),
+        ("at=0 event=send addr=10.0.0.1 key=k scope=galaxy", "scope must be local, global"),
     ],
 )
 def test_parse_errors(line, fragment):
@@ -66,7 +80,8 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_unknown_config_key_fails_at_run():
-    script = parse_scenario("config warp_factor=9\n", name="inline")
+    # The parser rejects the key first; a script built by hand meets it at run.
+    script = ScenarioScript(name="inline", config={"warp_factor": "9"}, events=(), checks=())
     with pytest.raises(ScenarioParseError, match="warp_factor"):
         run_scenario(script)
 

@@ -1,5 +1,4 @@
 import random
-from ipaddress import IPv4Address
 
 import pytest
 
@@ -21,11 +20,11 @@ from peermesh.sync import (
     update_period,
     validate_scope,
 )
-from peermesh.topology import NeighborhoodMap, NodeRecord, form_clusters
+from peermesh.topology import NeighborhoodMap, NodeAddress, NodeRecord, form_clusters, parse_address
 
 
-def addr(i: int) -> IPv4Address:
-    return IPv4Address(i)
+def addr(i: int) -> NodeAddress:
+    return parse_address(i)
 
 
 def entry(key, owner, version=1, value=b"v", scope="local", update_class="moderate"):
@@ -513,9 +512,9 @@ def test_load_attribute_seeds(tmp_path):
         "10.0.0.2 game local light go\n"
     )
     lists = load_attribute_seeds(seeds)
-    one = lists[IPv4Address("10.0.0.1")]
-    assert one.get("room", IPv4Address("10.0.0.1")).value == b"red room"
-    assert len(lists[IPv4Address("10.0.0.2")]) == 1
+    one = lists[parse_address("10.0.0.1")]
+    assert one.get("room", parse_address("10.0.0.1")).value == b"red room"
+    assert len(lists[parse_address("10.0.0.2")]) == 1
     seeds.write_text("10.0.0.1 game global moderate\n")
     with pytest.raises(ValueError, match=":1"):
         load_attribute_seeds(seeds)

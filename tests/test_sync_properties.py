@@ -1,16 +1,25 @@
-"""Property tests: merge_lists is a last-writer-wins map CRDT, and an update
-round converges over its survivors when one member drops mid-round."""
+"""Property tests: merge_lists is a last-writer-wins map CRDT, an update round
+converges over its survivors when one member drops mid-round, and a commit
+resolves exactly once over the acks it received."""
 
 from functools import reduce
-from ipaddress import IPv4Address
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peermesh.sync import UPDATE_CLASSES, AttributeEntry, AttributeList, UpdateRound, merge_lists
-from peermesh.topology import NeighborhoodMap, NodeRecord, form_clusters
+from peermesh.sync import (
+    UPDATE_CLASSES,
+    AttributeEntry,
+    AttributeList,
+    UpdateRound,
+    ack,
+    expire,
+    merge_lists,
+    propose_commit,
+)
+from peermesh.topology import NeighborhoodMap, NodeAddress, NodeRecord, form_clusters, parse_address
 
-OWNERS = [IPv4Address(0x0A000000 + i) for i in range(4)]
+OWNERS = [parse_address(0x0A000000 + i) for i in range(4)]
 
 entries = st.builds(
     AttributeEntry,
@@ -42,7 +51,7 @@ def test_merge_is_idempotent(a):
     assert merge_lists(a, a) == a
 
 
-def _member_list(owner: IPv4Address, shared_version: int) -> AttributeList:
+def _member_list(owner: NodeAddress, shared_version: int) -> AttributeList:
     # The member's own entry, plus its copy of one shared slot at some
     # version, so that the round has conflicts to resolve.
     return AttributeList(
@@ -60,7 +69,7 @@ def _member_list(owner: IPv4Address, shared_version: int) -> AttributeList:
 def test_round_survivors_converge_when_a_member_drops(data):
     count = data.draw(st.integers(1, 24), label="members")
     size = data.draw(st.integers(1, 6), label="cluster_size")
-    nmap = NeighborhoodMap.build(NodeRecord(IPv4Address(0x0A000100 + i)) for i in range(count))
+    nmap = NeighborhoodMap.build(NodeRecord(parse_address(0x0A000100 + i)) for i in range(count))
     plan = form_clusters(nmap, size)
     versions = data.draw(st.lists(st.integers(1, 5), min_size=count, max_size=count))
     lists = {a: _member_list(a, v) for a, v in zip(plan.members, versions)}
@@ -68,10 +77,10 @@ def test_round_survivors_converge_when_a_member_drops(data):
     hops = 3 * count + 2 * len(plan.clusters)
     drop_at = data.draw(st.integers(0, hops), label="drop_at")  # past the end: no drop
 
-    down: set[IPv4Address] = set()
-    seen_dead: set[IPv4Address] = set()
+    down: set[NodeAddress] = set()
+    seen_dead: set[NodeAddress] = set()
 
-    def is_active(a: IPv4Address) -> bool:
+    def is_active(a: NodeAddress) -> bool:
         if a in down:
             seen_dead.add(a)
             return False
@@ -93,3 +102,35 @@ def test_round_survivors_converge_when_a_member_drops(data):
     for a in survivors:
         assert merge_lists(finals[a], want) == finals[a]  # holds every survivor's entries
         assert finals[a] == finals[survivors[0]]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_commit_resolves_once_over_the_acks_received(data):
+    size = data.draw(st.integers(1, 6), label="group")
+    group = [parse_address(0x0A000200 + i) for i in range(size)]
+    timeout = data.draw(st.integers(1, 10), label="timeout")
+    # (member, tick) receipts: members may ack twice or never, the proposer too.
+    receipts = data.draw(st.lists(st.tuples(st.sampled_from(group), st.integers(0, 12))))
+    commit = propose_commit(group, proposer=group[0], key="k", value=b"v", now=0, timeout=timeout)
+    received = {group[0]}
+    first = commit.resolution
+    for t in range(13):
+        calls = [("ack", m) for m, at in receipts if at == t] + [("expire", None)]
+        for call, member in data.draw(st.permutations(calls), label=f"order@{t}"):
+            if call == "ack":
+                if commit.resolution is None:
+                    received.add(member)
+                ack(commit, member, t)
+            else:
+                expire(commit, t)
+            if first is None:
+                first = commit.resolution
+                if first is not None:
+                    assert first.acks == received
+            assert commit.resolution is first  # never changes once set
+    res = commit.resolution
+    assert res is not None and res.at <= timeout  # resolved, by the deadline at the latest
+    assert res.acks | res.absentees == commit.group and not res.acks & res.absentees
+    if res.at < commit.deadline:
+        assert res.acks == commit.group and not res.absentees  # early only when all acked

@@ -1,4 +1,3 @@
-from ipaddress import IPv4Address
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from peermesh.timing import (
     sweep,
     trial_stream,
 )
-from peermesh.topology import NeighborhoodMap, NodeRecord, form_clusters
+from peermesh.topology import NeighborhoodMap, NodeRecord, form_clusters, parse_address
 
 
 class FixedStream:
@@ -221,7 +220,7 @@ def test_equation_literal_draws_match_update_round_messages(dims):
     simulate_once(dims, stream, mode=MODE_EQUATION_LITERAL)
     forward, ring, redistribute = stream.sizes
     count = dims.columns * (dims.rows + 1)
-    nmap = NeighborhoodMap.build(NodeRecord(IPv4Address(0x0A000000 + i)) for i in range(count))
+    nmap = NeighborhoodMap.build(NodeRecord(parse_address(0x0A000000 + i)) for i in range(count))
     plan = form_clusters(nmap, dims.rows + 1)
     messages = run_round(plan, {a: AttributeList() for a in plan.members}).phase_messages
     assert forward == messages[Phase.INTRA_FORWARD] == messages[Phase.INTRA_REVERSE]

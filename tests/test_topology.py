@@ -1,5 +1,4 @@
 import random
-from ipaddress import IPv4Address
 
 import pytest
 
@@ -7,6 +6,7 @@ from peermesh.topology import (
     ClusterPlan,
     EmptyNeighborhoodError,
     NeighborhoodMap,
+    NodeAddress,
     NodeRecord,
     NoSplitNeeded,
     NotAMemberError,
@@ -18,13 +18,12 @@ from peermesh.topology import (
     load_address_plan,
     parse_address,
     ranked_candidates,
-    router_eligibility,
     subdivide,
 )
 
 
-def addr(i: int) -> IPv4Address:
-    return IPv4Address(i)
+def addr(i: int) -> NodeAddress:
+    return parse_address(i)
 
 
 def build_map(ints, **overrides) -> NeighborhoodMap:
@@ -200,22 +199,24 @@ CRITERIA = RouterCriteria(min_clients=3, min_uptime_fraction=0.9, min_capacity_b
     ],
 )
 def test_router_eligibility_gates(uptime, capacity, active, eligible):
+    # Three more members keep the active population at min_clients either way.
     records = [
         NodeRecord(addr(1), uptime_fraction=uptime, link_capacity_bps=capacity, active=active),
         NodeRecord(addr(2)),
         NodeRecord(addr(3)),
+        NodeRecord(addr(4)),
     ]
-    nmap = NeighborhoodMap.build(records)
-    got, _score = router_eligibility(records[0], nmap, CRITERIA)
-    assert got is eligible
+    ranked = ranked_candidates(NeighborhoodMap.build(records), CRITERIA)
+    assert (addr(1) in ranked) is eligible
+    assert ranked[-1:] == ([addr(1)] if eligible else [addr(4)])
 
 
 def test_router_eligibility_needs_population():
-    nmap = build_map([1, 2])
-    ok, _ = router_eligibility(nmap.member(addr(1)), nmap, CRITERIA)
-    assert not ok  # 2 active members < min_clients=3
-    with pytest.raises(NotAMemberError):
-        router_eligibility(NodeRecord(addr(9)), nmap, CRITERIA)
+    assert elect_router(build_map([1, 2]), CRITERIA) is None  # 2 members < min_clients=3
+    assert ranked_candidates(build_map([1, 2, 3]), CRITERIA) == [addr(1), addr(2), addr(3)]
+    # Only active members count towards the population.
+    nmap = build_map([1, 2, 3]).set_active(addr(3), False)
+    assert ranked_candidates(nmap, CRITERIA) == []
 
 
 def test_election_prefers_uptime_then_capacity_then_metric():
