@@ -172,6 +172,9 @@ def _cmd_mm1(args) -> int:
             return 2
         print(f"broadcast_bps {load:.6f}")
         return 0
+    if args.p_max is not None and args.p_max < 0:
+        print(f"error: --p-max must be non-negative, got {args.p_max}", file=sys.stderr)
+        return 2
     try:
         inputs = queueing.MMOneInputs(
             gap_interval_s=args.g,
@@ -235,7 +238,7 @@ def _cmd_scenario_run(args) -> int:
     try:
         report = run_scenario(script, seed=args.seed)
     except ScenarioError as exc:
-        print(f"scenario error: {script.name}: {exc}", file=sys.stderr)
+        print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(render_report(report, show_trace=not args.quiet))
     return 0 if report.passed else 1

@@ -70,9 +70,6 @@ class DownloadRegistry:
         self._latest[address] = self._records[-1]
         return DirectoryExcerpt(entries=tuple(nearest))
 
-    def records(self) -> tuple[DownloadRecord, ...]:
-        return tuple(self._records)
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -110,7 +107,6 @@ class SearchEngineDirectory:
 class Introduction:
     sender: NodeAddress
     target: NodeAddress
-    payload: object
     deadline: int
     resolved: str | None = None  # "delivered" | "expired"
 
@@ -121,8 +117,8 @@ class IntroductionQueue:
     def __init__(self):
         self._items: list[Introduction] = []
 
-    def add(self, sender: NodeAddress, target: NodeAddress, payload: object, deadline: int) -> Introduction:
-        item = Introduction(sender=sender, target=target, payload=payload, deadline=deadline)
+    def add(self, sender: NodeAddress, target: NodeAddress, deadline: int) -> Introduction:
+        item = Introduction(sender=sender, target=target, deadline=deadline)
         self._items.append(item)
         return item
 
@@ -145,9 +141,6 @@ class IntroductionQueue:
 
     def pending(self) -> tuple[Introduction, ...]:
         return tuple(i for i in self._items if i.resolved is None)
-
-    def items(self) -> tuple[Introduction, ...]:
-        return tuple(self._items)
 
 
 @dataclass(frozen=True)

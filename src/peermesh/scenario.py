@@ -286,7 +286,6 @@ class InstanceInfo:
     capacity: float = 1_000_000.0
     metric: float = 0.0
     active: bool = True
-    isolated: bool = False
 
     def record(self) -> NodeRecord:
         return NodeRecord(
@@ -300,10 +299,12 @@ class InstanceInfo:
 
 
 @dataclass
-class RouterState:
-    addr: NodeAddress | None = None
+class Neighborhood:
+    """A neighborhood's membership snapshot and its router, if it has one."""
+
+    map: NeighborhoodMap
+    router: NodeAddress | None = None
     last_beacon: int = -(10**9)
-    monitor_armed: bool = False
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,10 @@ class CheckResult:
 
 
 class World:
-    """Mutable simulation state; every change happens inside an event handler."""
+    """Mutable simulation state; every change happens inside an event handler.
+
+    An instance is isolated exactly when it is known but not in nid_of.
+    """
 
     def __init__(self, engine: Engine, config: WorldConfig):
         self.engine = engine
@@ -349,9 +353,8 @@ class World:
         self.directory = discovery.SearchEngineDirectory()
         self.intros = discovery.IntroductionQueue()
         self.instances: dict[NodeAddress, InstanceInfo] = {}
-        self.neighborhoods: dict[int, NeighborhoodMap] = {}
+        self.neighborhoods: dict[int, Neighborhood] = {}
         self.nid_of: dict[NodeAddress, int] = {}
-        self.routers: dict[int, RouterState] = {}
         self.commits: list[sync.PendingCommit] = []
         self.actions: list[Action] = []
         self.check_results: list[CheckResult] = []
@@ -370,7 +373,7 @@ class World:
             Action(at=at, kind=kind, fields=tuple((k, str(v)) for k, v in fields.items()))
         )
 
-    def _live(self, addr: NodeAddress) -> bool:
+    def _live(self, addr: NodeAddress | None) -> bool:
         info = self.instances.get(addr)
         return info is not None and info.active
 
@@ -385,7 +388,7 @@ class World:
         nid = self.nid_of.get(sender)
         metrics = [0.0]
         if nid is not None:
-            metrics = [r.metric for r in self.neighborhoods[nid].members] or [0.0]
+            metrics = [r.metric for r in self.neighborhoods[nid].map.members] or [0.0]
         return 10 * sync.update_period("moderate", metrics)
 
     # -- event dispatch ------------------------------------------------------
@@ -441,7 +444,7 @@ class World:
             skip = set(result.dead_targets) | {addr, result.connected_to}
             cursor = result.finished_at
             # Joining can split the neighborhood, so resolve the current id.
-            for member in self.neighborhoods[self.nid_of[addr]].addresses():
+            for member in self.neighborhoods[self.nid_of[addr]].map.addresses():
                 if member in skip:
                     continue
                 cursor += self._stream(f"node/{addr}").hop_delay()
@@ -451,51 +454,55 @@ class World:
                     payload={"type": "introduction", "from": addr, "to": member},
                 )
         else:
-            info.isolated = True
             self.directory.advertise(addr, info.domain)
             self._act(result.finished_at, "registered", addr=addr)
             self._act(result.finished_at, "isolated", addr=addr)
 
-    def _join_via(self, at: int, info: InstanceInfo, target: NodeAddress) -> int:
+    def _join_via(self, at: int, info: InstanceInfo, target: NodeAddress) -> None:
         nid = self.nid_of.get(target)
         if nid is None:
             # The target was isolated; the pair founds a fresh neighborhood.
             nid = self._alloc_nid()
-            tinfo = self.instances[target]
-            tinfo.isolated = False
             self.directory.deregister(target)
-            self.neighborhoods[nid] = NeighborhoodMap.build([tinfo.record(), info.record()])
+            pair = [self.instances[target].record(), info.record()]
+            self.neighborhoods[nid] = Neighborhood(NeighborhoodMap.build(pair))
             self.nid_of[target] = nid
-            self.routers[nid] = RouterState()
         else:
-            self.neighborhoods[nid] = self.neighborhoods[nid].add(info.record())
+            hood = self.neighborhoods[nid]
+            hood.map = hood.map.add(info.record())
         self.nid_of[info.address] = nid
         self._act(at, "joined", addr=info.address, neighborhood=nid)
         self._post_membership(nid)
-        return nid
 
     def _post_membership(self, nid: int) -> None:
-        nmap = self.neighborhoods[nid]
-        state = self.routers.setdefault(nid, RouterState())
-        if state.addr is None:
-            cand = elect_router(nmap, self.config.criteria)
+        """Elect a router if there is none, then split the neighborhood if it
+        has outgrown critical mass, counting the strays a new router mapped."""
+        hood = self.neighborhoods[nid]
+        if hood.router is None:
+            cand = elect_router(hood.map, self.config.criteria)
             if cand is not None:
-                self._install_router(nid, cand)
-        if self.config.critical_mass is not None and len(nmap) > self.config.critical_mass:
-            self._apply_subdivide(nid, self.config.critical_mass)
+                self._install_router(nid, cand, monitor=True)
+        cm = self.config.critical_mass
+        if cm is not None and len(hood.map) > cm:
+            self._apply_subdivide(nid, cm)
 
-    def _install_router(self, nid: int, addr: NodeAddress) -> None:
-        now = self.engine.now
-        state = self.routers[nid]
-        state.addr = addr
-        state.last_beacon = now
-        self._act(now, "elected", addr=addr, neighborhood=nid)
+    def _install_router(self, nid: int, addr: NodeAddress, monitor: bool = False) -> bool:
+        """Make addr the router and start it; True if its first refresh mapped strays."""
+        self.neighborhoods[nid].router = addr
+        self._act(self.engine.now, "elected", addr=addr, neighborhood=nid)
         self.directory.advertise(addr, self.instances[addr].domain, is_router=True)
+        self._start_router(nid, monitor)
+        return self._router_refresh(nid)
+
+    def _start_router(self, nid: int, monitor: bool = False) -> None:
+        """Start the router's beacon and refresh chains; an election also
+        starts the beacon monitor, which runs until failover finds nobody."""
+        now = self.engine.now
+        self.neighborhoods[nid].last_beacon = now
         self.engine.schedule(
             now + self.config.beacon_period, KIND_BEACON, payload={"neighborhood": nid}
         )
-        if not state.monitor_armed:
-            state.monitor_armed = True
+        if monitor:
             self.engine.schedule(
                 now + self.config.beacon_period,
                 KIND_TIMER,
@@ -506,7 +513,6 @@ class World:
             KIND_TIMER,
             payload={"type": "router-refresh", "neighborhood": nid},
         )
-        self._router_refresh(nid)
 
     def _on_up(self, now: int, addr: NodeAddress) -> None:
         info = self.instances.get(addr)
@@ -515,32 +521,17 @@ class World:
         info.active = True
         nid = self.nid_of.get(addr)
         if nid is not None:
-            self.neighborhoods[nid] = self.neighborhoods[nid].set_active(addr, True)
+            hood = self.neighborhoods[nid]
+            hood.map = hood.map.set_active(addr, True)
         for intro in self.intros.deliver_for(addr, now):
             self._act(now, "delivered", **{"from": intro.sender, "to": addr})
         if nid is not None:
-            state = self.routers.get(nid)
-            if state is not None and state.addr == addr:
-                # The router itself came back: restart its beacon and refresh
-                # chains, which self-terminated while it was down. A fast
-                # down/up flap can leave an extra live chain; duplicate beacons
-                # only refresh last_beacon more often, so that is harmless.
-                state.last_beacon = now
-                self.engine.schedule(
-                    now + self.config.beacon_period, KIND_BEACON, payload={"neighborhood": nid}
-                )
-                self.engine.schedule(
-                    now + self.config.refresh_period,
-                    KIND_TIMER,
-                    payload={"type": "router-refresh", "neighborhood": nid},
-                )
-                if not state.monitor_armed:
-                    state.monitor_armed = True
-                    self.engine.schedule(
-                        now + self.config.beacon_period,
-                        KIND_TIMER,
-                        payload={"type": "beacon-monitor", "neighborhood": nid},
-                    )
+            if hood.router == addr:
+                # The router itself came back: restart its chains, which
+                # stopped while it was down. A fast down/up flap can leave an
+                # extra live chain; duplicate beacons only refresh last_beacon
+                # more often, so that is harmless.
+                self._start_router(nid)
             self._post_membership(nid)
 
     def _on_down(self, now: int, addr: NodeAddress) -> None:
@@ -550,7 +541,8 @@ class World:
         info.active = False
         nid = self.nid_of.get(addr)
         if nid is not None:
-            self.neighborhoods[nid] = self.neighborhoods[nid].set_active(addr, False)
+            hood = self.neighborhoods[nid]
+            hood.map = hood.map.set_active(addr, False)
         # A downed router keeps its role until its beacon goes stale; the
         # monitor timer performs the failover.
 
@@ -562,7 +554,7 @@ class World:
         ):
             return
         deadline = at + self._intro_timeout(sender)
-        self.intros.add(sender, target, payload=None, deadline=deadline)
+        self.intros.add(sender, target, deadline=deadline)
         self._act(at, "queued", **{"from": sender, "to": target, "deadline": deadline})
         self.engine.schedule(deadline, KIND_TIMER, payload={"type": "intro-expiry"})
 
@@ -603,7 +595,7 @@ class World:
         if nid is None:
             raise ScenarioError(f"send from unmapped instance {addr}")
         # A live proposer is online even if an earlier commit flagged it offline.
-        group = {addr, *(r.address for r in self.neighborhoods[nid].active_members())}
+        group = {addr, *(r.address for r in self.neighborhoods[nid].map.active_members())}
         timeout = int(params.get("timeout", self.config.commit_timeout))
         commit = sync.propose_commit(
             group=group,
@@ -639,11 +631,10 @@ class World:
         self._act(now, "committed", key=commit.key, acks=len(res.acks), absent=absent)
         nid = self.nid_of.get(commit.proposer)
         if nid is not None:
-            nmap = self.neighborhoods[nid]
+            hood = self.neighborhoods[nid]
             for a in res.absentees:
-                if a in nmap:
-                    nmap = nmap.set_active(a, False)
-            self.neighborhoods[nid] = nmap
+                if a in hood.map:
+                    hood.map = hood.map.set_active(a, False)
 
     # -- subdivision ---------------------------------------------------------
 
@@ -658,18 +649,16 @@ class World:
 
     def _apply_subdivide(self, nid: int, critical_mass: int) -> None:
         now = self.engine.now
-        nmap = self.neighborhoods[nid]
+        nmap = self.neighborhoods[nid].map
         try:
             lower, upper = subdivide(nmap, critical_mass)
         except NoSplitNeeded:
             self._act(now, "no-split", neighborhood=nid, members=len(nmap))
             return
         del self.neighborhoods[nid]
-        self.routers.pop(nid, None)
         for half in (lower, upper):
             hid = self._alloc_nid()
-            self.neighborhoods[hid] = half
-            self.routers[hid] = RouterState()
+            self.neighborhoods[hid] = Neighborhood(half)
             for rec in half.members:
                 self.nid_of[rec.address] = hid
             self._act(now, "subdivided", source=nid, neighborhood=hid, members=len(half))
@@ -691,66 +680,58 @@ class World:
             self._on_monitor(now, payload["neighborhood"])
         elif ttype == "router-refresh":
             nid = payload["neighborhood"]
-            if nid in self.neighborhoods:
-                state = self.routers[nid]
-                if state.addr is not None and self._live(state.addr):
-                    self._router_refresh(nid)
-                    self.engine.schedule(
-                        now + self.config.refresh_period,
-                        KIND_TIMER,
-                        payload={"type": "router-refresh", "neighborhood": nid},
-                    )
+            hood = self.neighborhoods.get(nid)
+            if hood is not None and self._live(hood.router):
+                if self._router_refresh(nid):
+                    self._post_membership(nid)
+                self.engine.schedule(
+                    now + self.config.refresh_period,
+                    KIND_TIMER,
+                    payload={"type": "router-refresh", "neighborhood": nid},
+                )
         else:
             raise ScenarioError(f"unknown timer type {ttype!r}")
 
     def _on_beacon(self, now: int, payload: dict) -> None:
         nid = payload["neighborhood"]
-        if nid not in self.neighborhoods:
-            return
-        state = self.routers[nid]
-        if state.addr is not None and self._live(state.addr):
-            state.last_beacon = now
+        hood = self.neighborhoods.get(nid)
+        if hood is not None and self._live(hood.router):
+            hood.last_beacon = now
             self.engine.schedule(
                 now + self.config.beacon_period, KIND_BEACON, payload={"neighborhood": nid}
             )
 
     def _on_monitor(self, now: int, nid: int) -> None:
-        if nid not in self.neighborhoods:
-            return
-        state = self.routers[nid]
-        if state.addr is None:
-            state.monitor_armed = False
+        hood = self.neighborhoods.get(nid)
+        if hood is None:
             return
         timeout = self.config.beacon_period * self.config.beacon_timeout_factor
-        if not self._live(state.addr) and now - state.last_beacon >= timeout:
-            self._act(now, "beacon-expired", addr=state.addr, neighborhood=nid)
-            state.addr = None
-            cand = elect_router(self.neighborhoods[nid], self.config.criteria)
-            if cand is not None:
-                self._install_router(nid, cand)
-            else:
+        if not self._live(hood.router) and now - hood.last_beacon >= timeout:
+            self._act(now, "beacon-expired", addr=hood.router, neighborhood=nid)
+            hood.router = None
+            cand = elect_router(hood.map, self.config.criteria)
+            if cand is None:
                 self._act(now, "no-router", neighborhood=nid)
-                state.monitor_armed = False
                 return
+            if self._install_router(nid, cand):
+                self._post_membership(nid)
         self.engine.schedule(
             now + self.config.beacon_period,
             KIND_TIMER,
             payload={"type": "beacon-monitor", "neighborhood": nid},
         )
 
-    def _router_refresh(self, nid: int) -> None:
-        state = self.routers[nid]
-        nmap, added = discovery.router_refresh(state.addr, self.directory, self.neighborhoods[nid])
+    def _router_refresh(self, nid: int) -> bool:
+        """Map the advertised strays inside the router's span; True if any were."""
+        hood = self.neighborhoods[nid]
+        nmap, added = discovery.router_refresh(hood.router, self.directory, hood.map)
         for addr in added:
             # Upgrade the placeholder record with what the instance reported.
-            info = self.instances[addr]
-            info.isolated = False
-            nmap = nmap.remove(addr).add(info.record())
+            nmap = nmap.remove(addr).add(self.instances[addr].record())
             self.nid_of[addr] = nid
             self._act(self.engine.now, "mapped", addr=addr, neighborhood=nid)
-        self.neighborhoods[nid] = nmap
-        if added:
-            self._post_membership(nid)
+        hood.map = nmap
+        return bool(added)
 
     # -- checks ---------------------------------------------------------------
 
@@ -775,8 +756,8 @@ class World:
             return CheckResult(check, ok, "" if ok else "no matching action")
         if kind in ("router", "no-router"):
             addr = parse_address(p["addr"])
-            nid = self.nid_of.get(addr)
-            current = self.routers[nid].addr if nid is not None and nid in self.routers else None
+            hood = self.neighborhoods.get(self.nid_of.get(addr))
+            current = hood.router if hood is not None else None
             if kind == "router":
                 ok = current == addr
                 return CheckResult(check, ok, "" if ok else f"router is {current}")
@@ -788,8 +769,7 @@ class World:
             return CheckResult(check, ok, "" if ok else "not in any neighborhood")
         if kind == "isolated":
             addr = parse_address(p["addr"])
-            info = self.instances.get(addr)
-            ok = info is not None and info.isolated and addr not in self.nid_of
+            ok = addr in self.instances and addr not in self.nid_of
             return CheckResult(check, ok, "" if ok else "not isolated")
         if kind == "committed":
             for a in self.actions:
@@ -830,8 +810,10 @@ def run_scenario(script: ScenarioScript | str | Path, seed: int = DEFAULT_SEED) 
         "subdivide": "subdivide",
     }
     last_at = 0
+    line_of: dict[int, int] = {}  # engine seq -> script line, for error messages
     for ev in script.events:
-        engine.schedule(ev.at, kind_map[ev.kind], target=ev.addr, payload=ev.params)
+        seq = engine.schedule(ev.at, kind_map[ev.kind], target=ev.addr, payload=ev.params).seq
+        line_of[seq] = ev.line
         last_at = max(last_at, ev.at)
     for chk in script.checks:
         if chk.at is not None:
@@ -840,7 +822,15 @@ def run_scenario(script: ScenarioScript | str | Path, seed: int = DEFAULT_SEED) 
     horizon = world.config.horizon
     if horizon is None:
         horizon = last_at + DEFAULT_HORIZON_MARGIN
-    trace = engine.run(world.handle, horizon=horizon)
+
+    def handle(engine: Engine, ev: SimEvent) -> None:
+        try:
+            world.handle(engine, ev)
+        except ScenarioError as exc:
+            where = f"{script.name}:{line_of[ev.seq]}" if ev.seq in line_of else script.name
+            raise ScenarioError(f"{where}: {exc}") from None
+
+    trace = engine.run(handle, horizon=horizon)
     for chk in script.checks:
         if chk.at is None:
             world.check_results.append(world._evaluate(chk))

@@ -66,9 +66,6 @@ class RandomStream:
         self.stream_id = stream_id
         self._gen = np.random.Generator(np.random.PCG64(derive_seed(seed, stream_id)))
 
-    def child(self, label: str) -> "RandomStream":
-        return RandomStream(self.seed, f"{self.stream_id}/{label}")
-
     def integers(self, low: int, high: int, size=None):
         """Uniform integers on the inclusive range [low, high]."""
         return self._gen.integers(low, high, size=size, endpoint=True)
@@ -132,14 +129,6 @@ class Engine:
         self._next_seq += 1
         heapq.heappush(self._heap, (ev.at, ev.seq, ev))
         return ev
-
-    def schedule_in(self, delay: int, kind: str, target: Any = None, payload: Any = None) -> SimEvent:
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        return self.schedule(self.now + delay, kind, target, payload)
-
-    def pending(self) -> int:
-        return len(self._heap)
 
     def run(self, handler: Handler | None = None, horizon: int | None = None) -> EventTrace:
         """Process events in (at, seq) order until the queue drains.

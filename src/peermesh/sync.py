@@ -107,9 +107,6 @@ class AttributeList:
     def entries(self) -> tuple[AttributeEntry, ...]:
         return tuple(self._entries[k] for k in sorted(self._entries))
 
-    def owners_matching(self, key: str, value: bytes) -> tuple[NodeAddress, ...]:
-        return tuple(e.owner for e in self.entries() if e.key == key and e.value == value)
-
     def copy(self) -> "AttributeList":
         new = AttributeList()
         new._entries = dict(self._entries)
@@ -186,8 +183,6 @@ class UpdateRound:
         self._chains = [c for c in chains if c]
         if not self._chains:
             raise ConfigurationError("no active members in any cluster")
-        self.cluster_final: list[AttributeList | None] = [None] * len(self._chains)
-        self.neighborhood_final: AttributeList | None = None
         self._hops = self._run()
         next(self._hops, None)  # up to the first hop
 
@@ -227,7 +222,8 @@ class UpdateRound:
                 deliver(chain[i])
 
     def _run(self) -> Iterator[None]:
-        chains, final = self._chains, self.cluster_final
+        chains = self._chains
+        final: list[AttributeList | None] = [None] * len(chains)
         carried = None
 
         def take(src: AttributeList) -> None:
@@ -256,7 +252,6 @@ class UpdateRound:
             self._give(chains[ring[-1]][0], carried)
             push = lambda k: self._give(chains[k][0], carried)
             yield from self._walk(ring, -1, push, self._head_live)
-        self.neighborhood_final = carried
 
         # Each leader pushes what it holds up its chain once more.
         self.phase = Phase.REDISTRIBUTE
@@ -327,10 +322,6 @@ class PendingCommit:
     deadline: int
     acks: set[NodeAddress] = field(default_factory=set)
     resolution: CommitResult | None = None
-
-    @property
-    def committed(self) -> bool:
-        return self.resolution is not None
 
 
 def propose_commit(

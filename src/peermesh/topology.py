@@ -159,10 +159,6 @@ class ClusterPlan:
     def leaders(self) -> tuple[NodeAddress, ...]:
         return tuple(c[0] for c in self.clusters)
 
-    @property
-    def head_leader(self) -> NodeAddress:
-        return self.leaders[0]
-
 
 @dataclass(frozen=True)
 class RouterCriteria:

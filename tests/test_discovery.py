@@ -142,9 +142,9 @@ def test_directory_readvertise_updates_in_place():
 
 def test_introductions_deliver_before_deadline():
     q = IntroductionQueue()
-    q.add(addr(1), addr(9), payload="hi", deadline=100)
-    q.add(addr(2), addr(9), payload="yo", deadline=100)
-    q.add(addr(3), addr(8), payload="na", deadline=100)
+    q.add(addr(1), addr(9), deadline=100)
+    q.add(addr(2), addr(9), deadline=100)
+    q.add(addr(3), addr(8), deadline=100)
     got = q.deliver_for(addr(9), now=50)
     assert [i.sender for i in got] == [addr(1), addr(2)]
     assert [i.resolved for i in got] == ["delivered", "delivered"]
@@ -154,7 +154,7 @@ def test_introductions_deliver_before_deadline():
 
 def test_introductions_expire_at_deadline():
     q = IntroductionQueue()
-    q.add(addr(1), addr(9), payload=None, deadline=100)
+    q.add(addr(1), addr(9), deadline=100)
     assert q.expire_due(now=99) == []
     expired = q.expire_due(now=100)
     assert [i.resolved for i in expired] == ["expired"]
@@ -164,7 +164,7 @@ def test_introductions_expire_at_deadline():
 
 def test_introduction_delivery_wins_a_race_with_expiry():
     q = IntroductionQueue()
-    q.add(addr(1), addr(9), payload=None, deadline=100)
+    q.add(addr(1), addr(9), deadline=100)
     assert len(q.deliver_for(addr(9), now=99)) == 1
     assert q.expire_due(now=100) == []
 

@@ -2,6 +2,7 @@ from importlib import resources
 
 import pytest
 
+from peermesh import scenario
 from peermesh.scenario import (
     ScenarioError,
     ScenarioParseError,
@@ -173,6 +174,45 @@ def test_scripted_subdivide_event():
     text = SPLIT.replace("config critical_mass=4", "") + "at=20 event=subdivide addr=10.4.0.1 critical_mass=3\n"
     report = run_scenario(parse_scenario(text, name="manual-split"))
     assert any(a.kind == "subdivided" for a in report.actions)
+
+
+# A router elected on a join maps a stray, and the stray pushes the
+# neighborhood past critical mass. The membership follow-up used to act on the
+# map it read before the election and split neighborhood 0 a second time.
+ELECTION_MAPS_A_STRAY = """
+config min_clients=3 critical_mass=6 beacon_period=10 refresh_period=30 commit_timeout=50
+at=7 event=download addr=10.0.0.46
+at=17 event=down addr=10.0.0.46
+at=28 event=download addr=10.0.3.58
+at=39 event=download addr=10.0.2.8
+at=48 event=download addr=10.0.1.30
+at=54 event=down addr=10.0.3.58
+at=57 event=download addr=10.0.0.26
+at=58 event=down addr=10.0.2.8
+at=65 event=download addr=10.0.1.199
+at=65 event=down addr=10.0.1.199
+at=65 event=down addr=10.0.1.30
+at=80 event=download addr=10.0.2.178
+at=84 event=download addr=10.0.3.152
+"""
+
+
+def test_a_stray_mapped_at_election_splits_the_neighborhood_once(monkeypatch):
+    worlds = []
+
+    class RecordingWorld(scenario.World):
+        def __init__(self, *args):
+            super().__init__(*args)
+            worlds.append(self)
+
+    monkeypatch.setattr(scenario, "World", RecordingWorld)
+    report = run_scenario(parse_scenario(ELECTION_MAPS_A_STRAY, name="election-maps-a-stray"))
+    rendered = [f"{a.kind} {' '.join(f'{k}={v}' for k, v in a.fields)}" for a in report.actions]
+    mapped = rendered.index("mapped addr=10.0.0.46 neighborhood=0")
+    after = [r for r in rendered[mapped + 1 :] if r.startswith("subdivided")]
+    assert [r.split()[1] for r in after] == ["source=0", "source=0"]
+    (world,) = worlds
+    assert all(nid in world.neighborhoods for nid in world.nid_of.values())
 
 
 def test_send_from_unknown_instance_is_a_scenario_error():

@@ -304,17 +304,17 @@ GROUP = [addr(1), addr(2), addr(3)]
 
 def test_commit_group_of_one_commits_immediately():
     c = propose_commit([addr(1)], addr(1), "k", b"v", now=0, timeout=10)
-    assert c.committed and c.resolution.full
+    assert c.resolution is not None and c.resolution.full
     assert c.resolution.at == 0
 
 
 def test_commit_completes_on_last_ack():
     c = propose_commit(GROUP, addr(1), "k", b"v", now=0, timeout=10)
-    assert not c.committed  # proposer's own ack is not enough
+    assert c.resolution is None  # proposer's own ack is not enough
     ack(c, addr(2), now=3)
-    assert not c.committed
+    assert c.resolution is None
     ack(c, addr(3), now=5)
-    assert c.committed and c.resolution.full
+    assert c.resolution is not None and c.resolution.full
     assert c.resolution.at == 5
     assert c.resolution.acks == frozenset(GROUP)
 
@@ -323,7 +323,7 @@ def test_commit_duplicate_acks_are_noops():
     c = propose_commit(GROUP, addr(1), "k", b"v", now=0, timeout=10)
     ack(c, addr(2), now=1)
     ack(c, addr(2), now=2)
-    assert not c.committed
+    assert c.resolution is None
     assert c.acks == {addr(1), addr(2)}
 
 
@@ -339,9 +339,9 @@ def test_commit_expire_flags_absentees():
     c = propose_commit(GROUP, addr(1), "k", b"v", now=0, timeout=10)
     ack(c, addr(2), now=4)
     expire(c, now=9)  # before the deadline: nothing happens
-    assert not c.committed
+    assert c.resolution is None
     expire(c, now=10)
-    assert c.committed
+    assert c.resolution is not None
     assert c.resolution.acks == {addr(1), addr(2)}
     assert c.resolution.absentees == {addr(3)}
     assert not c.resolution.full
@@ -490,17 +490,6 @@ def test_lookup_requires_membership():
     views = {0: make_view(0, [addr(1)], [])}
     with pytest.raises(ValueError):
         lookup_by_attribute("game", b"chess", addr(99), views)
-
-
-def test_owners_matching():
-    al = AttributeList(
-        [
-            entry("game", addr(1), value=b"chess"),
-            entry("game", addr(2), value=b"go"),
-            entry("game", addr(3), value=b"chess"),
-        ]
-    )
-    assert al.owners_matching("game", b"chess") == (addr(1), addr(3))
 
 
 def test_load_attribute_seeds(tmp_path):

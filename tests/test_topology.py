@@ -106,7 +106,7 @@ def test_form_clusters_sizes_and_leaders():
         assert cluster[0] == min(cluster)
         assert list(cluster) == sorted(cluster)
     assert plan.leaders == tuple(c[0] for c in plan.clusters)
-    assert plan.head_leader == addr(1)
+    assert plan.leaders[0] == addr(1)
 
 
 def test_form_clusters_is_input_order_invariant():
