@@ -1,11 +1,12 @@
 """Instance discovery: download registry, bootstrap, scans, router refresh.
 
 A new instance learns its first peers from an excerpt of the download
-registry (the nearest prior registrants by address distance), probes them
-nearest-first, and falls back to advertising itself in a search-engine
-directory when nobody answers. Introductions for targets that were offline
-are queued and resolve exactly once: delivered on reactivation or expired
-at their deadline.
+registry: the nearest prior registrants by address distance, ties to the
+lower address. The excerpt's order is the probe order, so the instance
+probes it front to back and falls back to advertising itself in a
+search-engine directory when nobody answers. Introductions for targets that
+were offline are held, at most one per (sender, target) pair, and resolve
+exactly once: delivered on reactivation or expired at their deadline.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class DownloadRegistry:
 @dataclass(frozen=True)
 class AdRecord:
     address: NodeAddress
-    domain: str
     is_router: bool = False
 
 
@@ -87,8 +87,8 @@ class SearchEngineDirectory:
     def __init__(self):
         self._ads: dict[NodeAddress, AdRecord] = {}
 
-    def advertise(self, address: NodeAddress, domain: str, is_router: bool = False) -> None:
-        self._ads[address] = AdRecord(address=address, domain=domain, is_router=is_router)
+    def advertise(self, address: NodeAddress, is_router: bool = False) -> None:
+        self._ads[address] = AdRecord(address=address, is_router=is_router)
 
     def deregister(self, address: NodeAddress) -> bool:
         return self._ads.pop(address, None) is not None
@@ -103,44 +103,47 @@ class SearchEngineDirectory:
         return len(self._ads)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Introduction:
     sender: NodeAddress
     target: NodeAddress
     deadline: int
-    resolved: str | None = None  # "delivered" | "expired"
 
 
 class IntroductionQueue:
-    """Held introductions for offline targets; each resolves exactly once."""
+    """Held introductions for offline targets, keyed by (sender, target).
+
+    Delivery and expiry pop what they return, so each introduction resolves
+    exactly once; both return in queue order.
+    """
 
     def __init__(self):
-        self._items: list[Introduction] = []
+        self._items: dict[tuple[NodeAddress, NodeAddress], Introduction] = {}
 
     def add(self, sender: NodeAddress, target: NodeAddress, deadline: int) -> Introduction:
-        item = Introduction(sender=sender, target=target, deadline=deadline)
-        self._items.append(item)
+        if (sender, target) in self._items:
+            raise ValueError(f"introduction {sender} -> {target} is already pending")
+        item = self._items[sender, target] = Introduction(sender, target, deadline)
         return item
+
+    def _pop(self, due: Callable[[Introduction], bool]) -> list[Introduction]:
+        out = [item for item in self._items.values() if due(item)]
+        for item in out:
+            del self._items[item.sender, item.target]
+        return out
 
     def deliver_for(self, target: NodeAddress, now: int) -> list[Introduction]:
         """Hand over everything queued for a reactivated target before its deadline."""
-        out = []
-        for item in self._items:
-            if item.resolved is None and item.target == target and now < item.deadline:
-                item.resolved = "delivered"
-                out.append(item)
-        return out
+        return self._pop(lambda item: item.target == target and now < item.deadline)
 
     def expire_due(self, now: int) -> list[Introduction]:
-        out = []
-        for item in self._items:
-            if item.resolved is None and now >= item.deadline:
-                item.resolved = "expired"
-                out.append(item)
-        return out
+        return self._pop(lambda item: now >= item.deadline)
 
     def pending(self) -> tuple[Introduction, ...]:
-        return tuple(i for i in self._items if i.resolved is None)
+        return tuple(self._items.values())
+
+    def __contains__(self, pair: tuple[NodeAddress, NodeAddress]) -> bool:
+        return pair in self._items
 
 
 @dataclass(frozen=True)
@@ -152,61 +155,42 @@ class ProbeAttempt:
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    origin: NodeAddress
-    connected_to: NodeAddress | None
     attempts: tuple[ProbeAttempt, ...]
-    dead_targets: tuple[NodeAddress, ...]
     finished_at: int
 
     @property
-    def isolated(self) -> bool:
-        return self.connected_to is None
+    def connected_to(self) -> NodeAddress | None:
+        """The target that answered: the last attempt, if it was alive."""
+        if self.attempts and self.attempts[-1].alive:
+            return self.attempts[-1].target
+        return None
 
-
-def probe_order(origin: NodeAddress, excerpt: DirectoryExcerpt) -> tuple[NodeAddress, ...]:
-    """Excerpt targets in ascending address-distance order, ties to lower address."""
-    return tuple(
-        sorted(excerpt.addresses(), key=lambda a: (address_distance(a, origin), a))
-    )
+    @property
+    def dead_targets(self) -> tuple[NodeAddress, ...]:
+        return tuple(a.target for a in self.attempts if not a.alive)
 
 
 def bootstrap(
-    origin: NodeAddress,
     excerpt: DirectoryExcerpt,
     is_active: Liveness,
     stream: RandomStream,
     now: int,
 ) -> BootstrapResult:
-    """Probe excerpt targets nearest-first until one answers.
+    """Probe the excerpt's targets in its order until one answers.
 
     Each attempt costs one sampled hop delay on a local clock cursor. Dead
     targets are reported so the caller can queue introductions for them; if
-    every target is dead (or the excerpt is empty) the instance must fall
-    back to the search-engine directory (the result is isolated).
+    every target is dead (or the excerpt is empty) nobody is connected and
+    the instance must fall back to the search-engine directory.
     """
     t = now
     attempts: list[ProbeAttempt] = []
-    dead: list[NodeAddress] = []
-    for target in probe_order(origin, excerpt):
+    for target in excerpt.addresses():
         t += stream.hop_delay()
-        alive = is_active(target)
-        attempts.append(ProbeAttempt(target=target, at=t, alive=alive))
-        if alive:
-            return BootstrapResult(
-                origin=origin,
-                connected_to=target,
-                attempts=tuple(attempts),
-                dead_targets=tuple(dead),
-                finished_at=t,
-            )
-        dead.append(target)
-    return BootstrapResult(
-        origin=origin,
-        connected_to=None,
-        attempts=tuple(attempts),
-        dead_targets=tuple(dead),
-        finished_at=t,
-    )
+        attempts.append(ProbeAttempt(target=target, at=t, alive=is_active(target)))
+        if attempts[-1].alive:
+            break
+    return BootstrapResult(attempts=tuple(attempts), finished_at=t)
 
 
 @dataclass(frozen=True)
@@ -252,12 +236,14 @@ def router_refresh(
     router: NodeAddress,
     directory: SearchEngineDirectory,
     nmap: NeighborhoodMap,
+    record_of: Callable[[NodeAddress], NodeRecord],
 ) -> tuple[NeighborhoodMap, tuple[NodeAddress, ...]]:
     """Fold advertised stray clients inside the router's span into the map.
 
     Non-router advertisements whose address falls within the neighborhood's
-    member address span are added as members and deregistered from the
-    directory; router advertisements always stay up.
+    member address span are added as members, with the record that
+    record_of returns for them, and deregistered from the directory; router
+    advertisements always stay up.
     """
     if router not in nmap:
         raise ValueError(f"refresh by non-member {router}")
@@ -267,7 +253,7 @@ def router_refresh(
         if ad.is_router or ad.address in nmap:
             continue
         if lo <= ad.address <= hi:
-            nmap = nmap.add(NodeRecord(address=ad.address, domain=ad.domain))
+            nmap = nmap.add(record_of(ad.address))
             directory.deregister(ad.address)
             added.append(ad.address)
     return nmap, tuple(added)

@@ -19,16 +19,17 @@ churn, commits and subdivisions, then check what happened. Line grammar
       (addr=), committed (key=, optional acks=/absent=/value=). Checks with
       at= are evaluated at that virtual time, the rest after the run.
 
-Handshakes complete within the originating event; the sampled hop delays
-show up in the recorded action times, not in state sequencing. Runs always
-get a horizon (config, or last scripted time + 1000) because router beacons
-recur forever; hitting it marks the trace truncated, which is a defined
-outcome.
+A download registers the instance and probes its registry excerpt in the
+excerpt's order, which is the probe order: nearest address first. Handshakes
+complete within the originating event; the sampled hop delays show up in the
+recorded action times, not in state sequencing. Runs always get a horizon
+(config, or last scripted time + 1000) because router beacons recur forever;
+hitting it marks the trace truncated, which is a defined outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -72,25 +73,25 @@ CHECK_KINDS = (
 )
 
 DEFAULT_HORIZON_MARGIN = 1000
+# A router whose beacon is this many periods old has failed over.
+BEACON_TIMEOUT_FACTOR = 2
 
 # Typed parameters as name -> (cast, test, what a value must be). The parser
 # checks them, so a script that parses never fails on a value in a handler.
-_INT = (int, lambda v: True, "an integer")
 _NUMBER = (float, lambda v: True, "a number")
 _COUNT = (int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE = (int, lambda v: v > 0, "a positive integer")
 _CONFIG_PARAMS = {
     "critical_mass": _POSITIVE,
     "excerpt_cap": _COUNT,
-    "min_clients": _INT,
+    "min_clients": _COUNT,
     "min_uptime": _NUMBER,
     "min_capacity": _NUMBER,
     "beacon_period": _POSITIVE,
-    "beacon_timeout_factor": _INT,
     "refresh_period": _POSITIVE,
     "intro_timeout": _COUNT,
     "commit_timeout": _POSITIVE,
-    "horizon": _INT,
+    "horizon": _COUNT,
 }
 _AT = {"at": _COUNT}
 _EVENT_PARAMS = {
@@ -254,7 +255,6 @@ class WorldConfig:
     min_uptime: float = 0.9
     min_capacity: float = 128_000.0
     beacon_period: int = 25
-    beacon_timeout_factor: int = 2
     refresh_period: int = 100
     intro_timeout: int | None = None
     commit_timeout: int = 100
@@ -275,26 +275,6 @@ class WorldConfig:
             min_clients=self.min_clients,
             min_uptime_fraction=self.min_uptime,
             min_capacity_bps=self.min_capacity,
-        )
-
-
-@dataclass
-class InstanceInfo:
-    address: NodeAddress
-    domain: str
-    uptime: float = 1.0
-    capacity: float = 1_000_000.0
-    metric: float = 0.0
-    active: bool = True
-
-    def record(self) -> NodeRecord:
-        return NodeRecord(
-            address=self.address,
-            domain=self.domain,
-            uptime_fraction=self.uptime,
-            link_capacity_bps=self.capacity,
-            active=self.active,
-            metric=self.metric,
         )
 
 
@@ -343,7 +323,10 @@ class CheckResult:
 class World:
     """Mutable simulation state; every change happens inside an event handler.
 
-    An instance is isolated exactly when it is known but not in nid_of.
+    instances holds each instance's true record. The active flags in a
+    neighborhood map are that neighborhood's view, which commit absentees
+    turn offline. An instance is isolated exactly when it is known but not in
+    nid_of.
     """
 
     def __init__(self, engine: Engine, config: WorldConfig):
@@ -352,7 +335,7 @@ class World:
         self.registry = discovery.DownloadRegistry()
         self.directory = discovery.SearchEngineDirectory()
         self.intros = discovery.IntroductionQueue()
-        self.instances: dict[NodeAddress, InstanceInfo] = {}
+        self.instances: dict[NodeAddress, NodeRecord] = {}
         self.neighborhoods: dict[int, Neighborhood] = {}
         self.nid_of: dict[NodeAddress, int] = {}
         self.commits: list[sync.PendingCommit] = []
@@ -374,8 +357,8 @@ class World:
         )
 
     def _live(self, addr: NodeAddress | None) -> bool:
-        info = self.instances.get(addr)
-        return info is not None and info.active
+        rec = self.instances.get(addr)
+        return rec is not None and rec.active
 
     def _alloc_nid(self) -> int:
         nid = self._next_nid
@@ -419,18 +402,17 @@ class World:
     def _on_download(self, now: int, addr: NodeAddress, params: dict[str, str]) -> None:
         if addr in self.instances:
             raise ScenarioError(f"{addr} downloaded twice")
-        info = InstanceInfo(
+        rec = NodeRecord(
             address=addr,
             domain=params.get("domain", "net"),
-            uptime=float(params.get("uptime", 1.0)),
-            capacity=float(params.get("capacity", 1_000_000.0)),
+            uptime_fraction=float(params.get("uptime", 1.0)),
+            link_capacity_bps=float(params.get("capacity", 1_000_000.0)),
             metric=float(params.get("metric", 0.0)),
         )
-        self.instances[addr] = info
-        excerpt = self.registry.register(addr, info.domain, now, cap=self.config.excerpt_cap)
-        result = discovery.bootstrap(
-            addr, excerpt, is_active=self._live, stream=self._stream(f"node/{addr}"), now=now
-        )
+        self.instances[addr] = rec
+        excerpt = self.registry.register(addr, rec.domain, now, cap=self.config.excerpt_cap)
+        stream = self._stream(f"node/{addr}")
+        result = discovery.bootstrap(excerpt, is_active=self._live, stream=stream, now=now)
         for attempt in result.attempts:
             if not attempt.alive:
                 self._act(attempt.at, "connect-failed", **{"from": addr, "to": attempt.target})
@@ -440,38 +422,38 @@ class World:
             self._act(
                 result.finished_at, "connect", **{"from": addr, "to": result.connected_to}
             )
-            self._join_via(result.finished_at, info, result.connected_to)
+            self._join_via(result.finished_at, rec, result.connected_to)
             skip = set(result.dead_targets) | {addr, result.connected_to}
             cursor = result.finished_at
             # Joining can split the neighborhood, so resolve the current id.
             for member in self.neighborhoods[self.nid_of[addr]].map.addresses():
                 if member in skip:
                     continue
-                cursor += self._stream(f"node/{addr}").hop_delay()
+                cursor += stream.hop_delay()
                 self.engine.schedule(
                     cursor,
                     KIND_MESSAGE,
                     payload={"type": "introduction", "from": addr, "to": member},
                 )
         else:
-            self.directory.advertise(addr, info.domain)
+            self.directory.advertise(addr)
             self._act(result.finished_at, "registered", addr=addr)
             self._act(result.finished_at, "isolated", addr=addr)
 
-    def _join_via(self, at: int, info: InstanceInfo, target: NodeAddress) -> None:
+    def _join_via(self, at: int, rec: NodeRecord, target: NodeAddress) -> None:
         nid = self.nid_of.get(target)
         if nid is None:
             # The target was isolated; the pair founds a fresh neighborhood.
             nid = self._alloc_nid()
             self.directory.deregister(target)
-            pair = [self.instances[target].record(), info.record()]
+            pair = [self.instances[target], rec]
             self.neighborhoods[nid] = Neighborhood(NeighborhoodMap.build(pair))
             self.nid_of[target] = nid
         else:
             hood = self.neighborhoods[nid]
-            hood.map = hood.map.add(info.record())
-        self.nid_of[info.address] = nid
-        self._act(at, "joined", addr=info.address, neighborhood=nid)
+            hood.map = hood.map.add(rec)
+        self.nid_of[rec.address] = nid
+        self._act(at, "joined", addr=rec.address, neighborhood=nid)
         self._post_membership(nid)
 
     def _post_membership(self, nid: int) -> None:
@@ -490,7 +472,7 @@ class World:
         """Make addr the router and start it; True if its first refresh mapped strays."""
         self.neighborhoods[nid].router = addr
         self._act(self.engine.now, "elected", addr=addr, neighborhood=nid)
-        self.directory.advertise(addr, self.instances[addr].domain, is_router=True)
+        self.directory.advertise(addr, is_router=True)
         self._start_router(nid, monitor)
         return self._router_refresh(nid)
 
@@ -515,10 +497,10 @@ class World:
         )
 
     def _on_up(self, now: int, addr: NodeAddress) -> None:
-        info = self.instances.get(addr)
-        if info is None:
+        rec = self.instances.get(addr)
+        if rec is None:
             raise ScenarioError(f"up for unknown instance {addr}")
-        info.active = True
+        self.instances[addr] = replace(rec, active=True)
         nid = self.nid_of.get(addr)
         if nid is not None:
             hood = self.neighborhoods[nid]
@@ -535,10 +517,10 @@ class World:
             self._post_membership(nid)
 
     def _on_down(self, now: int, addr: NodeAddress) -> None:
-        info = self.instances.get(addr)
-        if info is None:
+        rec = self.instances.get(addr)
+        if rec is None:
             raise ScenarioError(f"down for unknown instance {addr}")
-        info.active = False
+        self.instances[addr] = replace(rec, active=False)
         nid = self.nid_of.get(addr)
         if nid is not None:
             hood = self.neighborhoods[nid]
@@ -549,9 +531,7 @@ class World:
     # -- introductions -----------------------------------------------------
 
     def _queue_intro(self, at: int, sender: NodeAddress, target: NodeAddress) -> None:
-        if any(
-            i.sender == sender and i.target == target for i in self.intros.pending()
-        ):
+        if (sender, target) in self.intros:
             return
         deadline = at + self._intro_timeout(sender)
         self.intros.add(sender, target, deadline=deadline)
@@ -588,8 +568,7 @@ class World:
     # -- commits -------------------------------------------------------------
 
     def _on_send(self, now: int, addr: NodeAddress, params: dict[str, str]) -> None:
-        info = self.instances.get(addr)
-        if info is None or not info.active:
+        if not self._live(addr):
             raise ScenarioError(f"send from unavailable instance {addr}")
         nid = self.nid_of.get(addr)
         if nid is None:
@@ -705,7 +684,7 @@ class World:
         hood = self.neighborhoods.get(nid)
         if hood is None:
             return
-        timeout = self.config.beacon_period * self.config.beacon_timeout_factor
+        timeout = self.config.beacon_period * BEACON_TIMEOUT_FACTOR
         if not self._live(hood.router) and now - hood.last_beacon >= timeout:
             self._act(now, "beacon-expired", addr=hood.router, neighborhood=nid)
             hood.router = None
@@ -724,13 +703,12 @@ class World:
     def _router_refresh(self, nid: int) -> bool:
         """Map the advertised strays inside the router's span; True if any were."""
         hood = self.neighborhoods[nid]
-        nmap, added = discovery.router_refresh(hood.router, self.directory, hood.map)
+        hood.map, added = discovery.router_refresh(
+            hood.router, self.directory, hood.map, self.instances.__getitem__
+        )
         for addr in added:
-            # Upgrade the placeholder record with what the instance reported.
-            nmap = nmap.remove(addr).add(self.instances[addr].record())
             self.nid_of[addr] = nid
             self._act(self.engine.now, "mapped", addr=addr, neighborhood=nid)
-        hood.map = nmap
         return bool(added)
 
     # -- checks ---------------------------------------------------------------

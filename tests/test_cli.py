@@ -187,6 +187,8 @@ def test_scenario_run_parse_error(capsys, tmp_path):
         (None, ("mm1", "--broadcast", "--clients", "-5", "--bytes", "64")),
         (None, ("mm1", "--g", "2", "--l", "8000", "--b", "16000", "--p-max", "-3")),
         ("at=0 event=download addr=10.0.0.1\nat=3 event=download addr=10.0.0.1\n", ()),
+        ("at=0 event=download addr=10.0.0.1\nconfig horizon=-1\n", ()),
+        ("at=0 event=download addr=10.0.0.1\nconfig min_clients=-1\n", ()),
     ],
 )
 def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, script, argv):
@@ -199,8 +201,8 @@ def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, scr
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    if script is not None and "event=" in script.splitlines()[-1]:
-        # an event rejected by the parser or by the world names its line
+    if script is not None:
+        # the rejected line, by the parser or by the world, names itself
         assert f"bad.scenario:{len(script.splitlines())}:" in err
 
 

@@ -5,11 +5,11 @@ import pytest
 from peermesh.discovery import (
     EXCERPT_CAP,
     DownloadRegistry,
+    Introduction,
     IntroductionQueue,
     SearchEngineDirectory,
     bootstrap,
     neighborhood_scan,
-    probe_order,
     router_refresh,
 )
 from peermesh.simcore import RandomStream
@@ -63,11 +63,14 @@ def test_register_rejects_time_going_backwards():
 
 def test_probe_order_distance_then_address():
     reg = DownloadRegistry()
-    for t, a in enumerate([90, 110, 50]):
+    for t, a in enumerate([110, 50, 90]):
         reg.register(addr(a), "net", at=t)
     excerpt = reg.register(addr(100), "net", at=10)
-    # 90 and 110 tie at distance 10: lower address probes first
-    assert probe_order(addr(100), excerpt) == (addr(90), addr(110), addr(50))
+    # The excerpt is the probe order. 90 and 110 tie at distance 10: lower
+    # address probes first.
+    assert excerpt.addresses() == (addr(90), addr(110), addr(50))
+    res = bootstrap(excerpt, lambda a: False, RandomStream(1, "boot"), now=10)
+    assert [a.target for a in res.attempts] == [addr(90), addr(110), addr(50)]
 
 
 def test_bootstrap_connects_to_first_live_target():
@@ -76,7 +79,6 @@ def test_bootstrap_connects_to_first_live_target():
         reg.register(addr(a), "net", at=t)
     excerpt = reg.register(addr(100), "net", at=10)
     res = bootstrap(
-        addr(100),
         excerpt,
         is_active=lambda a: a == addr(110),
         stream=RandomStream(1, "boot"),
@@ -84,7 +86,6 @@ def test_bootstrap_connects_to_first_live_target():
     )
     assert res.connected_to == addr(110)
     assert res.dead_targets == (addr(90),)
-    assert not res.isolated
     assert [a.target for a in res.attempts] == [addr(90), addr(110)]
     ats = [a.at for a in res.attempts]
     assert ats[0] > 10 and ats == sorted(ats)
@@ -96,16 +97,15 @@ def test_bootstrap_every_target_dead_falls_back_to_directory():
     for t, a in enumerate([1, 2, 3]):
         reg.register(addr(a), "net", at=t)
     excerpt = reg.register(addr(10), "net", at=5)
-    res = bootstrap(addr(10), excerpt, is_active=lambda a: False, stream=RandomStream(1, "b"), now=5)
+    res = bootstrap(excerpt, is_active=lambda a: False, stream=RandomStream(1, "b"), now=5)
     assert res.connected_to is None
-    assert res.isolated
     assert set(res.dead_targets) == {addr(1), addr(2), addr(3)}
 
 
 def test_bootstrap_empty_excerpt_registers_without_probing():
     excerpt = DownloadRegistry().register(addr(1), "net", at=0)
-    res = bootstrap(addr(1), excerpt, is_active=lambda a: True, stream=RandomStream(1, "b"), now=4)
-    assert res.isolated and res.attempts == ()
+    res = bootstrap(excerpt, is_active=lambda a: True, stream=RandomStream(1, "b"), now=4)
+    assert res.connected_to is None and res.attempts == ()
     assert res.finished_at == 4
 
 
@@ -115,7 +115,7 @@ def test_bootstrap_is_deterministic_per_stream():
         reg.register(addr(a), "net", at=t)
     excerpt = reg.register(addr(20), "net", at=20)
     runs = [
-        bootstrap(addr(20), excerpt, lambda a: False, RandomStream(9, "same"), now=0)
+        bootstrap(excerpt, lambda a: False, RandomStream(9, "same"), now=0)
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -123,8 +123,8 @@ def test_bootstrap_is_deterministic_per_stream():
 
 def test_directory_advertise_and_deregister():
     d = SearchEngineDirectory()
-    d.advertise(addr(5), "net")
-    d.advertise(addr(3), "net", is_router=True)
+    d.advertise(addr(5))
+    d.advertise(addr(3), is_router=True)
     assert addr(5) in d and len(d) == 2
     assert [int(a.address) for a in d.advertised()] == [3, 5]
     assert d.deregister(addr(5)) is True
@@ -134,8 +134,8 @@ def test_directory_advertise_and_deregister():
 
 def test_directory_readvertise_updates_in_place():
     d = SearchEngineDirectory()
-    d.advertise(addr(5), "net")
-    d.advertise(addr(5), "net", is_router=True)
+    d.advertise(addr(5))
+    d.advertise(addr(5), is_router=True)
     assert len(d) == 1
     assert d.advertised()[0].is_router
 
@@ -147,9 +147,10 @@ def test_introductions_deliver_before_deadline():
     q.add(addr(3), addr(8), deadline=100)
     got = q.deliver_for(addr(9), now=50)
     assert [i.sender for i in got] == [addr(1), addr(2)]
-    assert [i.resolved for i in got] == ["delivered", "delivered"]
+    assert [(i.sender, i.target) for i in q.pending()] == [(addr(3), addr(8))]
+    assert (addr(1), addr(9)) not in q and (addr(3), addr(8)) in q
     assert q.deliver_for(addr(9), now=60) == []  # exactly once
-    assert len(q.pending()) == 1
+    assert q.expire_due(now=100) == [Introduction(addr(3), addr(8), 100)]
 
 
 def test_introductions_expire_at_deadline():
@@ -157,7 +158,8 @@ def test_introductions_expire_at_deadline():
     q.add(addr(1), addr(9), deadline=100)
     assert q.expire_due(now=99) == []
     expired = q.expire_due(now=100)
-    assert [i.resolved for i in expired] == ["expired"]
+    assert [(i.sender, i.target) for i in expired] == [(addr(1), addr(9))]
+    assert q.pending() == ()
     assert q.deliver_for(addr(9), now=100) == []  # too late
     assert q.expire_due(now=101) == []  # exactly once
 
@@ -167,6 +169,29 @@ def test_introduction_delivery_wins_a_race_with_expiry():
     q.add(addr(1), addr(9), deadline=100)
     assert len(q.deliver_for(addr(9), now=99)) == 1
     assert q.expire_due(now=100) == []
+
+
+def test_introduction_pending_twice_is_rejected():
+    q = IntroductionQueue()
+    q.add(addr(1), addr(9), deadline=100)
+    with pytest.raises(ValueError, match="already pending"):
+        q.add(addr(1), addr(9), deadline=200)
+    assert [i.deadline for i in q.pending()] == [100]
+    q.add(addr(2), addr(9), deadline=100)  # another sender, another pair
+    q.add(addr(1), addr(8), deadline=100)  # another target, another pair
+    assert len(q.pending()) == 3
+
+
+def test_introduction_requeued_after_resolving_goes_last():
+    q = IntroductionQueue()
+    q.add(addr(1), addr(9), deadline=100)
+    q.add(addr(2), addr(9), deadline=300)
+    q.add(addr(3), addr(9), deadline=300)
+    assert [i.sender for i in q.expire_due(now=100)] == [addr(1)]
+    q.add(addr(1), addr(9), deadline=300)  # resolved, so the pair is free again
+    got = q.deliver_for(addr(9), now=150)
+    assert [i.sender for i in got] == [addr(2), addr(3), addr(1)]
+    assert q.pending() == ()
 
 
 def test_scan_starts_past_last_known_and_wraps():
@@ -202,10 +227,10 @@ def test_scan_zero_budget_and_validation():
 def test_router_refresh_folds_in_span_clients_only():
     nmap = NeighborhoodMap.build([NodeRecord(addr(100)), NodeRecord(addr(200))])
     d = SearchEngineDirectory()
-    d.advertise(addr(150), "net")  # stray client inside the span
-    d.advertise(addr(50), "net")  # outside: left alone
-    d.advertise(addr(160), "net", is_router=True)  # routers always stay up
-    new_map, added = router_refresh(addr(100), d, nmap)
+    d.advertise(addr(150))  # stray client inside the span
+    d.advertise(addr(50))  # outside: left alone
+    d.advertise(addr(160), is_router=True)  # routers always stay up
+    new_map, added = router_refresh(addr(100), d, nmap, NodeRecord)
     assert added == (addr(150),)
     assert addr(150) in new_map
     assert addr(150) not in d
@@ -216,16 +241,34 @@ def test_router_refresh_folds_in_span_clients_only():
 def test_router_refresh_skips_existing_members():
     nmap = NeighborhoodMap.build([NodeRecord(addr(100)), NodeRecord(addr(200))])
     d = SearchEngineDirectory()
-    d.advertise(addr(200), "net")
-    new_map, added = router_refresh(addr(100), d, nmap)
+    d.advertise(addr(200))
+    new_map, added = router_refresh(addr(100), d, nmap, NodeRecord)
     assert added == ()
     assert len(new_map) == 2
+
+
+def test_router_refresh_maps_the_record_of_each_stray():
+    nmap = NeighborhoodMap.build([NodeRecord(addr(100)), NodeRecord(addr(200))])
+    d = SearchEngineDirectory()
+    d.advertise(addr(150))
+    d.advertise(addr(120))
+    true = {
+        addr(120): NodeRecord(addr(120), domain="alpha", uptime_fraction=0.25, active=False),
+        addr(150): NodeRecord(addr(150), domain="beta", uptime_fraction=0.75, metric=3.0),
+    }
+    new_map, added = router_refresh(addr(100), d, nmap, true.__getitem__)
+    assert added == (addr(120), addr(150))
+    assert new_map.member(addr(120)) is true[addr(120)]
+    assert new_map.member(addr(150)) is true[addr(150)]
+    stray = new_map.member(addr(120))
+    assert (stray.active, stray.uptime_fraction) == (False, 0.25)
+    assert new_map.version == nmap.version + 2
 
 
 def test_router_refresh_requires_membership():
     nmap = NeighborhoodMap.build([NodeRecord(addr(100))])
     with pytest.raises(ValueError):
-        router_refresh(addr(5), SearchEngineDirectory(), nmap)
+        router_refresh(addr(5), SearchEngineDirectory(), nmap, NodeRecord)
 
 
 def test_address_distance_drives_excerpt_order():

@@ -2,9 +2,10 @@
 
 Each bundled scenario prints exactly what tests/golden/<name>.out holds, and
 each tests/golden/<name>.scenario prints exactly what the .out beside it
-holds; a new golden needs only those two files. Acceptance 09 checks that a
-rerun matches within one version; these files pin the output across
-versions. After a deliberate change to the output, regenerate them with
+holds; a new golden needs only those two files. With --quiet, each prints
+its .out without the trace block. Acceptance 09 checks that a rerun matches
+within one version; these files pin the output across versions. After a
+deliberate change to the output, regenerate them with
 `peermesh scenario run <name or file> > tests/golden/<name>.out` and say so
 in CHANGES.md.
 """
@@ -18,13 +19,33 @@ from peermesh import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["startup", "router-failover", "commit-timeout"])
+BUNDLED = ["startup", "router-failover", "commit-timeout"]
+SCRIPTS = sorted(GOLDEN.glob("*.scenario"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenario_output_matches_golden(capsys, name):
     assert cli.main(["scenario", "run", name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
-@pytest.mark.parametrize("script", sorted(GOLDEN.glob("*.scenario")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
 def test_golden_script_output_matches(capsys, script):
     assert cli.main(["scenario", "run", str(script)]) == 0
     assert capsys.readouterr().out.encode() == script.with_suffix(".out").read_bytes()
+
+
+def _without_trace(text: str) -> str:
+    head, _, rest = text.partition("-- trace: ")
+    return head + rest[rest.index("-- actions: "):]
+
+
+@pytest.mark.parametrize(
+    "target,golden",
+    [(name, GOLDEN / f"{name}.out") for name in BUNDLED]
+    + [(str(p), p.with_suffix(".out")) for p in SCRIPTS],
+    ids=BUNDLED + [p.stem for p in SCRIPTS],
+)
+def test_quiet_output_is_the_golden_without_its_trace(capsys, target, golden):
+    assert cli.main(["scenario", "run", target, "--quiet"]) == 0
+    assert capsys.readouterr().out == _without_trace(golden.read_text())

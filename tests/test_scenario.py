@@ -59,9 +59,12 @@ def test_parse_full_grammar():
         ("assert router", "router needs addr="),
         ("assert isolated addr=10.0.0.300", "inline:1"),
         ("assert committed acks=2", "committed needs key="),
-        ("config horizon=abc", "horizon must be an integer"),
+        ("config horizon=abc", "horizon must be a non-negative integer"),
         ("config beacon_period=0", "beacon_period must be a positive integer"),
         ("config warp_factor=9", "unknown config key 'warp_factor'"),
+        ("config horizon=-1", "horizon must be a non-negative integer"),
+        ("config min_clients=-1", "min_clients must be a non-negative integer"),
+        ("config beacon_timeout_factor=0", "unknown config key 'beacon_timeout_factor'"),
         ("at=0 event=send addr=10.0.0.1 value=v", "send needs key="),
         ("at=0 event=send addr=10.0.0.1 key=k timeout=0", "timeout must be a positive integer"),
         ("at=0 event=download addr=10.0.0.1 uptime=1.5", r"uptime must be a number in \[0, 1\]"),

@@ -1,0 +1,137 @@
+"""Stateful property test of the scenario World under churn.
+
+A state machine drives a World through its Engine with downloads, downs,
+ups, sends, subdivisions and the passing of time, and after every step
+checks that membership, routers, introductions and commits stay consistent.
+"""
+
+from collections import Counter
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+
+from peermesh.scenario import World, WorldConfig
+from peermesh.simcore import KIND_NODE_DOWN, KIND_NODE_UP, Engine
+from peermesh.topology import parse_address
+
+# Uneven gaps, so that address distance orders the excerpts non-trivially.
+POOL = [parse_address(0x0A000000 + k) for k in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)]
+
+
+class WorldMachine(RuleBasedStateMachine):
+    @initialize(
+        critical_mass=st.sampled_from([None, 3, 4, 6]),
+        min_clients=st.integers(0, 3),
+        intro_timeout=st.sampled_from([None, 5, 20]),
+        seed=st.integers(0, 3),
+    )
+    def start(self, critical_mass, min_clients, intro_timeout, seed):
+        config = WorldConfig(
+            critical_mass=critical_mass,
+            min_clients=min_clients,
+            beacon_period=5,
+            refresh_period=15,
+            intro_timeout=intro_timeout,
+            commit_timeout=30,
+        )
+        self.engine = Engine(seed)
+        self.world = World(self.engine, config)
+        self.now = 0
+        self.sends = 0
+
+    def _run(self, kind, target, payload=None):
+        self.engine.schedule(self.now, kind, target=target, payload=payload)
+        self.engine.run(self.world.handle, horizon=self.now)
+
+    def _known(self, i):
+        known = sorted(self.world.instances)
+        return known[i % len(known)]
+
+    @precondition(lambda self: len(self.world.instances) < len(POOL))
+    @rule(
+        i=st.integers(0, len(POOL) - 1),
+        uptime=st.sampled_from(["0.5", "0.95", "1.0"]),
+        capacity=st.sampled_from(["100000", "1000000"]),
+    )
+    def download(self, i, uptime, capacity):
+        fresh = [a for a in POOL if a not in self.world.instances]
+        self._run("download", fresh[i % len(fresh)], {"uptime": uptime, "capacity": capacity})
+
+    @precondition(lambda self: self.world.instances)
+    @rule(i=st.integers(0, len(POOL) - 1))
+    def down(self, i):
+        self._run(KIND_NODE_DOWN, self._known(i))
+
+    @precondition(lambda self: self.world.instances)
+    @rule(i=st.integers(0, len(POOL) - 1))
+    def up(self, i):
+        self._run(KIND_NODE_UP, self._known(i))
+
+    def _mapped_live(self):
+        return [a for a in sorted(self.world.nid_of) if self.world.instances[a].active]
+
+    @precondition(lambda self: self._mapped_live())
+    @rule(i=st.integers(0, len(POOL) - 1), timeout=st.integers(1, 40))
+    def send(self, i, timeout):
+        senders = self._mapped_live()
+        self.sends += 1
+        payload = {"key": f"k{self.sends}", "timeout": str(timeout)}
+        self._run("send", senders[i % len(senders)], payload)
+
+    @precondition(lambda self: self.world.nid_of)
+    @rule(i=st.integers(0, len(POOL) - 1), critical_mass=st.integers(1, 3))
+    def subdivide(self, i, critical_mass):
+        mapped = sorted(self.world.nid_of)
+        self._run("subdivide", mapped[i % len(mapped)], {"critical_mass": str(critical_mass)})
+
+    @rule(dt=st.integers(1, 60))
+    def advance(self, dt):
+        self.now += dt
+        self.engine.run(self.world.handle, horizon=self.now)
+
+    # -- invariants ------------------------------------------------------------
+
+    @invariant()
+    def membership_agrees_with_nid_of(self):
+        world = self.world
+        members = [
+            (rec.address, nid) for nid, hood in world.neighborhoods.items() for rec in hood.map.members
+        ]
+        assert sorted(members) == sorted(world.nid_of.items())  # both ways, and disjoint
+        assert len({a for a, _ in members}) == len(members)
+
+    @invariant()
+    def routers_are_members_of_their_own_neighborhood(self):
+        for hood in self.world.neighborhoods.values():
+            assert hood.router is None or hood.router in hood.map
+
+    @invariant()
+    def introductions_resolve_at_most_once(self):
+        pending = [(i.sender, i.target) for i in self.world.intros.pending()]
+        assert len(set(pending)) == len(pending)
+        queued, resolved = Counter(), Counter()
+        for a in self.world.actions:
+            pair = (a.get("from"), a.get("to"))
+            if a.kind == "queued":
+                queued[pair] += 1
+            elif a.kind in ("delivered", "expired"):
+                resolved[pair] += 1
+        for s, t in pending:
+            resolved[str(s), str(t)] += 1
+        assert resolved == queued
+
+    @invariant()
+    def commits_resolve_once_by_their_deadline(self):
+        reports = Counter(a.get("key") for a in self.world.actions if a.kind == "committed")
+        assert sum(reports.values()) == sum(c.resolution is not None for c in self.world.commits)
+        for commit in self.world.commits:
+            assert reports[commit.key] == (commit.resolution is not None)
+            if self.now >= commit.deadline:
+                assert commit.resolution is not None and commit.resolution.at <= commit.deadline
+
+
+WorldMachine.TestCase.settings = settings(
+    max_examples=300, stateful_step_count=20, derandomize=True, deadline=None
+)
+TestWorldUnderChurn = WorldMachine.TestCase
