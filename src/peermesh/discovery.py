@@ -1,4 +1,4 @@
-"""Instance discovery: download registry, bootstrap, scans, router refresh.
+"""Instance discovery: download registry, bootstrap, introductions, router refresh.
 
 A new instance learns its first peers from an excerpt of the download
 registry: the nearest prior registrants by address distance, ties to the
@@ -16,91 +16,52 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .simcore import RandomStream
-from .topology import NeighborhoodMap, NodeAddress, NodeRecord, address_distance, parse_address
+from .topology import NeighborhoodMap, NodeAddress, NodeRecord, address_distance
 
 EXCERPT_CAP = 16
 
 Liveness = Callable[[NodeAddress], bool]
 
 
-@dataclass(frozen=True)
-class DownloadRecord:
-    address: NodeAddress
-    domain: str
-    at: int
-
-
-@dataclass(frozen=True)
-class DirectoryExcerpt:
-    """Prior registrants, nearest by address distance first."""
-
-    entries: tuple[DownloadRecord, ...]
-
-    def addresses(self) -> tuple[NodeAddress, ...]:
-        return tuple(r.address for r in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class DownloadRegistry:
-    """Append-only download log ordered by download time."""
+    """Every address downloaded so far, and the time of the last download."""
 
     def __init__(self):
-        self._records: list[DownloadRecord] = []
-        self._latest: dict[NodeAddress, DownloadRecord] = {}
+        self._known: set[NodeAddress] = set()
+        self._last_at: int | None = None
 
-    def register(
-        self, address: NodeAddress, domain: str, at: int, cap: int = EXCERPT_CAP
-    ) -> DirectoryExcerpt:
-        """Append a download and return the excerpt handed to the instance.
+    def register(self, address: NodeAddress, at: int, cap: int = EXCERPT_CAP) -> tuple[NodeAddress, ...]:
+        """Record a download and return the excerpt handed to the instance.
 
         The excerpt holds the cap nearest prior registrants by address
-        distance (ties to the lower address), deduplicated by address and
-        excluding the registrant itself.
+        distance, ties to the lower address, excluding the registrant itself.
+        Its order is the probe order.
         """
         if cap < 0:
             raise ValueError(f"excerpt cap must be non-negative, got {cap}")
-        if self._records and at < self._records[-1].at:
-            raise ValueError(f"download at {at} precedes the last record at {self._records[-1].at}")
-        others = (r for r in self._latest.values() if r.address != address)
-        nearest = heapq.nsmallest(
-            cap, others, key=lambda r: (address_distance(r.address, address), r.address)
-        )
-        self._records.append(DownloadRecord(address=address, domain=domain, at=at))
-        self._latest[address] = self._records[-1]
-        return DirectoryExcerpt(entries=tuple(nearest))
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-@dataclass(frozen=True)
-class AdRecord:
-    address: NodeAddress
-    is_router: bool = False
+        if self._last_at is not None and at < self._last_at:
+            raise ValueError(f"download at {at} precedes the last download at {self._last_at}")
+        others = (a for a in self._known if a != address)
+        nearest = heapq.nsmallest(cap, others, key=lambda a: (address_distance(a, address), a))
+        self._known.add(address)
+        self._last_at = at
+        return tuple(nearest)
 
 
 class SearchEngineDirectory:
-    """Global advertisement directory of last resort."""
+    """Global advertisement directory of last resort, for stray clients."""
 
     def __init__(self):
-        self._ads: dict[NodeAddress, AdRecord] = {}
+        self._ads: set[NodeAddress] = set()
 
-    def advertise(self, address: NodeAddress, is_router: bool = False) -> None:
-        self._ads[address] = AdRecord(address=address, is_router=is_router)
+    def advertise(self, address: NodeAddress) -> None:
+        self._ads.add(address)
 
-    def deregister(self, address: NodeAddress) -> bool:
-        return self._ads.pop(address, None) is not None
+    def deregister(self, address: NodeAddress) -> None:
+        self._ads.discard(address)
 
-    def advertised(self) -> tuple[AdRecord, ...]:
-        return tuple(self._ads[a] for a in sorted(self._ads))
-
-    def __contains__(self, address: NodeAddress) -> bool:
-        return address in self._ads
-
-    def __len__(self) -> int:
-        return len(self._ads)
+    def advertised(self) -> tuple[NodeAddress, ...]:
+        return tuple(sorted(self._ads))
 
 
 @dataclass(frozen=True)
@@ -171,7 +132,7 @@ class BootstrapResult:
 
 
 def bootstrap(
-    excerpt: DirectoryExcerpt,
+    excerpt: tuple[NodeAddress, ...],
     is_active: Liveness,
     stream: RandomStream,
     now: int,
@@ -185,51 +146,12 @@ def bootstrap(
     """
     t = now
     attempts: list[ProbeAttempt] = []
-    for target in excerpt.addresses():
+    for target in excerpt:
         t += stream.hop_delay()
         attempts.append(ProbeAttempt(target=target, at=t, alive=is_active(target)))
         if attempts[-1].alive:
             break
     return BootstrapResult(attempts=tuple(attempts), finished_at=t)
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    found: tuple[NodeAddress, ...]
-    probed: int
-
-
-def neighborhood_scan(
-    address_range: tuple[NodeAddress, NodeAddress],
-    last_known: NodeAddress,
-    budget: int,
-    is_active: Liveness,
-) -> ScanResult:
-    """Probe ascending from the last-known address, wrapping inside the range.
-
-    A reconnecting peer usually reappears near its old address, so the scan
-    starts just above it and wraps around the range at most once, spending at
-    most `budget` probes.
-    """
-    lo, hi = address_range
-    if lo > hi:
-        raise ValueError("address range is inverted")
-    if not lo <= last_known <= hi:
-        raise ValueError("last-known address outside the range")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    span = hi - lo + 1
-    found: list[NodeAddress] = []
-    probes = min(budget, span)
-    cursor = last_known
-    for _ in range(probes):
-        cursor += 1
-        if cursor > hi:
-            cursor = lo
-        addr = parse_address(cursor)
-        if is_active(addr):
-            found.append(addr)
-    return ScanResult(found=tuple(found), probed=probes)
 
 
 def router_refresh(
@@ -240,20 +162,17 @@ def router_refresh(
 ) -> tuple[NeighborhoodMap, tuple[NodeAddress, ...]]:
     """Fold advertised stray clients inside the router's span into the map.
 
-    Non-router advertisements whose address falls within the neighborhood's
-    member address span are added as members, with the record that
-    record_of returns for them, and deregistered from the directory; router
-    advertisements always stay up.
+    Advertised addresses within the neighborhood's member address span are
+    added as members, with the record that record_of returns for them, and
+    deregistered from the directory.
     """
     if router not in nmap:
         raise ValueError(f"refresh by non-member {router}")
     lo, hi = nmap.members[0].address, nmap.members[-1].address
     added = []
-    for ad in directory.advertised():
-        if ad.is_router or ad.address in nmap:
-            continue
-        if lo <= ad.address <= hi:
-            nmap = nmap.add(record_of(ad.address))
-            directory.deregister(ad.address)
-            added.append(ad.address)
+    for addr in directory.advertised():
+        if lo <= addr <= hi and addr not in nmap:
+            nmap = nmap.add(record_of(addr))
+            directory.deregister(addr)
+            added.append(addr)
     return nmap, tuple(added)

@@ -10,14 +10,17 @@ churn, commits and subdivisions, then check what happened. Line grammar
       commit_timeout, horizon.
 
   at=<units> event=<kind> addr=<dotted-quad> [key=value ...]
-      Kinds: download (domain=, uptime=, capacity=, metric=), up, down,
-      send (key=, value=, scope=, timeout=), subdivide (critical_mass=).
+      Kinds: download (uptime=, capacity=, metric=), up, down, send (key=,
+      value=, scope=, timeout=), subdivide (critical_mass=). A download's
+      domain= is not used; the trace only echoes it.
 
   assert <kind> [at=<units>] key=value ...
-      Kinds: connected, connect-failed, queued, delivered, expired,
-      introduced (all with from=/to=), router/no-router/member/isolated
-      (addr=), committed (key=, optional acks=/absent=/value=). Checks with
-      at= are evaluated at that virtual time, the rest after the run.
+      Kinds and the only parameters each takes: connected, connect-failed,
+      queued, delivered, expired, introduced (from=, to=: addresses);
+      router, no-router, member, isolated (addr=: an address); committed
+      (key=, and optionally acks=: a count, absent=: - or a comma-separated
+      address list, value=: the value sent). Checks with at= are evaluated
+      at that virtual time, the rest after the run.
 
 A download registers the instance and probes its registry excerpt in the
 excerpt's order, which is the probe order: nearest address first. Handshakes
@@ -57,30 +60,22 @@ from .topology import (
     subdivide,
 )
 
-EVENT_KINDS = ("download", "up", "down", "send", "subdivide")
-CHECK_KINDS = (
-    "connected",
-    "connect-failed",
-    "queued",
-    "delivered",
-    "expired",
-    "introduced",
-    "router",
-    "no-router",
-    "member",
-    "isolated",
-    "committed",
-)
-
 DEFAULT_HORIZON_MARGIN = 1000
 # A router whose beacon is this many periods old has failed over.
 BEACON_TIMEOUT_FACTOR = 2
 
+
+def _address_list(text: str) -> tuple[NodeAddress, ...]:
+    return () if text == "-" else tuple(parse_address(a) for a in text.split(","))
+
+
 # Typed parameters as name -> (cast, test, what a value must be). The parser
 # checks them, so a script that parses never fails on a value in a handler.
 _NUMBER = (float, lambda v: True, "a number")
+_TEXT = (str, lambda v: True, "text")
 _COUNT = (int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE = (int, lambda v: v > 0, "a positive integer")
+_ADDRESS = (parse_address, lambda v: True, "a dotted-quad address")
 _CONFIG_PARAMS = {
     "critical_mass": _POSITIVE,
     "excerpt_cap": _COUNT,
@@ -94,22 +89,47 @@ _CONFIG_PARAMS = {
     "horizon": _COUNT,
 }
 _AT = {"at": _COUNT}
+_EVENT = {**_AT, "addr": _ADDRESS}
 _EVENT_PARAMS = {
     "download": {
-        **_AT,
+        **_EVENT,
         "uptime": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
         "capacity": (float, lambda v: v > 0, "a positive number"),
         "metric": (float, lambda v: v >= 0, "a non-negative number"),
     },
-    "up": _AT,
-    "down": _AT,
+    "up": _EVENT,
+    "down": _EVENT,
     "send": {
-        **_AT,
+        **_EVENT,
         "timeout": _POSITIVE,
         "scope": (sync.validate_scope, lambda v: True, "local, global or group:<id>"),
     },
-    "subdivide": {**_AT, "critical_mass": _POSITIVE},
+    "subdivide": {**_EVENT, "critical_mass": _POSITIVE},
 }
+EVENT_KINDS = tuple(_EVENT_PARAMS)
+# A check takes only these parameters; the first six match recorded actions.
+_PAIR = {**_AT, "from": _ADDRESS, "to": _ADDRESS}
+_NODE = {**_AT, "addr": _ADDRESS}
+_CHECK_PARAMS = {
+    "connected": _PAIR,
+    "connect-failed": _PAIR,
+    "queued": _PAIR,
+    "delivered": _PAIR,
+    "expired": _PAIR,
+    "introduced": _PAIR,
+    "router": _NODE,
+    "no-router": _NODE,
+    "member": _NODE,
+    "isolated": _NODE,
+    "committed": {
+        **_AT,
+        "key": _TEXT,
+        "acks": _COUNT,
+        "absent": (_address_list, lambda v: True, "- or a comma-separated list of addresses"),
+        "value": _TEXT,
+    },
+}
+CHECK_KINDS = tuple(_CHECK_PARAMS)
 # Parameters an event or check cannot do without.
 _REQUIRED_PARAMS = {
     "send": ("key",),
@@ -168,8 +188,15 @@ def _split_pairs(tokens: list[str], where: str) -> dict[str, str]:
     return out
 
 
-def _check(params: dict[str, str], kind: str, typed: Mapping, where: str) -> None:
-    """Reject a line that lacks a required parameter or carries a bad value."""
+def _check(
+    params: dict[str, str], kind: str, typed: Mapping, where: str, unknown: str | None = None
+) -> None:
+    """Reject a line that lacks a required parameter or carries a bad value.
+    When unknown names the line's parameters ("config key"), a parameter
+    that typed does not list is rejected as well."""
+    extra = [k for k in params if k not in typed] if unknown is not None else []
+    if extra:
+        raise ScenarioParseError(f"{where}: unknown {unknown} {extra[0]!r}")
     for key in _REQUIRED_PARAMS.get(kind, ()):
         if key not in params:
             raise ScenarioParseError(f"{where}: {kind} needs {key}=")
@@ -184,13 +211,6 @@ def _check(params: dict[str, str], kind: str, typed: Mapping, where: str) -> Non
             raise ScenarioParseError(f"{where}: {key} must be {wants}, got {params[key]!r}")
 
 
-def _address(text: str, where: str) -> NodeAddress:
-    try:
-        return parse_address(text)
-    except ValueError as exc:
-        raise ScenarioParseError(f"{where}: {exc}") from None
-
-
 def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
     config: dict[str, str] = {}
     events: list[ScriptEvent] = []
@@ -203,10 +223,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
         tokens = line.split()
         if tokens[0] == "config":
             pairs = _split_pairs(tokens[1:], where)
-            unknown = [k for k in pairs if k not in _CONFIG_PARAMS]
-            if unknown:
-                raise ScenarioParseError(f"{where}: unknown config key {unknown[0]!r}")
-            _check(pairs, "config", _CONFIG_PARAMS, where)
+            _check(pairs, "config", _CONFIG_PARAMS, where, unknown="config key")
             config.update(pairs)
             continue
         if tokens[0] == "assert":
@@ -216,9 +233,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
             if kind not in CHECK_KINDS:
                 raise ScenarioParseError(f"{where}: unknown assert kind {kind!r}")
             params = _split_pairs(tokens[2:], where)
-            _check(params, kind, _AT, where)
-            if "addr" in params:
-                _address(params["addr"], where)
+            _check(params, kind, _CHECK_PARAMS[kind], where, unknown=f"{kind} parameter")
             at_s = params.pop("at", None)
             at = int(at_s) if at_s is not None else None
             checks.append(ScriptCheck(kind=kind, params=params, at=at, line=lineno))
@@ -232,7 +247,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
             raise ScenarioParseError(f"{where}: unknown event {kind!r}")
         _check(pairs, kind, _EVENT_PARAMS[kind], where)
         at = int(pairs.pop("at"))
-        addr = _address(pairs.pop("addr"), where)
+        addr = parse_address(pairs.pop("addr"))
         events.append(ScriptEvent(at=at, kind=kind, addr=addr, params=pairs, line=lineno))
     return ScenarioScript(name=name, config=config, events=tuple(events), checks=tuple(checks))
 
@@ -302,6 +317,10 @@ class Action:
     def render(self) -> str:
         body = " ".join(f"{k}={v}" for k, v in self.fields)
         return f"[{self.at:>6}] {self.kind} {body}".rstrip()
+
+
+def _absent_text(res: sync.CommitResult) -> str:
+    return ",".join(str(a) for a in sorted(res.absentees)) or "-"
 
 
 @dataclass(frozen=True)
@@ -404,13 +423,12 @@ class World:
             raise ScenarioError(f"{addr} downloaded twice")
         rec = NodeRecord(
             address=addr,
-            domain=params.get("domain", "net"),
             uptime_fraction=float(params.get("uptime", 1.0)),
             link_capacity_bps=float(params.get("capacity", 1_000_000.0)),
             metric=float(params.get("metric", 0.0)),
         )
         self.instances[addr] = rec
-        excerpt = self.registry.register(addr, rec.domain, now, cap=self.config.excerpt_cap)
+        excerpt = self.registry.register(addr, now, cap=self.config.excerpt_cap)
         stream = self._stream(f"node/{addr}")
         result = discovery.bootstrap(excerpt, is_active=self._live, stream=stream, now=now)
         for attempt in result.attempts:
@@ -472,7 +490,6 @@ class World:
         """Make addr the router and start it; True if its first refresh mapped strays."""
         self.neighborhoods[nid].router = addr
         self._act(self.engine.now, "elected", addr=addr, neighborhood=nid)
-        self.directory.advertise(addr, is_router=True)
         self._start_router(nid, monitor)
         return self._router_refresh(nid)
 
@@ -606,8 +623,7 @@ class World:
 
     def _report_commit(self, now: int, commit: sync.PendingCommit) -> None:
         res = commit.resolution
-        absent = ",".join(str(a) for a in sorted(res.absentees)) or "-"
-        self._act(now, "committed", key=commit.key, acks=len(res.acks), absent=absent)
+        self._act(now, "committed", key=commit.key, acks=len(res.acks), absent=_absent_text(res))
         nid = self.nid_of.get(commit.proposer)
         if nid is not None:
             hood = self.neighborhoods[nid]
@@ -750,12 +766,16 @@ class World:
             ok = addr in self.instances and addr not in self.nid_of
             return CheckResult(check, ok, "" if ok else "not isolated")
         if kind == "committed":
-            for a in self.actions:
-                if a.kind != "committed" or a.get("key") != p.get("key"):
+            # Every resolved commit has been reported by a committed action.
+            for c in self.commits:
+                res = c.resolution
+                if res is None or c.key != p["key"]:
                     continue
-                if "acks" in p and a.get("acks") != p["acks"]:
+                if "acks" in p and str(len(res.acks)) != p["acks"]:
                     continue
-                if "absent" in p and a.get("absent") != p["absent"]:
+                if "absent" in p and _absent_text(res) != p["absent"]:
+                    continue
+                if "value" in p and c.value != p["value"].encode("utf-8"):
                     continue
                 return CheckResult(check, True, "")
             return CheckResult(check, False, "no matching commit")

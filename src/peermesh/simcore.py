@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,8 +27,6 @@ KIND_NODE_UP = "node-up"
 KIND_NODE_DOWN = "node-down"
 KIND_TIMER = "timer"
 KIND_BEACON = "beacon"
-
-VirtualTime = int
 
 
 def units_to_ms(units: int | float) -> int | float:

@@ -24,10 +24,9 @@ import re
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .topology import ClusterPlan, NeighborhoodMap, NodeAddress, NotAMemberError, parse_address
+from .topology import ClusterPlan, NeighborhoodMap, NodeAddress, NotAMemberError
 
 SCOPE_LOCAL = "local"
 SCOPE_GLOBAL = "global"
@@ -485,30 +484,3 @@ def lookup_by_attribute(
                 )
             )
     return LookupResult(matches=tuple(matches), connections=tuple(connections), partial=partial)
-
-
-def load_attribute_seeds(path: str | Path) -> dict[NodeAddress, AttributeList]:
-    """Read per-owner attribute seeds: ``owner key scope class value`` lines."""
-    out: dict[NodeAddress, AttributeList] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(maxsplit=4)
-        if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-        owner_s, key, scope, update_class, value = parts
-        try:
-            owner = parse_address(owner_s)
-            entry = AttributeEntry(
-                key=key,
-                scope=scope,
-                value=value.encode("utf-8"),
-                version=1,
-                owner=owner,
-                update_class=update_class,
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        out.setdefault(owner, AttributeList()).put(entry)
-    return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from ipaddress import IPv4Address
-from pathlib import Path
 from typing import Iterable
 
 
@@ -32,7 +31,7 @@ class EmptyNeighborhoodError(ValueError):
 
 
 class NotAMemberError(ValueError):
-    """Raised when an address is not part of the map or plan at hand."""
+    """Raised when an address is not part of the membership at hand."""
 
 
 class NoSplitNeeded(ValueError):
@@ -58,7 +57,6 @@ def address_distance(a: NodeAddress, b: NodeAddress) -> int:
 @dataclass(frozen=True)
 class NodeRecord:
     address: NodeAddress
-    domain: str = ""
     uptime_fraction: float = 1.0
     link_capacity_bps: float = 1_000_000.0
     active: bool = True
@@ -151,9 +149,12 @@ class NeighborhoodMap:
 class ClusterPlan:
     """Contiguous chunking of the sorted active membership."""
 
-    cluster_size: int
-    members: tuple[NodeAddress, ...]  # sorted active addresses, concatenation of clusters
     clusters: tuple[tuple[NodeAddress, ...], ...]
+
+    @property
+    def members(self) -> tuple[NodeAddress, ...]:
+        """Sorted active addresses: the concatenation of the clusters."""
+        return tuple(a for c in self.clusters for a in c)
 
     @property
     def leaders(self) -> tuple[NodeAddress, ...]:
@@ -182,15 +183,7 @@ def form_clusters(nmap: NeighborhoodMap, cluster_size: int) -> ClusterPlan:
     chunks = tuple(
         tuple(active[i : i + cluster_size]) for i in range(0, len(active), cluster_size)
     )
-    return ClusterPlan(cluster_size=cluster_size, members=tuple(active), clusters=chunks)
-
-
-def cluster_of(address: NodeAddress, plan: ClusterPlan) -> int:
-    """Index of the cluster holding address, from rank arithmetic alone."""
-    i = bisect_left(plan.members, address)
-    if i >= len(plan.members) or plan.members[i] != address:
-        raise NotAMemberError(str(address))
-    return i // plan.cluster_size
+    return ClusterPlan(clusters=chunks)
 
 
 def subdivide(nmap: NeighborhoodMap, critical_mass: int) -> tuple[NeighborhoodMap, NeighborhoodMap]:
@@ -239,33 +232,3 @@ def elect_router(nmap: NeighborhoodMap, criteria: RouterCriteria) -> NodeAddress
     """Best eligible member, or None when nobody clears the thresholds."""
     ranked = ranked_candidates(nmap, criteria)
     return ranked[0] if ranked else None
-
-
-def load_address_plan(path: str | Path) -> NeighborhoodMap:
-    """Read a whitespace-separated address plan file into a membership map.
-
-    Line format: ``address domain uptime capacity metric``. Blank lines and
-    ``#`` comments are ignored.
-    """
-    records = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-        addr, domain, uptime, capacity, metric = parts
-        try:
-            records.append(
-                NodeRecord(
-                    address=parse_address(addr),
-                    domain=domain,
-                    uptime_fraction=float(uptime),
-                    link_capacity_bps=float(capacity),
-                    metric=float(metric),
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return NeighborhoodMap.build(records)

@@ -189,6 +189,10 @@ def test_scenario_run_parse_error(capsys, tmp_path):
         ("at=0 event=download addr=10.0.0.1\nat=3 event=download addr=10.0.0.1\n", ()),
         ("at=0 event=download addr=10.0.0.1\nconfig horizon=-1\n", ()),
         ("at=0 event=download addr=10.0.0.1\nconfig min_clients=-1\n", ()),
+        ("at=0 event=download addr=10.0.0.1\nassert connected frm=10.0.0.2 to=10.0.0.1\n", ()),
+        ("at=0 event=download addr=10.0.0.1\nassert connected from=10.0.0.300\n", ()),
+        ("at=0 event=download addr=10.0.0.1\nassert committed key=k acks=two\n", ()),
+        ("at=0 event=download addr=10.0.0.1\nassert committed key=k absent=10.0.0.1;x\n", ()),
     ],
 )
 def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, script, argv):

@@ -9,7 +9,6 @@ from peermesh.discovery import (
     IntroductionQueue,
     SearchEngineDirectory,
     bootstrap,
-    neighborhood_scan,
     router_refresh,
 )
 from peermesh.simcore import RandomStream
@@ -25,50 +24,45 @@ def test_register_returns_nearest_prior_registrants():
     rng = random.Random(3)
     priors = rng.sample(range(1, 2**20), 60)
     for t, a in enumerate(priors):
-        reg.register(addr(a), "net", at=t)
+        reg.register(addr(a), at=t)
     me = addr(500_000)
-    excerpt = reg.register(me, "net", at=100)
+    excerpt = reg.register(me, at=100)
     want = sorted(priors, key=lambda v: (abs(v - 500_000), v))[:EXCERPT_CAP]
-    assert [int(a) for a in excerpt.addresses()] == want
-    assert len(reg) == 61
+    assert [int(a) for a in excerpt] == want
 
 
 def test_register_excerpt_respects_cap_and_excludes_self():
     reg = DownloadRegistry()
     for i in range(1, 6):
-        reg.register(addr(i * 10), "net", at=i)
-    excerpt = reg.register(addr(30), "net", at=9, cap=3)  # 30 downloaded before, too
-    assert addr(30) not in excerpt.addresses()
-    assert len(excerpt) == 3
-    first = reg.register(addr(7), "net", at=10, cap=0)
-    assert len(first) == 0
+        reg.register(addr(i * 10), at=i)
+    excerpt = reg.register(addr(30), at=9, cap=3)  # 30 downloaded before, too
+    assert excerpt == (addr(20), addr(40), addr(10))
+    assert reg.register(addr(7), at=10, cap=0) == ()
     with pytest.raises(ValueError, match="cap"):
-        reg.register(addr(8), "net", at=11, cap=-1)  # would slice from the end
-    assert len(reg) == 7
-    (nearest,) = reg.register(addr(31), "net", at=12, cap=1).entries
-    assert (nearest.address, nearest.at) == (addr(30), 9)  # the latest record of 30
+        reg.register(addr(8), at=11, cap=-1)  # would slice from the end
+    assert reg.register(addr(31), at=12, cap=1) == (addr(30),)  # known once, however often
+    assert reg.register(addr(9), at=13, cap=2) == (addr(10), addr(7))  # 8 was rejected
 
 
 def test_register_empty_registry():
-    excerpt = DownloadRegistry().register(addr(1), "net", at=0)
-    assert excerpt.addresses() == ()
+    assert DownloadRegistry().register(addr(1), at=0) == ()
 
 
 def test_register_rejects_time_going_backwards():
     reg = DownloadRegistry()
-    reg.register(addr(1), "net", at=10)
+    reg.register(addr(1), at=10)
     with pytest.raises(ValueError):
-        reg.register(addr(2), "net", at=9)
+        reg.register(addr(2), at=9)
 
 
 def test_probe_order_distance_then_address():
     reg = DownloadRegistry()
     for t, a in enumerate([110, 50, 90]):
-        reg.register(addr(a), "net", at=t)
-    excerpt = reg.register(addr(100), "net", at=10)
+        reg.register(addr(a), at=t)
+    excerpt = reg.register(addr(100), at=10)
     # The excerpt is the probe order. 90 and 110 tie at distance 10: lower
     # address probes first.
-    assert excerpt.addresses() == (addr(90), addr(110), addr(50))
+    assert excerpt == (addr(90), addr(110), addr(50))
     res = bootstrap(excerpt, lambda a: False, RandomStream(1, "boot"), now=10)
     assert [a.target for a in res.attempts] == [addr(90), addr(110), addr(50)]
 
@@ -76,8 +70,8 @@ def test_probe_order_distance_then_address():
 def test_bootstrap_connects_to_first_live_target():
     reg = DownloadRegistry()
     for t, a in enumerate([90, 110, 50]):
-        reg.register(addr(a), "net", at=t)
-    excerpt = reg.register(addr(100), "net", at=10)
+        reg.register(addr(a), at=t)
+    excerpt = reg.register(addr(100), at=10)
     res = bootstrap(
         excerpt,
         is_active=lambda a: a == addr(110),
@@ -95,15 +89,15 @@ def test_bootstrap_connects_to_first_live_target():
 def test_bootstrap_every_target_dead_falls_back_to_directory():
     reg = DownloadRegistry()
     for t, a in enumerate([1, 2, 3]):
-        reg.register(addr(a), "net", at=t)
-    excerpt = reg.register(addr(10), "net", at=5)
+        reg.register(addr(a), at=t)
+    excerpt = reg.register(addr(10), at=5)
     res = bootstrap(excerpt, is_active=lambda a: False, stream=RandomStream(1, "b"), now=5)
     assert res.connected_to is None
     assert set(res.dead_targets) == {addr(1), addr(2), addr(3)}
 
 
 def test_bootstrap_empty_excerpt_registers_without_probing():
-    excerpt = DownloadRegistry().register(addr(1), "net", at=0)
+    excerpt = DownloadRegistry().register(addr(1), at=0)
     res = bootstrap(excerpt, is_active=lambda a: True, stream=RandomStream(1, "b"), now=4)
     assert res.connected_to is None and res.attempts == ()
     assert res.finished_at == 4
@@ -112,8 +106,8 @@ def test_bootstrap_empty_excerpt_registers_without_probing():
 def test_bootstrap_is_deterministic_per_stream():
     reg = DownloadRegistry()
     for t, a in enumerate(range(1, 9)):
-        reg.register(addr(a), "net", at=t)
-    excerpt = reg.register(addr(20), "net", at=20)
+        reg.register(addr(a), at=t)
+    excerpt = reg.register(addr(20), at=20)
     runs = [
         bootstrap(excerpt, lambda a: False, RandomStream(9, "same"), now=0)
         for _ in range(2)
@@ -124,20 +118,18 @@ def test_bootstrap_is_deterministic_per_stream():
 def test_directory_advertise_and_deregister():
     d = SearchEngineDirectory()
     d.advertise(addr(5))
-    d.advertise(addr(3), is_router=True)
-    assert addr(5) in d and len(d) == 2
-    assert [int(a.address) for a in d.advertised()] == [3, 5]
-    assert d.deregister(addr(5)) is True
-    assert d.deregister(addr(5)) is False
-    assert addr(5) not in d
+    d.advertise(addr(3))
+    assert d.advertised() == (addr(3), addr(5))
+    d.deregister(addr(5))
+    d.deregister(addr(5))  # already gone: a no-op
+    assert d.advertised() == (addr(3),)
 
 
 def test_directory_readvertise_updates_in_place():
     d = SearchEngineDirectory()
     d.advertise(addr(5))
-    d.advertise(addr(5), is_router=True)
-    assert len(d) == 1
-    assert d.advertised()[0].is_router
+    d.advertise(addr(5))
+    assert d.advertised() == (addr(5),)
 
 
 def test_introductions_deliver_before_deadline():
@@ -194,47 +186,16 @@ def test_introduction_requeued_after_resolving_goes_last():
     assert q.pending() == ()
 
 
-def test_scan_starts_past_last_known_and_wraps():
-    lo, hi = addr(10), addr(19)
-    seen = []
-
-    def is_active(a):
-        seen.append(int(a))
-        return int(a) in (11, 18)
-
-    res = neighborhood_scan((lo, hi), last_known=addr(17), budget=5, is_active=is_active)
-    assert seen == [18, 19, 10, 11, 12]
-    assert [int(a) for a in res.found] == [18, 11]
-    assert res.probed == 5
-
-
-def test_scan_budget_caps_at_the_span():
-    res = neighborhood_scan((addr(10), addr(13)), addr(10), budget=100, is_active=lambda a: True)
-    assert res.probed == 4
-    assert [int(a) for a in res.found] == [11, 12, 13, 10]
-
-
-def test_scan_zero_budget_and_validation():
-    assert neighborhood_scan((addr(1), addr(5)), addr(3), 0, lambda a: True).probed == 0
-    with pytest.raises(ValueError):
-        neighborhood_scan((addr(5), addr(1)), addr(3), 1, lambda a: True)
-    with pytest.raises(ValueError):
-        neighborhood_scan((addr(1), addr(5)), addr(9), 1, lambda a: True)
-    with pytest.raises(ValueError):
-        neighborhood_scan((addr(1), addr(5)), addr(3), -1, lambda a: True)
-
-
 def test_router_refresh_folds_in_span_clients_only():
     nmap = NeighborhoodMap.build([NodeRecord(addr(100)), NodeRecord(addr(200))])
     d = SearchEngineDirectory()
     d.advertise(addr(150))  # stray client inside the span
     d.advertise(addr(50))  # outside: left alone
-    d.advertise(addr(160), is_router=True)  # routers always stay up
+    d.advertise(addr(250))
     new_map, added = router_refresh(addr(100), d, nmap, NodeRecord)
     assert added == (addr(150),)
     assert addr(150) in new_map
-    assert addr(150) not in d
-    assert addr(50) in d and addr(160) in d
+    assert d.advertised() == (addr(50), addr(250))
     assert new_map.version == nmap.version + 1
 
 
@@ -253,8 +214,8 @@ def test_router_refresh_maps_the_record_of_each_stray():
     d.advertise(addr(150))
     d.advertise(addr(120))
     true = {
-        addr(120): NodeRecord(addr(120), domain="alpha", uptime_fraction=0.25, active=False),
-        addr(150): NodeRecord(addr(150), domain="beta", uptime_fraction=0.75, metric=3.0),
+        addr(120): NodeRecord(addr(120), uptime_fraction=0.25, active=False),
+        addr(150): NodeRecord(addr(150), uptime_fraction=0.75, metric=3.0),
     }
     new_map, added = router_refresh(addr(100), d, nmap, true.__getitem__)
     assert added == (addr(120), addr(150))
@@ -276,8 +237,8 @@ def test_address_distance_drives_excerpt_order():
     rng = random.Random(8)
     pool = rng.sample(range(1, 10_000), 40)
     for t, a in enumerate(pool):
-        reg.register(addr(a), "net", at=t)
+        reg.register(addr(a), at=t)
     origin = addr(4321)
-    excerpt = reg.register(origin, "net", at=99)
-    dists = [address_distance(a, origin) for a in excerpt.addresses()]
+    excerpt = reg.register(origin, at=99)
+    dists = [address_distance(a, origin) for a in excerpt]
     assert dists == sorted(dists)

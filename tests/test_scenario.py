@@ -31,6 +31,9 @@ def test_parse_full_grammar():
         at=5 event=down addr=10.0.0.1
         assert member at=3 addr=10.0.0.1
         assert isolated addr=10.0.0.1
+        assert connected at=4 from=10.0.0.2 to=10.0.0.1
+        assert committed key=k acks=0 absent=10.0.0.1,10.0.0.2 value=v
+        assert committed key=k absent=-
         """,
         name="inline",
     )
@@ -39,8 +42,11 @@ def test_parse_full_grammar():
     ev = script.events[0]
     assert (ev.at, ev.kind, str(ev.addr)) == (0, "download", "10.0.0.1")
     assert ev.params == {"domain": "alpha", "uptime": "0.95"}
-    timed, untimed = script.checks
+    timed, untimed, pair, full, none_absent = script.checks
     assert timed.at == 3 and untimed.at is None
+    assert pair.params == {"from": "10.0.0.2", "to": "10.0.0.1"}
+    assert full.params == {"key": "k", "acks": "0", "absent": "10.0.0.1,10.0.0.2", "value": "v"}
+    assert none_absent.params == {"key": "k", "absent": "-"}
 
 
 @pytest.mark.parametrize(
@@ -70,6 +76,16 @@ def test_parse_full_grammar():
         ("at=0 event=download addr=10.0.0.1 uptime=1.5", r"uptime must be a number in \[0, 1\]"),
         ("at=0 event=download addr=10.0.0.1 capacity=fast", "capacity must be a positive number"),
         ("at=0 event=send addr=10.0.0.1 key=k scope=galaxy", "scope must be local, global"),
+        ("assert connected frm=10.0.0.2 to=10.0.0.1", "unknown connected parameter 'frm'"),
+        ("assert introduced from=10.0.0.300", "from must be a dotted-quad address"),
+        ("assert delivered to=nobody", "to must be a dotted-quad address"),
+        ("assert router addr=10.0.0.1 from=10.0.0.2", "unknown router parameter 'from'"),
+        ("assert isolated addr=10.0.0.1 key=k", "unknown isolated parameter 'key'"),
+        ("assert committed key=k addr=10.0.0.1", "unknown committed parameter 'addr'"),
+        ("assert committed key=k acks=two", "acks must be a non-negative integer"),
+        ("assert committed key=k acks=-1", "acks must be a non-negative integer"),
+        ("assert committed key=k absent=10.0.0.1;10.0.0.2", "absent must be - or a comma-separated"),
+        ("assert committed key=k absent=10.0.0.1,", "absent must be - or a comma-separated"),
     ],
 )
 def test_parse_errors(line, fragment):
@@ -216,6 +232,26 @@ def test_a_stray_mapped_at_election_splits_the_neighborhood_once(monkeypatch):
     assert [r.split()[1] for r in after] == ["source=0", "source=0"]
     (world,) = worlds
     assert all(nid in world.neighborhoods for nid in world.nid_of.values())
+
+
+COMMIT_VALUES = """
+at=0 event=download addr=10.5.0.1
+at=10 event=download addr=10.5.0.2
+at=20 event=send addr=10.5.0.1 key=colour value=red
+at=30 event=send addr=10.5.0.2 key=size value=big
+assert committed key=colour value=red
+assert committed key=colour value=blue
+assert committed key=colour value=red acks=2 absent=-
+assert committed key=colour value=big
+assert committed key=size value=big
+"""
+
+
+def test_committed_check_matches_the_committed_value():
+    report = run_scenario(parse_scenario(COMMIT_VALUES, name="commit-values"))
+    assert [c.passed for c in report.checks] == [True, False, True, False, True]
+    # the value is checked, not printed: the committed action carries none
+    assert all(a.get("value") is None for a in report.actions if a.kind == "committed")
 
 
 def test_send_from_unknown_instance_is_a_scenario_error():

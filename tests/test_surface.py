@@ -1,0 +1,59 @@
+"""Every public module-level name in the package has a caller outside tests.
+
+A public function, class or constant of src/peermesh/*.py must be named in
+src/ or bench/ by some top-level statement other than the one that defines
+it. An import in the package's __init__.py counts as a use.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "peermesh"
+
+# The lookup path between neighborhoods waits for its scenario caller
+# (ROADMAP item 4); until then it is the only public name without one.
+ALLOWED = {("sync", "lookup_by_attribute")}
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _named(stmt: ast.stmt) -> set[str]:
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    statements = [(path, stmt) for path in files for stmt in ast.parse(path.read_text()).body]
+    uses = [(path, stmt.lineno, _named(stmt)) for path, stmt in statements]
+    public = [
+        (path, stmt.lineno, name)
+        for path, stmt in statements
+        if path.parent == PACKAGE
+        for name in _defined(stmt)
+        if not name.startswith("_")
+    ]
+    assert ALLOWED <= {(path.stem, name) for path, _, name in public}
+    unused = [
+        f"{path.stem}.{name}"
+        for path, line, name in public
+        if (path.stem, name) not in ALLOWED
+        and not any(name in named for p, n, named in uses if (p, n) != (path, line))
+    ]
+    assert unused == []

@@ -12,7 +12,6 @@ from peermesh.sync import (
     UpdateRound,
     ack,
     expire,
-    load_attribute_seeds,
     lookup_by_attribute,
     merge_lists,
     propose_commit,
@@ -490,20 +489,3 @@ def test_lookup_requires_membership():
     views = {0: make_view(0, [addr(1)], [])}
     with pytest.raises(ValueError):
         lookup_by_attribute("game", b"chess", addr(99), views)
-
-
-def test_load_attribute_seeds(tmp_path):
-    seeds = tmp_path / "attrs.seed"
-    seeds.write_text(
-        "# owner key scope class value\n"
-        "10.0.0.1 game global moderate chess\n"
-        "10.0.0.1 room group:club aggressive red room\n"
-        "10.0.0.2 game local light go\n"
-    )
-    lists = load_attribute_seeds(seeds)
-    one = lists[parse_address("10.0.0.1")]
-    assert one.get("room", parse_address("10.0.0.1")).value == b"red room"
-    assert len(lists[parse_address("10.0.0.2")]) == 1
-    seeds.write_text("10.0.0.1 game global moderate\n")
-    with pytest.raises(ValueError, match=":1"):
-        load_attribute_seeds(seeds)

@@ -12,10 +12,8 @@ from peermesh.topology import (
     NotAMemberError,
     RouterCriteria,
     address_distance,
-    cluster_of,
     elect_router,
     form_clusters,
-    load_address_plan,
     parse_address,
     ranked_candidates,
     subdivide,
@@ -132,21 +130,20 @@ def test_form_clusters_empty_and_bad_size():
         form_clusters(build_map([1]), 0)
 
 
-def test_cluster_of_matches_plan_exhaustively():
+def test_cluster_index_is_rank_over_size_exhaustively():
     nmap = build_map(range(10, 74))
     for size in (1, 3, 5, 8, 64, 100):
         plan = form_clusters(nmap, size)
+        assert plan.members == nmap.addresses()
         for ci, cluster in enumerate(plan.clusters):
             for a in cluster:
-                assert cluster_of(a, plan) == ci
-    with pytest.raises(NotAMemberError):
-        cluster_of(addr(9), form_clusters(nmap, 5))
+                assert plan.members.index(a) // size == ci
 
 
 def test_sixth_lowest_of_ten_lands_in_second_cluster():
     nmap = build_map([5, 12, 19, 33, 40, 47, 58, 61, 70, 88])
     plan = form_clusters(nmap, 5)
-    assert cluster_of(addr(47), plan) == 1
+    assert addr(47) in plan.clusters[1]
     assert plan.leaders == (addr(5), addr(47))
 
 
@@ -243,31 +240,8 @@ def test_election_returns_none_when_nobody_qualifies():
     assert elect_router(small, CRITERIA) is None
 
 
-def test_load_address_plan(tmp_path):
-    plan = tmp_path / "nodes.plan"
-    plan.write_text(
-        "# address domain uptime capacity metric\n"
-        "10.0.0.2 alpha 0.95 256000 1.5\n"
-        "\n"
-        "10.0.0.1 alpha 0.99 512000 0.0  # head\n"
-    )
-    nmap = load_address_plan(plan)
-    assert [str(a) for a in nmap.addresses()] == ["10.0.0.1", "10.0.0.2"]
-    assert nmap.member(parse_address("10.0.0.2")).uptime_fraction == 0.95
-
-
-def test_load_address_plan_reports_line_numbers(tmp_path):
-    plan = tmp_path / "bad.plan"
-    plan.write_text("10.0.0.1 alpha 0.99 512000 0.0\n10.0.0.2 alpha nope 1 0\n")
-    with pytest.raises(ValueError, match="bad.plan:2"):
-        load_address_plan(plan)
-    plan.write_text("10.0.0.1 alpha 0.99\n")
-    with pytest.raises(ValueError, match="expected 5 fields"):
-        load_address_plan(plan)
-
-
 def test_cluster_plan_is_immutable():
     plan = form_clusters(build_map([1, 2, 3]), 2)
     assert isinstance(plan, ClusterPlan)
     with pytest.raises(AttributeError):
-        plan.cluster_size = 9
+        plan.clusters = ()

@@ -3,6 +3,8 @@
 A state machine drives a World through its Engine with downloads, downs,
 ups, sends, subdivisions and the passing of time, and after every step
 checks that membership, routers, introductions and commits stay consistent.
+Its settle rule lets the world come to rest and checks liveness: every
+neighborhood that has a router candidate has a live router.
 """
 
 from collections import Counter
@@ -11,12 +13,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from peermesh.scenario import World, WorldConfig
+from peermesh.scenario import BEACON_TIMEOUT_FACTOR, World, WorldConfig
 from peermesh.simcore import KIND_NODE_DOWN, KIND_NODE_UP, Engine
-from peermesh.topology import parse_address
+from peermesh.topology import parse_address, ranked_candidates
 
 # Uneven gaps, so that address distance orders the excerpts non-trivially.
 POOL = [parse_address(0x0A000000 + k) for k in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)]
+MAX_COMMIT_TIMEOUT = 40
 
 
 class WorldMachine(RuleBasedStateMachine):
@@ -72,7 +75,7 @@ class WorldMachine(RuleBasedStateMachine):
         return [a for a in sorted(self.world.nid_of) if self.world.instances[a].active]
 
     @precondition(lambda self: self._mapped_live())
-    @rule(i=st.integers(0, len(POOL) - 1), timeout=st.integers(1, 40))
+    @rule(i=st.integers(0, len(POOL) - 1), timeout=st.integers(1, MAX_COMMIT_TIMEOUT))
     def send(self, i, timeout):
         senders = self._mapped_live()
         self.sends += 1
@@ -89,6 +92,20 @@ class WorldMachine(RuleBasedStateMachine):
     def advance(self, dt):
         self.now += dt
         self.engine.run(self.world.handle, horizon=self.now)
+
+    @rule()
+    def settle(self):
+        """Let every commit resolve, then give a dead router's beacon time to
+        go stale and the monitor a period to fail it over. A neighborhood
+        whose map yields a candidate must then have a live router; the map's
+        active flags decide, since commit absentees are offline only there."""
+        config = self.world.config
+        self.now += MAX_COMMIT_TIMEOUT + (BEACON_TIMEOUT_FACTOR + 1) * config.beacon_period
+        self.engine.run(self.world.handle, horizon=self.now)
+        for nid, hood in self.world.neighborhoods.items():
+            if ranked_candidates(hood.map, config.criteria):
+                router = self.world.instances.get(hood.router)
+                assert router is not None and router.active, f"neighborhood {nid} has no live router"
 
     # -- invariants ------------------------------------------------------------
 
