@@ -10,7 +10,8 @@ churn, commits and subdivisions, then check what happened. Line grammar
       commit_timeout, horizon.
 
   at=<units> event=<kind> addr=<dotted-quad> [key=value ...]
-      Kinds: download (uptime=, capacity=, metric=), up, down, send (key=,
+      Kinds and the only parameters each takes besides at= and addr=:
+      download (domain=, uptime=, capacity=, metric=), up, down, send (key=,
       value=, scope=, timeout=), subdivide (critical_mass=). A download's
       domain= is not used; the trace only echoes it.
 
@@ -93,6 +94,7 @@ _EVENT = {**_AT, "addr": _ADDRESS}
 _EVENT_PARAMS = {
     "download": {
         **_EVENT,
+        "domain": _TEXT,
         "uptime": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
         "capacity": (float, lambda v: v > 0, "a positive number"),
         "metric": (float, lambda v: v >= 0, "a non-negative number"),
@@ -101,6 +103,8 @@ _EVENT_PARAMS = {
     "down": _EVENT,
     "send": {
         **_EVENT,
+        "key": _TEXT,
+        "value": _TEXT,
         "timeout": _POSITIVE,
         "scope": (sync.validate_scope, lambda v: True, "local, global or group:<id>"),
     },
@@ -188,13 +192,11 @@ def _split_pairs(tokens: list[str], where: str) -> dict[str, str]:
     return out
 
 
-def _check(
-    params: dict[str, str], kind: str, typed: Mapping, where: str, unknown: str | None = None
-) -> None:
-    """Reject a line that lacks a required parameter or carries a bad value.
-    When unknown names the line's parameters ("config key"), a parameter
-    that typed does not list is rejected as well."""
-    extra = [k for k in params if k not in typed] if unknown is not None else []
+def _check(params: dict[str, str], kind: str, typed: Mapping, where: str, unknown: str) -> None:
+    """Reject a line that lacks a required parameter, carries a bad value,
+    or carries a parameter that typed does not list; unknown names the
+    line's parameters in that message ("config key")."""
+    extra = [k for k in params if k not in typed]
     if extra:
         raise ScenarioParseError(f"{where}: unknown {unknown} {extra[0]!r}")
     for key in _REQUIRED_PARAMS.get(kind, ()):
@@ -245,7 +247,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
         kind = pairs.pop("event")
         if kind not in EVENT_KINDS:
             raise ScenarioParseError(f"{where}: unknown event {kind!r}")
-        _check(pairs, kind, _EVENT_PARAMS[kind], where)
+        _check(pairs, kind, _EVENT_PARAMS[kind], where, unknown=f"{kind} parameter")
         at = int(pairs.pop("at"))
         addr = parse_address(pairs.pop("addr"))
         events.append(ScriptEvent(at=at, kind=kind, addr=addr, params=pairs, line=lineno))
@@ -773,7 +775,7 @@ class World:
                     continue
                 if "acks" in p and str(len(res.acks)) != p["acks"]:
                     continue
-                if "absent" in p and _absent_text(res) != p["absent"]:
+                if "absent" in p and set(_address_list(p["absent"])) != res.absentees:
                     continue
                 if "value" in p and c.value != p["value"].encode("utf-8"):
                     continue

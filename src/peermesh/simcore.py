@@ -72,7 +72,9 @@ class RandomStream:
         return int(self.integers(HOP_DELAY_MIN, HOP_DELAY_MAX))
 
     def hop_delays(self, size) -> np.ndarray:
-        return self.integers(HOP_DELAY_MIN, HOP_DELAY_MAX, size=size)
+        """An int16 array of hop delays: numpy draws int16 faster than
+        int64. Sum it with an int64 accumulator."""
+        return self._gen.integers(HOP_DELAY_MIN, HOP_DELAY_MAX, size=size, endpoint=True, dtype=np.int16)
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id!r})"

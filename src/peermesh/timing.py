@@ -15,8 +15,10 @@ uniform draws on {1..10} virtual units (1 unit = 50 ms). One trial costs:
   redistribute_phase  max over chains of freshly drawn per-chain sums;
   total               the exact sum of the three.
 
-All draws come from per-trial derived streams, so every statistic is
-reproducible from (dims, trials, seed, mode) alone.
+Trials come in blocks of BLOCK_TRIALS. Block j draws every hop of its trials
+in one call on its own derived stream, `timing/{rows}x{columns}/{mode}/block/{j}`,
+one trial per row. Every statistic is reproducible from (dims, trials, seed,
+mode) alone, and trial i is the same whatever the trial count.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ MODE_EQUATION_LITERAL = "equation_literal"
 MODES = (MODE_TABLE_CONSISTENT, MODE_EQUATION_LITERAL)
 
 DEFAULT_TRIALS = 1000
+# Trials per derived stream: one hop-delay draw serves a whole block.
+BLOCK_TRIALS = 64
 SWEEP_TOTALS = (256, 512, 1024, 2048)
 
 CSV_HEADER = "rows,columns,t_c,t_cl,t_c_prime,T_u"
@@ -74,27 +78,37 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _trial(dims: HopsArrayDims, stream: RandomStream, mode: str) -> tuple[UpdateTiming, np.ndarray]:
-    """Run one trial; returns the timing and the forward per-chain sums."""
-    forward = stream.hop_delays((dims.columns, dims.rows))
-    forward_sums = forward.sum(axis=1)
-    cluster_phase = 2 * int(forward_sums.max())
-
+def _phase_widths(dims: HopsArrayDims, mode: str) -> tuple[int, int, int]:
+    """Hop delays one trial draws for the forward pass, the leader ring and
+    redistribute, in draw order."""
     ring_hops = dims.columns - 1
     if mode == MODE_EQUATION_LITERAL:
         ring_hops *= 2
-    leader_phase = int(stream.hop_delays(ring_hops).sum()) if ring_hops else 0
+    return dims.total_hops, ring_hops, dims.total_hops
 
-    redist = stream.hop_delays((dims.columns, dims.rows))
-    redistribute_phase = int(redist.sum(axis=1).max())
 
-    timing = UpdateTiming(
-        cluster_phase=cluster_phase,
-        leader_phase=leader_phase,
-        redistribute_phase=redistribute_phase,
-        total=cluster_phase + leader_phase + redistribute_phase,
+def _draw_trials(dims: HopsArrayDims, stream: RandomStream, mode: str, size: int) -> np.ndarray:
+    """Phase times of `size` trials from one draw of shape (size, hops per trial).
+
+    Row i of the draw is trial i, sliced in draw order into forward, ring and
+    redistribute hops; a pass's hops are laid out (rows, columns), so chain c
+    is column c. Returns int64 rows (cluster_phase, leader_phase,
+    redistribute_phase, forward delay summed over every chain), one column
+    per trial.
+    """
+    forward, ring, _ = _phase_widths(dims, mode)
+    hops = stream.hop_delays((size, 2 * forward + ring))
+    chains = (size, dims.rows, dims.columns)
+    forward_sums = hops[:, :forward].reshape(chains).sum(axis=1, dtype=np.int64)
+    redist_sums = hops[:, forward + ring :].reshape(chains).sum(axis=1, dtype=np.int64)
+    return np.stack(
+        (
+            2 * forward_sums.max(axis=1),
+            hops[:, forward : forward + ring].sum(axis=1, dtype=np.int64),
+            redist_sums.max(axis=1),
+            forward_sums.sum(axis=1),
+        )
     )
-    return timing, forward_sums
 
 
 def simulate_once(
@@ -102,16 +116,23 @@ def simulate_once(
 ) -> UpdateTiming:
     """One round's phase times from a single stream.
 
-    Draw order is fixed (forward matrix, ring vector, redistribute matrix),
-    so equal streams give equal timings.
+    One draw of every hop in draw order (forward, ring, redistribute), so
+    equal streams give equal timings, and a block stream gives the block's
+    first trial.
     """
-    timing, _sums = _trial(dims, stream, _check_mode(mode))
-    return timing
+    cluster, leader, redist, _forward = _draw_trials(dims, stream, _check_mode(mode), 1)[:, 0].tolist()
+    return UpdateTiming(
+        cluster_phase=cluster,
+        leader_phase=leader,
+        redistribute_phase=redist,
+        total=cluster + leader + redist,
+    )
 
 
-def trial_stream(seed: int, dims: HopsArrayDims, mode: str, index: int) -> RandomStream:
-    """The derived stream used for trial `index` of a Monte Carlo run."""
-    return RandomStream(seed, f"timing/{dims.rows}x{dims.columns}/{mode}/trial/{index}")
+def block_stream(seed: int, dims: HopsArrayDims, mode: str, block: int) -> RandomStream:
+    """The derived stream of block `block` of a Monte Carlo run: trials
+    block*BLOCK_TRIALS up to (block+1)*BLOCK_TRIALS, one per row."""
+    return RandomStream(seed, f"timing/{dims.rows}x{dims.columns}/{mode}/block/{block}")
 
 
 @dataclass(frozen=True)
@@ -151,35 +172,35 @@ def _stats(samples: np.ndarray) -> ComponentStats:
     )
 
 
+def _trial_components(dims: HopsArrayDims, trials: int, seed: int, mode: str) -> np.ndarray:
+    """`_draw_trials` rows for trials 0..trials-1, drawn a whole block at a
+    time and cut to `trials`, so trial i is the same whatever the count."""
+    blocks = -(-trials // BLOCK_TRIALS)
+    draws = [_draw_trials(dims, block_stream(seed, dims, mode, j), mode, BLOCK_TRIALS) for j in range(blocks)]
+    return np.concatenate(draws, axis=1)[:, :trials]
+
+
 def monte_carlo(
     dims: HopsArrayDims,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     mode: str = MODE_TABLE_CONSISTENT,
 ) -> SweepRow:
-    """Independent trials over derived streams, summarized per component."""
+    """Independent trials over per-block streams, summarized per component."""
     _check_mode(mode)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    comp = np.empty((4, trials), dtype=np.int64)
-    sum_acc = 0.0
-    for i in range(trials):
-        timing, forward_sums = _trial(dims, trial_stream(seed, dims, mode, i), mode)
-        comp[0, i] = timing.cluster_phase
-        comp[1, i] = timing.leader_phase
-        comp[2, i] = timing.redistribute_phase
-        comp[3, i] = timing.total
-        sum_acc += float(forward_sums.mean())
+    cluster, leader, redist, forward = _trial_components(dims, trials, seed, mode)
     return SweepRow(
         rows=dims.rows,
         columns=dims.columns,
         trials=trials,
         mode=mode,
-        cluster_phase=_stats(comp[0]),
-        leader_phase=_stats(comp[1]),
-        redistribute_phase=_stats(comp[2]),
-        total=_stats(comp[3]),
-        mean_cluster_sum=sum_acc / trials,
+        cluster_phase=_stats(cluster),
+        leader_phase=_stats(leader),
+        redistribute_phase=_stats(redist),
+        total=_stats(cluster + leader + redist),
+        mean_cluster_sum=float(forward.mean()) / dims.columns,
     )
 
 

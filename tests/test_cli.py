@@ -189,6 +189,7 @@ def test_scenario_run_parse_error(capsys, tmp_path):
         ("at=0 event=download addr=10.0.0.1\nat=3 event=download addr=10.0.0.1\n", ()),
         ("at=0 event=download addr=10.0.0.1\nconfig horizon=-1\n", ()),
         ("at=0 event=download addr=10.0.0.1\nconfig min_clients=-1\n", ()),
+        ("at=0 event=download addr=10.0.0.1\nat=10 event=send addr=10.0.0.1 key=k timout=5\n", ()),
         ("at=0 event=download addr=10.0.0.1\nassert connected frm=10.0.0.2 to=10.0.0.1\n", ()),
         ("at=0 event=download addr=10.0.0.1\nassert connected from=10.0.0.300\n", ()),
         ("at=0 event=download addr=10.0.0.1\nassert committed key=k acks=two\n", ()),

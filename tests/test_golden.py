@@ -1,13 +1,15 @@
-"""Scenario output matches the files under tests/golden byte for byte.
+"""Scenario and timing output matches the files under tests/golden byte for byte.
 
 Each bundled scenario prints exactly what tests/golden/<name>.out holds, and
 each tests/golden/<name>.scenario prints exactly what the .out beside it
 holds; a new golden needs only those two files. With --quiet, each prints
-its .out without the trace block. Acceptance 09 checks that a rerun matches
-within one version; these files pin the output across versions. After a
-deliberate change to the output, regenerate them with
-`peermesh scenario run <name or file> > tests/golden/<name>.out` and say so
-in CHANGES.md.
+its .out without the trace block. `timing tables --trials 200 --seed 7919`
+prints tests/golden/timing-tables.out, which pins the Monte Carlo draws.
+Acceptance 09 checks that a rerun matches within one version; these files
+pin the output across versions. After a deliberate change to the output,
+regenerate them with `peermesh scenario run <name or file> >
+tests/golden/<name>.out` (or the timing command above) and say so in
+CHANGES.md.
 """
 
 from pathlib import Path
@@ -49,3 +51,8 @@ def _without_trace(text: str) -> str:
 def test_quiet_output_is_the_golden_without_its_trace(capsys, target, golden):
     assert cli.main(["scenario", "run", target, "--quiet"]) == 0
     assert capsys.readouterr().out == _without_trace(golden.read_text())
+
+
+def test_timing_tables_output_matches_golden(capsys):
+    assert cli.main(["timing", "tables", "--trials", "200", "--seed", "7919"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "timing-tables.out").read_bytes()

@@ -76,6 +76,9 @@ def test_parse_full_grammar():
         ("at=0 event=download addr=10.0.0.1 uptime=1.5", r"uptime must be a number in \[0, 1\]"),
         ("at=0 event=download addr=10.0.0.1 capacity=fast", "capacity must be a positive number"),
         ("at=0 event=send addr=10.0.0.1 key=k scope=galaxy", "scope must be local, global"),
+        ("at=10 event=send addr=10.0.0.1 key=k timout=5", "unknown send parameter 'timout'"),
+        ("at=0 event=download addr=10.0.0.1 uptme=0.5", "unknown download parameter 'uptme'"),
+        ("at=0 event=down addr=10.0.0.1 key=k", "unknown down parameter 'key'"),
         ("assert connected frm=10.0.0.2 to=10.0.0.1", "unknown connected parameter 'frm'"),
         ("assert introduced from=10.0.0.300", "from must be a dotted-quad address"),
         ("assert delivered to=nobody", "to must be a dotted-quad address"),
@@ -252,6 +255,27 @@ def test_committed_check_matches_the_committed_value():
     assert [c.passed for c in report.checks] == [True, False, True, False, True]
     # the value is checked, not printed: the committed action carries none
     assert all(a.get("value") is None for a in report.actions if a.kind == "committed")
+
+
+COMMIT_ABSENTEES = """
+at=0 event=download addr=10.2.0.1
+at=2 event=download addr=10.2.0.2
+at=4 event=download addr=10.2.0.3
+at=6 event=download addr=10.2.0.4
+at=8 event=download addr=10.2.0.5
+at=100 event=send addr=10.2.0.1 key=channel value=lobby timeout=60
+at=100 event=down addr=10.2.0.3
+at=100 event=down addr=10.2.0.4
+assert committed key=channel absent=10.2.0.3,10.2.0.4
+assert committed key=channel absent=10.2.0.4,10.2.0.3
+assert committed key=channel absent=10.2.0.4
+assert committed key=channel absent=-
+"""
+
+
+def test_committed_check_compares_absent_as_a_set():
+    report = run_scenario(parse_scenario(COMMIT_ABSENTEES, name="commit-absentees"))
+    assert [c.passed for c in report.checks] == [True, True, False, False]
 
 
 def test_send_from_unknown_instance_is_a_scenario_error():

@@ -35,6 +35,7 @@ def test_units_to_ms_rejects_negative():
 
 def test_hop_delay_range_and_mean():
     draws = RandomStream(123, "hops").hop_delays(200_000)
+    assert draws.dtype == np.int16
     assert draws.min() >= HOP_DELAY_MIN
     assert draws.max() <= HOP_DELAY_MAX
     # uniform on {1..10}: mean 5.5, std of the sample mean ~ 0.0064

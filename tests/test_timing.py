@@ -1,22 +1,28 @@
 
+import math
+
 import numpy as np
 import pytest
 
 from peermesh.simcore import DEFAULT_SEED, RandomStream
 from peermesh.sync import AttributeList, Phase, run_round
 from peermesh.timing import (
+    BLOCK_TRIALS,
     MODE_EQUATION_LITERAL,
     MODE_TABLE_CONSISTENT,
+    MODES,
     SWEEP_TOTALS,
     HopsArrayDims,
     UpdateTiming,
+    _phase_widths,
+    _trial_components,
+    block_stream,
     default_factor_pairs,
     find_optimum,
     monte_carlo,
     optimum_curve,
     simulate_once,
     sweep,
-    trial_stream,
 )
 from peermesh.topology import NeighborhoodMap, NodeRecord, form_clusters, parse_address
 
@@ -67,7 +73,7 @@ def test_simulate_once_is_stream_deterministic():
 def test_monte_carlo_single_trial_matches_simulate_once():
     dims = HopsArrayDims(8, 8)
     row = monte_carlo(dims, trials=1, seed=123)
-    one = simulate_once(dims, trial_stream(123, dims, MODE_TABLE_CONSISTENT, 0))
+    one = simulate_once(dims, block_stream(123, dims, MODE_TABLE_CONSISTENT, 0))
     assert row.cluster_phase.mean == one.cluster_phase
     assert row.leader_phase.mean == one.leader_phase
     assert row.redistribute_phase.mean == one.redistribute_phase
@@ -193,11 +199,66 @@ def test_dims_validation_and_str():
 
 def test_trial_streams_are_disjoint_across_trials_and_modes():
     dims = HopsArrayDims(4, 4)
-    a = simulate_once(dims, trial_stream(1, dims, MODE_TABLE_CONSISTENT, 0))
-    b = simulate_once(dims, trial_stream(1, dims, MODE_TABLE_CONSISTENT, 1))
-    c = simulate_once(dims, trial_stream(1, dims, MODE_EQUATION_LITERAL, 0), mode=MODE_EQUATION_LITERAL)
-    assert a != b  # distinct trial indices draw from distinct streams
+    a = simulate_once(dims, block_stream(1, dims, MODE_TABLE_CONSISTENT, 0))
+    b = simulate_once(dims, block_stream(1, dims, MODE_TABLE_CONSISTENT, 1))
+    c = simulate_once(dims, block_stream(1, dims, MODE_EQUATION_LITERAL, 0), mode=MODE_EQUATION_LITERAL)
+    assert a != b  # distinct blocks draw from distinct streams
     assert a != c  # the mode is part of the stream identity
+    first, second = _trial_components(dims, 2, 1, MODE_TABLE_CONSISTENT).T
+    assert not np.array_equal(first, second)  # rows of one block are distinct trials
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_trials_are_prefixes_whatever_the_trial_count(mode):
+    dims = HopsArrayDims(4, 8)
+    longest = _trial_components(dims, 200, 5, mode)
+    for trials in (1, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1):
+        assert np.array_equal(_trial_components(dims, trials, 5, mode), longest[:, :trials])
+    row = monte_carlo(dims, trials=BLOCK_TRIALS + 1, seed=5, mode=mode)
+    assert row.cluster_phase.mean == longest[0, : BLOCK_TRIALS + 1].mean()
+    assert row.total.mean == longest[:3, : BLOCK_TRIALS + 1].sum(axis=0).mean()
+
+
+def _max_of_sums(rows: int, columns: int) -> tuple[float, float]:
+    """Exact (mean, variance) of the max of `columns` iid sums of `rows`
+    uniform {1..10} hops: the sum's pmf by repeated convolution, the max's
+    cdf as the sum's cdf to the power `columns`."""
+    pmf = np.array([1.0])
+    for _ in range(rows):
+        pmf = np.convolve(pmf, np.full(10, 0.1))
+    support = np.arange(len(pmf)) + rows
+    cdf_max = np.cumsum(pmf).clip(0.0, 1.0) ** columns
+    pmf_max = np.diff(cdf_max, prepend=0.0)
+    mean = float((support * pmf_max).sum())
+    return mean, float((support**2 * pmf_max).sum()) - mean * mean
+
+
+def test_exact_max_of_sums_matches_enumeration():
+    # every 2x2 draw: the max of two sums of two hops
+    sums = [a + b for a in range(1, 11) for b in range(1, 11)]
+    maxima = np.array([max(x, y) for x in sums for y in sums], dtype=float)
+    mean, var = _max_of_sums(2, 2)
+    assert mean == pytest.approx(maxima.mean(), abs=1e-9)
+    assert var == pytest.approx(maxima.var(), abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("total", SWEEP_TOTALS)
+def test_block_means_lie_within_five_standard_errors_of_exact(total, mode):
+    trials = 1500
+    for row in sweep(total, trials=trials, seed=DEFAULT_SEED, mode=mode):
+        m_mean, m_var = _max_of_sums(row.rows, row.columns)
+        _forward, ring, _redistribute = _phase_widths(row.dims, mode)
+        exact = {
+            "cluster_phase": (2 * m_mean, 4 * m_var),
+            "leader_phase": (ring * 5.5, ring * 8.25),
+            "redistribute_phase": (m_mean, m_var),
+        }
+        exact["total"] = tuple(map(sum, zip(*exact.values())))
+        for name, (mean, var) in exact.items():
+            got = getattr(row, name).mean
+            z = abs(got - mean) / math.sqrt(var / trials)
+            assert z <= 5, f"{row.dims} {mode} {name}: {got} vs exact {mean:.3f}, z={z:.2f}"
 
 
 class RecordingStream(RandomStream):
@@ -215,10 +276,11 @@ class RecordingStream(RandomStream):
 @pytest.mark.parametrize("dims", default_factor_pairs(256), ids=str)
 def test_equation_literal_draws_match_update_round_messages(dims):
     # The timing model draws one delay per hop of a real round over
-    # `columns` clusters of `rows + 1` members.
+    # `columns` clusters of `rows + 1` members, in one draw sliced by phase.
     stream = RecordingStream(DEFAULT_SEED, "differential")
     simulate_once(dims, stream, mode=MODE_EQUATION_LITERAL)
-    forward, ring, redistribute = stream.sizes
+    forward, ring, redistribute = _phase_widths(dims, MODE_EQUATION_LITERAL)
+    assert stream.sizes == [forward + ring + redistribute]
     count = dims.columns * (dims.rows + 1)
     nmap = NeighborhoodMap.build(NodeRecord(parse_address(0x0A000000 + i)) for i in range(count))
     plan = form_clusters(nmap, dims.rows + 1)
