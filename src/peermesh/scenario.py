@@ -5,9 +5,8 @@ churn, commits and subdivisions, then check what happened. Line grammar
 (blank lines and ``#`` comments are ignored):
 
   config <key>=<value> ...
-      World parameters: critical_mass, excerpt_cap, min_clients, min_uptime,
-      min_capacity, beacon_period, refresh_period, intro_timeout,
-      commit_timeout, horizon.
+      World parameters: critical_mass, excerpt_cap, min_clients,
+      beacon_period, refresh_period, intro_timeout, commit_timeout, horizon.
 
   at=<units> event=<kind> addr=<dotted-quad> [key=value ...]
       Kinds and the only parameters each takes besides at= and addr=:
@@ -72,7 +71,6 @@ def _address_list(text: str) -> tuple[NodeAddress, ...]:
 
 # Typed parameters as name -> (cast, test, what a value must be). The parser
 # checks them, so a script that parses never fails on a value in a handler.
-_NUMBER = (float, lambda v: True, "a number")
 _TEXT = (str, lambda v: True, "text")
 _COUNT = (int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE = (int, lambda v: v > 0, "a positive integer")
@@ -81,8 +79,6 @@ _CONFIG_PARAMS = {
     "critical_mass": _POSITIVE,
     "excerpt_cap": _COUNT,
     "min_clients": _COUNT,
-    "min_uptime": _NUMBER,
-    "min_capacity": _NUMBER,
     "beacon_period": _POSITIVE,
     "refresh_period": _POSITIVE,
     "intro_timeout": _COUNT,
@@ -256,7 +252,11 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
 
 def load_scenario(path: str | Path) -> ScenarioScript:
     p = Path(path)
-    return parse_scenario(p.read_text(), name=p.name)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{p.name}: not UTF-8 text at byte {exc.start}") from None
+    return parse_scenario(text, name=p.name)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +269,6 @@ class WorldConfig:
     critical_mass: int | None = None
     excerpt_cap: int = discovery.EXCERPT_CAP
     min_clients: int = 100
-    min_uptime: float = 0.9
-    min_capacity: float = 128_000.0
     beacon_period: int = 25
     refresh_period: int = 100
     intro_timeout: int | None = None
@@ -288,11 +286,7 @@ class WorldConfig:
 
     @property
     def criteria(self) -> RouterCriteria:
-        return RouterCriteria(
-            min_clients=self.min_clients,
-            min_uptime_fraction=self.min_uptime,
-            min_capacity_bps=self.min_capacity,
-        )
+        return RouterCriteria(min_clients=self.min_clients)
 
 
 @dataclass

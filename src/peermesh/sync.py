@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .topology import ClusterPlan, NeighborhoodMap, NodeAddress, NotAMemberError
+from .topology import ClusterPlan, NodeAddress
 
 SCOPE_LOCAL = "local"
 SCOPE_GLOBAL = "global"
@@ -34,7 +34,7 @@ _GROUP_RE = re.compile(r"^group:[A-Za-z0-9_.-]+$")
 
 UPDATE_CLASSES = ("aggressive", "moderate", "light")
 UPDATE_PERIOD_BASES = {"aggressive": 10, "moderate": 50, "light": 250}
-DEFAULT_REFERENCE_METRIC = 100.0
+REFERENCE_METRIC = 100.0
 
 
 def validate_scope(scope: str) -> str:
@@ -378,15 +378,11 @@ def _maybe_complete(commit: PendingCommit, now: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Update cadence and lookup
+# Update cadence
 # ---------------------------------------------------------------------------
 
 
-def update_period(
-    update_class: str,
-    metrics: Iterable[float],
-    reference_metric: float = DEFAULT_REFERENCE_METRIC,
-) -> int:
+def update_period(update_class: str, metrics: Iterable[float]) -> int:
     """Refresh period in virtual units: base(class) * (1 + median/reference).
 
     Distant memberships (high median metric) refresh more slowly; a zero
@@ -399,88 +395,5 @@ def update_period(
         raise ValueError("metrics must be non-empty")
     if any(m < 0 for m in values):
         raise ValueError("metrics must be non-negative")
-    if reference_metric <= 0:
-        raise ValueError("reference_metric must be positive")
     base = UPDATE_PERIOD_BASES[update_class]
-    return max(1, round(base * (1.0 + statistics.median(values) / reference_metric)))
-
-
-@dataclass(frozen=True)
-class NeighborhoodView:
-    """One neighborhood as seen by the lookup path after a completed round."""
-
-    nmap: NeighborhoodMap
-    attributes: AttributeList
-    router: NodeAddress | None = None
-
-
-@dataclass(frozen=True)
-class RoutedConnection:
-    origin: NodeAddress
-    target: NodeAddress
-    origin_router: NodeAddress
-    target_router: NodeAddress
-
-
-@dataclass(frozen=True)
-class LookupResult:
-    matches: tuple[tuple[NodeAddress, int], ...]  # (owner, neighborhood id)
-    connections: tuple[RoutedConnection, ...]
-    partial: bool
-
-
-def lookup_by_attribute(
-    key: str,
-    value: bytes,
-    origin: NodeAddress,
-    views: Mapping[int, NeighborhoodView],
-) -> LookupResult:
-    """Find every instance advertising (key, value).
-
-    The origin's own neighborhood is scanned directly (any scope). Remote
-    neighborhoods are reached through router pairs and only expose entries
-    whose scope travels (global or group:*; local stays local). Unreachable
-    remote neighborhoods mark the result partial.
-    """
-    home = None
-    for nid, view in views.items():
-        if origin in view.nmap:
-            home = nid
-            break
-    if home is None:
-        raise NotAMemberError(f"{origin} is in no neighborhood view")
-
-    matches: list[tuple[NodeAddress, int]] = []
-    connections: list[RoutedConnection] = []
-    partial = False
-
-    for e in views[home].attributes.entries():
-        if e.key == key and e.value == value:
-            matches.append((e.owner, home))
-
-    origin_router = views[home].router
-    for nid in sorted(views):
-        if nid == home:
-            continue
-        view = views[nid]
-        remote_hits = [
-            e
-            for e in view.attributes.entries()
-            if e.key == key and e.value == value and e.scope != SCOPE_LOCAL
-        ]
-        if not remote_hits:
-            continue
-        if origin_router is None or view.router is None:
-            partial = True
-            continue
-        for e in remote_hits:
-            matches.append((e.owner, nid))
-            connections.append(
-                RoutedConnection(
-                    origin=origin,
-                    target=e.owner,
-                    origin_router=origin_router,
-                    target_router=view.router,
-                )
-            )
-    return LookupResult(matches=tuple(matches), connections=tuple(connections), partial=partial)
+    return max(1, round(base * (1.0 + statistics.median(values) / REFERENCE_METRIC)))

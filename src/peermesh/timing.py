@@ -37,6 +37,11 @@ DEFAULT_TRIALS = 1000
 # Trials per derived stream: one hop-delay draw serves a whole block.
 BLOCK_TRIALS = 64
 SWEEP_TOTALS = (256, 512, 1024, 2048)
+# Input caps. A block draws all 2*total_hops + ring hops of its trials at once,
+# and every trial keeps four int64 components until the run is summarized, so
+# a larger fleet or trial count fails at allocation or exhausts memory.
+MAX_TOTAL_HOPS = 1 << 16
+MAX_TRIALS = 1_000_000
 
 CSV_HEADER = "rows,columns,t_c,t_cl,t_c_prime,T_u"
 
@@ -138,7 +143,6 @@ def block_stream(seed: int, dims: HopsArrayDims, mode: str, block: int) -> Rando
 @dataclass(frozen=True)
 class ComponentStats:
     mean: float
-    std: float
     lo: float  # 0.5th percentile
     hi: float  # 99.5th percentile
 
@@ -151,7 +155,6 @@ class SweepRow:
     rows: int
     columns: int
     trials: int
-    mode: str
     cluster_phase: ComponentStats
     leader_phase: ComponentStats
     redistribute_phase: ComponentStats
@@ -166,7 +169,6 @@ class SweepRow:
 def _stats(samples: np.ndarray) -> ComponentStats:
     return ComponentStats(
         mean=float(samples.mean()),
-        std=float(samples.std()),
         lo=float(np.percentile(samples, 0.5)),
         hi=float(np.percentile(samples, 99.5)),
     )
@@ -190,12 +192,13 @@ def monte_carlo(
     _check_mode(mode)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= {MAX_TRIALS}")
     cluster, leader, redist, forward = _trial_components(dims, trials, seed, mode)
     return SweepRow(
         rows=dims.rows,
         columns=dims.columns,
         trials=trials,
-        mode=mode,
         cluster_phase=_stats(cluster),
         leader_phase=_stats(leader),
         redistribute_phase=_stats(redist),
@@ -209,6 +212,8 @@ def default_factor_pairs(total_hops: int) -> tuple[HopsArrayDims, ...]:
     ordered by descending row count."""
     if total_hops < 16:
         raise ValueError("total_hops must be >= 16")
+    if total_hops > MAX_TOTAL_HOPS:
+        raise ValueError(f"total_hops must be <= {MAX_TOTAL_HOPS}")
     pairs = []
     rows = 4
     while rows <= total_hops // 4:
@@ -225,22 +230,17 @@ def default_factor_pairs(total_hops: int) -> tuple[HopsArrayDims, ...]:
 
 def sweep(
     total_hops: int,
-    factor_pairs: tuple[HopsArrayDims, ...] | None = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     mode: str = MODE_TABLE_CONSISTENT,
 ) -> list[SweepRow]:
     """Monte Carlo rows for every factorization of total_hops."""
-    pairs = default_factor_pairs(total_hops) if factor_pairs is None else tuple(factor_pairs)
-    for dims in pairs:
-        if dims.total_hops != total_hops:
-            raise ValueError(f"{dims} does not factor {total_hops}")
+    pairs = default_factor_pairs(total_hops)
     return [monte_carlo(dims, trials=trials, seed=seed, mode=mode) for dims in pairs]
 
 
 @dataclass(frozen=True)
 class OptimumResult:
-    total_hops: int
     dims: HopsArrayDims
     ratio: float  # rows / columns
     row: SweepRow
@@ -262,23 +262,17 @@ def find_optimum(
     rows = sweep(total_hops, trials=trials, seed=seed, mode=mode)
     best = min(rows, key=lambda r: r.total.mean)
     dims = best.dims
-    return OptimumResult(
-        total_hops=total_hops,
-        dims=dims,
-        ratio=dims.rows / dims.columns,
-        row=best,
-    )
+    return OptimumResult(dims=dims, ratio=dims.rows / dims.columns, row=best)
 
 
 def optimum_curve(
-    totals: tuple[int, ...] = SWEEP_TOTALS,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     mode: str = MODE_TABLE_CONSISTENT,
 ) -> list[tuple[int, float]]:
     """(total_hops, optimal mean round time in ms) series, one point per total."""
     out = []
-    for total in totals:
+    for total in SWEEP_TOTALS:
         opt = find_optimum(total, trials=trials, seed=seed, mode=mode)
         out.append((total, float(units_to_ms(opt.row.total.mean))))
     return out

@@ -2,9 +2,9 @@
 
 An address is a 32-bit integer: hashed, ordered and measured as that number,
 and printed as a dotted quad. A neighborhood map is an immutable snapshot;
-every mutation returns a new snapshot with a higher version. Clusters are
-contiguous chunks of the sorted active membership, the lowest address in each
-chunk acting as cluster leader.
+every mutation returns a new snapshot. Clusters are contiguous chunks of the
+sorted active membership, the lowest address in each chunk acting as cluster
+leader.
 """
 
 from __future__ import annotations
@@ -73,24 +73,18 @@ class NodeRecord:
 
 @dataclass(frozen=True)
 class NeighborhoodMap:
-    """Sorted, duplicate-free membership snapshot with a version counter."""
+    """Sorted, duplicate-free membership snapshot."""
 
     members: tuple[NodeRecord, ...] = ()
     remote_routers: tuple[NodeAddress, ...] = ()
-    version: int = 0
 
     @classmethod
-    def build(
-        cls,
-        records: Iterable[NodeRecord],
-        remote_routers: Iterable[NodeAddress] = (),
-        version: int = 0,
-    ) -> "NeighborhoodMap":
+    def build(cls, records: Iterable[NodeRecord]) -> "NeighborhoodMap":
         recs = sorted(records, key=lambda r: r.address)
         addrs = [r.address for r in recs]
         if len(set(addrs)) != len(addrs):
             raise ValueError("duplicate addresses in membership")
-        return cls(members=tuple(recs), remote_routers=tuple(remote_routers), version=version)
+        return cls(members=tuple(recs))
 
     # -- queries ---------------------------------------------------------
 
@@ -118,13 +112,13 @@ class NeighborhoodMap:
         if record.address in self:
             raise ValueError(f"{record.address} already in map")
         members = tuple(sorted(self.members + (record,), key=lambda r: r.address))
-        return replace(self, members=members, version=self.version + 1)
+        return replace(self, members=members)
 
     def remove(self, address: NodeAddress) -> "NeighborhoodMap":
         if address not in self:
             raise NotAMemberError(str(address))
         members = tuple(r for r in self.members if r.address != address)
-        return replace(self, members=members, version=self.version + 1)
+        return replace(self, members=members)
 
     def set_active(self, address: NodeAddress, active: bool) -> "NeighborhoodMap":
         rec = self.member(address)
@@ -133,16 +127,12 @@ class NeighborhoodMap:
         members = tuple(
             replace(r, active=active) if r.address == address else r for r in self.members
         )
-        return replace(self, members=members, version=self.version + 1)
+        return replace(self, members=members)
 
     def add_remote_router(self, address: NodeAddress) -> "NeighborhoodMap":
         if address in self.remote_routers:
-            return replace(self, version=self.version + 1)
-        return replace(
-            self,
-            remote_routers=tuple(sorted(self.remote_routers + (address,))),
-            version=self.version + 1,
-        )
+            return self
+        return replace(self, remote_routers=tuple(sorted(self.remote_routers + (address,))))
 
 
 @dataclass(frozen=True)
@@ -198,16 +188,8 @@ def subdivide(nmap: NeighborhoodMap, critical_mass: int) -> tuple[NeighborhoodMa
     if count <= critical_mass:
         raise NoSplitNeeded(f"{count} members <= critical mass {critical_mass}")
     cut = (count + 1) // 2
-    lower = NeighborhoodMap(
-        members=nmap.members[:cut],
-        remote_routers=nmap.remote_routers,
-        version=nmap.version + 1,
-    )
-    upper = NeighborhoodMap(
-        members=nmap.members[cut:],
-        remote_routers=nmap.remote_routers,
-        version=nmap.version + 1,
-    )
+    lower = NeighborhoodMap(members=nmap.members[:cut], remote_routers=nmap.remote_routers)
+    upper = NeighborhoodMap(members=nmap.members[cut:], remote_routers=nmap.remote_routers)
     return lower, upper
 
 

@@ -170,6 +170,16 @@ def test_scenario_run_parse_error(capsys, tmp_path):
     assert "bad.scenario:2" in err
 
 
+def test_scenario_run_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
+    p = tmp_path / "bad.scenario"
+    p.write_bytes(b"at=0 event=download addr=10.0.0.1 domain=\xff\xfe\n")
+    code, out, err = run_cli(capsys, "scenario", "run", str(p))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "bad.scenario" in err and "UTF-8" in err
+
+
 @pytest.mark.parametrize(
     "script,argv",
     [
@@ -194,6 +204,9 @@ def test_scenario_run_parse_error(capsys, tmp_path):
         ("at=0 event=download addr=10.0.0.1\nassert connected from=10.0.0.300\n", ()),
         ("at=0 event=download addr=10.0.0.1\nassert committed key=k acks=two\n", ()),
         ("at=0 event=download addr=10.0.0.1\nassert committed key=k absent=10.0.0.1;x\n", ()),
+        # past the caps, rejected before any draw is allocated
+        (None, ("timing", "sweep", "--total", "1099511627776", "--trials", "1")),
+        (None, ("timing", "sweep", "--total", "256", "--trials", "100000000")),
     ],
 )
 def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, script, argv):

@@ -196,7 +196,6 @@ def test_router_refresh_folds_in_span_clients_only():
     assert added == (addr(150),)
     assert addr(150) in new_map
     assert d.advertised() == (addr(50), addr(250))
-    assert new_map.version == nmap.version + 1
 
 
 def test_router_refresh_skips_existing_members():
@@ -223,7 +222,6 @@ def test_router_refresh_maps_the_record_of_each_stray():
     assert new_map.member(addr(150)) is true[addr(150)]
     stray = new_map.member(addr(120))
     assert (stray.active, stray.uptime_fraction) == (False, 0.25)
-    assert new_map.version == nmap.version + 2
 
 
 def test_router_refresh_requires_membership():

@@ -71,6 +71,8 @@ def test_parse_full_grammar():
         ("config horizon=-1", "horizon must be a non-negative integer"),
         ("config min_clients=-1", "min_clients must be a non-negative integer"),
         ("config beacon_timeout_factor=0", "unknown config key 'beacon_timeout_factor'"),
+        ("config min_uptime=0.5", "unknown config key"),
+        ("config min_capacity=1", "unknown config key"),
         ("at=0 event=send addr=10.0.0.1 value=v", "send needs key="),
         ("at=0 event=send addr=10.0.0.1 key=k timeout=0", "timeout must be a positive integer"),
         ("at=0 event=download addr=10.0.0.1 uptime=1.5", r"uptime must be a number in \[0, 1\]"),

@@ -11,10 +11,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "peermesh"
 
-# The lookup path between neighborhoods waits for its scenario caller
-# (ROADMAP item 4); until then it is the only public name without one.
-ALLOWED = {("sync", "lookup_by_attribute")}
-
 
 def _defined(stmt: ast.stmt) -> list[str]:
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -49,11 +45,9 @@ def test_every_public_name_has_a_caller_outside_tests():
         for name in _defined(stmt)
         if not name.startswith("_")
     ]
-    assert ALLOWED <= {(path.stem, name) for path, _, name in public}
     unused = [
         f"{path.stem}.{name}"
         for path, line, name in public
-        if (path.stem, name) not in ALLOWED
-        and not any(name in named for p, n, named in uses if (p, n) != (path, line))
+        if not any(name in named for p, n, named in uses if (p, n) != (path, line))
     ]
     assert unused == []

@@ -6,13 +6,11 @@ from peermesh.sync import (
     AttributeEntry,
     AttributeList,
     ConfigurationError,
-    NeighborhoodView,
     NotInGroupError,
     Phase,
     UpdateRound,
     ack,
     expire,
-    lookup_by_attribute,
     merge_lists,
     propose_commit,
     run_round,
@@ -397,95 +395,3 @@ def test_update_period_validation():
         update_period("moderate", [])
     with pytest.raises(ValueError):
         update_period("moderate", [-1.0])
-    with pytest.raises(ValueError):
-        update_period("moderate", [1.0], reference_metric=0)
-
-
-# -- lookup ----------------------------------------------------------------------
-
-
-def make_view(nid_base: int, members, entries, router=None):
-    nmap = NeighborhoodMap.build(NodeRecord(a) for a in members)
-    al = AttributeList(entries)
-    return NeighborhoodView(nmap=nmap, attributes=al, router=router)
-
-
-def test_lookup_home_sees_all_scopes_remote_only_travelling():
-    home = make_view(
-        0,
-        [addr(1), addr(2)],
-        [
-            entry("game", addr(1), value=b"chess", scope="local"),
-            entry("game", addr(2), value=b"chess", scope="global"),
-        ],
-        router=addr(1),
-    )
-    remote = make_view(
-        1,
-        [addr(10), addr(11)],
-        [
-            entry("game", addr(10), value=b"chess", scope="local"),  # stays local
-            entry("game", addr(11), value=b"chess", scope="group:club"),
-        ],
-        router=addr(10),
-    )
-    res = lookup_by_attribute("game", b"chess", addr(1), {0: home, 1: remote})
-    assert res.matches == ((addr(1), 0), (addr(2), 0), (addr(11), 1))
-    assert not res.partial
-    assert len(res.connections) == 1
-    conn = res.connections[0]
-    assert (conn.origin_router, conn.target_router) == (addr(1), addr(10))
-
-
-def test_lookup_without_router_pair_is_partial():
-    home = make_view(0, [addr(1)], [], router=None)
-    remote = make_view(
-        1, [addr(10)], [entry("game", addr(10), value=b"chess", scope="global")], router=addr(10)
-    )
-    res = lookup_by_attribute("game", b"chess", addr(1), {0: home, 1: remote})
-    assert res.matches == ()
-    assert res.partial
-
-
-def test_lookup_brute_force_oracle():
-    rng = random.Random(75)
-    for _ in range(25):
-        views = {}
-        owner_pool = []
-        for nid in range(3):
-            members = [addr(100 * (nid + 1) + i) for i in range(rng.randrange(1, 4))]
-            entries = []
-            for m in members:
-                if rng.random() < 0.7:
-                    scope = rng.choice(["local", "global", "group:g"])
-                    value = rng.choice([b"chess", b"go"])
-                    entries.append(entry("game", m, value=value, scope=scope))
-            router = members[0] if rng.random() < 0.7 else None
-            views[nid] = make_view(nid, members, entries, router=router)
-            owner_pool.extend((nid, m) for m in members)
-        home_nid, origin = owner_pool[rng.randrange(len(owner_pool))]
-        res = lookup_by_attribute("game", b"chess", origin, views)
-
-        want = []
-        partial = False
-        for nid in sorted(views):
-            for e in views[nid].attributes.entries():
-                if e.key != "game" or e.value != b"chess":
-                    continue
-                if nid == home_nid:
-                    want.append((e.owner, nid))
-                elif e.scope != "local":
-                    if views[home_nid].router is None or views[nid].router is None:
-                        partial = True
-                    else:
-                        want.append((e.owner, nid))
-        want.sort(key=lambda p: (p[1] != home_nid, p[1], int(p[0])))
-        got = sorted(res.matches, key=lambda p: (p[1] != home_nid, p[1], int(p[0])))
-        assert got == want
-        assert res.partial == partial
-
-
-def test_lookup_requires_membership():
-    views = {0: make_view(0, [addr(1)], [])}
-    with pytest.raises(ValueError):
-        lookup_by_attribute("game", b"chess", addr(99), views)

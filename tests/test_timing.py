@@ -154,11 +154,6 @@ def test_default_factor_pairs_rejects_bad_totals():
         default_factor_pairs(96)  # no power-of-two split with both sides >= 4
 
 
-def test_sweep_rejects_foreign_dims():
-    with pytest.raises(ValueError):
-        sweep(256, factor_pairs=(HopsArrayDims(4, 4),), trials=5)
-
-
 def test_sweep_row_order_follows_factor_pairs():
     rows = sweep(256, trials=5, seed=3)
     assert [(r.rows, r.columns) for r in rows] == [(64, 4), (32, 8), (16, 16), (8, 32), (4, 64)]
