@@ -16,6 +16,7 @@ the output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -255,8 +256,7 @@ def _cmd_scenario_list(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
     if args.command == "timing":
         handler = {
             "tables": _cmd_timing_tables,
@@ -266,6 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         }[args.timing_command]
         try:
             return handler(args)
+        except BrokenPipeError:
+            raise
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -275,6 +277,18 @@ def main(argv: list[str] | None = None) -> int:
         handler = {"run": _cmd_scenario_run, "list": _cmd_scenario_list}[args.scenario_command]
         return handler(args)
     raise AssertionError(args.command)
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(build_parser().parse_args(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # `peermesh ... | head`: stdout goes to devnull, so the flush at exit writes nothing.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a command writing to a closed pipe
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ exactly once: delivered on reactivation or expired at their deadline.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,10 +25,10 @@ Liveness = Callable[[NodeAddress], bool]
 
 
 class DownloadRegistry:
-    """Every address downloaded so far, and the time of the last download."""
+    """Every address downloaded so far, sorted, and the time of the last download."""
 
     def __init__(self):
-        self._known: set[NodeAddress] = set()
+        self._known: list[NodeAddress] = []
         self._last_at: int | None = None
 
     def register(self, address: NodeAddress, at: int, cap: int = EXCERPT_CAP) -> tuple[NodeAddress, ...]:
@@ -35,17 +36,23 @@ class DownloadRegistry:
 
         The excerpt holds the cap nearest prior registrants by address
         distance, ties to the lower address, excluding the registrant itself.
-        Its order is the probe order.
+        Its order is the probe order: the merge, nearer first, of the walks
+        down and up from the registrant's bisect point in the sorted registry,
+        O(cap + log n) plus one list insert. A known address adds nothing.
         """
         if cap < 0:
             raise ValueError(f"excerpt cap must be non-negative, got {cap}")
         if self._last_at is not None and at < self._last_at:
             raise ValueError(f"download at {at} precedes the last download at {self._last_at}")
-        others = (a for a in self._known if a != address)
-        nearest = heapq.nsmallest(cap, others, key=lambda a: (address_distance(a, address), a))
-        self._known.add(address)
+        known = self._known
+        i = bisect_left(known, address)
+        seen = i < len(known) and known[i] == address
+        below, above = known[max(i - cap, 0) : i][::-1], known[i + seen : i + seen + cap]
+        excerpt = tuple(heapq.merge(below, above, key=lambda a: (address_distance(a, address), a)))[:cap]
+        if not seen:
+            known.insert(i, address)
         self._last_at = at
-        return tuple(nearest)
+        return excerpt
 
 
 class SearchEngineDirectory:

@@ -33,6 +33,7 @@ hitting it marks the trace truncated, which is a defined outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -302,12 +303,12 @@ class Neighborhood:
 class Action:
     at: int
     kind: str
-    fields: tuple[tuple[str, str], ...]
+    fields: tuple[tuple[str, object], ...]  # typed: get and render give the text
 
     def get(self, key: str) -> str | None:
         for k, v in self.fields:
             if k == key:
-                return v
+                return str(v)
         return None
 
     def render(self) -> str:
@@ -367,9 +368,7 @@ class World:
         return self._streams[label]
 
     def _act(self, at: int, kind: str, **fields) -> None:
-        self.actions.append(
-            Action(at=at, kind=kind, fields=tuple((k, str(v)) for k, v in fields.items()))
-        )
+        self.actions.append(Action(at=at, kind=kind, fields=tuple(fields.items())))
 
     def _live(self, addr: NodeAddress | None) -> bool:
         rec = self.instances.get(addr)
@@ -560,7 +559,6 @@ class World:
             else:
                 self._queue_intro(now, sender, target)
         elif mtype == "proposal":
-            commit = self.commits[payload["commit"]]
             member = payload["to"]
             if self._live(member):
                 delay = self._stream(f"commit/{payload['commit']}").hop_delay()
@@ -831,7 +829,7 @@ def run_scenario(script: ScenarioScript | str | Path, seed: int = DEFAULT_SEED) 
     ordered = sorted(world.check_results, key=lambda r: r.check.line)
     # Stable time order: actions are appended as handlers run, but handshake
     # actions carry cursor timestamps later than the triggering event.
-    actions = [a for _, a in sorted(enumerate(world.actions), key=lambda p: (p[1].at, p[0]))]
+    actions = sorted(world.actions, key=attrgetter("at"))
     return ScenarioReport(
         script=script,
         seed=seed,

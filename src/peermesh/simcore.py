@@ -20,6 +20,7 @@ MS_PER_UNIT = 50
 HOP_DELAY_MIN = 1
 HOP_DELAY_MAX = 10
 DEFAULT_SEED = 7919
+_HOP_BUFFER = 64  # draws per refill of a stream's hop_delay buffer
 
 # Event kind discriminants used by the simulation layers.
 KIND_MESSAGE = "message-delivery"
@@ -63,13 +64,18 @@ class RandomStream:
         self.seed = seed
         self.stream_id = stream_id
         self._gen = np.random.Generator(np.random.PCG64(derive_seed(seed, stream_id)))
+        self._hops: list[int] = []  # buffered hop_delay draws, next one last
 
     def integers(self, low: int, high: int, size=None):
         """Uniform integers on the inclusive range [low, high]."""
         return self._gen.integers(low, high, size=size, endpoint=True)
 
     def hop_delay(self) -> int:
-        return int(self.integers(HOP_DELAY_MIN, HOP_DELAY_MAX))
+        """One hop delay from a batch of draws, which replays the scalar draws only
+        while hop_delay is the stream's single consumer: mix in no other draw method."""
+        if not self._hops:
+            self._hops = self.integers(HOP_DELAY_MIN, HOP_DELAY_MAX, size=_HOP_BUFFER).tolist()[::-1]
+        return self._hops.pop()
 
     def hop_delays(self, size) -> np.ndarray:
         """An int16 array of hop delays: numpy draws int16 faster than

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 from ipaddress import IPv4Address
 from typing import Iterable
 
+_DOTTED: dict[int, str] = {}  # a world prints its few thousand addresses ~10^5 times
+
 
 class NodeAddress(int):
     """A 32-bit address: an int that prints as a dotted quad. Built by parse_address."""
@@ -21,7 +23,10 @@ class NodeAddress(int):
     __slots__ = ()
 
     def __str__(self) -> str:
-        return ".".join(map(str, self.to_bytes(4, "big")))
+        text = _DOTTED.get(self)
+        if text is None:
+            text = _DOTTED[self] = ".".join(map(str, self.to_bytes(4, "big")))
+        return text
 
     __repr__ = __str__
 

@@ -1,3 +1,7 @@
+import io
+import os
+import sys
+
 import pytest
 
 from peermesh import cli, timing
@@ -253,3 +257,51 @@ def test_seed_changes_randomized_output(capsys):
         capsys, "timing", "sweep", "--total", "256", "--trials", "30", "--seed", "9"
     )
     assert out_a != out_b
+
+
+# -- closed stdout ------------------------------------------------------------
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: writing (or, with fail_on="flush",
+    only flushing) raises BrokenPipeError. fileno() is a file the test owns."""
+
+    def __init__(self, fd: int, fail_on: str):
+        self.fd = fd
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["timing", "sweep", "--total", "256", "--trials", "2"],
+        ["timing", "tables", "--trials", "2"],
+        ["mm1", "--g", "2", "--l", "8000", "--b", "16000"],
+        ["scenario", "run", "startup"],
+        ["scenario", "list"],
+    ],
+)
+def test_closed_stdout_exits_141_quietly_and_points_stdout_at_devnull(
+    capsys, monkeypatch, tmp_path, argv, fail_on
+):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd, fail_on))
+        assert cli.main(argv) == 141
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""

@@ -74,6 +74,19 @@ def test_integers_endpoint_inclusive():
     assert set(np.unique(draws)) == {1, 2, 3}
 
 
+@pytest.mark.parametrize("seed", [0, 1, 701, 7919, 2**64 - 1])
+def test_buffered_hop_delay_is_the_scalar_draw_sequence(seed):
+    # Three buffer refills and a part: the values k scalar draws gave
+    # before hop_delay was buffered, as plain ints.
+    n = 3 * 64 + 5
+    gen = np.random.Generator(np.random.PCG64(derive_seed(seed, "node/10.0.0.1")))
+    scalar = [int(gen.integers(HOP_DELAY_MIN, HOP_DELAY_MAX, endpoint=True)) for _ in range(n)]
+    stream = RandomStream(seed, "node/10.0.0.1")
+    drawn = [stream.hop_delay() for _ in range(n)]
+    assert drawn == scalar
+    assert {type(d) for d in drawn} == {int}
+
+
 def test_latency_model_unit_scale():
     # one unit is the 500 ms regional worst case spread over the largest hop delay
     assert MS_PER_UNIT == 500 / HOP_DELAY_MAX == 500 / 10

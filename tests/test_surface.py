@@ -2,7 +2,8 @@
 
 A public function, class or constant of src/peermesh/*.py must be named in
 src/ or bench/ by some top-level statement other than the one that defines
-it. An import in the package's __init__.py counts as a use.
+it. An import in the package's __init__.py counts as a use. The world's
+modules draw from their streams through hop_delay alone.
 """
 
 import ast
@@ -51,3 +52,22 @@ def test_every_public_name_has_a_caller_outside_tests():
         if not any(name in named for p, n, named in uses if (p, n) != (path, line))
     ]
     assert unused == []
+
+
+def test_world_streams_draw_only_hop_delay():
+    # RandomStream.hop_delay serves from a buffer, which replays the
+    # unbuffered sequence only while it is its stream's single consumer. The
+    # scenario world and discovery draw from such streams, so they call no
+    # other draw method and never reach the generator itself.
+    from peermesh.simcore import RandomStream
+
+    methods = {name for name in vars(RandomStream) if not name.startswith("__")}
+    assert {"hop_delay", "hop_delays", "integers"} <= methods
+    banned = methods - {"hop_delay"} | {"_gen", "_hops"}
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in (PACKAGE / "scenario.py", PACKAGE / "discovery.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in banned
+    ]
+    assert found == []

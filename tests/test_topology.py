@@ -1,7 +1,9 @@
 import random
+from ipaddress import IPv4Address
 
 import pytest
 
+from peermesh.scenario import Action
 from peermesh.topology import (
     ClusterPlan,
     EmptyNeighborhoodError,
@@ -242,3 +244,18 @@ def test_cluster_plan_is_immutable():
     assert isinstance(plan, ClusterPlan)
     with pytest.raises(AttributeError):
         plan.clusters = ()
+
+
+# Values that share their low or high bytes, then random ones.
+SAME_BYTES = [0, 2**32 - 1, 0x0A000001, 0x0B000001, 0x0A000101, 0x0A000100]
+
+
+@pytest.mark.parametrize("value", [*SAME_BYTES, *random.Random(17).sample(range(2**32), 12)])
+def test_address_text_is_the_dotted_quad(value):
+    want = str(IPv4Address(value))
+    a, b = parse_address(value), NodeAddress(value)
+    assert a is not b  # two objects, one value, one text
+    assert str(a) == repr(a) == f"{a}" == str(b) == repr(b) == f"{b}" == want
+    action = Action(at=3, kind="joined", fields=(("addr", a), ("neighborhood", 0)))
+    assert action.get("addr") == want and action.get("neighborhood") == "0"
+    assert action.render() == f"[     3] joined addr={want} neighborhood=0"
