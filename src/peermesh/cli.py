@@ -16,6 +16,7 @@ the output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from importlib import resources
@@ -241,8 +242,22 @@ def _cmd_scenario_run(args) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(render_report(report, show_trace=not args.quiet))
+    _write_all(render_report(report, show_trace=not args.quiet))
     return 0 if report.passed else 1
+
+
+def _write_all(text: str) -> None:
+    """Write `text` to stdout in full. Unbuffered (`python -u`), stdout sits on
+    a raw file, whose write comes back short when the reader closes mid-text;
+    so write the rest until it is taken or raises BrokenPipeError."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[raw.write(data) :]
 
 
 def _cmd_scenario_list(args) -> int:

@@ -16,6 +16,11 @@ round still completes over the live membership. A cluster leader found dead
 in the leader ring is passed over by a re-send to the next live member of its
 chain, which holds the cluster list, so its cluster still converges. Scoped
 writes outside a round go through a receipt-counted commit with a timeout.
+
+A merge walks the smaller of its two lists against the larger and touches
+only the slots that differ. Attribute lists share storage copy-on-write, so
+a hop whose sender's list already holds everything the receiver has hands
+the receiver that storage instead of a copy.
 """
 
 from __future__ import annotations
@@ -81,10 +86,17 @@ def _prefer(a: AttributeEntry, b: AttributeEntry) -> AttributeEntry:
 
 
 class AttributeList:
-    """At most one entry per (key, owner); versions only move forward."""
+    """At most one entry per (key, owner); versions only move forward.
+
+    Storage is shared copy-on-write: `copy()`, and a merge that adds nothing
+    to its larger input, hand out the same dict and flag both lists shared.
+    `put` copies a shared dict once, before its first write, so no list ever
+    sees another's writes.
+    """
 
     def __init__(self, entries: Iterable[AttributeEntry] = ()):
         self._entries: dict[tuple[str, NodeAddress], AttributeEntry] = {}
+        self._shared = False
         for e in entries:
             self.put(e)
 
@@ -98,6 +110,9 @@ class AttributeList:
                 )
             if entry.scope != existing.scope:
                 raise ValueError(f"scope of {slot} is fixed at {existing.scope!r}")
+        if self._shared:
+            self._entries = dict(self._entries)
+            self._shared = False
         self._entries[slot] = entry
 
     def get(self, key: str, owner: NodeAddress) -> AttributeEntry | None:
@@ -108,26 +123,42 @@ class AttributeList:
 
     def copy(self) -> "AttributeList":
         new = AttributeList()
-        new._entries = dict(self._entries)
+        new._entries = self._entries
+        new._shared = self._shared = True
         return new
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, AttributeList) and self._entries == other._entries
+        return isinstance(other, AttributeList) and (
+            self._entries is other._entries or self._entries == other._entries
+        )
 
     def __repr__(self) -> str:
         return f"AttributeList({len(self._entries)} entries)"
 
 
 def merge_lists(a: AttributeList, b: AttributeList) -> AttributeList:
-    """Union over (key, owner); conflicts resolved by version, then tuple order."""
+    """Union over (key, owner); conflicts resolved by version, then tuple order.
+
+    Walks the smaller list against the larger one and collects only the
+    slots where it adds or wins. A slot holding the same entry object on both
+    sides is skipped; `_prefer` runs only on a real conflict. When nothing is
+    collected the result shares the larger list's storage; otherwise it is
+    built once from that storage and the collected slots.
+    """
+    big, small = (a, b) if len(a._entries) >= len(b._entries) else (b, a)
+    base = big._entries
+    changes = {}
+    for slot, entry in small._entries.items():
+        mine = base.get(slot)
+        if mine is not entry and (mine is None or _prefer(mine, entry) is not mine):
+            changes[slot] = entry
+    if not changes:
+        return big.copy()
     merged = AttributeList()
-    merged._entries = dict(a._entries)
-    for slot, entry in b._entries.items():
-        mine = merged._entries.get(slot)
-        merged._entries[slot] = entry if mine is None else _prefer(mine, entry)
+    merged._entries = {**base, **changes}
     return merged
 
 

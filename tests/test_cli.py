@@ -1,5 +1,6 @@
 import io
 import os
+import subprocess
 import sys
 
 import pytest
@@ -305,3 +306,24 @@ def test_closed_stdout_exits_141_quietly_and_points_stdout_at_devnull(
     finally:
         os.close(fd)
     assert capsys.readouterr().err == ""
+
+
+def test_unbuffered_report_to_a_reader_that_closes_early_exits_141(tmp_path):
+    # Unbuffered, stdout is a raw file: once the reader goes, the report's
+    # write returns short instead of raising, so the rest must be written.
+    script = tmp_path / "many.scenario"
+    script.write_text(
+        "".join(f"at={5 * i} event=download addr=10.0.0.{i + 1} domain=alpha\n" for i in range(60))
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONUNBUFFERED": "1", "PYTHONPATH": src}
+    with subprocess.Popen(
+        [sys.executable, "-m", "peermesh.cli", "scenario", "run", str(script)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.read(10) == b"scenario m"  # the report is far larger than a pipe holds
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -167,6 +168,58 @@ def test_merge_does_not_mutate_inputs():
     assert len(a) == 1 and len(b) == 1
 
 
+# -- copy-on-write storage ------------------------------------------------------
+
+
+def snapshot(*lists):
+    return [al.entries() for al in lists]
+
+
+def test_put_into_a_copy_or_its_source_leaves_the_other_alone():
+    src = AttributeList([entry("k", addr(1)), entry("j", addr(2))])
+    first, second = src.copy(), src.copy()
+    before = src.entries()
+    src.put(entry("j", addr(2), version=5))
+    assert snapshot(first, second) == [before, before]
+    first.put(entry("k", addr(1), version=2))
+    first.put(entry("new", addr(3)))
+    assert second.entries() == before
+    assert src.get("k", addr(1)).version == 1 and src.get("new", addr(3)) is None
+
+
+def test_put_into_a_merge_that_shares_storage_or_its_inputs_leaves_the_rest_alone():
+    big = AttributeList([entry("k", addr(1)), entry("j", addr(2), version=3), entry("h", addr(4))])
+    # the same object, an equal copy and a loser: nothing for the merge to add
+    small = AttributeList(
+        [big.get("k", addr(1)), entry("j", addr(2), version=3), entry("i", addr(1))]
+    )
+    big.put(entry("i", addr(1), version=2))
+    for put_into in ("merged", "big"):
+        merged = merge_lists(small, big)
+        assert merged._entries is big._entries  # shared, not copied
+        before = snapshot(big, small, merged)
+        target = merged if put_into == "merged" else big
+        target.put(entry("k", addr(1), version=target.get("k", addr(1)).version + 1))
+        after = snapshot(big, small, merged)
+        changed = [i for i, (x, y) in enumerate(zip(before, after)) if x != y]
+        assert changed == ([2] if put_into == "merged" else [0])
+
+
+def test_put_into_one_final_list_leaves_the_others_and_the_inputs_alone():
+    plan = make_plan(12, 4)
+    lists = seed_lists(plan, random.Random(11))
+    inputs = snapshot(*lists.values())
+    finals = run_round(plan, lists).final_lists()
+    members = list(plan.members)
+    outputs = snapshot(*(finals[a] for a in members))
+    for i, a in enumerate(members):
+        finals[a].put(entry("late", a, value=f"x{i}".encode()))
+        others = [finals[b] for b in members if b != a]
+        assert snapshot(*others) == [o for b, o in zip(members, outputs) if b != a]
+        assert snapshot(*lists.values()) == inputs
+        outputs[i] = finals[a].entries()
+
+
 # -- update rounds -------------------------------------------------------------
 
 
@@ -202,6 +255,32 @@ def test_round_converges_everyone_to_the_full_merge():
         want = oracle_merge(lists)
         finals = run_round(plan, lists).final_lists()
         assert all(finals[a] == want for a in plan.members)
+
+
+def test_round_at_the_largest_bench_shape_reaches_the_full_merge():
+    # 1024 members in 32 clusters of 32, all live; each owns two entries and
+    # half also hold a stale or conflicting copy of another member's slot.
+    rng = random.Random(701)
+    plan = make_plan(1024, 32)
+    members = plan.members
+
+    def drawn(key, owner):
+        return entry(key, owner, version=rng.randrange(1, 5), value=rng.choice([b"a", b"b", b"c"]))
+
+    owned = {a: [drawn(k, a) for k in rng.sample(["game", "room", "team", "zone"], 2)] for a in members}
+    lists = {}
+    for a in members:
+        lists[a] = AttributeList(owned[a])
+        if rng.random() < 0.5:
+            other = rng.choice([b for b in members if b != a])
+            lists[a].put(drawn(rng.choice(owned[other]).key, other))
+    want = reduce(merge_lists, lists.values())
+    r = run_round(plan, lists)
+    finals = r.final_lists()
+    assert all(finals[a] == want for a in members)
+    k, n = len(plan.clusters), 32
+    assert k == 32 and all(len(c) == n for c in plan.clusters)
+    assert r.message_count == k * 2 * (n - 1) + 2 * (k - 1) + k * (n - 1)
 
 
 def test_round_single_member():

@@ -1,7 +1,9 @@
-"""Property tests: merge_lists is a last-writer-wins map CRDT, an update round
-converges over its survivors when one member drops mid-round, and a commit
-resolves exactly once over the acks it received."""
+"""Property tests: merge_lists is a last-writer-wins map CRDT that agrees with
+a plain dict-walk merge, an update round converges over its survivors when
+one member drops mid-round, and a commit resolves exactly once over the acks
+it received."""
 
+import dataclasses
 from functools import reduce
 
 from hypothesis import given, settings
@@ -30,10 +32,14 @@ entries = st.builds(
     owner=st.sampled_from(OWNERS),
     update_class=st.sampled_from(UPDATE_CLASSES),
 )
-# One entry per (key, owner) slot, as AttributeList keeps it.
-attribute_lists = st.lists(entries, max_size=8).map(
-    lambda es: AttributeList({(e.key, e.owner): e for e in es}.values())
-)
+
+
+def _one_per_slot(es):
+    # One entry per (key, owner) slot, as AttributeList keeps it.
+    return AttributeList({(e.key, e.owner): e for e in es}.values())
+
+
+attribute_lists = st.lists(entries, max_size=8).map(_one_per_slot)
 
 
 @given(attribute_lists, attribute_lists)
@@ -49,6 +55,44 @@ def test_merge_is_associative(a, b, c):
 @given(attribute_lists)
 def test_merge_is_idempotent(a):
     assert merge_lists(a, a) == a
+
+
+def reference_merge(a: AttributeList, b: AttributeList) -> AttributeList:
+    """Copy every entry of a, then fold in every entry of b: the higher
+    version wins, and a tie goes to the smaller (value, scope, class)."""
+
+    def rank(e):
+        return (-e.version, e.value, e.scope, e.update_class)
+
+    merged = {(e.key, e.owner): e for e in a.entries()}
+    for e in b.entries():
+        slot = (e.key, e.owner)
+        mine = merged.get(slot)
+        merged[slot] = e if mine is None or rank(e) < rank(mine) else mine
+    return AttributeList(merged.values())
+
+
+@st.composite
+def overlapping_lists(draw):
+    """A pair of lists of any two sizes. The second holds some of the first's
+    entry objects, some equal but distinct copies of them, and fresh entries."""
+    a = draw(st.lists(entries, max_size=12).map(_one_per_slot))
+    held = a.entries()
+    same = draw(st.lists(st.sampled_from(held), max_size=len(held))) if held else []
+    equal = draw(st.lists(st.sampled_from(held), max_size=len(held))) if held else []
+    fresh = draw(st.lists(entries, max_size=12))
+    pool = same + [dataclasses.replace(e) for e in equal] + fresh
+    b = _one_per_slot(draw(st.permutations(pool)))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@given(overlapping_lists())
+def test_merge_agrees_with_the_reference_and_leaves_inputs_alone(pair):
+    a, b = pair
+    before = [(e, id(e)) for al in pair for e in al.entries()]
+    assert merge_lists(a, b) == reference_merge(a, b)
+    assert merge_lists(b, a) == reference_merge(a, b)
+    assert [(e, id(e)) for al in pair for e in al.entries()] == before
 
 
 def _member_list(owner: NodeAddress, shared_version: int) -> AttributeList:
