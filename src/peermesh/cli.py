@@ -238,11 +238,11 @@ def _cmd_scenario_run(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_scenario(script, seed=args.seed)
+        report = run_scenario(script, seed=args.seed, trace=not args.quiet)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    _write_all(render_report(report, show_trace=not args.quiet))
+    _write_all(render_report(report))
     return 0 if report.passed else 1
 
 

@@ -28,14 +28,18 @@ complete within the originating event; the sampled hop delays show up in the
 recorded action times, not in state sequencing. Runs always get a horizon
 (config, or last scripted time + 1000) because router beacons recur forever;
 hitting it marks the trace truncated, which is a defined outcome.
+
+The trace is rendered as the run goes: each engine event becomes its text
+line when it is dispatched, and no event is kept after its handler returns.
+A run without a trace (`--quiet`) only counts its events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import discovery, sync
 from .simcore import (
@@ -46,8 +50,8 @@ from .simcore import (
     KIND_NODE_UP,
     KIND_TIMER,
     Engine,
-    EventTrace,
     RandomStream,
+    RunResult,
     SimEvent,
 )
 from .topology import (
@@ -299,8 +303,7 @@ class Neighborhood:
     last_beacon: int = -(10**9)
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     at: int
     kind: str
     fields: tuple[tuple[str, object], ...]  # typed: get and render give the text
@@ -312,7 +315,7 @@ class Action:
         return None
 
     def render(self) -> str:
-        body = " ".join(f"{k}={v}" for k, v in self.fields)
+        body = " ".join([f"{k}={v}" for k, v in self.fields])
         return f"[{self.at:>6}] {self.kind} {body}".rstrip()
 
 
@@ -368,7 +371,7 @@ class World:
         return self._streams[label]
 
     def _act(self, at: int, kind: str, **fields) -> None:
-        self.actions.append(Action(at=at, kind=kind, fields=tuple(fields.items())))
+        self.actions.append(Action(at, kind, tuple(fields.items())))
 
     def _live(self, addr: NodeAddress | None) -> bool:
         rec = self.instances.get(addr)
@@ -391,25 +394,27 @@ class World:
     # -- event dispatch ------------------------------------------------------
 
     def handle(self, engine: Engine, ev: SimEvent) -> None:
-        now = engine.now
-        if ev.kind == "download":
-            self._on_download(now, ev.target, ev.payload or {})
-        elif ev.kind == KIND_NODE_UP:
-            self._on_up(now, ev.target)
-        elif ev.kind == KIND_NODE_DOWN:
-            self._on_down(now, ev.target)
-        elif ev.kind == "send":
-            self._on_send(now, ev.target, ev.payload or {})
-        elif ev.kind == "subdivide":
-            self._on_subdivide(now, ev.target, ev.payload or {})
-        elif ev.kind == KIND_MESSAGE:
+        now, kind = engine.now, ev.kind
+        if kind == KIND_MESSAGE:  # about nine events in ten
             self._on_message(now, ev.payload)
-        elif ev.kind == KIND_TIMER:
+        elif kind == KIND_TIMER:
             self._on_timer(now, ev.payload)
-        elif ev.kind == KIND_BEACON:
+        elif kind == KIND_BEACON:
             self._on_beacon(now, ev.payload)
-        elif ev.kind == "check":
+        elif kind == "download":
+            self._on_download(now, ev.target, ev.payload or {})
+        elif kind == KIND_NODE_UP:
+            self._on_up(now, ev.target)
+        elif kind == KIND_NODE_DOWN:
+            self._on_down(now, ev.target)
+        elif kind == "send":
+            self._on_send(now, ev.target, ev.payload or {})
+        elif kind == "subdivide":
+            self._on_subdivide(now, ev.target, ev.payload or {})
+        elif kind == "check":
             self.check_results.append(self._evaluate(ev.payload))
+        else:
+            raise ScenarioError(f"unknown event kind {kind!r}")
 
     # -- downloads and membership ---------------------------------------------
 
@@ -780,7 +785,8 @@ class World:
 class ScenarioReport:
     script: ScenarioScript
     seed: int
-    trace: EventTrace
+    run: RunResult  # events processed, and whether the horizon cut the run
+    trace: tuple[str, ...] | None  # one rendered line per event; None when not recorded
     actions: tuple[Action, ...]
     checks: tuple[CheckResult, ...]
 
@@ -789,7 +795,10 @@ class ScenarioReport:
         return all(c.passed for c in self.checks)
 
 
-def run_scenario(script: ScenarioScript | str | Path, seed: int = DEFAULT_SEED) -> ScenarioReport:
+def run_scenario(
+    script: ScenarioScript | str | Path, seed: int = DEFAULT_SEED, trace: bool = True
+) -> ScenarioReport:
+    """Replay script; with trace, render each event's trace line as it is dispatched."""
     if not isinstance(script, ScenarioScript):
         script = load_scenario(script)
     engine = Engine(seed)
@@ -815,50 +824,56 @@ def run_scenario(script: ScenarioScript | str | Path, seed: int = DEFAULT_SEED) 
     if horizon is None:
         horizon = last_at + DEFAULT_HORIZON_MARGIN
 
+    lines: list[str] = []
+    record, dispatch = lines.append, world.handle
+    render = _render_event if trace else None
+
     def handle(engine: Engine, ev: SimEvent) -> None:
+        if render is not None:
+            record(render(ev))
         try:
-            world.handle(engine, ev)
+            dispatch(engine, ev)
         except ScenarioError as exc:
             where = f"{script.name}:{line_of[ev.seq]}" if ev.seq in line_of else script.name
             raise ScenarioError(f"{where}: {exc}") from None
 
-    trace = engine.run(handle, horizon=horizon)
+    run = engine.run(handle, horizon=horizon)
     for chk in script.checks:
         if chk.at is None:
             world.check_results.append(world._evaluate(chk))
     ordered = sorted(world.check_results, key=lambda r: r.check.line)
     # Stable time order: actions are appended as handlers run, but handshake
     # actions carry cursor timestamps later than the triggering event.
-    actions = sorted(world.actions, key=attrgetter("at"))
+    actions = sorted(world.actions, key=itemgetter(0))
     return ScenarioReport(
         script=script,
         seed=seed,
-        trace=trace,
+        run=run,
+        trace=tuple(lines) if trace else None,
         actions=tuple(actions),
         checks=tuple(ordered),
     )
 
 
-def _render_payload(payload) -> str:
-    if payload is None:
-        return ""
+def _render_event(ev: SimEvent) -> str:
+    """An event's trace line. Its payload is a check, or a dict (maybe empty)
+    shown as key=value pairs in key order."""
+    at, _seq, kind, target, payload = ev
+    head = f"[{at:>6}] {kind}" if target is None else f"[{at:>6}] {kind} target={target}"
     if isinstance(payload, ScriptCheck):
-        return f"check L{payload.line} {payload.kind}"
-    if isinstance(payload, dict):
-        return " ".join(f"{k}={payload[k]}" for k in sorted(payload))
-    return str(payload)
+        return f"{head} check L{payload.line} {payload.kind}"
+    if not payload:
+        return head
+    return f"{head} {' '.join([f'{k}={payload[k]}' for k in sorted(payload)])}"
 
 
-def render_report(report: ScenarioReport, show_trace: bool = True) -> str:
+def render_report(report: ScenarioReport) -> str:
+    """The report's text; the trace block appears when the run recorded one."""
     lines = [f"scenario {report.script.name}", f"seed {report.seed}"]
-    if show_trace:
-        state = "truncated" if report.trace.truncated else "complete"
-        lines.append(f"-- trace: {len(report.trace)} events, {state} --")
-        for ev in report.trace:
-            target = f" target={ev.target}" if ev.target is not None else ""
-            extra = _render_payload(ev.payload)
-            extra = f" {extra}" if extra else ""
-            lines.append(f"[{ev.at:>6}] {ev.kind}{target}{extra}")
+    if report.trace is not None:
+        state = "truncated" if report.run.truncated else "complete"
+        lines.append(f"-- trace: {len(report.run)} events, {state} --")
+        lines.extend(report.trace)
     lines.append(f"-- actions: {len(report.actions)} --")
     lines.extend(a.render() for a in report.actions)
     lines.append(f"-- checks: {len(report.checks)} --")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -86,9 +86,10 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id!r})"
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """A scheduled occurrence. Ordering key is (at, seq); seq breaks ties."""
+class SimEvent(NamedTuple):
+    """A scheduled occurrence, held on the heap as it is. Heap order is
+    (at, seq), and seq is unique, so no kind, target or payload is ever
+    compared."""
 
     at: int
     seq: int
@@ -97,16 +98,16 @@ class SimEvent:
     payload: Any = None
 
 
-@dataclass(frozen=True)
-class EventTrace:
-    entries: tuple[SimEvent, ...]
+@dataclass(frozen=True, slots=True)
+class RunResult:
+    """What one Engine.run did: how many events it processed (also its len())
+    and whether the horizon left events queued."""
+
+    events: int
     truncated: bool = False
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.events
 
 
 Handler = Callable[["Engine", SimEvent], None]
@@ -122,7 +123,7 @@ class Engine:
     def __init__(self, seed: int = DEFAULT_SEED):
         self.master_seed = seed
         self.now: int = 0
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._heap: list[SimEvent] = []
         self._next_seq = 0
 
     def stream(self, label: str) -> RandomStream:
@@ -131,25 +132,27 @@ class Engine:
     def schedule(self, at: int, kind: str, target: Any = None, payload: Any = None) -> SimEvent:
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} before current time {self.now}")
-        ev = SimEvent(at=at, seq=self._next_seq, kind=kind, target=target, payload=payload)
+        ev = SimEvent(at, self._next_seq, kind, target, payload)
         self._next_seq += 1
-        heapq.heappush(self._heap, (ev.at, ev.seq, ev))
+        heapq.heappush(self._heap, ev)
         return ev
 
-    def run(self, handler: Handler | None = None, horizon: int | None = None) -> EventTrace:
-        """Process events in (at, seq) order until the queue drains.
+    def run(self, handler: Handler | None = None, horizon: int | None = None) -> RunResult:
+        """Hand each event to handler in (at, seq) order until the queue drains.
 
-        With a horizon, events beyond it stay queued and the trace is marked
-        truncated; that is a defined outcome, not a failure.
+        Nothing of a processed event is kept: a caller that wants a record
+        makes it in its handler. With a horizon, events beyond it stay queued
+        and the result is marked truncated; that is a defined outcome, not a
+        failure, and a later run() picks them up.
         """
-        processed: list[SimEvent] = []
-        while self._heap:
-            at, _seq, ev = self._heap[0]
-            if horizon is not None and at > horizon:
-                return EventTrace(entries=tuple(processed), truncated=True)
-            heapq.heappop(self._heap)
-            self.now = at
-            processed.append(ev)
+        heap, pop = self._heap, heapq.heappop
+        count = 0
+        while heap:
+            if horizon is not None and heap[0][0] > horizon:
+                return RunResult(count, truncated=True)
+            ev = pop(heap)
+            self.now = ev[0]
+            count += 1
             if handler is not None:
                 handler(self, ev)
-        return EventTrace(entries=tuple(processed), truncated=False)
+        return RunResult(count)

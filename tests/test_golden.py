@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from peermesh import cli
+from peermesh import cli, scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,6 +51,16 @@ def _without_trace(text: str) -> str:
 def test_quiet_output_is_the_golden_without_its_trace(capsys, target, golden):
     assert cli.main(["scenario", "run", target, "--quiet"]) == 0
     assert capsys.readouterr().out == _without_trace(golden.read_text())
+
+
+def test_quiet_run_renders_no_trace_line(capsys, monkeypatch):
+    def refuse(ev):
+        raise AssertionError(f"trace line rendered under --quiet: {ev}")
+
+    monkeypatch.setattr(scenario, "_render_event", refuse)
+    script = GOLDEN / "routers-and-splits.scenario"
+    assert cli.main(["scenario", "run", str(script), "--quiet"]) == 0
+    assert capsys.readouterr().out == _without_trace(script.with_suffix(".out").read_text())
 
 
 def test_timing_tables_output_matches_golden(capsys):

@@ -1,3 +1,4 @@
+import sys
 from importlib import resources
 
 import pytest
@@ -7,11 +8,14 @@ from peermesh.scenario import (
     ScenarioError,
     ScenarioParseError,
     ScenarioScript,
+    World,
+    WorldConfig,
     load_scenario,
     parse_scenario,
     render_report,
     run_scenario,
 )
+from peermesh.simcore import Engine
 
 
 def bundled(name: str) -> str:
@@ -296,7 +300,7 @@ def test_horizon_truncates_the_trace():
     text = bundled("router-failover.scenario")
     script = parse_scenario(text, name="router-failover.scenario")
     report = run_scenario(script)
-    assert report.trace.truncated  # beacons recur past the configured horizon
+    assert report.run.truncated  # beacons recur past the configured horizon
     rendered = render_report(report)
     assert "truncated" in rendered
 
@@ -317,5 +321,60 @@ def test_render_report_sections():
     assert out.splitlines()[0] == "scenario tiny"
     assert "-- actions:" in out and "-- checks:" in out
     assert out.rstrip().endswith("(1/1 checks) --")
-    quiet = render_report(run_scenario(p), show_trace=False)
+    quiet = render_report(run_scenario(p, trace=False))
     assert "-- trace" not in quiet
+    assert quiet == out[: out.index("-- trace")] + out[out.index("-- actions") :]
+
+
+CHURN = """
+config min_clients=2 beacon_period=5 refresh_period=15 intro_timeout=20 commit_timeout=30
+at=0 event=download addr=10.0.0.1
+at=0 event=download addr=10.0.0.2
+at=3 event=download addr=10.0.0.9 uptime=0.95
+at=6 event=down addr=10.0.0.2
+at=8 event=download addr=10.0.0.5
+at=12 event=send addr=10.0.0.1 key=k value=v
+at=20 event=up addr=10.0.0.2
+at=25 event=down addr=10.0.0.1
+at=40 event=subdivide addr=10.0.0.9 critical_mass=2
+assert member at=30 addr=10.0.0.5
+"""
+
+
+def test_trace_header_counts_the_trace_lines():
+    report = run_scenario(parse_scenario(CHURN, name="churn"), seed=5)
+    lines = render_report(report).splitlines()
+    header = lines.index(f"-- trace: {len(report.run)} events, truncated --")
+    assert lines[header + 1 : lines.index(f"-- actions: {len(report.actions)} --")] == list(report.trace)
+    assert len(report.trace) == len(report.run) > 50
+
+
+def test_a_run_keeps_no_event_after_dispatching_it(monkeypatch):
+    # When an event is dispatched, the one before it is held only by this
+    # test: the engine, the world and the trace keep nothing of it.
+    held = []
+    counts = []
+    dispatch = scenario.World.handle
+
+    def watch(world, engine, ev):
+        if held:
+            last = held.pop()
+            counts.append(sys.getrefcount(last))
+            del last
+        held.append(ev)
+        dispatch(world, engine, ev)
+
+    monkeypatch.setattr(scenario.World, "handle", watch)
+    report = run_scenario(parse_scenario(CHURN, name="churn"), seed=5)
+    last = held.pop()
+    counts.append(sys.getrefcount(last))
+    assert len(counts) == len(report.run)
+    assert set(counts) == {2}  # `last` and getrefcount's own argument
+
+
+def test_an_event_of_unknown_kind_is_a_scenario_error():
+    engine = Engine(1)
+    world = World(engine, WorldConfig())
+    engine.schedule(3, "bogus", payload={"type": "introduction"})
+    with pytest.raises(ScenarioError, match="unknown event kind 'bogus'"):
+        engine.run(world.handle)

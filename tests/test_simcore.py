@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from peermesh.simcore import (
     DEFAULT_SEED,
@@ -101,10 +103,10 @@ def test_engine_orders_by_time_then_seq():
     eng.schedule(3, "first")
     eng.schedule(5, "third")
     seen = []
-    trace = eng.run(lambda e, ev: seen.append(ev.kind))
-    assert seen == ["first", "second", "third"]
-    assert [ev.at for ev in trace] == [3, 5, 5]
-    assert not trace.truncated
+    result = eng.run(lambda e, ev: seen.append((ev.kind, ev.at, e.now)))
+    assert seen == [("first", 3, 3), ("second", 5, 5), ("third", 5, 5)]
+    assert len(result) == result.events == 3
+    assert not result.truncated
     assert eng.now == 5
 
 
@@ -120,11 +122,12 @@ def test_horizon_truncates_instead_of_failing():
     eng = Engine(1)
     for at in (1, 5, 9):
         eng.schedule(at, "tick")
-    trace = eng.run(horizon=5)
-    assert [ev.at for ev in trace] == [1, 5]
-    assert trace.truncated
-    rest = eng.run()  # the event past the horizon stayed queued
-    assert [ev.at for ev in rest] == [9]
+    seen = []
+    first = eng.run(lambda e, ev: seen.append(ev.at), horizon=5)
+    assert seen == [1, 5] and len(first) == 2
+    assert first.truncated
+    rest = eng.run(lambda e, ev: seen.append(ev.at))  # the event past the horizon stayed queued
+    assert seen == [1, 5, 9] and len(rest) == 1
     assert not rest.truncated
 
 
@@ -148,6 +151,57 @@ def test_handler_chained_events_run_in_order():
     eng.schedule(0, "again")
     eng.run(handler)
     assert hits == [0, 2, 4, 6, 8]
+
+
+class Uncomparable(dict):
+    """A payload that fails the test if the engine ever compares it."""
+
+    def _compared(self, other):
+        raise AssertionError("an event payload was compared")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _compared
+    __hash__ = None
+
+
+# An event: its time (few values, so many ties), and the delay after which
+# its handler schedules one follow-up event, if any.
+plans = st.lists(st.tuples(st.integers(0, 5), st.none() | st.integers(0, 3)), max_size=40)
+
+
+@given(plans, st.none() | st.integers(-1, 9))
+def test_engine_runs_every_event_once_in_at_seq_order(plan, horizon):
+    eng = Engine(1)
+    for i, (at, follow) in enumerate(plan):
+        ev = eng.schedule(at, "planned", target=i, payload=Uncomparable(follow=follow))
+        assert ev.seq == i
+    seen = []
+
+    def handler(e, ev):
+        assert e.now == ev.at
+        seen.append((ev.at, ev.seq))
+        follow = ev.payload["follow"]
+        if follow is not None:
+            e.schedule(e.now + follow, "follow-up", payload=Uncomparable(follow=None))
+
+    first = eng.run(handler, horizon=horizon)
+    n_first = len(seen)
+    assert len(first) == first.events == n_first
+    if horizon is None:
+        assert not first.truncated
+    else:
+        assert all(at <= horizon for at, _seq in seen)
+    rest = eng.run(handler)
+    assert not rest.truncated
+    assert first.truncated == (len(rest) > 0)
+    if horizon is not None:
+        assert all(at > horizon for at, _seq in seen[n_first:])
+    # Every event ran once, in (at, seq) order, including those scheduled
+    # while the run went on.
+    scheduled = len(plan) + sum(follow is not None for _at, follow in plan)
+    assert len(first) + len(rest) == len(seen) == scheduled
+    assert sorted(seq for _at, seq in seen) == list(range(scheduled))
+    assert seen == sorted(seen)
+    assert len(eng.run()) == 0
 
 
 def test_empty_run():
