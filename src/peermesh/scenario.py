@@ -29,6 +29,14 @@ recorded action times, not in state sequencing. Runs always get a horizon
 (config, or last scripted time + 1000) because router beacons recur forever;
 hitting it marks the trace truncated, which is a defined outcome.
 
+A join introduces the newcomer to every member it did not probe, one hop
+delay after another. The introductions are drawn and scheduled one at a
+time: the join reserves a seq for each and schedules the first, and each
+introduction, as it is delivered, draws the next one's hop delay and
+schedules it on the next reserved seq. The queue holds one introduction per
+join in progress, and each one runs where it would have run had the join
+scheduled them all.
+
 The trace is rendered as the run goes: each engine event becomes its text
 line when it is dispatched, and no event is kept after its handler returns.
 A run without a trace (`--quiet`) only counts its events.
@@ -39,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from . import discovery, sync
 from .simcore import (
@@ -339,6 +347,19 @@ class CheckResult:
         return out
 
 
+class _FanOut:
+    """The introductions one join has yet to send: the targets left, the
+    joiner's stream, and the reserved seq of the next introduction. The next
+    one is due a hop delay after the one being delivered."""
+
+    __slots__ = ("targets", "stream", "seq")
+
+    def __init__(self, targets: Iterator[NodeAddress], stream: RandomStream, seq: int):
+        self.targets = targets
+        self.stream = stream
+        self.seq = seq
+
+
 class World:
     """Mutable simulation state; every change happens inside an event handler.
 
@@ -361,7 +382,8 @@ class World:
         self.actions: list[Action] = []
         self.check_results: list[CheckResult] = []
         self._next_nid = 0
-        self._streams: dict[str, RandomStream] = {}
+        self._streams: dict[str, RandomStream] = {}  # commit/<idx>
+        self._fanouts: dict[NodeAddress, _FanOut] = {}  # by joiner
 
     # -- plumbing ----------------------------------------------------------
 
@@ -429,7 +451,8 @@ class World:
         )
         self.instances[addr] = rec
         excerpt = self.registry.register(addr, now, cap=self.config.excerpt_cap)
-        stream = self._stream(f"node/{addr}")
+        # Each address downloads once, so its stream is not cached.
+        stream = self.engine.stream(f"node/{addr}")
         result = discovery.bootstrap(excerpt, is_active=self._live, stream=stream, now=now)
         for attempt in result.attempts:
             if not attempt.alive:
@@ -442,17 +465,13 @@ class World:
             )
             self._join_via(result.finished_at, rec, result.connected_to)
             skip = set(result.dead_targets) | {addr, result.connected_to}
-            cursor = result.finished_at
             # Joining can split the neighborhood, so resolve the current id.
-            for member in self.neighborhoods[self.nid_of[addr]].map.addresses():
-                if member in skip:
-                    continue
-                cursor += stream.hop_delay()
-                self.engine.schedule(
-                    cursor,
-                    KIND_MESSAGE,
-                    payload={"type": "introduction", "from": addr, "to": member},
-                )
+            members = self.neighborhoods[self.nid_of[addr]].map.addresses()
+            targets = [m for m in members if m not in skip]
+            if targets:
+                fanout = _FanOut(iter(targets), stream, self.engine.reserve(len(targets)))
+                self._fanouts[addr] = fanout
+                self._introduce_next(result.finished_at, addr, fanout)
         else:
             self.directory.advertise(addr)
             self._act(result.finished_at, "registered", addr=addr)
@@ -547,6 +566,20 @@ class World:
 
     # -- introductions -----------------------------------------------------
 
+    def _introduce_next(self, now: int, sender: NodeAddress, fanout: _FanOut) -> None:
+        """Schedule sender's next introduction, or drop its fan-out after the last."""
+        target = next(fanout.targets, None)
+        if target is None:
+            del self._fanouts[sender]
+            return
+        self.engine.schedule(
+            now + fanout.stream.hop_delay(),
+            KIND_MESSAGE,
+            payload={"type": "introduction", "from": sender, "to": target},
+            seq=fanout.seq,
+        )
+        fanout.seq += 1
+
     def _queue_intro(self, at: int, sender: NodeAddress, target: NodeAddress) -> None:
         if (sender, target) in self.intros:
             return
@@ -563,6 +596,7 @@ class World:
                 self._act(now, "introduced", **{"from": sender, "to": target})
             else:
                 self._queue_intro(now, sender, target)
+            self._introduce_next(now, sender, self._fanouts[sender])
         elif mtype == "proposal":
             member = payload["to"]
             if self._live(member):

@@ -72,7 +72,8 @@ class RandomStream:
 
     def hop_delay(self) -> int:
         """One hop delay from a batch of draws, which replays the scalar draws only
-        while hop_delay is the stream's single consumer: mix in no other draw method."""
+        while hop_delay is the stream's single consumer: mix in no other draw method.
+        The draws may be spread over many events; the buffer goes with the stream."""
         if not self._hops:
             self._hops = self.integers(HOP_DELAY_MIN, HOP_DELAY_MAX, size=_HOP_BUFFER).tolist()[::-1]
         return self._hops.pop()
@@ -89,7 +90,8 @@ class RandomStream:
 class SimEvent(NamedTuple):
     """A scheduled occurrence, held on the heap as it is. Heap order is
     (at, seq), and seq is unique, so no kind, target or payload is ever
-    compared."""
+    compared: the engine hands each seq out once, and a seq reserved with
+    Engine.reserve is used by one event at most."""
 
     at: int
     seq: int
@@ -129,11 +131,34 @@ class Engine:
     def stream(self, label: str) -> RandomStream:
         return RandomStream(self.master_seed, label)
 
-    def schedule(self, at: int, kind: str, target: Any = None, payload: Any = None) -> SimEvent:
+    def reserve(self, count: int) -> int:
+        """Hand out count consecutive seqs without queueing anything, and return
+        the first. An event scheduled later on one of them runs where it would
+        have run had it been scheduled now: ahead of any event at the same time
+        that was scheduled after the reservation. Use each reserved seq once."""
+        if count < 0:
+            raise ValueError(f"cannot reserve {count} seqs")
+        first = self._next_seq
+        self._next_seq += count
+        return first
+
+    def schedule(
+        self, at: int, kind: str, target: Any = None, payload: Any = None, seq: int | None = None
+    ) -> SimEvent:
+        """Queue an event at virtual time at, on the next fresh seq or on seq,
+        which must come from an earlier reserve(). An event on a reserved seq
+        must lie in the future: at the current time, it could sort ahead of
+        an event that has already run."""
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} before current time {self.now}")
-        ev = SimEvent(at, self._next_seq, kind, target, payload)
-        self._next_seq += 1
+        if seq is None:
+            seq = self._next_seq
+            self._next_seq += 1
+        elif not 0 <= seq < self._next_seq:
+            raise ValueError(f"seq {seq} was never handed out")
+        elif at == self.now:
+            raise ValueError(f"an event on reserved seq {seq} must lie after {self.now}")
+        ev = SimEvent(at, seq, kind, target, payload)
         heapq.heappush(self._heap, ev)
         return ev
 
