@@ -18,6 +18,7 @@ interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -44,27 +45,28 @@ class MMOneInputs:
         if (self.gap_interval_s is None) == (self.arrival_rate_per_s is None):
             raise ValueError("give exactly one of gap_interval_s or arrival_rate_per_s")
         if self.gap_interval_s is not None:
-            if self.gap_interval_s <= 0:
-                raise ValueError("gap_interval_s must be positive")
-            arrival = 1.0 / self.gap_interval_s
+            arrival = 1.0 / _positive("gap_interval_s", self.gap_interval_s)
         else:
-            if self.arrival_rate_per_s <= 0:
-                raise ValueError("arrival_rate_per_s must be positive")
-            arrival = self.arrival_rate_per_s
+            arrival = _positive("arrival_rate_per_s", self.arrival_rate_per_s)
 
         if self.service_time_s is not None:
             if self.message_bits is not None or self.line_speed_bps is not None:
                 raise ValueError("give either service_time_s or message_bits+line_speed_bps")
-            if self.service_time_s <= 0:
-                raise ValueError("service_time_s must be positive")
-            service = self.service_time_s
+            service = _positive("service_time_s", self.service_time_s)
         else:
             if self.message_bits is None or self.line_speed_bps is None:
                 raise ValueError("need message_bits and line_speed_bps (or service_time_s)")
-            if self.message_bits <= 0 or self.line_speed_bps <= 0:
-                raise ValueError("message_bits and line_speed_bps must be positive")
-            service = self.message_bits / self.line_speed_bps
-        return arrival, service
+            bits = _positive("message_bits", self.message_bits)
+            service = bits / _positive("line_speed_bps", self.line_speed_bps)
+        # A quotient of finite inputs can still overflow or underflow.
+        return _positive("arrival rate", arrival), _positive("service time", service)
+
+
+def _positive(name: str, value: float) -> float:
+    """value if it is a finite number above 0; NaN, 0 and infinities raise."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,9 @@ def naive_broadcast_load(clients: int, payload_bytes: float, interval_s: float =
     """
     if clients < 1:
         raise ValueError("clients must be >= 1")
-    if payload_bytes <= 0 or interval_s <= 0:
-        raise ValueError("payload_bytes and interval_s must be positive")
-    return (clients - 1) * payload_bytes * 8.0 / interval_s
+    _positive("payload_bytes", payload_bytes)
+    _positive("interval_s", interval_s)
+    load = (clients - 1) * payload_bytes * 8.0 / interval_s
+    if load == math.inf:
+        raise ValueError("broadcast load overflows a float")
+    return load

@@ -44,6 +44,7 @@ A run without a trace (`--quiet`) only counts its events.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from pathlib import Path
@@ -67,7 +68,6 @@ from .topology import (
     NodeAddress,
     NodeRecord,
     NoSplitNeeded,
-    RouterCriteria,
     elect_router,
     parse_address,
     subdivide,
@@ -105,8 +105,8 @@ _EVENT_PARAMS = {
         **_EVENT,
         "domain": _TEXT,
         "uptime": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
-        "capacity": (float, lambda v: v > 0, "a positive number"),
-        "metric": (float, lambda v: v >= 0, "a non-negative number"),
+        "capacity": (float, lambda v: 0 < v < math.inf, "a positive number"),
+        "metric": (float, lambda v: 0 <= v < math.inf, "a non-negative number"),
     },
     "up": _EVENT,
     "down": _EVENT,
@@ -296,10 +296,6 @@ class WorldConfig:
                 raise ScenarioParseError(f"unknown config key {key!r}")
             setattr(cfg, key, _CONFIG_PARAMS[key][0](value))
         return cfg
-
-    @property
-    def criteria(self) -> RouterCriteria:
-        return RouterCriteria(min_clients=self.min_clients)
 
 
 @dataclass
@@ -498,7 +494,7 @@ class World:
         has outgrown critical mass, counting the strays a new router mapped."""
         hood = self.neighborhoods[nid]
         if hood.router is None:
-            cand = elect_router(hood.map, self.config.criteria)
+            cand = elect_router(hood.map, self.config.min_clients)
             if cand is not None:
                 self._install_router(nid, cand, monitor=True)
         cm = self.config.critical_mass
@@ -737,7 +733,7 @@ class World:
         if not self._live(hood.router) and now - hood.last_beacon >= timeout:
             self._act(now, "beacon-expired", addr=hood.router, neighborhood=nid)
             hood.router = None
-            cand = elect_router(hood.map, self.config.criteria)
+            cand = elect_router(hood.map, self.config.min_clients)
             if cand is None:
                 self._act(now, "no-router", neighborhood=nid)
                 return
@@ -804,7 +800,7 @@ class World:
                 res = c.resolution
                 if res is None or c.key != p["key"]:
                     continue
-                if "acks" in p and str(len(res.acks)) != p["acks"]:
+                if "acks" in p and len(res.acks) != int(p["acks"]):
                     continue
                 if "absent" in p and set(_address_list(p["absent"])) != res.absentees:
                     continue
@@ -829,12 +825,8 @@ class ScenarioReport:
         return all(c.passed for c in self.checks)
 
 
-def run_scenario(
-    script: ScenarioScript | str | Path, seed: int = DEFAULT_SEED, trace: bool = True
-) -> ScenarioReport:
+def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool = True) -> ScenarioReport:
     """Replay script; with trace, render each event's trace line as it is dispatched."""
-    if not isinstance(script, ScenarioScript):
-        script = load_scenario(script)
     engine = Engine(seed)
     world = World(engine, WorldConfig.from_mapping(script.config))
     kind_map = {

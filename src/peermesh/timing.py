@@ -63,20 +63,6 @@ class HopsArrayDims:
         return f"{self.rows}x{self.columns}"
 
 
-@dataclass(frozen=True)
-class UpdateTiming:
-    """One trial's phase times; total is the exact sum of the components."""
-
-    cluster_phase: int
-    leader_phase: int
-    redistribute_phase: int
-    total: int
-
-    def __post_init__(self):
-        if self.total != self.cluster_phase + self.leader_phase + self.redistribute_phase:
-            raise ValueError("total must equal the sum of the phase times")
-
-
 def _check_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}: want one of {MODES}")
@@ -113,24 +99,6 @@ def _draw_trials(dims: HopsArrayDims, stream: RandomStream, mode: str, size: int
             redist_sums.max(axis=1),
             forward_sums.sum(axis=1),
         )
-    )
-
-
-def simulate_once(
-    dims: HopsArrayDims, stream: RandomStream, mode: str = MODE_TABLE_CONSISTENT
-) -> UpdateTiming:
-    """One round's phase times from a single stream.
-
-    One draw of every hop in draw order (forward, ring, redistribute), so
-    equal streams give equal timings, and a block stream gives the block's
-    first trial.
-    """
-    cluster, leader, redist, _forward = _draw_trials(dims, stream, _check_mode(mode), 1)[:, 0].tolist()
-    return UpdateTiming(
-        cluster_phase=cluster,
-        leader_phase=leader,
-        redistribute_phase=redist,
-        total=cluster + leader + redist,
     )
 
 

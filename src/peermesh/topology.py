@@ -16,6 +16,10 @@ from typing import Iterable
 
 _DOTTED: dict[int, str] = {}  # a world prints its few thousand addresses ~10^5 times
 
+# A router candidate's thresholds, both inclusive.
+MIN_UPTIME_FRACTION = 0.9
+MIN_CAPACITY_BPS = 128_000.0
+
 
 class NodeAddress(int):
     """A 32-bit address: an int that prints as a dotted quad. Built by parse_address."""
@@ -156,13 +160,6 @@ class ClusterPlan:
         return tuple(c[0] for c in self.clusters)
 
 
-@dataclass(frozen=True)
-class RouterCriteria:
-    min_clients: int = 100
-    min_uptime_fraction: float = 0.9
-    min_capacity_bps: float = 128_000.0
-
-
 def form_clusters(nmap: NeighborhoodMap, cluster_size: int) -> ClusterPlan:
     """Chunk the sorted active membership into clusters of cluster_size.
 
@@ -198,24 +195,28 @@ def subdivide(nmap: NeighborhoodMap, critical_mass: int) -> tuple[NeighborhoodMa
     return lower, upper
 
 
-def ranked_candidates(nmap: NeighborhoodMap, criteria: RouterCriteria) -> list[NodeAddress]:
+def ranked_candidates(nmap: NeighborhoodMap, min_clients: int) -> list[NodeAddress]:
     """Eligible members in takeover order: highest uptime, then capacity, then
     closeness (low metric), ties by lowest address.
 
-    Needs min_clients active members. A candidate must clear the uptime and
-    capacity thresholds and be active: an offline node cannot route, and
-    failover must never re-elect the node whose loss triggered it.
+    Needs min_clients active members. A candidate must clear
+    MIN_UPTIME_FRACTION and MIN_CAPACITY_BPS and be active: an offline node
+    cannot route, and failover must never re-elect the node whose loss
+    triggered it.
     """
     active = nmap.active_members()
-    if len(active) < criteria.min_clients:
+    if len(active) < min_clients:
         return []
-    min_up, min_bps = criteria.min_uptime_fraction, criteria.min_capacity_bps
-    eligible = [r for r in active if r.uptime_fraction >= min_up and r.link_capacity_bps >= min_bps]
+    eligible = [
+        r
+        for r in active
+        if r.uptime_fraction >= MIN_UPTIME_FRACTION and r.link_capacity_bps >= MIN_CAPACITY_BPS
+    ]
     eligible.sort(key=lambda r: (-r.uptime_fraction, -r.link_capacity_bps, r.metric, r.address))
     return [r.address for r in eligible]
 
 
-def elect_router(nmap: NeighborhoodMap, criteria: RouterCriteria) -> NodeAddress | None:
+def elect_router(nmap: NeighborhoodMap, min_clients: int) -> NodeAddress | None:
     """Best eligible member, or None when nobody clears the thresholds."""
-    ranked = ranked_candidates(nmap, criteria)
+    ranked = ranked_candidates(nmap, min_clients)
     return ranked[0] if ranked else None

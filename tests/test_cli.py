@@ -212,6 +212,12 @@ def test_scenario_run_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
         # past the caps, rejected before any draw is allocated
         (None, ("timing", "sweep", "--total", "1099511627776", "--trials", "1")),
         (None, ("timing", "sweep", "--total", "256", "--trials", "100000000")),
+        # non-finite numbers, or a service time that comes out as 0
+        ("at=0 event=download addr=10.0.0.1 metric=inf\n", ()),
+        (None, ("mm1", "--g", "1", "--l", "8000", "--b", "inf")),
+        (None, ("mm1", "--g", "1", "--l", "1e-320", "--b", "1e10")),
+        (None, ("mm1", "--g", "nan", "--s", "0.1")),
+        (None, ("mm1", "--broadcast", "--clients", "5", "--bytes", "64", "--interval", "nan")),
     ],
 )
 def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, script, argv):

@@ -83,6 +83,9 @@ def test_unstable_system_is_an_error():
         {"gap_interval_s": 2.0, "message_bits": -1, "line_speed_bps": 100},
         {"arrival_rate_per_s": -2.0, "service_time_s": 0.5},
         {"gap_interval_s": 2.0, "service_time_s": 0.0},
+        {"gap_interval_s": float("nan"), "service_time_s": 0.5},
+        {"gap_interval_s": 1.0, "message_bits": 8000, "line_speed_bps": float("inf")},
+        {"gap_interval_s": 1.0, "message_bits": 1e-320, "line_speed_bps": 1e10},  # S underflows to 0
     ],
 )
 def test_input_mix_validation(kwargs):
@@ -105,3 +108,7 @@ def test_naive_broadcast_load_validation():
         naive_broadcast_load(2, 0)
     with pytest.raises(ValueError):
         naive_broadcast_load(2, 64, 0)
+    with pytest.raises(ValueError):
+        naive_broadcast_load(2, 64, float("nan"))
+    with pytest.raises(ValueError):
+        naive_broadcast_load(2, 64, 1e-320)  # the load overflows

@@ -95,6 +95,8 @@ def test_parse_full_grammar():
         ("assert committed key=k acks=-1", "acks must be a non-negative integer"),
         ("assert committed key=k absent=10.0.0.1;10.0.0.2", "absent must be - or a comma-separated"),
         ("assert committed key=k absent=10.0.0.1,", "absent must be - or a comma-separated"),
+        ("at=0 event=download addr=10.0.0.1 capacity=inf", "capacity must be a positive number"),
+        ("at=0 event=download addr=10.0.0.1 metric=inf", "metric must be a non-negative number"),
     ],
 )
 def test_parse_errors(line, fragment):
@@ -253,12 +255,13 @@ assert committed key=colour value=blue
 assert committed key=colour value=red acks=2 absent=-
 assert committed key=colour value=big
 assert committed key=size value=big
+assert committed key=colour acks=02
 """
 
 
 def test_committed_check_matches_the_committed_value():
     report = run_scenario(parse_scenario(COMMIT_VALUES, name="commit-values"))
-    assert [c.passed for c in report.checks] == [True, False, True, False, True]
+    assert [c.passed for c in report.checks] == [True, False, True, False, True, True]
     # the value is checked, not printed: the committed action carries none
     assert all(a.get("value") is None for a in report.actions if a.kind == "committed")
 

@@ -2,11 +2,15 @@
 
 A public function, class or constant of src/peermesh/*.py must be named in
 src/ or bench/ by some top-level statement other than the one that defines
-it. An import in the package's __init__.py counts as a use. The world's
-modules draw from their streams through hop_delay alone.
+it. The package's __init__.py is not read, so a re-export there never counts
+as a use: callers import each name from its module. The world's modules draw
+from their streams through hop_delay alone.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,7 +40,8 @@ def _named(stmt: ast.stmt) -> set[str]:
 
 
 def test_every_public_name_has_a_caller_outside_tests():
-    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    files = modules + sorted((ROOT / "bench").glob("*.py"))
     statements = [(path, stmt) for path in files for stmt in ast.parse(path.read_text()).body]
     uses = [(path, stmt.lineno, _named(stmt)) for path, stmt in statements]
     public = [
@@ -52,6 +57,19 @@ def test_every_public_name_has_a_caller_outside_tests():
         if not any(name in named for p, n, named in uses if (p, n) != (path, line))
     ]
     assert unused == []
+
+
+def test_sync_and_topology_import_nothing_else():
+    # The sync round needs neither numpy nor the simulator's other modules;
+    # a fresh interpreter shows what importing the two really loads.
+    code = (
+        "import json, sys; import peermesh.sync, peermesh.topology; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'peermesh'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT / "src", check=True
+    )
+    assert json.loads(done.stdout) == ["peermesh", "peermesh.sync", "peermesh.topology"]
 
 
 def test_world_streams_draw_only_hop_delay():

@@ -13,7 +13,7 @@ from peermesh.timing import (
     MODES,
     SWEEP_TOTALS,
     HopsArrayDims,
-    UpdateTiming,
+    _draw_trials,
     _phase_widths,
     _trial_components,
     block_stream,
@@ -21,7 +21,6 @@ from peermesh.timing import (
     find_optimum,
     monte_carlo,
     optimum_curve,
-    simulate_once,
     sweep,
 )
 from peermesh.topology import NeighborhoodMap, NodeRecord, form_clusters, parse_address
@@ -40,44 +39,38 @@ class FixedStream:
         return self.value
 
 
+def one_trial(dims, stream, mode=MODE_TABLE_CONSISTENT):
+    """(cluster, leader, redistribute, total) of one trial drawn from stream."""
+    cluster, leader, redist, _forward = _draw_trials(dims, stream, mode, 1)[:, 0].tolist()
+    return cluster, leader, redist, cluster + leader + redist
+
+
 def test_single_chain_single_hop_arithmetic():
     # one chain, one hop of 5: forward 2*5, no ring, redistribute 5
-    t = simulate_once(HopsArrayDims(1, 1), FixedStream(5))
-    assert (t.cluster_phase, t.leader_phase, t.redistribute_phase, t.total) == (10, 0, 5, 15)
+    assert one_trial(HopsArrayDims(1, 1), FixedStream(5)) == (10, 0, 5, 15)
 
 
 def test_phase_arithmetic_with_fixed_delays():
-    t = simulate_once(HopsArrayDims(2, 3), FixedStream(5))
     # chains of 2 hops, all 5s: forward sums 10 -> doubled; ring 2 hops
-    assert t.cluster_phase == 20
-    assert t.leader_phase == 10
-    assert t.redistribute_phase == 10
-    assert t.total == 40
-    lit = simulate_once(HopsArrayDims(2, 3), FixedStream(5), mode=MODE_EQUATION_LITERAL)
-    assert lit.leader_phase == 20  # full round trip, fresh draws both ways
-    assert lit.total == 50
+    assert one_trial(HopsArrayDims(2, 3), FixedStream(5)) == (20, 10, 10, 40)
+    lit = one_trial(HopsArrayDims(2, 3), FixedStream(5), mode=MODE_EQUATION_LITERAL)
+    assert lit[1] == 20  # full round trip, fresh draws both ways
+    assert lit[3] == 50
 
 
-def test_update_timing_checks_its_own_sum():
-    with pytest.raises(ValueError):
-        UpdateTiming(cluster_phase=1, leader_phase=1, redistribute_phase=1, total=4)
-
-
-def test_simulate_once_is_stream_deterministic():
+def test_one_trial_is_stream_deterministic():
     dims = HopsArrayDims(8, 32)
-    a = simulate_once(dims, RandomStream(7, "t"))
-    b = simulate_once(dims, RandomStream(7, "t"))
+    a = one_trial(dims, RandomStream(7, "t"))
+    b = one_trial(dims, RandomStream(7, "t"))
     assert a == b
 
 
-def test_monte_carlo_single_trial_matches_simulate_once():
+def test_monte_carlo_single_trial_is_the_first_trial_of_block_0():
     dims = HopsArrayDims(8, 8)
     row = monte_carlo(dims, trials=1, seed=123)
-    one = simulate_once(dims, block_stream(123, dims, MODE_TABLE_CONSISTENT, 0))
-    assert row.cluster_phase.mean == one.cluster_phase
-    assert row.leader_phase.mean == one.leader_phase
-    assert row.redistribute_phase.mean == one.redistribute_phase
-    assert row.total.mean == one.total
+    one = one_trial(dims, block_stream(123, dims, MODE_TABLE_CONSISTENT, 0))
+    means = (row.cluster_phase.mean, row.leader_phase.mean, row.redistribute_phase.mean, row.total.mean)
+    assert means == one
 
 
 def test_monte_carlo_reproducible_and_seed_sensitive():
@@ -194,9 +187,9 @@ def test_dims_validation_and_str():
 
 def test_trial_streams_are_disjoint_across_trials_and_modes():
     dims = HopsArrayDims(4, 4)
-    a = simulate_once(dims, block_stream(1, dims, MODE_TABLE_CONSISTENT, 0))
-    b = simulate_once(dims, block_stream(1, dims, MODE_TABLE_CONSISTENT, 1))
-    c = simulate_once(dims, block_stream(1, dims, MODE_EQUATION_LITERAL, 0), mode=MODE_EQUATION_LITERAL)
+    a = one_trial(dims, block_stream(1, dims, MODE_TABLE_CONSISTENT, 0))
+    b = one_trial(dims, block_stream(1, dims, MODE_TABLE_CONSISTENT, 1))
+    c = one_trial(dims, block_stream(1, dims, MODE_EQUATION_LITERAL, 0), mode=MODE_EQUATION_LITERAL)
     assert a != b  # distinct blocks draw from distinct streams
     assert a != c  # the mode is part of the stream identity
     first, second = _trial_components(dims, 2, 1, MODE_TABLE_CONSISTENT).T
@@ -273,7 +266,7 @@ def test_equation_literal_draws_match_update_round_messages(dims):
     # The timing model draws one delay per hop of a real round over
     # `columns` clusters of `rows + 1` members, in one draw sliced by phase.
     stream = RecordingStream(DEFAULT_SEED, "differential")
-    simulate_once(dims, stream, mode=MODE_EQUATION_LITERAL)
+    one_trial(dims, stream, mode=MODE_EQUATION_LITERAL)
     forward, ring, redistribute = _phase_widths(dims, MODE_EQUATION_LITERAL)
     assert stream.sizes == [forward + ring + redistribute]
     count = dims.columns * (dims.rows + 1)

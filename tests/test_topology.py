@@ -12,7 +12,6 @@ from peermesh.topology import (
     NodeRecord,
     NoSplitNeeded,
     NotAMemberError,
-    RouterCriteria,
     address_distance,
     elect_router,
     form_clusters,
@@ -181,7 +180,7 @@ def test_subdivide_repeatedly_reaches_critical_mass():
     assert total == sorted(build_map(range(1, 1025)).addresses())
 
 
-CRITERIA = RouterCriteria(min_clients=3, min_uptime_fraction=0.9, min_capacity_bps=128_000.0)
+MIN_CLIENTS = 3
 
 
 @pytest.mark.parametrize(
@@ -202,17 +201,17 @@ def test_router_eligibility_gates(uptime, capacity, active, eligible):
         NodeRecord(addr(3)),
         NodeRecord(addr(4)),
     ]
-    ranked = ranked_candidates(NeighborhoodMap.build(records), CRITERIA)
+    ranked = ranked_candidates(NeighborhoodMap.build(records), MIN_CLIENTS)
     assert (addr(1) in ranked) is eligible
     assert ranked[-1:] == ([addr(1)] if eligible else [addr(4)])
 
 
 def test_router_eligibility_needs_population():
-    assert elect_router(build_map([1, 2]), CRITERIA) is None  # 2 members < min_clients=3
-    assert ranked_candidates(build_map([1, 2, 3]), CRITERIA) == [addr(1), addr(2), addr(3)]
+    assert elect_router(build_map([1, 2]), MIN_CLIENTS) is None  # 2 members < min_clients=3
+    assert ranked_candidates(build_map([1, 2, 3]), MIN_CLIENTS) == [addr(1), addr(2), addr(3)]
     # Only active members count towards the population.
     nmap = build_map([1, 2, 3]).set_active(addr(3), False)
-    assert ranked_candidates(nmap, CRITERIA) == []
+    assert ranked_candidates(nmap, MIN_CLIENTS) == []
 
 
 def test_election_prefers_uptime_then_capacity_then_metric():
@@ -223,20 +222,20 @@ def test_election_prefers_uptime_then_capacity_then_metric():
         NodeRecord(addr(4), uptime_fraction=0.99, link_capacity_bps=200_000.0, metric=5.0),
     ]
     nmap = NeighborhoodMap.build(records)
-    assert ranked_candidates(nmap, CRITERIA) == [addr(3), addr(4), addr(2), addr(1)]
-    assert elect_router(nmap, CRITERIA) == addr(3)
+    assert ranked_candidates(nmap, MIN_CLIENTS) == [addr(3), addr(4), addr(2), addr(1)]
+    assert elect_router(nmap, MIN_CLIENTS) == addr(3)
 
 
 def test_election_tie_breaks_on_lowest_address():
     nmap = build_map([7, 3, 9], uptime_fraction=0.95, link_capacity_bps=200_000.0)
-    assert elect_router(nmap, CRITERIA) == addr(3)
+    assert elect_router(nmap, MIN_CLIENTS) == addr(3)
 
 
 def test_election_returns_none_when_nobody_qualifies():
     nmap = build_map([1, 2, 3], uptime_fraction=0.5)
-    assert elect_router(nmap, CRITERIA) is None
+    assert elect_router(nmap, MIN_CLIENTS) is None
     small = build_map([1, 2])
-    assert elect_router(small, CRITERIA) is None
+    assert elect_router(small, MIN_CLIENTS) is None
 
 
 def test_cluster_plan_is_immutable():

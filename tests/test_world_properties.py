@@ -103,7 +103,7 @@ class WorldMachine(RuleBasedStateMachine):
         self.now += MAX_COMMIT_TIMEOUT + (BEACON_TIMEOUT_FACTOR + 1) * config.beacon_period
         self.engine.run(self.world.handle, horizon=self.now)
         for nid, hood in self.world.neighborhoods.items():
-            if ranked_candidates(hood.map, config.criteria):
+            if ranked_candidates(hood.map, config.min_clients):
                 router = self.world.instances.get(hood.router)
                 assert router is not None and router.active, f"neighborhood {nid} has no live router"
 
