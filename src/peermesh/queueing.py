@@ -123,7 +123,10 @@ def naive_broadcast_load(clients: int, payload_bytes: float, interval_s: float =
         raise ValueError("clients must be >= 1")
     _positive("payload_bytes", payload_bytes)
     _positive("interval_s", interval_s)
-    load = (clients - 1) * payload_bytes * 8.0 / interval_s
+    try:  # a client count too large for a float overflows on conversion
+        load = (clients - 1) * payload_bytes * 8.0 / interval_s
+    except OverflowError:
+        load = math.inf
     if load == math.inf:
         raise ValueError("broadcast load overflows a float")
     return load

@@ -5,6 +5,16 @@ wall-clock delay: the worst-case regional round trip (500 ms) divided by the
 largest per-hop delay value (10). Every source of randomness is a named
 stream derived from a single master seed, so any run can be replayed bit for
 bit.
+
+NEP 19 leaves numpy free to change the algorithm behind `Generator.integers`
+between releases, and every golden report and replay rests on the exact hop
+delays, so hop_delay owns the three algorithms behind numpy's
+`Generator(PCG64(seed)).integers(1, 10, endpoint=True)` and loads no numpy:
+  - SeedSequence: a pool of 4 32-bit words mixed from the seed's 32-bit words;
+  - PCG64: a 128-bit LCG with the XSL-RR 128/64 output (O'Neill, 2014);
+  - Lemire's bounded draw (ACM TOMACS 2019) on each 32-bit half u of a 64-bit
+    output, low half first: (u * 10 >> 32) + 1, rejecting u when the low 32
+    bits of u * 10 fall below 2**32 % 10 = 6.
 """
 
 from __future__ import annotations
@@ -12,15 +22,21 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Any, Callable, NamedTuple
-
-import numpy as np
 
 MS_PER_UNIT = 50
 HOP_DELAY_MIN = 1
 HOP_DELAY_MAX = 10
 DEFAULT_SEED = 7919
-_HOP_BUFFER = 64  # draws per refill of a stream's hop_delay buffer
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_HOP_SPAN = HOP_DELAY_MAX - HOP_DELAY_MIN + 1
+_HOP_REJECT = (1 << 32) % _HOP_SPAN  # Lemire's threshold: 6
+_HOP_STEPS = 32  # PCG64 steps per refill of hop_delay's buffer, two draws each
 
 # Event kind discriminants used by the simulation layers.
 KIND_MESSAGE = "message-delivery"
@@ -52,35 +68,86 @@ def derive_seed(master_seed: int, stream_id: str) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
+def _pcg64_seed(entropy: int) -> list[int]:
+    """[state, increment] of numpy's PCG64(entropy), 0 <= entropy < 2**128:
+    SeedSequence(entropy).generate_state(4, uint64) as (initstate, initseq),
+    then PCG's srandom."""
+    const = 0x43B0D7E5
+
+    def hashmix(value: int, mult: int = 0x931E8875) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return x ^ x >> 16
+
+    # the seed's 32-bit words, low first; numpy fills the rest of the pool with 0
+    pool = [hashmix(entropy >> shift & _MASK32) for shift in range(0, 128, 32)]
+    for src, dst in permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    const = 0x8B51F9DD
+    out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    seed = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = ((seed[2] << 64 | seed[3]) << 1 | 1) & _MASK128
+    state = (((inc + (seed[0] << 64 | seed[1])) & _MASK128) * _PCG_MULT + inc) & _MASK128
+    return [state, inc]
+
+
 class RandomStream:
     """Reproducible random source identified by (seed, stream_id).
 
     Identical (seed, stream_id) pairs yield identical draw sequences;
     distinct stream ids derived from the same seed are independent for
-    simulation purposes.
+    simulation purposes. hop_delay and hop_delays each set up their own
+    generator on derive_seed(seed, stream_id) at their first call.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED, stream_id: str = "root"):
         self.seed = seed
         self.stream_id = stream_id
-        self._gen = np.random.Generator(np.random.PCG64(derive_seed(seed, stream_id)))
+        self._pcg: list[int] | None = None  # [state, increment] behind hop_delay
         self._hops: list[int] = []  # buffered hop_delay draws, next one last
-
-    def integers(self, low: int, high: int, size=None):
-        """Uniform integers on the inclusive range [low, high]."""
-        return self._gen.integers(low, high, size=size, endpoint=True)
+        self._gen = None  # numpy's Generator behind hop_delays
 
     def hop_delay(self) -> int:
-        """One hop delay from a batch of draws, which replays the scalar draws only
-        while hop_delay is the stream's single consumer: mix in no other draw method.
-        The draws may be spread over many events; the buffer goes with the stream."""
+        """The next uniform draw on {HOP_DELAY_MIN..HOP_DELAY_MAX}: the value
+        numpy's scalar Generator(PCG64(derive_seed(seed, stream_id))).integers(
+        1, 10, endpoint=True) gives at the same position. Draws are made
+        _HOP_STEPS PCG64 steps at a time; the buffer goes with the stream."""
         if not self._hops:
-            self._hops = self.integers(HOP_DELAY_MIN, HOP_DELAY_MAX, size=_HOP_BUFFER).tolist()[::-1]
+            pcg = self._pcg
+            if pcg is None:
+                pcg = self._pcg = _pcg64_seed(derive_seed(self.seed, self.stream_id))
+            state, inc = pcg
+            mult, mask32, mask64, mask128, reject = _PCG_MULT, _MASK32, _MASK64, _MASK128, _HOP_REJECT
+            hops = []
+            for _ in range(_HOP_STEPS):
+                state = (state * mult + inc) & mask128
+                rot = state >> 122
+                out = (state >> 64 ^ state) & mask64
+                out = (out >> rot | out << 64 - rot) & mask64
+                low = (out & mask32) * _HOP_SPAN
+                if low & mask32 >= reject:
+                    hops.append(HOP_DELAY_MIN + (low >> 32))
+                high = (out >> 32) * _HOP_SPAN
+                if high & mask32 >= reject:
+                    hops.append(HOP_DELAY_MIN + (high >> 32))
+            pcg[0] = state
+            hops.reverse()
+            self._hops = hops
         return self._hops.pop()
 
-    def hop_delays(self, size) -> np.ndarray:
-        """An int16 array of hop delays: numpy draws int16 faster than
-        int64. Sum it with an int64 accumulator."""
+    def hop_delays(self, size):
+        """An int16 array of hop delays from numpy's Generator.integers: numpy
+        draws int16 faster than int64. Sum it with an int64 accumulator."""
+        import numpy as np
+
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.PCG64(derive_seed(self.seed, self.stream_id)))
         return self._gen.integers(HOP_DELAY_MIN, HOP_DELAY_MAX, size=size, endpoint=True, dtype=np.int16)
 
     def __repr__(self) -> str:

@@ -19,15 +19,20 @@ Trials come in blocks of BLOCK_TRIALS. Block j draws every hop of its trials
 in one call on its own derived stream, `timing/{rows}x{columns}/{mode}/block/{j}`,
 one trial per row. Every statistic is reproducible from (dims, trials, seed,
 mode) alone, and trial i is the same whatever the trial count.
+
+The functions that draw and summarize import numpy, so that importing timing,
+as the command line does, loads none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .simcore import DEFAULT_SEED, RandomStream, units_to_ms
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODE_TABLE_CONSISTENT = "table_consistent"
 MODE_EQUATION_LITERAL = "equation_literal"
@@ -87,6 +92,8 @@ def _draw_trials(dims: HopsArrayDims, stream: RandomStream, mode: str, size: int
     redistribute_phase, forward delay summed over every chain), one column
     per trial.
     """
+    import numpy as np
+
     forward, ring, _ = _phase_widths(dims, mode)
     hops = stream.hop_delays((size, 2 * forward + ring))
     chains = (size, dims.rows, dims.columns)
@@ -135,6 +142,8 @@ class SweepRow:
 
 
 def _stats(samples: np.ndarray) -> ComponentStats:
+    import numpy as np
+
     return ComponentStats(
         mean=float(samples.mean()),
         lo=float(np.percentile(samples, 0.5)),
@@ -145,6 +154,8 @@ def _stats(samples: np.ndarray) -> ComponentStats:
 def _trial_components(dims: HopsArrayDims, trials: int, seed: int, mode: str) -> np.ndarray:
     """`_draw_trials` rows for trials 0..trials-1, drawn a whole block at a
     time and cut to `trials`, so trial i is the same whatever the count."""
+    import numpy as np
+
     blocks = -(-trials // BLOCK_TRIALS)
     draws = [_draw_trials(dims, block_stream(seed, dims, mode, j), mode, BLOCK_TRIALS) for j in range(blocks)]
     return np.concatenate(draws, axis=1)[:, :trials]

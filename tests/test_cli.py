@@ -218,6 +218,7 @@ def test_scenario_run_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
         (None, ("mm1", "--g", "1", "--l", "1e-320", "--b", "1e10")),
         (None, ("mm1", "--g", "nan", "--s", "0.1")),
         (None, ("mm1", "--broadcast", "--clients", "5", "--bytes", "64", "--interval", "nan")),
+        (None, ("mm1", "--broadcast", "--clients", "1" + "0" * 400, "--bytes", "64")),
     ],
 )
 def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, script, argv):

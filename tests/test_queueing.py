@@ -111,4 +111,6 @@ def test_naive_broadcast_load_validation():
     with pytest.raises(ValueError):
         naive_broadcast_load(2, 64, float("nan"))
     with pytest.raises(ValueError):
+        naive_broadcast_load(10**400, 64)  # too large for a float
+    with pytest.raises(ValueError):
         naive_broadcast_load(2, 64, 1e-320)  # the load overflows

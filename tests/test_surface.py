@@ -3,8 +3,8 @@
 A public function, class or constant of src/peermesh/*.py must be named in
 src/ or bench/ by some top-level statement other than the one that defines
 it. The package's __init__.py is not read, so a re-export there never counts
-as a use: callers import each name from its module. The world's modules draw
-from their streams through hop_delay alone.
+as a use: callers import each name from its module. What the command line
+and the sync round import is checked in a fresh interpreter.
 """
 
 import ast
@@ -72,20 +72,16 @@ def test_sync_and_topology_import_nothing_else():
     assert json.loads(done.stdout) == ["peermesh", "peermesh.sync", "peermesh.topology"]
 
 
-def test_world_streams_draw_only_hop_delay():
-    # RandomStream.hop_delay serves from a buffer, which replays the
-    # unbuffered sequence only while it is its stream's single consumer. The
-    # scenario world and discovery draw from such streams, so they call no
-    # other draw method and never reach the generator itself.
-    from peermesh.simcore import RandomStream
-
-    methods = {name for name in vars(RandomStream) if not name.startswith("__")}
-    assert {"hop_delay", "hop_delays", "integers"} <= methods
-    banned = methods - {"hop_delay"} | {"_gen", "_hops"}
-    found = [
-        f"{path.name}:{node.lineno} .{node.attr}"
-        for path in (PACKAGE / "scenario.py", PACKAGE / "discovery.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr in banned
-    ]
-    assert found == []
+def test_scenario_run_and_mm1_load_no_numpy():
+    # Only timing's Monte Carlo needs numpy; a world replay draws its own hop
+    # delays, and queue sizing is arithmetic.
+    code = (
+        "import contextlib, io, json, sys; from peermesh import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['scenario', 'run', 'startup']), cli.main(['mm1', '--g', '2', '--l', '8000', '--b', '16000'])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT / "src", check=True
+    )
+    assert json.loads(done.stdout) == [[0, 0], []]
