@@ -30,11 +30,11 @@ recorded action times, not in state sequencing. Runs always get a horizon
 hitting it marks the trace truncated, which is a defined outcome.
 
 A join introduces the newcomer to every member it did not probe, one hop
-delay after another. The introductions are drawn and scheduled one at a
-time: the join reserves a seq for each and schedules the first, and each
-introduction, as it is delivered, draws the next one's hop delay and
-schedules it on the next reserved seq. The queue holds one introduction per
-join in progress, and each one runs where it would have run had the join
+delay after another, one at a time: the join reserves a seq for each and
+schedules the first. Each introduction carries the targets left, the
+joiner's stream and its own seq; as it is delivered, it draws the next one's
+hop delay and schedules it on seq + 1. The queue holds one introduction per
+join in progress, and each runs where it would have run had the join
 scheduled them all.
 
 The trace is rendered as the run goes: each engine event becomes its text
@@ -343,17 +343,57 @@ class CheckResult:
         return out
 
 
-class _FanOut:
-    """The introductions one join has yet to send: the targets left, the
-    joiner's stream, and the reserved seq of the next introduction. The next
-    one is due a hop delay after the one being delivered."""
+# World event payloads, one type each. World dispatches on the type, and each
+# type's TRACE renders its trace body: its keys in sorted order, then its type.
 
-    __slots__ = ("targets", "stream", "seq")
 
-    def __init__(self, targets: Iterator[NodeAddress], stream: RandomStream, seq: int):
-        self.targets = targets
-        self.stream = stream
-        self.seq = seq
+class Introduction(NamedTuple):
+    """sender introduces itself to target. It carries the rest of the join's
+    fan-out: the targets left, the joiner's stream, and its own reserved seq;
+    the next introduction is due a hop delay after it, on seq + 1."""
+
+    sender: NodeAddress
+    target: NodeAddress
+    targets: Iterator[NodeAddress]
+    stream: RandomStream
+    seq: int
+    TRACE = "from={0.sender} to={0.target} type=introduction"
+
+
+class Proposal(NamedTuple):
+    commit: int  # index into World.commits
+    member: NodeAddress
+    TRACE = "commit={0.commit} to={0.member} type=proposal"
+
+
+class CommitAck(NamedTuple):
+    commit: int
+    member: NodeAddress
+    TRACE = "commit={0.commit} member={0.member} type=commit-ack"
+
+
+class CommitDeadline(NamedTuple):
+    commit: int
+    TRACE = "commit={0.commit} type=commit-deadline"
+
+
+class IntroExpiry(NamedTuple):
+    TRACE = "type=intro-expiry"
+
+
+class BeaconMonitor(NamedTuple):
+    neighborhood: int
+    TRACE = "neighborhood={0.neighborhood} type=beacon-monitor"
+
+
+class RouterRefresh(NamedTuple):
+    neighborhood: int
+    TRACE = "neighborhood={0.neighborhood} type=router-refresh"
+
+
+class Beacon(NamedTuple):
+    neighborhood: int
+    TRACE = "neighborhood={0.neighborhood}"
 
 
 class World:
@@ -379,7 +419,6 @@ class World:
         self.check_results: list[CheckResult] = []
         self._next_nid = 0
         self._streams: dict[str, RandomStream] = {}  # commit/<idx>
-        self._fanouts: dict[NodeAddress, _FanOut] = {}  # by joiner
 
     # -- plumbing ----------------------------------------------------------
 
@@ -412,13 +451,11 @@ class World:
     # -- event dispatch ------------------------------------------------------
 
     def handle(self, engine: Engine, ev: SimEvent) -> None:
+        """Run a world event's handler, found by its payload type, or a script event's by kind."""
         now, kind = engine.now, ev.kind
-        if kind == KIND_MESSAGE:  # about nine events in ten
-            self._on_message(now, ev.payload)
-        elif kind == KIND_TIMER:
-            self._on_timer(now, ev.payload)
-        elif kind == KIND_BEACON:
-            self._on_beacon(now, ev.payload)
+        on_payload = self._ON_PAYLOAD.get(type(ev.payload))
+        if on_payload is not None:  # about nine events in ten
+            on_payload(self, now, ev.payload)
         elif kind == "download":
             self._on_download(now, ev.target, ev.payload or {})
         elif kind == KIND_NODE_UP:
@@ -456,18 +493,14 @@ class World:
         for dead in result.dead_targets:
             self._queue_intro(result.finished_at, addr, dead)
         if result.connected_to is not None:
-            self._act(
-                result.finished_at, "connect", **{"from": addr, "to": result.connected_to}
-            )
+            self._act(result.finished_at, "connect", **{"from": addr, "to": result.connected_to})
             self._join_via(result.finished_at, rec, result.connected_to)
             skip = set(result.dead_targets) | {addr, result.connected_to}
             # Joining can split the neighborhood, so resolve the current id.
             members = self.neighborhoods[self.nid_of[addr]].map.addresses()
             targets = [m for m in members if m not in skip]
-            if targets:
-                fanout = _FanOut(iter(targets), stream, self.engine.reserve(len(targets)))
-                self._fanouts[addr] = fanout
-                self._introduce_next(result.finished_at, addr, fanout)
+            first = self.engine.reserve(len(targets))
+            self._introduce_next(result.finished_at, addr, iter(targets), stream, first)
         else:
             self.directory.advertise(addr)
             self._act(result.finished_at, "registered", addr=addr)
@@ -511,22 +544,12 @@ class World:
     def _start_router(self, nid: int, monitor: bool = False) -> None:
         """Start the router's beacon and refresh chains; an election also
         starts the beacon monitor, which runs until failover finds nobody."""
-        now = self.engine.now
+        now, cfg = self.engine.now, self.config
         self.neighborhoods[nid].last_beacon = now
-        self.engine.schedule(
-            now + self.config.beacon_period, KIND_BEACON, payload={"neighborhood": nid}
-        )
+        self.engine.schedule(now + cfg.beacon_period, KIND_BEACON, payload=Beacon(nid))
         if monitor:
-            self.engine.schedule(
-                now + self.config.beacon_period,
-                KIND_TIMER,
-                payload={"type": "beacon-monitor", "neighborhood": nid},
-            )
-        self.engine.schedule(
-            now + self.config.refresh_period,
-            KIND_TIMER,
-            payload={"type": "router-refresh", "neighborhood": nid},
-        )
+            self.engine.schedule(now + cfg.beacon_period, KIND_TIMER, payload=BeaconMonitor(nid))
+        self.engine.schedule(now + cfg.refresh_period, KIND_TIMER, payload=RouterRefresh(nid))
 
     def _on_up(self, now: int, addr: NodeAddress) -> None:
         rec = self.instances.get(addr)
@@ -562,19 +585,22 @@ class World:
 
     # -- introductions -----------------------------------------------------
 
-    def _introduce_next(self, now: int, sender: NodeAddress, fanout: _FanOut) -> None:
-        """Schedule sender's next introduction, or drop its fan-out after the last."""
-        target = next(fanout.targets, None)
-        if target is None:
-            del self._fanouts[sender]
-            return
-        self.engine.schedule(
-            now + fanout.stream.hop_delay(),
-            KIND_MESSAGE,
-            payload={"type": "introduction", "from": sender, "to": target},
-            seq=fanout.seq,
-        )
-        fanout.seq += 1
+    def _introduce_next(
+        self, now: int, sender: NodeAddress, targets: Iterator[NodeAddress], stream: RandomStream, seq: int
+    ) -> None:
+        """Schedule sender's introduction to the next of targets, if any is left, on seq."""
+        target = next(targets, None)
+        if target is not None:
+            intro = Introduction(sender, target, targets, stream, seq)
+            self.engine.schedule(now + stream.hop_delay(), KIND_MESSAGE, payload=intro, seq=seq)
+
+    def _on_introduction(self, now: int, intro: Introduction) -> None:
+        sender, target = intro.sender, intro.target
+        if self._live(target):
+            self._act(now, "introduced", **{"from": sender, "to": target})
+        else:
+            self._queue_intro(now, sender, target)
+        self._introduce_next(now, sender, intro.targets, intro.stream, intro.seq + 1)
 
     def _queue_intro(self, at: int, sender: NodeAddress, target: NodeAddress) -> None:
         if (sender, target) in self.intros:
@@ -582,34 +608,11 @@ class World:
         deadline = at + self._intro_timeout(sender)
         self.intros.add(sender, target, deadline=deadline)
         self._act(at, "queued", **{"from": sender, "to": target, "deadline": deadline})
-        self.engine.schedule(deadline, KIND_TIMER, payload={"type": "intro-expiry"})
+        self.engine.schedule(deadline, KIND_TIMER, payload=IntroExpiry())
 
-    def _on_message(self, now: int, payload: dict) -> None:
-        mtype = payload["type"]
-        if mtype == "introduction":
-            sender, target = payload["from"], payload["to"]
-            if self._live(target):
-                self._act(now, "introduced", **{"from": sender, "to": target})
-            else:
-                self._queue_intro(now, sender, target)
-            self._introduce_next(now, sender, self._fanouts[sender])
-        elif mtype == "proposal":
-            member = payload["to"]
-            if self._live(member):
-                delay = self._stream(f"commit/{payload['commit']}").hop_delay()
-                self.engine.schedule(
-                    now + delay,
-                    KIND_MESSAGE,
-                    payload={"type": "commit-ack", "commit": payload["commit"], "member": member},
-                )
-        elif mtype == "commit-ack":
-            commit = self.commits[payload["commit"]]
-            if commit.resolution is None:
-                sync.ack(commit, payload["member"], now)
-                if commit.resolution is not None:
-                    self._report_commit(now, commit)
-        else:
-            raise ScenarioError(f"unknown message type {mtype!r}")
+    def _on_intro_expiry(self, now: int, _expiry: IntroExpiry) -> None:
+        for intro in self.intros.expire_due(now):
+            self._act(now, "expired", **{"from": intro.sender, "to": intro.target})
 
     # -- commits -------------------------------------------------------------
 
@@ -638,17 +641,29 @@ class World:
             self._report_commit(now, commit)
             return
         stream = self._stream(f"commit/{idx}")
-        for member in sorted(commit.group):
-            if member == addr:
-                continue
-            self.engine.schedule(
-                now + stream.hop_delay(),
-                KIND_MESSAGE,
-                payload={"type": "proposal", "commit": idx, "to": member},
-            )
-        self.engine.schedule(
-            commit.deadline, KIND_TIMER, payload={"type": "commit-deadline", "commit": idx}
-        )
+        for member in sorted(commit.group - {addr}):
+            proposal = Proposal(idx, member)
+            self.engine.schedule(now + stream.hop_delay(), KIND_MESSAGE, payload=proposal)
+        self.engine.schedule(commit.deadline, KIND_TIMER, payload=CommitDeadline(idx))
+
+    def _on_proposal(self, now: int, proposal: Proposal) -> None:
+        if self._live(proposal.member):
+            delay = self._stream(f"commit/{proposal.commit}").hop_delay()
+            ack = CommitAck(proposal.commit, proposal.member)
+            self.engine.schedule(now + delay, KIND_MESSAGE, payload=ack)
+
+    def _on_commit_ack(self, now: int, ack: CommitAck) -> None:
+        commit = self.commits[ack.commit]
+        if commit.resolution is None:
+            sync.ack(commit, ack.member, now)
+            if commit.resolution is not None:
+                self._report_commit(now, commit)
+
+    def _on_commit_deadline(self, now: int, deadline: CommitDeadline) -> None:
+        commit = self.commits[deadline.commit]
+        if commit.resolution is None:
+            sync.expire(commit, now)
+            self._report_commit(now, commit)
 
     def _report_commit(self, now: int, commit: sync.PendingCommit) -> None:
         res = commit.resolution
@@ -690,42 +705,22 @@ class World:
 
     # -- timers and beacons ----------------------------------------------------
 
-    def _on_timer(self, now: int, payload: dict) -> None:
-        ttype = payload["type"]
-        if ttype == "intro-expiry":
-            for intro in self.intros.expire_due(now):
-                self._act(now, "expired", **{"from": intro.sender, "to": intro.target})
-        elif ttype == "commit-deadline":
-            commit = self.commits[payload["commit"]]
-            if commit.resolution is None:
-                sync.expire(commit, now)
-                self._report_commit(now, commit)
-        elif ttype == "beacon-monitor":
-            self._on_monitor(now, payload["neighborhood"])
-        elif ttype == "router-refresh":
-            nid = payload["neighborhood"]
-            hood = self.neighborhoods.get(nid)
-            if hood is not None and self._live(hood.router):
-                if self._router_refresh(nid):
-                    self._post_membership(nid)
-                self.engine.schedule(
-                    now + self.config.refresh_period,
-                    KIND_TIMER,
-                    payload={"type": "router-refresh", "neighborhood": nid},
-                )
-        else:
-            raise ScenarioError(f"unknown timer type {ttype!r}")
-
-    def _on_beacon(self, now: int, payload: dict) -> None:
-        nid = payload["neighborhood"]
+    def _on_refresh(self, now: int, refresh: RouterRefresh) -> None:
+        nid = refresh.neighborhood
         hood = self.neighborhoods.get(nid)
         if hood is not None and self._live(hood.router):
-            hood.last_beacon = now
-            self.engine.schedule(
-                now + self.config.beacon_period, KIND_BEACON, payload={"neighborhood": nid}
-            )
+            if self._router_refresh(nid):
+                self._post_membership(nid)
+            self.engine.schedule(now + self.config.refresh_period, KIND_TIMER, payload=refresh)
 
-    def _on_monitor(self, now: int, nid: int) -> None:
+    def _on_beacon(self, now: int, beacon: Beacon) -> None:
+        hood = self.neighborhoods.get(beacon.neighborhood)
+        if hood is not None and self._live(hood.router):
+            hood.last_beacon = now
+            self.engine.schedule(now + self.config.beacon_period, KIND_BEACON, payload=beacon)
+
+    def _on_monitor(self, now: int, monitor: BeaconMonitor) -> None:
+        nid = monitor.neighborhood
         hood = self.neighborhoods.get(nid)
         if hood is None:
             return
@@ -739,11 +734,7 @@ class World:
                 return
             if self._install_router(nid, cand):
                 self._post_membership(nid)
-        self.engine.schedule(
-            now + self.config.beacon_period,
-            KIND_TIMER,
-            payload={"type": "beacon-monitor", "neighborhood": nid},
-        )
+        self.engine.schedule(now + self.config.beacon_period, KIND_TIMER, payload=monitor)
 
     def _router_refresh(self, nid: int) -> bool:
         """Map the advertised strays inside the router's span; True if any were."""
@@ -810,6 +801,19 @@ class World:
             return CheckResult(check, False, "no matching commit")
         raise ScenarioError(f"unhandled check kind {kind!r}")
 
+    # A world event's handler by payload type, called as fn(self, now, payload). Plain
+    # functions on the class: bound methods held by a World would make it a reference cycle.
+    _ON_PAYLOAD = {
+        Introduction: _on_introduction,
+        Proposal: _on_proposal,
+        CommitAck: _on_commit_ack,
+        CommitDeadline: _on_commit_deadline,
+        IntroExpiry: _on_intro_expiry,
+        BeaconMonitor: _on_monitor,
+        RouterRefresh: _on_refresh,
+        Beacon: _on_beacon,
+    }
+
 
 @dataclass(frozen=True)
 class ScenarioReport:
@@ -829,17 +833,12 @@ def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool =
     """Replay script; with trace, render each event's trace line as it is dispatched."""
     engine = Engine(seed)
     world = World(engine, WorldConfig.from_mapping(script.config))
-    kind_map = {
-        "download": "download",
-        "up": KIND_NODE_UP,
-        "down": KIND_NODE_DOWN,
-        "send": "send",
-        "subdivide": "subdivide",
-    }
+    renamed = {"up": KIND_NODE_UP, "down": KIND_NODE_DOWN}  # other kinds keep their name
     last_at = 0
     line_of: dict[int, int] = {}  # engine seq -> script line, for error messages
     for ev in script.events:
-        seq = engine.schedule(ev.at, kind_map[ev.kind], target=ev.addr, payload=ev.params).seq
+        kind = renamed.get(ev.kind, ev.kind)
+        seq = engine.schedule(ev.at, kind, target=ev.addr, payload=ev.params).seq
         line_of[seq] = ev.line
         last_at = max(last_at, ev.at)
     for chk in script.checks:
@@ -882,15 +881,15 @@ def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool =
 
 
 def _render_event(ev: SimEvent) -> str:
-    """An event's trace line. Its payload is a check, or a dict (maybe empty)
-    shown as key=value pairs in key order."""
+    """An event's trace line: a script event's parameters (maybe none) as sorted key=value
+    pairs, a check as its line and kind, a world event's payload by its type's TRACE."""
     at, _seq, kind, target, payload = ev
     head = f"[{at:>6}] {kind}" if target is None else f"[{at:>6}] {kind} target={target}"
+    if isinstance(payload, dict):
+        return " ".join([head, *[f"{k}={payload[k]}" for k in sorted(payload)]])
     if isinstance(payload, ScriptCheck):
         return f"{head} check L{payload.line} {payload.kind}"
-    if not payload:
-        return head
-    return f"{head} {' '.join([f'{k}={payload[k]}' for k in sorted(payload)])}"
+    return f"{head} {payload.TRACE.format(payload)}"
 
 
 def render_report(report: ScenarioReport) -> str:

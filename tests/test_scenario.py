@@ -1,4 +1,6 @@
+import gc
 import sys
+import weakref
 from importlib import resources
 
 import pytest
@@ -15,7 +17,16 @@ from peermesh.scenario import (
     render_report,
     run_scenario,
 )
-from peermesh.simcore import Engine
+from peermesh.simcore import (
+    KIND_BEACON,
+    KIND_MESSAGE,
+    KIND_NODE_DOWN,
+    KIND_NODE_UP,
+    KIND_TIMER,
+    Engine,
+    SimEvent,
+)
+from peermesh.topology import parse_address
 
 
 def bundled(name: str) -> str:
@@ -375,9 +386,64 @@ def test_a_run_keeps_no_event_after_dispatching_it(monkeypatch):
     assert set(counts) == {2}  # `last` and getrefcount's own argument
 
 
+A, B = parse_address("10.0.0.1"), parse_address("10.0.3.152")
+
+
 def test_an_event_of_unknown_kind_is_a_scenario_error():
-    engine = Engine(1)
-    world = World(engine, WorldConfig())
-    engine.schedule(3, "bogus", payload={"type": "introduction"})
-    with pytest.raises(ScenarioError, match="unknown event kind 'bogus'"):
-        engine.run(world.handle)
+    # A world event is told by its payload's type, so a message whose payload
+    # is a dict, as introductions once were, is no event the world knows.
+    old_intro = {"type": "introduction", "from": A, "to": B}
+    for kind, payload in (("bogus", {"type": "introduction"}), (KIND_MESSAGE, old_intro)):
+        engine = Engine(1)
+        world = World(engine, WorldConfig())
+        engine.schedule(3, kind, payload=payload)
+        with pytest.raises(ScenarioError, match=f"unknown event kind '{kind}'"):
+            engine.run(world.handle)
+
+
+WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced)
+    (
+        KIND_MESSAGE,
+        scenario.Introduction(A, B, iter([A]), Engine(1).stream("node/10.0.0.1"), 7),
+        {"type": "introduction", "from": A, "to": B},
+    ),
+    (KIND_MESSAGE, scenario.Proposal(3, B), {"type": "proposal", "commit": 3, "to": B}),
+    (KIND_MESSAGE, scenario.CommitAck(3, B), {"type": "commit-ack", "commit": 3, "member": B}),
+    (KIND_TIMER, scenario.CommitDeadline(3), {"type": "commit-deadline", "commit": 3}),
+    (KIND_TIMER, scenario.IntroExpiry(), {"type": "intro-expiry"}),
+    (KIND_TIMER, scenario.BeaconMonitor(2), {"type": "beacon-monitor", "neighborhood": 2}),
+    (KIND_TIMER, scenario.RouterRefresh(2), {"type": "router-refresh", "neighborhood": 2}),
+    (KIND_BEACON, scenario.Beacon(2), {"neighborhood": 2}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,payload,old", WORLD_PAYLOADS, ids=[type(p).__name__ for _, p, _ in WORLD_PAYLOADS]
+)
+def test_a_world_payload_renders_as_the_dict_it_replaced(kind, payload, old):
+    # World events once carried dicts, rendered as sorted key=value pairs.
+    body = " ".join(f"{k}={old[k]}" for k in sorted(old))
+    line = scenario._render_event(SimEvent(41, 9, kind, None, payload))
+    assert line == f"[    41] {kind} {body}"
+    if B in old.values():
+        assert "=10.0.3.152" in line
+
+
+def test_a_finished_world_is_freed_by_reference_counting():
+    # No handler table or payload refers back to the world, so with the cyclic
+    # collector off it dies with its last reference.
+    script = parse_scenario(CHURN, name="churn")
+    renamed = {"up": KIND_NODE_UP, "down": KIND_NODE_DOWN}
+    gc.disable()
+    try:
+        engine = Engine(5)
+        world = World(engine, WorldConfig.from_mapping(script.config))
+        for ev in script.events:
+            engine.schedule(ev.at, renamed.get(ev.kind, ev.kind), target=ev.addr, payload=ev.params)
+        assert len(engine.run(world.handle, horizon=100)) > 50
+        assert len(world.actions) > 20
+        freed = weakref.ref(world)
+        del engine, world
+        assert freed() is None
+    finally:
+        gc.enable()
