@@ -55,22 +55,6 @@ class DownloadRegistry:
         return excerpt
 
 
-class SearchEngineDirectory:
-    """Global advertisement directory of last resort, for stray clients."""
-
-    def __init__(self):
-        self._ads: set[NodeAddress] = set()
-
-    def advertise(self, address: NodeAddress) -> None:
-        self._ads.add(address)
-
-    def deregister(self, address: NodeAddress) -> None:
-        self._ads.discard(address)
-
-    def advertised(self) -> tuple[NodeAddress, ...]:
-        return tuple(sorted(self._ads))
-
-
 @dataclass(frozen=True)
 class Introduction:
     sender: NodeAddress
@@ -163,7 +147,7 @@ def bootstrap(
 
 def router_refresh(
     router: NodeAddress,
-    directory: SearchEngineDirectory,
+    directory: set[NodeAddress],
     nmap: NeighborhoodMap,
     record_of: Callable[[NodeAddress], NodeRecord],
 ) -> tuple[NeighborhoodMap, tuple[NodeAddress, ...]]:
@@ -177,9 +161,9 @@ def router_refresh(
         raise ValueError(f"refresh by non-member {router}")
     lo, hi = nmap.members[0].address, nmap.members[-1].address
     added = []
-    for addr in directory.advertised():
+    for addr in sorted(directory):
         if lo <= addr <= hi and addr not in nmap:
             nmap = nmap.add(record_of(addr))
-            directory.deregister(addr)
+            directory.discard(addr)
             added.append(addr)
     return nmap, tuple(added)

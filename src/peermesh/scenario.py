@@ -20,7 +20,12 @@ churn, commits and subdivisions, then check what happened. Line grammar
       router, no-router, member, isolated (addr=: an address); committed
       (key=, and optionally acks=: a count, absent=: - or a comma-separated
       address list, value=: the value sent). Checks with at= are evaluated
-      at that virtual time, the rest after the run.
+      at that virtual time, the rest after the run; one timed past the
+      horizon fails. router and no-router fail for an unknown address.
+
+The parser casts every value, so a script's config is a WorldConfig. Each
+engine event carries one record, a script line or check as parsed or a world
+event's typed payload; World.handle finds its handler in one table.
 
 A download registers the instance and probes its registry excerpt in the
 excerpt's order, which is the probe order: nearest address first. Handshakes
@@ -163,6 +168,18 @@ class ScenarioError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class WorldConfig:
+    critical_mass: int | None = None
+    excerpt_cap: int = discovery.EXCERPT_CAP
+    min_clients: int = 100
+    beacon_period: int = 25
+    refresh_period: int = 100
+    intro_timeout: int | None = None
+    commit_timeout: int = 100
+    horizon: int | None = None
+
+
+@dataclass(frozen=True)
 class ScriptEvent:
     at: int
     kind: str
@@ -182,7 +199,7 @@ class ScriptCheck:
 @dataclass(frozen=True)
 class ScenarioScript:
     name: str
-    config: dict[str, str]
+    config: WorldConfig
     events: tuple[ScriptEvent, ...]
     checks: tuple[ScriptCheck, ...]
 
@@ -201,29 +218,33 @@ def _split_pairs(tokens: list[str], where: str) -> dict[str, str]:
     return out
 
 
-def _check(params: dict[str, str], kind: str, typed: Mapping, where: str, unknown: str) -> None:
-    """Reject a line that lacks a required parameter, carries a bad value,
-    or carries a parameter that typed does not list; unknown names the
-    line's parameters in that message ("config key")."""
+def _check(params: dict[str, str], kind: str, typed: Mapping, where: str, unknown: str) -> dict:
+    """The line's parameters cast by typed. Reject a line that lacks a required
+    parameter, carries a bad value, or carries a parameter that typed does not
+    list; unknown names the line's parameters in that message ("config key")."""
     extra = [k for k in params if k not in typed]
     if extra:
         raise ScenarioParseError(f"{where}: unknown {unknown} {extra[0]!r}")
     for key in _REQUIRED_PARAMS.get(kind, ()):
         if key not in params:
             raise ScenarioParseError(f"{where}: {kind} needs {key}=")
+    out = {}
     for key, (cast, test, wants) in typed.items():
         if key not in params:
             continue
         try:
-            ok = test(cast(params[key]))
+            value = cast(params[key])
+            ok = test(value)
         except ValueError:
             ok = False
         if not ok:
             raise ScenarioParseError(f"{where}: {key} must be {wants}, got {params[key]!r}")
+        out[key] = value
+    return out
 
 
 def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
-    config: dict[str, str] = {}
+    config = WorldConfig()
     events: list[ScriptEvent] = []
     checks: list[ScriptCheck] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -234,8 +255,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
         tokens = line.split()
         if tokens[0] == "config":
             pairs = _split_pairs(tokens[1:], where)
-            _check(pairs, "config", _CONFIG_PARAMS, where, unknown="config key")
-            config.update(pairs)
+            config = replace(config, **_check(pairs, "config", _CONFIG_PARAMS, where, unknown="config key"))
             continue
         if tokens[0] == "assert":
             if len(tokens) < 2:
@@ -244,9 +264,8 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
             if kind not in CHECK_KINDS:
                 raise ScenarioParseError(f"{where}: unknown assert kind {kind!r}")
             params = _split_pairs(tokens[2:], where)
-            _check(params, kind, _CHECK_PARAMS[kind], where, unknown=f"{kind} parameter")
-            at_s = params.pop("at", None)
-            at = int(at_s) if at_s is not None else None
+            at = _check(params, kind, _CHECK_PARAMS[kind], where, unknown=f"{kind} parameter").get("at")
+            params.pop("at", None)
             checks.append(ScriptCheck(kind=kind, params=params, at=at, line=lineno))
             continue
         pairs = _split_pairs(tokens, where)
@@ -256,10 +275,9 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
         kind = pairs.pop("event")
         if kind not in EVENT_KINDS:
             raise ScenarioParseError(f"{where}: unknown event {kind!r}")
-        _check(pairs, kind, _EVENT_PARAMS[kind], where, unknown=f"{kind} parameter")
-        at = int(pairs.pop("at"))
-        addr = parse_address(pairs.pop("addr"))
-        events.append(ScriptEvent(at=at, kind=kind, addr=addr, params=pairs, line=lineno))
+        typed = _check(pairs, kind, _EVENT_PARAMS[kind], where, unknown=f"{kind} parameter")
+        del pairs["at"], pairs["addr"]
+        events.append(ScriptEvent(at=typed["at"], kind=kind, addr=typed["addr"], params=pairs, line=lineno))
     return ScenarioScript(name=name, config=config, events=tuple(events), checks=tuple(checks))
 
 
@@ -275,27 +293,6 @@ def load_scenario(path: str | Path) -> ScenarioScript:
 # ---------------------------------------------------------------------------
 # World
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class WorldConfig:
-    critical_mass: int | None = None
-    excerpt_cap: int = discovery.EXCERPT_CAP
-    min_clients: int = 100
-    beacon_period: int = 25
-    refresh_period: int = 100
-    intro_timeout: int | None = None
-    commit_timeout: int = 100
-    horizon: int | None = None
-
-    @classmethod
-    def from_mapping(cls, raw: Mapping[str, str]) -> "WorldConfig":
-        cfg = cls()
-        for key, value in raw.items():
-            if key not in _CONFIG_PARAMS:
-                raise ScenarioParseError(f"unknown config key {key!r}")
-            setattr(cfg, key, _CONFIG_PARAMS[key][0](value))
-        return cfg
 
 
 @dataclass
@@ -363,6 +360,7 @@ class Introduction(NamedTuple):
 class Proposal(NamedTuple):
     commit: int  # index into World.commits
     member: NodeAddress
+    stream: RandomStream  # the commit's, which draws the ack's hop delay too
     TRACE = "commit={0.commit} to={0.member} type=proposal"
 
 
@@ -409,7 +407,7 @@ class World:
         self.engine = engine
         self.config = config
         self.registry = discovery.DownloadRegistry()
-        self.directory = discovery.SearchEngineDirectory()
+        self.directory: set[NodeAddress] = set()  # stray clients advertised in the search engine
         self.intros = discovery.IntroductionQueue()
         self.instances: dict[NodeAddress, NodeRecord] = {}
         self.neighborhoods: dict[int, Neighborhood] = {}
@@ -418,14 +416,8 @@ class World:
         self.actions: list[Action] = []
         self.check_results: list[CheckResult] = []
         self._next_nid = 0
-        self._streams: dict[str, RandomStream] = {}  # commit/<idx>
 
     # -- plumbing ----------------------------------------------------------
-
-    def _stream(self, label: str) -> RandomStream:
-        if label not in self._streams:
-            self._streams[label] = self.engine.stream(label)
-        return self._streams[label]
 
     def _act(self, at: int, kind: str, **fields) -> None:
         self.actions.append(Action(at, kind, tuple(fields.items())))
@@ -451,29 +443,17 @@ class World:
     # -- event dispatch ------------------------------------------------------
 
     def handle(self, engine: Engine, ev: SimEvent) -> None:
-        """Run a world event's handler, found by its payload type, or a script event's by kind."""
-        now, kind = engine.now, ev.kind
-        on_payload = self._ON_PAYLOAD.get(type(ev.payload))
-        if on_payload is not None:  # about nine events in ten
-            on_payload(self, now, ev.payload)
-        elif kind == "download":
-            self._on_download(now, ev.target, ev.payload or {})
-        elif kind == KIND_NODE_UP:
-            self._on_up(now, ev.target)
-        elif kind == KIND_NODE_DOWN:
-            self._on_down(now, ev.target)
-        elif kind == "send":
-            self._on_send(now, ev.target, ev.payload or {})
-        elif kind == "subdivide":
-            self._on_subdivide(now, ev.target, ev.payload or {})
-        elif kind == "check":
-            self.check_results.append(self._evaluate(ev.payload))
-        else:
-            raise ScenarioError(f"unknown event kind {kind!r}")
+        """Run the handler of ev's record: a script line's by its kind, any other's by its type."""
+        record = ev.payload
+        on = self._ON.get(record.kind if type(record) is ScriptEvent else type(record))
+        if on is None:
+            raise ScenarioError(f"unknown event kind {ev.kind!r}")
+        on(self, engine.now, record)
 
     # -- downloads and membership ---------------------------------------------
 
-    def _on_download(self, now: int, addr: NodeAddress, params: dict[str, str]) -> None:
+    def _on_download(self, now: int, line: ScriptEvent) -> None:
+        addr, params = line.addr, line.params
         if addr in self.instances:
             raise ScenarioError(f"{addr} downloaded twice")
         rec = NodeRecord(
@@ -484,7 +464,6 @@ class World:
         )
         self.instances[addr] = rec
         excerpt = self.registry.register(addr, now, cap=self.config.excerpt_cap)
-        # Each address downloads once, so its stream is not cached.
         stream = self.engine.stream(f"node/{addr}")
         result = discovery.bootstrap(excerpt, is_active=self._live, stream=stream, now=now)
         for attempt in result.attempts:
@@ -502,7 +481,7 @@ class World:
             first = self.engine.reserve(len(targets))
             self._introduce_next(result.finished_at, addr, iter(targets), stream, first)
         else:
-            self.directory.advertise(addr)
+            self.directory.add(addr)
             self._act(result.finished_at, "registered", addr=addr)
             self._act(result.finished_at, "isolated", addr=addr)
 
@@ -511,7 +490,7 @@ class World:
         if nid is None:
             # The target was isolated; the pair founds a fresh neighborhood.
             nid = self._alloc_nid()
-            self.directory.deregister(target)
+            self.directory.discard(target)
             pair = [self.instances[target], rec]
             self.neighborhoods[nid] = Neighborhood(NeighborhoodMap.build(pair))
             self.nid_of[target] = nid
@@ -551,7 +530,8 @@ class World:
             self.engine.schedule(now + cfg.beacon_period, KIND_TIMER, payload=BeaconMonitor(nid))
         self.engine.schedule(now + cfg.refresh_period, KIND_TIMER, payload=RouterRefresh(nid))
 
-    def _on_up(self, now: int, addr: NodeAddress) -> None:
+    def _on_up(self, now: int, line: ScriptEvent) -> None:
+        addr = line.addr
         rec = self.instances.get(addr)
         if rec is None:
             raise ScenarioError(f"up for unknown instance {addr}")
@@ -571,7 +551,8 @@ class World:
                 self._start_router(nid)
             self._post_membership(nid)
 
-    def _on_down(self, now: int, addr: NodeAddress) -> None:
+    def _on_down(self, now: int, line: ScriptEvent) -> None:
+        addr = line.addr
         rec = self.instances.get(addr)
         if rec is None:
             raise ScenarioError(f"down for unknown instance {addr}")
@@ -616,7 +597,8 @@ class World:
 
     # -- commits -------------------------------------------------------------
 
-    def _on_send(self, now: int, addr: NodeAddress, params: dict[str, str]) -> None:
+    def _on_send(self, now: int, line: ScriptEvent) -> None:
+        addr, params = line.addr, line.params
         if not self._live(addr):
             raise ScenarioError(f"send from unavailable instance {addr}")
         nid = self.nid_of.get(addr)
@@ -640,17 +622,16 @@ class World:
         if commit.resolution is not None:
             self._report_commit(now, commit)
             return
-        stream = self._stream(f"commit/{idx}")
+        stream = self.engine.stream(f"commit/{idx}")
         for member in sorted(commit.group - {addr}):
-            proposal = Proposal(idx, member)
+            proposal = Proposal(idx, member, stream)
             self.engine.schedule(now + stream.hop_delay(), KIND_MESSAGE, payload=proposal)
         self.engine.schedule(commit.deadline, KIND_TIMER, payload=CommitDeadline(idx))
 
     def _on_proposal(self, now: int, proposal: Proposal) -> None:
         if self._live(proposal.member):
-            delay = self._stream(f"commit/{proposal.commit}").hop_delay()
             ack = CommitAck(proposal.commit, proposal.member)
-            self.engine.schedule(now + delay, KIND_MESSAGE, payload=ack)
+            self.engine.schedule(now + proposal.stream.hop_delay(), KIND_MESSAGE, payload=ack)
 
     def _on_commit_ack(self, now: int, ack: CommitAck) -> None:
         commit = self.commits[ack.commit]
@@ -677,11 +658,11 @@ class World:
 
     # -- subdivision ---------------------------------------------------------
 
-    def _on_subdivide(self, now: int, addr: NodeAddress, params: dict[str, str]) -> None:
-        nid = self.nid_of.get(addr)
+    def _on_subdivide(self, now: int, line: ScriptEvent) -> None:
+        nid = self.nid_of.get(line.addr)
         if nid is None:
-            raise ScenarioError(f"subdivide via unmapped instance {addr}")
-        cm = int(params.get("critical_mass", self.config.critical_mass or 0))
+            raise ScenarioError(f"subdivide via unmapped instance {line.addr}")
+        cm = int(line.params.get("critical_mass", self.config.critical_mass or 0))
         if cm < 1:
             raise ScenarioError("subdivide needs critical_mass (param or config)")
         self._apply_subdivide(nid, cm)
@@ -749,6 +730,9 @@ class World:
 
     # -- checks ---------------------------------------------------------------
 
+    def _on_check(self, now: int, check: ScriptCheck) -> None:
+        self.check_results.append(self._evaluate(check))
+
     def _evaluate(self, check: ScriptCheck) -> CheckResult:
         kind, p = check.kind, check.params
         action_kinds = {
@@ -770,12 +754,11 @@ class World:
             return CheckResult(check, ok, "" if ok else "no matching action")
         if kind in ("router", "no-router"):
             addr = parse_address(p["addr"])
+            if addr not in self.instances:
+                return CheckResult(check, False, "not an instance")
             hood = self.neighborhoods.get(self.nid_of.get(addr))
             current = hood.router if hood is not None else None
-            if kind == "router":
-                ok = current == addr
-                return CheckResult(check, ok, "" if ok else f"router is {current}")
-            ok = current is None
+            ok = current == addr if kind == "router" else current is None
             return CheckResult(check, ok, "" if ok else f"router is {current}")
         if kind == "member":
             addr = parse_address(p["addr"])
@@ -801,9 +784,15 @@ class World:
             return CheckResult(check, False, "no matching commit")
         raise ScenarioError(f"unhandled check kind {kind!r}")
 
-    # A world event's handler by payload type, called as fn(self, now, payload). Plain
-    # functions on the class: bound methods held by a World would make it a reference cycle.
-    _ON_PAYLOAD = {
+    # Handlers called as fn(self, now, record), a script line's by its kind, any other's by
+    # type. Plain functions on the class: bound methods held by a World would make a cycle.
+    _ON = {
+        "download": _on_download,
+        "up": _on_up,
+        "down": _on_down,
+        "send": _on_send,
+        "subdivide": _on_subdivide,
+        ScriptCheck: _on_check,
         Introduction: _on_introduction,
         Proposal: _on_proposal,
         CommitAck: _on_commit_ack,
@@ -829,23 +818,25 @@ class ScenarioReport:
         return all(c.passed for c in self.checks)
 
 
+def schedule_line(engine: Engine, line: ScriptEvent) -> SimEvent:
+    """Schedule a script line as its own event; up and down run as node-up and node-down."""
+    kind = {"up": KIND_NODE_UP, "down": KIND_NODE_DOWN}.get(line.kind, line.kind)
+    return engine.schedule(line.at, kind, target=line.addr, payload=line)
+
+
 def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool = True) -> ScenarioReport:
     """Replay script; with trace, render each event's trace line as it is dispatched."""
     engine = Engine(seed)
-    world = World(engine, WorldConfig.from_mapping(script.config))
-    renamed = {"up": KIND_NODE_UP, "down": KIND_NODE_DOWN}  # other kinds keep their name
+    world = World(engine, script.config)
     last_at = 0
-    line_of: dict[int, int] = {}  # engine seq -> script line, for error messages
-    for ev in script.events:
-        kind = renamed.get(ev.kind, ev.kind)
-        seq = engine.schedule(ev.at, kind, target=ev.addr, payload=ev.params).seq
-        line_of[seq] = ev.line
-        last_at = max(last_at, ev.at)
+    for line in script.events:
+        schedule_line(engine, line)
+        last_at = max(last_at, line.at)
     for chk in script.checks:
         if chk.at is not None:
             engine.schedule(chk.at, "check", payload=chk)
             last_at = max(last_at, chk.at)
-    horizon = world.config.horizon
+    horizon = script.config.horizon
     if horizon is None:
         horizon = last_at + DEFAULT_HORIZON_MARGIN
 
@@ -859,13 +850,15 @@ def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool =
         try:
             dispatch(engine, ev)
         except ScenarioError as exc:
-            where = f"{script.name}:{line_of[ev.seq]}" if ev.seq in line_of else script.name
+            where = f"{script.name}:{ev.payload.line}" if isinstance(ev.payload, ScriptEvent) else script.name
             raise ScenarioError(f"{where}: {exc}") from None
 
     run = engine.run(handle, horizon=horizon)
     for chk in script.checks:
         if chk.at is None:
             world.check_results.append(world._evaluate(chk))
+        elif chk.at > horizon:  # still queued: the run never got there
+            world.check_results.append(CheckResult(chk, False, f"after the horizon {horizon}"))
     ordered = sorted(world.check_results, key=lambda r: r.check.line)
     # Stable time order: actions are appended as handlers run, but handshake
     # actions carry cursor timestamps later than the triggering event.
@@ -881,12 +874,13 @@ def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool =
 
 
 def _render_event(ev: SimEvent) -> str:
-    """An event's trace line: a script event's parameters (maybe none) as sorted key=value
+    """An event's trace line: a script line's parameters (maybe none) as sorted key=value
     pairs, a check as its line and kind, a world event's payload by its type's TRACE."""
     at, _seq, kind, target, payload = ev
     head = f"[{at:>6}] {kind}" if target is None else f"[{at:>6}] {kind} target={target}"
-    if isinstance(payload, dict):
-        return " ".join([head, *[f"{k}={payload[k]}" for k in sorted(payload)]])
+    if isinstance(payload, ScriptEvent):
+        params = payload.params
+        return " ".join([head, *[f"{k}={params[k]}" for k in sorted(params)]])
     if isinstance(payload, ScriptCheck):
         return f"{head} check L{payload.line} {payload.kind}"
     return f"{head} {payload.TRACE.format(payload)}"

@@ -7,7 +7,6 @@ from peermesh.discovery import (
     DownloadRegistry,
     Introduction,
     IntroductionQueue,
-    SearchEngineDirectory,
     bootstrap,
     router_refresh,
 )
@@ -115,23 +114,6 @@ def test_bootstrap_is_deterministic_per_stream():
     assert runs[0] == runs[1]
 
 
-def test_directory_advertise_and_deregister():
-    d = SearchEngineDirectory()
-    d.advertise(addr(5))
-    d.advertise(addr(3))
-    assert d.advertised() == (addr(3), addr(5))
-    d.deregister(addr(5))
-    d.deregister(addr(5))  # already gone: a no-op
-    assert d.advertised() == (addr(3),)
-
-
-def test_directory_readvertise_updates_in_place():
-    d = SearchEngineDirectory()
-    d.advertise(addr(5))
-    d.advertise(addr(5))
-    assert d.advertised() == (addr(5),)
-
-
 def test_introductions_deliver_before_deadline():
     q = IntroductionQueue()
     q.add(addr(1), addr(9), deadline=100)
@@ -188,30 +170,23 @@ def test_introduction_requeued_after_resolving_goes_last():
 
 def test_router_refresh_folds_in_span_clients_only():
     nmap = NeighborhoodMap.build([NodeRecord(addr(100)), NodeRecord(addr(200))])
-    d = SearchEngineDirectory()
-    d.advertise(addr(150))  # stray client inside the span
-    d.advertise(addr(50))  # outside: left alone
-    d.advertise(addr(250))
+    d = {addr(150), addr(50), addr(250)}  # one stray inside the span, two outside
     new_map, added = router_refresh(addr(100), d, nmap, NodeRecord)
     assert added == (addr(150),)
     assert addr(150) in new_map
-    assert d.advertised() == (addr(50), addr(250))
+    assert d == {addr(50), addr(250)}  # those outside are left alone
 
 
 def test_router_refresh_skips_existing_members():
     nmap = NeighborhoodMap.build([NodeRecord(addr(100)), NodeRecord(addr(200))])
-    d = SearchEngineDirectory()
-    d.advertise(addr(200))
-    new_map, added = router_refresh(addr(100), d, nmap, NodeRecord)
+    new_map, added = router_refresh(addr(100), {addr(200)}, nmap, NodeRecord)
     assert added == ()
     assert len(new_map) == 2
 
 
 def test_router_refresh_maps_the_record_of_each_stray():
     nmap = NeighborhoodMap.build([NodeRecord(addr(100)), NodeRecord(addr(200))])
-    d = SearchEngineDirectory()
-    d.advertise(addr(150))
-    d.advertise(addr(120))
+    d = {addr(150), addr(120)}
     true = {
         addr(120): NodeRecord(addr(120), uptime_fraction=0.25, active=False),
         addr(150): NodeRecord(addr(150), uptime_fraction=0.75, metric=3.0),
@@ -227,7 +202,7 @@ def test_router_refresh_maps_the_record_of_each_stray():
 def test_router_refresh_requires_membership():
     nmap = NeighborhoodMap.build([NodeRecord(addr(100))])
     with pytest.raises(ValueError):
-        router_refresh(addr(5), SearchEngineDirectory(), nmap, NodeRecord)
+        router_refresh(addr(5), set(), nmap, NodeRecord)
 
 
 def test_address_distance_drives_excerpt_order():

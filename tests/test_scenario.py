@@ -5,23 +5,21 @@ from importlib import resources
 
 import pytest
 
-from peermesh import scenario
+from peermesh import cli, scenario
 from peermesh.scenario import (
     ScenarioError,
     ScenarioParseError,
-    ScenarioScript,
     World,
     WorldConfig,
     load_scenario,
     parse_scenario,
     render_report,
     run_scenario,
+    schedule_line,
 )
 from peermesh.simcore import (
     KIND_BEACON,
     KIND_MESSAGE,
-    KIND_NODE_DOWN,
-    KIND_NODE_UP,
     KIND_TIMER,
     Engine,
     SimEvent,
@@ -52,7 +50,7 @@ def test_parse_full_grammar():
         """,
         name="inline",
     )
-    assert script.config == {"horizon": "500", "min_clients": "3"}
+    assert script.config == WorldConfig(horizon=500, min_clients=3)
     assert len(script.events) == 2
     ev = script.events[0]
     assert (ev.at, ev.kind, str(ev.addr)) == (0, "download", "10.0.0.1")
@@ -119,13 +117,6 @@ def test_parse_errors_carry_line_numbers():
     text = "config horizon=100\n\nat=0 event=download addr=10.0.0.1\nat=1 event=warp addr=10.0.0.2\n"
     with pytest.raises(ScenarioParseError, match="inline:4"):
         parse_scenario(text, name="inline")
-
-
-def test_unknown_config_key_fails_at_run():
-    # The parser rejects the key first; a script built by hand meets it at run.
-    script = ScenarioScript(name="inline", config={"warp_factor": "9"}, events=(), checks=())
-    with pytest.raises(ScenarioParseError, match="warp_factor"):
-        run_scenario(script)
 
 
 # -- bundled scenarios -----------------------------------------------------------
@@ -198,13 +189,16 @@ assert member addr=10.4.0.1
 assert member addr=10.4.0.6
 assert no-router addr=10.4.0.1
 assert no-router addr=10.4.0.6
+assert router addr=10.9.9.9
+assert no-router addr=10.9.9.9
 """
 
 
 def test_membership_splits_past_critical_mass():
     report = run_scenario(parse_scenario(SPLIT, name="split"))
-    failed = [c.render() for c in report.checks if not c.passed]
-    assert report.passed, failed
+    # 10.9.9.9 never downloaded, so it neither is nor lacks a router
+    verdicts = [(c.passed, c.detail) for c in report.checks]
+    assert verdicts == [(True, "")] * 4 + [(False, "not an instance")] * 2
     splits = [a for a in report.actions if a.kind == "subdivided"]
     # the fifth join pushes the count past critical mass: one split, two halves
     assert len(splits) == 2
@@ -319,6 +313,23 @@ def test_horizon_truncates_the_trace():
     assert "truncated" in rendered
 
 
+def test_a_check_timed_past_the_horizon_fails(tmp_path, capsys):
+    # The run stops at the horizon, so the check is never evaluated: it fails
+    # rather than vanish from a report that would then pass.
+    p = tmp_path / "late.scenario"
+    p.write_text(
+        "config horizon=10\n"
+        "at=0 event=download addr=10.0.0.1\n"
+        "assert member at=50 addr=10.0.0.9\n"
+        "assert isolated at=10 addr=10.0.0.1\n"
+    )
+    assert cli.main(["scenario", "run", str(p), "--quiet"]) == 1
+    out = capsys.readouterr().out
+    assert "L3 member at=50 addr=10.0.0.9: FAIL (after the horizon 10)" in out
+    assert "L4 isolated at=10 addr=10.0.0.1: PASS" in out
+    assert out.endswith("-- result: FAIL (1/2 checks) --\n")
+
+
 def test_load_scenario_from_path(tmp_path):
     p = tmp_path / "tiny.scenario"
     p.write_text("at=0 event=download addr=10.0.0.1\nassert isolated addr=10.0.0.1\n")
@@ -407,7 +418,11 @@ WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced)
         scenario.Introduction(A, B, iter([A]), Engine(1).stream("node/10.0.0.1"), 7),
         {"type": "introduction", "from": A, "to": B},
     ),
-    (KIND_MESSAGE, scenario.Proposal(3, B), {"type": "proposal", "commit": 3, "to": B}),
+    (
+        KIND_MESSAGE,
+        scenario.Proposal(3, B, Engine(1).stream("commit/3")),
+        {"type": "proposal", "commit": 3, "to": B},
+    ),
     (KIND_MESSAGE, scenario.CommitAck(3, B), {"type": "commit-ack", "commit": 3, "member": B}),
     (KIND_TIMER, scenario.CommitDeadline(3), {"type": "commit-deadline", "commit": 3}),
     (KIND_TIMER, scenario.IntroExpiry(), {"type": "intro-expiry"}),
@@ -433,13 +448,12 @@ def test_a_finished_world_is_freed_by_reference_counting():
     # No handler table or payload refers back to the world, so with the cyclic
     # collector off it dies with its last reference.
     script = parse_scenario(CHURN, name="churn")
-    renamed = {"up": KIND_NODE_UP, "down": KIND_NODE_DOWN}
     gc.disable()
     try:
         engine = Engine(5)
-        world = World(engine, WorldConfig.from_mapping(script.config))
-        for ev in script.events:
-            engine.schedule(ev.at, renamed.get(ev.kind, ev.kind), target=ev.addr, payload=ev.params)
+        world = World(engine, script.config)
+        for line in script.events:
+            schedule_line(engine, line)
         assert len(engine.run(world.handle, horizon=100)) > 50
         assert len(world.actions) > 20
         freed = weakref.ref(world)

@@ -1,8 +1,9 @@
 """Stateful property test of the scenario World under churn.
 
-A state machine drives a World through its Engine with downloads, downs,
-ups, sends, subdivisions and the passing of time, and after every step
-checks that membership, routers, introductions and commits stay consistent.
+A state machine drives a World through its Engine with the passing of time
+and with parsed script lines (downloads, downs, ups, sends, subdivisions),
+and after every step checks that membership, routers, introductions and
+commits stay consistent.
 Its settle rule lets the world come to rest and checks liveness: every
 neighborhood that has a router candidate has a live router.
 """
@@ -13,8 +14,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from peermesh.scenario import BEACON_TIMEOUT_FACTOR, World, WorldConfig
-from peermesh.simcore import KIND_NODE_DOWN, KIND_NODE_UP, Engine
+from peermesh.scenario import BEACON_TIMEOUT_FACTOR, World, WorldConfig, parse_scenario, schedule_line
+from peermesh.simcore import Engine
 from peermesh.topology import parse_address, ranked_candidates
 
 # Uneven gaps, so that address distance orders the excerpts non-trivially.
@@ -43,8 +44,10 @@ class WorldMachine(RuleBasedStateMachine):
         self.now = 0
         self.sends = 0
 
-    def _run(self, kind, target, payload=None):
-        self.engine.schedule(self.now, kind, target=target, payload=payload)
+    def _run(self, text):
+        """Replay one script line, so the world only sees events the parser accepts."""
+        (line,) = parse_scenario(f"at={self.now} {text}").events
+        schedule_line(self.engine, line)
         self.engine.run(self.world.handle, horizon=self.now)
 
     def _known(self, i):
@@ -59,17 +62,17 @@ class WorldMachine(RuleBasedStateMachine):
     )
     def download(self, i, uptime, capacity):
         fresh = [a for a in POOL if a not in self.world.instances]
-        self._run("download", fresh[i % len(fresh)], {"uptime": uptime, "capacity": capacity})
+        self._run(f"event=download addr={fresh[i % len(fresh)]} uptime={uptime} capacity={capacity}")
 
     @precondition(lambda self: self.world.instances)
     @rule(i=st.integers(0, len(POOL) - 1))
     def down(self, i):
-        self._run(KIND_NODE_DOWN, self._known(i))
+        self._run(f"event=down addr={self._known(i)}")
 
     @precondition(lambda self: self.world.instances)
     @rule(i=st.integers(0, len(POOL) - 1))
     def up(self, i):
-        self._run(KIND_NODE_UP, self._known(i))
+        self._run(f"event=up addr={self._known(i)}")
 
     def _mapped_live(self):
         return [a for a in sorted(self.world.nid_of) if self.world.instances[a].active]
@@ -79,14 +82,13 @@ class WorldMachine(RuleBasedStateMachine):
     def send(self, i, timeout):
         senders = self._mapped_live()
         self.sends += 1
-        payload = {"key": f"k{self.sends}", "timeout": str(timeout)}
-        self._run("send", senders[i % len(senders)], payload)
+        self._run(f"event=send addr={senders[i % len(senders)]} key=k{self.sends} timeout={timeout}")
 
     @precondition(lambda self: self.world.nid_of)
     @rule(i=st.integers(0, len(POOL) - 1), critical_mass=st.integers(1, 3))
     def subdivide(self, i, critical_mass):
         mapped = sorted(self.world.nid_of)
-        self._run("subdivide", mapped[i % len(mapped)], {"critical_mass": str(critical_mass)})
+        self._run(f"event=subdivide addr={mapped[i % len(mapped)]} critical_mass={critical_mass}")
 
     @rule(dt=st.integers(1, 60))
     def advance(self, dt):
