@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from typing import Any, Callable, NamedTuple
 
@@ -37,6 +38,10 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _HOP_SPAN = HOP_DELAY_MAX - HOP_DELAY_MIN + 1
 _HOP_REJECT = (1 << 32) % _HOP_SPAN  # Lemire's threshold: 6
 _HOP_STEPS = 32  # PCG64 steps per refill of hop_delay's buffer, two draws each
+# hop_delays packs this many hop delays into each int16 draw, one per decimal
+# digit: a draw uniform on {0..DRAW_SPAN-1} is that many independent digits.
+HOPS_PER_DRAW = 4
+DRAW_SPAN = _HOP_SPAN**HOPS_PER_DRAW
 
 # Event kind discriminants used by the simulation layers.
 KIND_MESSAGE = "message-delivery"
@@ -97,6 +102,21 @@ def _pcg64_seed(entropy: int) -> list[int]:
     return [state, inc]
 
 
+@cache
+def digit_sums():
+    """int16 table of the hop delays packed draws carry, summed: entry
+    d*DRAW_SPAN + x is the sum over the low d digits of draw x, for d in
+    0..HOPS_PER_DRAW. Built at the first call, so that importing simcore
+    loads no numpy."""
+    import numpy as np
+
+    draws = np.arange(DRAW_SPAN)
+    sums = np.zeros((HOPS_PER_DRAW + 1, DRAW_SPAN), dtype=np.int16)
+    for d in range(HOPS_PER_DRAW):
+        sums[d + 1] = sums[d] + draws // 10**d % 10 + HOP_DELAY_MIN
+    return sums.ravel()
+
+
 class RandomStream:
     """Reproducible random source identified by (seed, stream_id).
 
@@ -142,13 +162,16 @@ class RandomStream:
         return self._hops.pop()
 
     def hop_delays(self, size):
-        """An int16 array of hop delays from numpy's Generator.integers: numpy
-        draws int16 faster than int64. Sum it with an int64 accumulator."""
+        """An int16 array of packed hop delays from numpy's Generator.integers,
+        each uniform on {0..DRAW_SPAN-1}. A draw carries HOPS_PER_DRAW hop
+        delays, one per decimal digit, units digit first: digit k is the hop
+        delay HOP_DELAY_MIN + draw // 10**k % 10. A caller that needs fewer
+        hops from a draw uses its low digits."""
         import numpy as np
 
         if self._gen is None:
             self._gen = np.random.Generator(np.random.PCG64(derive_seed(self.seed, self.stream_id)))
-        return self._gen.integers(HOP_DELAY_MIN, HOP_DELAY_MAX, size=size, endpoint=True, dtype=np.int16)
+        return self._gen.integers(0, DRAW_SPAN, size=size, dtype=np.int16)
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id!r})"

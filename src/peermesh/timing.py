@@ -17,24 +17,33 @@ uniform draws on {1..10} virtual units (1 unit = 50 ms). One trial costs:
 
 Trials come in blocks of BLOCK_TRIALS. Block j draws every hop of its trials
 in one call on its own derived stream, `timing/{rows}x{columns}/{mode}/block/{j}`,
-one trial per row. Every statistic is reproducible from (dims, trials, seed,
-mode) alone, and trial i is the same whatever the trial count.
+one trial per row. Each int16 drawn carries four hops, one per decimal digit
+(see RandomStream.hop_delays), so a chain of h hops takes ceil(h/4) draws and
+uses only the low h - 4*(ceil(h/4) - 1) digits of its last; the ring is one
+such chain. A trial's draws are contiguous, in phase order: forward chains,
+ring, redistribute chains. Every statistic is reproducible from (dims,
+trials, seed, mode) alone, and trial i is the same whatever the trial count.
 
-The functions that draw and summarize import numpy, so that importing timing,
-as the command line does, loads none.
+The functions that draw and summarize import numpy, and the table of digit
+sums is built at the first draw, so that importing timing, as the command
+line does, loads none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
-from .simcore import DEFAULT_SEED, RandomStream, units_to_ms
+from .simcore import DEFAULT_SEED, DRAW_SPAN, HOPS_PER_DRAW, RandomStream, digit_sums, units_to_ms
 
 if TYPE_CHECKING:
     import numpy as np
 
 MODE_TABLE_CONSISTENT = "table_consistent"
+"""Ring accounting that sums columns-1 hops, as the paper's tables do. It is a
+table convention with no message counterpart: a real round's leader ring
+sends 2*(columns-1) messages, as MODE_EQUATION_LITERAL draws."""
 MODE_EQUATION_LITERAL = "equation_literal"
 MODES = (MODE_TABLE_CONSISTENT, MODE_EQUATION_LITERAL)
 
@@ -43,8 +52,9 @@ DEFAULT_TRIALS = 1000
 BLOCK_TRIALS = 64
 SWEEP_TOTALS = (256, 512, 1024, 2048)
 # Input caps. A block draws all 2*total_hops + ring hops of its trials at once,
-# and every trial keeps four int64 components until the run is summarized, so
-# a larger fleet or trial count fails at allocation or exhausts memory.
+# four to an int16, and every trial keeps four int64 components until the run
+# is summarized, so a larger fleet or trial count fails at allocation or
+# exhausts memory.
 MAX_TOTAL_HOPS = 1 << 16
 MAX_TRIALS = 1_000_000
 
@@ -83,26 +93,47 @@ def _phase_widths(dims: HopsArrayDims, mode: str) -> tuple[int, int, int]:
     return dims.total_hops, ring_hops, dims.total_hops
 
 
-def _draw_trials(dims: HopsArrayDims, stream: RandomStream, mode: str, size: int) -> np.ndarray:
-    """Phase times of `size` trials from one draw of shape (size, hops per trial).
+def _draw_digits(hops: int) -> list[int]:
+    """Digits used of each draw of a chain of `hops` hops: every digit, but
+    only the low ones of the last draw."""
+    return [min(HOPS_PER_DRAW, hops - first) for first in range(0, hops, HOPS_PER_DRAW)]
 
-    Row i of the draw is trial i, sliced in draw order into forward, ring and
-    redistribute hops; a pass's hops are laid out (rows, columns), so chain c
-    is column c. Returns int64 rows (cluster_phase, leader_phase,
-    redistribute_phase, forward delay summed over every chain), one column
-    per trial.
+
+@cache
+def _draw_offsets(dims: HopsArrayDims, mode: str) -> np.ndarray:
+    """Each draw's offset into simcore.digit_sums, in one trial's draw order:
+    forward chains, ring, redistribute chains. A pass's draws are laid out
+    (draws per chain, columns), so chain c is column c."""
+    import numpy as np
+
+    _, ring, _ = _phase_widths(dims, mode)
+    chains = np.repeat(np.array(_draw_digits(dims.rows), dtype=np.uint16), dims.columns)
+    return np.concatenate((chains, np.array(_draw_digits(ring), dtype=np.uint16), chains)) * DRAW_SPAN
+
+
+def _draw_trials(dims: HopsArrayDims, stream: RandomStream, mode: str, size: int) -> np.ndarray:
+    """Phase times of `size` trials from one draw of shape (size, draws per trial).
+
+    Row i of the draw is trial i. One gather through digit_sums turns each
+    draw into the summed hop delays it carries, and chain sums add those up.
+    Returns int64 rows (cluster_phase, leader_phase, redistribute_phase,
+    forward delay summed over every chain), one column per trial.
     """
     import numpy as np
 
-    forward, ring, _ = _phase_widths(dims, mode)
-    hops = stream.hop_delays((size, 2 * forward + ring))
-    chains = (size, dims.rows, dims.columns)
-    forward_sums = hops[:, :forward].reshape(chains).sum(axis=1, dtype=np.int64)
-    redist_sums = hops[:, forward + ring :].reshape(chains).sum(axis=1, dtype=np.int64)
+    offsets = _draw_offsets(dims, mode)
+    draws = stream.hop_delays((size, len(offsets)))
+    # uint16 holds every index: at most HOPS_PER_DRAW*DRAW_SPAN + DRAW_SPAN - 1
+    sums = digit_sums().take(draws.view(np.uint16) + offsets)
+    chain_draws = -(-dims.rows // HOPS_PER_DRAW)
+    forward = chain_draws * dims.columns
+    chains = (size, chain_draws, dims.columns)
+    forward_sums = sums[:, :forward].reshape(chains).sum(axis=1, dtype=np.int64)
+    redist_sums = sums[:, -forward:].reshape(chains).sum(axis=1, dtype=np.int64)
     return np.stack(
         (
             2 * forward_sums.max(axis=1),
-            hops[:, forward : forward + ring].sum(axis=1, dtype=np.int64),
+            sums[:, forward:-forward].sum(axis=1, dtype=np.int64),
             redist_sums.max(axis=1),
             forward_sums.sum(axis=1),
         )

@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 
 from peermesh.simcore import (
     DEFAULT_SEED,
+    DRAW_SPAN,
     HOP_DELAY_MAX,
     HOP_DELAY_MIN,
+    HOPS_PER_DRAW,
     MS_PER_UNIT,
     Engine,
     RandomStream,
     _pcg64_seed,
     derive_seed,
+    digit_sums,
     units_to_ms,
 )
 
@@ -20,6 +23,11 @@ PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG_DEFAULT_MULTIPLIE
 
 def numpy_hop_delays(gen: np.random.Generator, n: int) -> list[int]:
     return [int(gen.integers(HOP_DELAY_MIN, HOP_DELAY_MAX, endpoint=True)) for _ in range(n)]
+
+
+def digits(draws: np.ndarray) -> np.ndarray:
+    """Packed draws as hop delays, one column per decimal digit, units first."""
+    return np.stack([draws // 10**k % 10 + HOP_DELAY_MIN for k in range(HOPS_PER_DRAW)], axis=-1)
 
 
 @pytest.mark.parametrize(
@@ -45,19 +53,34 @@ def test_units_to_ms_rejects_negative():
 def test_hop_delay_range_and_mean():
     draws = RandomStream(123, "hops").hop_delays(200_000)
     assert draws.dtype == np.int16
-    assert draws.min() >= HOP_DELAY_MIN
-    assert draws.max() <= HOP_DELAY_MAX
-    # uniform on {1..10}: mean 5.5, std of the sample mean ~ 0.0064
-    assert abs(draws.mean() - 5.5) < 0.05
+    assert draws.min() >= 0
+    assert draws.max() <= DRAW_SPAN - 1 == 10**HOPS_PER_DRAW - 1
+    hops = digits(draws)
+    assert hops.min() >= HOP_DELAY_MIN
+    assert hops.max() <= HOP_DELAY_MAX
+    # each digit uniform on {1..10}: mean 5.5, std of the sample mean ~ 0.0064
+    for mean in hops.mean(axis=0):
+        assert abs(mean - 5.5) < 0.05
 
 
 def test_hop_delay_frequencies():
+    # every digit position of a packed draw is uniform on {0..9}
     n = 200_000
-    draws = RandomStream(5, "freq").hop_delays(n)
-    counts = np.bincount(draws, minlength=HOP_DELAY_MAX + 1)[1:]
-    assert counts.sum() == n
-    for c in counts:
-        assert abs(c / n - 0.1) < 0.01
+    hops = digits(RandomStream(5, "freq").hop_delays(n))
+    for position in hops.T:
+        counts = np.bincount(position, minlength=HOP_DELAY_MAX + 1)[1:]
+        assert counts.sum() == n
+        for c in counts:
+            assert abs(c / n - 0.1) < 0.01
+
+
+def test_digit_sums_match_enumeration():
+    # entry d*DRAW_SPAN + x sums the hop delays of the low d digits of x
+    table = digit_sums()
+    assert table.dtype == np.int16
+    assert table.shape == ((HOPS_PER_DRAW + 1) * DRAW_SPAN,)
+    want = [sum(int(c) + 1 for c in f"{x:04d}"[::-1][:d]) for d in range(HOPS_PER_DRAW + 1) for x in range(DRAW_SPAN)]
+    assert table.tolist() == want
 
 
 def test_derive_seed_stable():
@@ -70,12 +93,15 @@ def test_stream_replay_identical():
     a = RandomStream(42, "replay").hop_delays(1000)
     b = RandomStream(42, "replay").hop_delays(1000)
     assert np.array_equal(a, b)
+    assert np.array_equal(digits(a), digits(b))
 
 
 def test_streams_differ_by_id():
-    a = RandomStream(42, "one").hop_delays(1000)
-    b = RandomStream(42, "two").hop_delays(1000)
-    assert not np.array_equal(a, b)
+    # each digit position differs, not just the packed draws
+    a = digits(RandomStream(42, "one").hop_delays(1000))
+    b = digits(RandomStream(42, "two").hop_delays(1000))
+    for k in range(HOPS_PER_DRAW):
+        assert not np.array_equal(a[:, k], b[:, k])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 701, 7919, 2**64 - 1])
@@ -134,15 +160,16 @@ def test_hop_delay_rejects_as_numpy_does(low, high):
 
 def test_hop_delays_are_numpys_int16_draws():
     # hop_delays sets numpy up at its first call, on the derived seed, apart
-    # from hop_delay's generator: timing's draws do not move.
+    # from hop_delay's generator: timing's draws do not move. Each packed
+    # draw is numpy's int16 draw on {0..9999}.
     label = "timing/8x8/table_consistent/block/0"
     gen = np.random.Generator(np.random.PCG64(derive_seed(9, label)))
     stream = RandomStream(9, label)
     stream.hop_delay()
-    for size in ((64, 136), 50):
+    for size in ((64, 34), 50):
         drawn = stream.hop_delays(size)
         assert drawn.dtype == np.int16
-        want = gen.integers(HOP_DELAY_MIN, HOP_DELAY_MAX, size=size, endpoint=True, dtype=np.int16)
+        want = gen.integers(0, 10000, size=size, dtype=np.int16)
         assert np.array_equal(drawn, want)
 
 

@@ -85,3 +85,16 @@ def test_scenario_run_and_mm1_load_no_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT / "src", check=True
     )
     assert json.loads(done.stdout) == [[0, 0], []]
+
+
+def test_cli_and_timing_import_no_numpy():
+    # timing loads numpy, and builds its table of digit sums, at the first
+    # draw: importing it, as the command line does, loads none.
+    code = (
+        "import json, sys; import peermesh.cli, peermesh.timing; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT / "src", check=True
+    )
+    assert json.loads(done.stdout) == []

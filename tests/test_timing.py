@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from peermesh.simcore import DEFAULT_SEED, RandomStream
+from peermesh.simcore import DEFAULT_SEED, HOPS_PER_DRAW, RandomStream
 from peermesh.sync import AttributeList, Phase, run_round
 from peermesh.timing import (
     BLOCK_TRIALS,
@@ -27,16 +27,57 @@ from peermesh.topology import NeighborhoodMap, NodeRecord, form_clusters, parse_
 
 
 class FixedStream:
-    """Stream stub returning a constant delay for every hop."""
+    """Stream stub returning a constant delay for every hop: each packed draw
+    has every digit at value - 1."""
 
     def __init__(self, value: int):
         self.value = value
 
     def hop_delays(self, size):
-        return np.full(size, self.value, dtype=np.int64)
+        return np.full(size, int(str(self.value - 1) * HOPS_PER_DRAW), dtype=np.int16)
 
     def hop_delay(self):
         return self.value
+
+
+def hops_of(draw: int) -> list[int]:
+    """The hop delays one packed draw carries, units digit first."""
+    return [draw // 10**k % 10 + 1 for k in range(HOPS_PER_DRAW)]
+
+
+def decode_trial(dims, mode, draws):
+    """One trial's packed draws, decoded hop by hop in draw order: (forward
+    chains, ring hops, redistribute chains). A pass lays its draws out (draws
+    per chain, columns); a chain of h hops reads the low digits of its last
+    draw only."""
+    ring_hops = (dims.columns - 1) * (2 if mode == MODE_EQUATION_LITERAL else 1)
+    per_chain = math.ceil(dims.rows / HOPS_PER_DRAW)
+    rest = iter(draws)
+
+    def chain(hops, packed):
+        return [hop for draw in packed for hop in hops_of(draw)][:hops]
+
+    def one_pass():
+        grid = [[next(rest) for _ in range(dims.columns)] for _ in range(per_chain)]
+        return [chain(dims.rows, [row[c] for row in grid]) for c in range(dims.columns)]
+
+    forward = one_pass()
+    ring = chain(ring_hops, [next(rest) for _ in range(math.ceil(ring_hops / HOPS_PER_DRAW))])
+    redistribute = one_pass()
+    assert next(rest, None) is None, "a trial drew more than its hops need"
+    return forward, ring, redistribute
+
+
+class RecordingStream(RandomStream):
+    """A real stream that also keeps every packed draw it hands out."""
+
+    def __init__(self, seed: int, stream_id: str):
+        super().__init__(seed, stream_id)
+        self.draws: list[np.ndarray] = []
+
+    def hop_delays(self, size):
+        self.draws.append(super().hop_delays(size))
+        return self.draws[-1]
 
 
 def one_trial(dims, stream, mode=MODE_TABLE_CONSISTENT):
@@ -249,26 +290,19 @@ def test_block_means_lie_within_five_standard_errors_of_exact(total, mode):
             assert z <= 5, f"{row.dims} {mode} {name}: {got} vs exact {mean:.3f}, z={z:.2f}"
 
 
-class RecordingStream(RandomStream):
-    """A real stream that also records how many hop delays each draw asks for."""
-
-    def __init__(self, seed: int, stream_id: str):
-        super().__init__(seed, stream_id)
-        self.sizes: list[int] = []
-
-    def hop_delays(self, size):
-        self.sizes.append(int(np.prod(size)))
-        return super().hop_delays(size)
-
-
 @pytest.mark.parametrize("dims", default_factor_pairs(256), ids=str)
 def test_equation_literal_draws_match_update_round_messages(dims):
     # The timing model draws one delay per hop of a real round over
     # `columns` clusters of `rows + 1` members, in one draw sliced by phase.
+    # Counted in hops carried, not int16s drawn: each draw carries up to
+    # HOPS_PER_DRAW of them.
     stream = RecordingStream(DEFAULT_SEED, "differential")
     one_trial(dims, stream, mode=MODE_EQUATION_LITERAL)
-    forward, ring, redistribute = _phase_widths(dims, MODE_EQUATION_LITERAL)
-    assert stream.sizes == [forward + ring + redistribute]
+    (draws,) = stream.draws
+    assert draws.shape[0] == 1
+    chains, ring_hops, redistribute_chains = decode_trial(dims, MODE_EQUATION_LITERAL, draws[0].tolist())
+    forward, ring, redistribute = sum(map(len, chains)), len(ring_hops), sum(map(len, redistribute_chains))
+    assert (forward, ring, redistribute) == _phase_widths(dims, MODE_EQUATION_LITERAL)
     count = dims.columns * (dims.rows + 1)
     nmap = NeighborhoodMap.build(NodeRecord(parse_address(0x0A000000 + i)) for i in range(count))
     plan = form_clusters(nmap, dims.rows + 1)
@@ -276,3 +310,26 @@ def test_equation_literal_draws_match_update_round_messages(dims):
     assert forward == messages[Phase.INTRA_FORWARD] == messages[Phase.INTRA_REVERSE]
     assert ring == messages[Phase.LEADER_RING]
     assert redistribute == messages[Phase.REDISTRIBUTE]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 7), (4, 8)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_draw_trials_match_a_hop_by_hop_decoding(shape, mode):
+    # Every trial of a block, recomputed in plain Python from the per-hop
+    # delays its draws carry. 1x1 has no ring, and 1x1 and 5x7 end each
+    # chain on a one-digit draw; rings of 2, 6, 7 and 14 hops end on a
+    # partial draw, rings of 4 and 12 on a full one.
+    dims = HopsArrayDims(*shape)
+    stream = RecordingStream(3, f"oracle/{dims}/{mode}")
+    got = _draw_trials(dims, stream, mode, BLOCK_TRIALS)
+    (draws,) = stream.draws
+    assert draws.shape[0] == BLOCK_TRIALS
+    want = []
+    for row in draws.tolist():
+        forward, ring, redistribute = decode_trial(dims, mode, row)
+        hops = [hop for chain in forward + [ring] + redistribute for hop in chain]
+        assert all(1 <= hop <= 10 for hop in hops)
+        forward_sums = [sum(chain) for chain in forward]
+        want.append((2 * max(forward_sums), sum(ring), max(map(sum, redistribute)), sum(forward_sums)))
+    assert got.dtype == np.int64
+    assert [tuple(trial) for trial in got.T.tolist()] == want
