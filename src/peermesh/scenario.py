@@ -23,7 +23,9 @@ churn, commits and subdivisions, then check what happened. Line grammar
       at that virtual time, the rest after the run; one timed past the
       horizon fails. router and no-router fail for an unknown address.
 
-The parser casts every value, so a script's config is a WorldConfig. Each
+The parser casts every value, so a script's config is a WorldConfig and the
+handlers and checks read each parameter as cast; a record keeps its
+parameters as written only to echo them in the trace and the verdict. Each
 engine event carries one record, a script line or check as parsed or a world
 event's typed payload; World.handle finds its handler in one table.
 
@@ -118,7 +120,7 @@ _EVENT_PARAMS = {
     "send": {
         **_EVENT,
         "key": _TEXT,
-        "value": _TEXT,
+        "value": (str.encode, lambda v: True, "text"),
         "timeout": _POSITIVE,
         "scope": (sync.validate_scope, lambda v: True, "local, global or group:<id>"),
     },
@@ -144,10 +146,12 @@ _CHECK_PARAMS = {
         "key": _TEXT,
         "acks": _COUNT,
         "absent": (_address_list, lambda v: True, "- or a comma-separated list of addresses"),
-        "value": _TEXT,
+        "value": (str.encode, lambda v: True, "text"),
     },
 }
 CHECK_KINDS = tuple(_CHECK_PARAMS)
+# The recorded action kind each of the first six check kinds matches.
+_ACTION_OF = {kind: kind for kind in CHECK_KINDS[:6]} | {"connected": "connect"}
 # Parameters an event or check cannot do without.
 _REQUIRED_PARAMS = {
     "send": ("key",),
@@ -184,16 +188,18 @@ class ScriptEvent:
     at: int
     kind: str
     addr: NodeAddress
-    params: dict[str, str]
+    params: dict[str, object]  # as cast, without at= and addr=
     line: int
+    echo: str  # the params as written, sorted key=value pairs
 
 
 @dataclass(frozen=True)
 class ScriptCheck:
     kind: str
-    params: dict[str, str]
+    params: dict[str, object]  # as cast, without at=
     at: int | None
     line: int
+    echo: str  # the params as written, sorted key=value pairs
 
 
 @dataclass(frozen=True)
@@ -216,6 +222,10 @@ def _split_pairs(tokens: list[str], where: str) -> dict[str, str]:
             raise ScenarioParseError(f"{where}: duplicate key {k!r}")
         out[k] = v
     return out
+
+
+def _echo(params: dict[str, str], *skip: str) -> str:
+    return " ".join(f"{k}={v}" for k, v in sorted(params.items()) if k not in skip)
 
 
 def _check(params: dict[str, str], kind: str, typed: Mapping, where: str, unknown: str) -> dict:
@@ -263,10 +273,10 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
             kind = tokens[1]
             if kind not in CHECK_KINDS:
                 raise ScenarioParseError(f"{where}: unknown assert kind {kind!r}")
-            params = _split_pairs(tokens[2:], where)
-            at = _check(params, kind, _CHECK_PARAMS[kind], where, unknown=f"{kind} parameter").get("at")
-            params.pop("at", None)
-            checks.append(ScriptCheck(kind=kind, params=params, at=at, line=lineno))
+            pairs = _split_pairs(tokens[2:], where)
+            params = _check(pairs, kind, _CHECK_PARAMS[kind], where, unknown=f"{kind} parameter")
+            at = params.pop("at", None)
+            checks.append(ScriptCheck(kind, params, at, lineno, _echo(pairs, "at")))
             continue
         pairs = _split_pairs(tokens, where)
         missing = [k for k in ("at", "event", "addr") if k not in pairs]
@@ -275,9 +285,9 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
         kind = pairs.pop("event")
         if kind not in EVENT_KINDS:
             raise ScenarioParseError(f"{where}: unknown event {kind!r}")
-        typed = _check(pairs, kind, _EVENT_PARAMS[kind], where, unknown=f"{kind} parameter")
-        del pairs["at"], pairs["addr"]
-        events.append(ScriptEvent(at=typed["at"], kind=kind, addr=typed["addr"], params=pairs, line=lineno))
+        params = _check(pairs, kind, _EVENT_PARAMS[kind], where, unknown=f"{kind} parameter")
+        at, addr = params.pop("at"), params.pop("addr")
+        events.append(ScriptEvent(at, kind, addr, params, lineno, _echo(pairs, "at", "addr")))
     return ScenarioScript(name=name, config=config, events=tuple(events), checks=tuple(checks))
 
 
@@ -331,10 +341,9 @@ class CheckResult:
     detail: str
 
     def render(self) -> str:
-        body = " ".join(f"{k}={v}" for k, v in sorted(self.check.params.items()))
         when = f" at={self.check.at}" if self.check.at is not None else ""
         verdict = "PASS" if self.passed else "FAIL"
-        out = f"L{self.check.line} {self.check.kind}{when} {body}: {verdict}"
+        out = f"L{self.check.line} {self.check.kind}{when} {self.check.echo}: {verdict}"
         if not self.passed and self.detail:
             out += f" ({self.detail})"
         return out
@@ -458,9 +467,9 @@ class World:
             raise ScenarioError(f"{addr} downloaded twice")
         rec = NodeRecord(
             address=addr,
-            uptime_fraction=float(params.get("uptime", 1.0)),
-            link_capacity_bps=float(params.get("capacity", 1_000_000.0)),
-            metric=float(params.get("metric", 0.0)),
+            uptime_fraction=params.get("uptime", 1.0),
+            link_capacity_bps=params.get("capacity", 1_000_000.0),
+            metric=params.get("metric", 0.0),
         )
         self.instances[addr] = rec
         excerpt = self.registry.register(addr, now, cap=self.config.excerpt_cap)
@@ -606,14 +615,13 @@ class World:
             raise ScenarioError(f"send from unmapped instance {addr}")
         # A live proposer is online even if an earlier commit flagged it offline.
         group = {addr, *(r.address for r in self.neighborhoods[nid].map.active_members())}
-        timeout = int(params.get("timeout", self.config.commit_timeout))
         commit = sync.propose_commit(
             group=group,
             proposer=addr,
             key=params["key"],
-            value=params.get("value", "").encode("utf-8"),
+            value=params.get("value", b""),
             now=now,
-            timeout=timeout,
+            timeout=params.get("timeout", self.config.commit_timeout),
             scope=params.get("scope", sync.SCOPE_LOCAL),
         )
         self.commits.append(commit)
@@ -662,8 +670,8 @@ class World:
         nid = self.nid_of.get(line.addr)
         if nid is None:
             raise ScenarioError(f"subdivide via unmapped instance {line.addr}")
-        cm = int(line.params.get("critical_mass", self.config.critical_mass or 0))
-        if cm < 1:
+        cm = line.params.get("critical_mass", self.config.critical_mass)
+        if cm is None:
             raise ScenarioError("subdivide needs critical_mass (param or config)")
         self._apply_subdivide(nid, cm)
 
@@ -735,25 +743,12 @@ class World:
 
     def _evaluate(self, check: ScriptCheck) -> CheckResult:
         kind, p = check.kind, check.params
-        action_kinds = {
-            "connected": "connect",
-            "connect-failed": "connect-failed",
-            "queued": "queued",
-            "delivered": "delivered",
-            "expired": "expired",
-            "introduced": "introduced",
-        }
-        if kind in action_kinds:
-            want_from, want_to = p.get("from"), p.get("to")
-            ok = any(
-                a.kind == action_kinds[kind]
-                and (want_from is None or a.get("from") == want_from)
-                and (want_to is None or a.get("to") == want_to)
-                for a in self.actions
-            )
+        if kind in _ACTION_OF:
+            action, want = _ACTION_OF[kind], p.items()
+            ok = any(a.kind == action and all(f in a.fields for f in want) for a in self.actions)
             return CheckResult(check, ok, "" if ok else "no matching action")
+        addr = p.get("addr")
         if kind in ("router", "no-router"):
-            addr = parse_address(p["addr"])
             if addr not in self.instances:
                 return CheckResult(check, False, "not an instance")
             hood = self.neighborhoods.get(self.nid_of.get(addr))
@@ -761,11 +756,9 @@ class World:
             ok = current == addr if kind == "router" else current is None
             return CheckResult(check, ok, "" if ok else f"router is {current}")
         if kind == "member":
-            addr = parse_address(p["addr"])
             ok = addr in self.nid_of
             return CheckResult(check, ok, "" if ok else "not in any neighborhood")
         if kind == "isolated":
-            addr = parse_address(p["addr"])
             ok = addr in self.instances and addr not in self.nid_of
             return CheckResult(check, ok, "" if ok else "not isolated")
         if kind == "committed":
@@ -774,11 +767,11 @@ class World:
                 res = c.resolution
                 if res is None or c.key != p["key"]:
                     continue
-                if "acks" in p and len(res.acks) != int(p["acks"]):
+                if "acks" in p and len(res.acks) != p["acks"]:
                     continue
-                if "absent" in p and set(_address_list(p["absent"])) != res.absentees:
+                if "absent" in p and set(p["absent"]) != res.absentees:
                     continue
-                if "value" in p and c.value != p["value"].encode("utf-8"):
+                if "value" in p and c.value != p["value"]:
                     continue
                 return CheckResult(check, True, "")
             return CheckResult(check, False, "no matching commit")
@@ -874,13 +867,12 @@ def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool =
 
 
 def _render_event(ev: SimEvent) -> str:
-    """An event's trace line: a script line's parameters (maybe none) as sorted key=value
-    pairs, a check as its line and kind, a world event's payload by its type's TRACE."""
+    """An event's trace line: a script line's parameters (maybe none) as written, a check
+    as its line and kind, a world event's payload by its type's TRACE."""
     at, _seq, kind, target, payload = ev
     head = f"[{at:>6}] {kind}" if target is None else f"[{at:>6}] {kind} target={target}"
     if isinstance(payload, ScriptEvent):
-        params = payload.params
-        return " ".join([head, *[f"{k}={params[k]}" for k in sorted(params)]])
+        return f"{head} {payload.echo}" if payload.echo else head
     if isinstance(payload, ScriptCheck):
         return f"{head} check L{payload.line} {payload.kind}"
     return f"{head} {payload.TRACE.format(payload)}"

@@ -175,11 +175,8 @@ class SweepRow:
 def _stats(samples: np.ndarray) -> ComponentStats:
     import numpy as np
 
-    return ComponentStats(
-        mean=float(samples.mean()),
-        lo=float(np.percentile(samples, 0.5)),
-        hi=float(np.percentile(samples, 99.5)),
-    )
+    lo, hi = np.percentile(samples, [0.5, 99.5])
+    return ComponentStats(mean=float(samples.mean()), lo=float(lo), hi=float(hi))
 
 
 def _trial_components(dims: HopsArrayDims, trials: int, seed: int, mode: str) -> np.ndarray:

@@ -24,7 +24,7 @@ from peermesh.simcore import (
     Engine,
     SimEvent,
 )
-from peermesh.topology import parse_address
+from peermesh.topology import NodeAddress, parse_address
 
 
 def bundled(name: str) -> str:
@@ -54,12 +54,14 @@ def test_parse_full_grammar():
     assert len(script.events) == 2
     ev = script.events[0]
     assert (ev.at, ev.kind, str(ev.addr)) == (0, "download", "10.0.0.1")
-    assert ev.params == {"domain": "alpha", "uptime": "0.95"}
+    assert ev.params == {"domain": "alpha", "uptime": 0.95}
     timed, untimed, pair, full, none_absent = script.checks
     assert timed.at == 3 and untimed.at is None
-    assert pair.params == {"from": "10.0.0.2", "to": "10.0.0.1"}
-    assert full.params == {"key": "k", "acks": "0", "absent": "10.0.0.1,10.0.0.2", "value": "v"}
-    assert none_absent.params == {"key": "k", "absent": "-"}
+    assert pair.params == {"from": parse_address("10.0.0.2"), "to": parse_address("10.0.0.1")}
+    assert type(pair.params["from"]) is NodeAddress
+    absent = (parse_address("10.0.0.1"), parse_address("10.0.0.2"))
+    assert full.params == {"key": "k", "acks": 0, "absent": absent, "value": b"v"}
+    assert none_absent.params == {"key": "k", "absent": ()}
 
 
 @pytest.mark.parametrize(
@@ -267,6 +269,7 @@ assert committed key=colour acks=02
 def test_committed_check_matches_the_committed_value():
     report = run_scenario(parse_scenario(COMMIT_VALUES, name="commit-values"))
     assert [c.passed for c in report.checks] == [True, False, True, False, True, True]
+    assert report.checks[-1].render() == "L11 committed acks=02 key=colour: PASS"
     # the value is checked, not printed: the committed action carries none
     assert all(a.get("value") is None for a in report.actions if a.kind == "committed")
 
@@ -290,6 +293,11 @@ assert committed key=channel absent=-
 def test_committed_check_compares_absent_as_a_set():
     report = run_scenario(parse_scenario(COMMIT_ABSENTEES, name="commit-absentees"))
     assert [c.passed for c in report.checks] == [True, True, False, False]
+    verdicts = [c.render() for c in report.checks[:2]]
+    assert verdicts == [
+        "L10 committed absent=10.2.0.3,10.2.0.4 key=channel: PASS",
+        "L11 committed absent=10.2.0.4,10.2.0.3 key=channel: PASS",
+    ]
 
 
 def test_send_from_unknown_instance_is_a_scenario_error():

@@ -1,22 +1,27 @@
 """Property tests for the scenario parser: any line built from the grammar's
 tokens either parses or raises ScenarioParseError naming its file and line,
-and a script that parses runs or stops on a ScenarioError, never on another
-exception."""
+a line that parses holds each value as its parameter table casts it and
+echoes its tokens as written, and a script that parses runs or stops on a
+ScenarioError, never on another exception."""
 
 import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peermesh import scenario
 from peermesh.scenario import (
     CHECK_KINDS,
     EVENT_KINDS,
+    CheckResult,
     ScenarioError,
     ScenarioParseError,
     ScenarioScript,
     parse_scenario,
     run_scenario,
+    schedule_line,
 )
+from peermesh.simcore import Engine
 
 # Value pools mix good and bad values, so that lines both parse and fail.
 AT = ["at=0", "at=5", "at=40", "at=-1", "at=abc"]
@@ -72,7 +77,30 @@ def _parse(lines: list[str]) -> ScenarioScript | None:
 @settings(max_examples=300)
 @given(scripts)
 def test_parser_returns_a_script_or_a_located_parse_error(lines):
-    _parse(lines)
+    script = _parse(lines)
+    if script is None:
+        return
+    for ev in script.events:
+        written = dict(tok.split("=", 1) for tok in lines[ev.line - 1].split())
+        del written["at"], written["event"], written["addr"]
+        echo = _assert_cast_and_echo(ev, scenario._EVENT_PARAMS[ev.kind], written)
+        sim = schedule_line(Engine(), ev)
+        assert scenario._render_event(sim) == f"[{ev.at:>6}] {sim.kind} target={ev.addr} {echo}".rstrip()
+    for chk in script.checks:
+        written = dict(tok.split("=", 1) for tok in lines[chk.line - 1].split()[2:])
+        written.pop("at", None)
+        when = "" if chk.at is None else f" at={chk.at}"
+        echo = _assert_cast_and_echo(chk, scenario._CHECK_PARAMS[chk.kind], written)
+        assert CheckResult(chk, True, "").render() == f"L{chk.line} {chk.kind}{when} {echo}: PASS"
+
+
+def _assert_cast_and_echo(record, typed, written: dict[str, str]) -> str:
+    """Assert that record holds typed's cast of each written value and echoes
+    the written pairs sorted by key; return that echo."""
+    assert record.params == {k: typed[k][0](v) for k, v in written.items()}
+    echo = " ".join(f"{k}={v}" for k, v in sorted(written.items()))
+    assert record.echo == echo
+    return echo
 
 
 # Well-formed scripts: four downloads, then churn, commits and splits among
