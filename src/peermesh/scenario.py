@@ -47,6 +47,11 @@ scheduled them all.
 The trace is rendered as the run goes: each engine event becomes its text
 line when it is dispatched, and no event is kept after its handler returns.
 A run without a trace (`--quiet`) only counts its events.
+
+Both the trace and the action log are built as text: each payload type
+renders its trace body, and each handler its action's fields, with one
+f-string, reading addresses from topology's table DOTTED. An action keeps
+only that text, and a check matches it one whole key=value field at a time.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ from .simcore import (
     SimEvent,
 )
 from .topology import (
+    DOTTED,
     NeighborhoodMap,
     NodeAddress,
     NodeRecord,
@@ -80,6 +86,7 @@ from .topology import (
     subdivide,
 )
 
+_text = DOTTED.__getitem__  # an address's dotted quad
 DEFAULT_HORIZON_MARGIN = 1000
 # A router whose beacon is this many periods old has failed over.
 BEACON_TIMEOUT_FACTOR = 2
@@ -192,6 +199,9 @@ class ScriptEvent:
     line: int
     echo: str  # the params as written, sorted key=value pairs
 
+    def trace(self) -> str:
+        return self.echo
+
 
 @dataclass(frozen=True)
 class ScriptCheck:
@@ -200,6 +210,9 @@ class ScriptCheck:
     at: int | None
     line: int
     echo: str  # the params as written, sorted key=value pairs
+
+    def trace(self) -> str:
+        return f"check L{self.line} {self.kind}"
 
 
 @dataclass(frozen=True)
@@ -315,23 +328,30 @@ class Neighborhood:
 
 
 class Action(NamedTuple):
+    """A recorded world action. Its fields are kept as the text they render
+    as, one space-separated key=value body: one string per action, smaller
+    than a tuple of (key, text) pairs, and nothing the cyclic GC must track."""
+
     at: int
     kind: str
-    fields: tuple[tuple[str, object], ...]  # typed: get and render give the text
+    body: str
+
+    def fields(self) -> list[str]:
+        return self.body.split(" ")
 
     def get(self, key: str) -> str | None:
-        for k, v in self.fields:
+        for field in self.fields():
+            k, _, v = field.partition("=")
             if k == key:
-                return str(v)
+                return v
         return None
 
     def render(self) -> str:
-        body = " ".join([f"{k}={v}" for k, v in self.fields])
-        return f"[{self.at:>6}] {self.kind} {body}".rstrip()
+        return f"[{self.at:>6}] {self.kind} {self.body}"
 
 
 def _absent_text(res: sync.CommitResult) -> str:
-    return ",".join(str(a) for a in sorted(res.absentees)) or "-"
+    return ",".join(map(_text, sorted(res.absentees))) or "-"
 
 
 @dataclass(frozen=True)
@@ -350,7 +370,7 @@ class CheckResult:
 
 
 # World event payloads, one type each. World dispatches on the type, and each
-# type's TRACE renders its trace body: its keys in sorted order, then its type.
+# type's trace() renders its trace body: its keys in sorted order, then its type.
 
 
 class Introduction(NamedTuple):
@@ -363,44 +383,59 @@ class Introduction(NamedTuple):
     targets: Iterator[NodeAddress]
     stream: RandomStream
     seq: int
-    TRACE = "from={0.sender} to={0.target} type=introduction"
+
+    def trace(self) -> str:
+        return f"from={_text(self.sender)} to={_text(self.target)} type=introduction"
 
 
 class Proposal(NamedTuple):
     commit: int  # index into World.commits
     member: NodeAddress
     stream: RandomStream  # the commit's, which draws the ack's hop delay too
-    TRACE = "commit={0.commit} to={0.member} type=proposal"
+
+    def trace(self) -> str:
+        return f"commit={self.commit} to={_text(self.member)} type=proposal"
 
 
 class CommitAck(NamedTuple):
     commit: int
     member: NodeAddress
-    TRACE = "commit={0.commit} member={0.member} type=commit-ack"
+
+    def trace(self) -> str:
+        return f"commit={self.commit} member={_text(self.member)} type=commit-ack"
 
 
 class CommitDeadline(NamedTuple):
     commit: int
-    TRACE = "commit={0.commit} type=commit-deadline"
+
+    def trace(self) -> str:
+        return f"commit={self.commit} type=commit-deadline"
 
 
 class IntroExpiry(NamedTuple):
-    TRACE = "type=intro-expiry"
+    def trace(self) -> str:
+        return "type=intro-expiry"
 
 
 class BeaconMonitor(NamedTuple):
     neighborhood: int
-    TRACE = "neighborhood={0.neighborhood} type=beacon-monitor"
+
+    def trace(self) -> str:
+        return f"neighborhood={self.neighborhood} type=beacon-monitor"
 
 
 class RouterRefresh(NamedTuple):
     neighborhood: int
-    TRACE = "neighborhood={0.neighborhood} type=router-refresh"
+
+    def trace(self) -> str:
+        return f"neighborhood={self.neighborhood} type=router-refresh"
 
 
 class Beacon(NamedTuple):
     neighborhood: int
-    TRACE = "neighborhood={0.neighborhood}"
+
+    def trace(self) -> str:
+        return f"neighborhood={self.neighborhood}"
 
 
 class World:
@@ -425,11 +460,14 @@ class World:
         self.actions: list[Action] = []
         self.check_results: list[CheckResult] = []
         self._next_nid = 0
+        # Per neighborhood id (None: no neighborhood), the map snapshot an
+        # introduction timeout was last computed from, and that timeout.
+        self._intro_timeouts: dict[int | None, tuple[NeighborhoodMap | None, int]] = {}
 
     # -- plumbing ----------------------------------------------------------
 
-    def _act(self, at: int, kind: str, **fields) -> None:
-        self.actions.append(Action(at, kind, tuple(fields.items())))
+    def _act(self, at: int, kind: str, body: str) -> None:
+        self.actions.append(Action(at, kind, body))
 
     def _live(self, addr: NodeAddress | None) -> bool:
         rec = self.instances.get(addr)
@@ -441,13 +479,18 @@ class World:
         return nid
 
     def _intro_timeout(self, sender: NodeAddress) -> int:
+        """The configured timeout, or ten moderate update periods of sender's
+        neighborhood, computed once per map snapshot: snapshots are immutable."""
         if self.config.intro_timeout is not None:
             return self.config.intro_timeout
         nid = self.nid_of.get(sender)
-        metrics = [0.0]
-        if nid is not None:
-            metrics = [r.metric for r in self.neighborhoods[nid].map.members] or [0.0]
-        return 10 * sync.update_period("moderate", metrics)
+        nmap = None if nid is None else self.neighborhoods[nid].map
+        cached = self._intro_timeouts.get(nid)
+        if cached is None or cached[0] is not nmap:
+            metrics = [r.metric for r in nmap.members] if nmap is not None else []
+            timeout = 10 * sync.update_period("moderate", metrics or [0.0])
+            cached = self._intro_timeouts[nid] = (nmap, timeout)
+        return cached[1]
 
     # -- event dispatch ------------------------------------------------------
 
@@ -473,15 +516,15 @@ class World:
         )
         self.instances[addr] = rec
         excerpt = self.registry.register(addr, now, cap=self.config.excerpt_cap)
-        stream = self.engine.stream(f"node/{addr}")
+        stream = self.engine.stream(f"node/{_text(addr)}")
         result = discovery.bootstrap(excerpt, is_active=self._live, stream=stream, now=now)
         for attempt in result.attempts:
             if not attempt.alive:
-                self._act(attempt.at, "connect-failed", **{"from": addr, "to": attempt.target})
+                self._act(attempt.at, "connect-failed", f"from={_text(addr)} to={_text(attempt.target)}")
         for dead in result.dead_targets:
             self._queue_intro(result.finished_at, addr, dead)
         if result.connected_to is not None:
-            self._act(result.finished_at, "connect", **{"from": addr, "to": result.connected_to})
+            self._act(result.finished_at, "connect", f"from={_text(addr)} to={_text(result.connected_to)}")
             self._join_via(result.finished_at, rec, result.connected_to)
             skip = set(result.dead_targets) | {addr, result.connected_to}
             # Joining can split the neighborhood, so resolve the current id.
@@ -491,8 +534,8 @@ class World:
             self._introduce_next(result.finished_at, addr, iter(targets), stream, first)
         else:
             self.directory.add(addr)
-            self._act(result.finished_at, "registered", addr=addr)
-            self._act(result.finished_at, "isolated", addr=addr)
+            self._act(result.finished_at, "registered", f"addr={_text(addr)}")
+            self._act(result.finished_at, "isolated", f"addr={_text(addr)}")
 
     def _join_via(self, at: int, rec: NodeRecord, target: NodeAddress) -> None:
         nid = self.nid_of.get(target)
@@ -507,7 +550,7 @@ class World:
             hood = self.neighborhoods[nid]
             hood.map = hood.map.add(rec)
         self.nid_of[rec.address] = nid
-        self._act(at, "joined", addr=rec.address, neighborhood=nid)
+        self._act(at, "joined", f"addr={_text(rec.address)} neighborhood={nid}")
         self._post_membership(nid)
 
     def _post_membership(self, nid: int) -> None:
@@ -525,7 +568,7 @@ class World:
     def _install_router(self, nid: int, addr: NodeAddress, monitor: bool = False) -> bool:
         """Make addr the router and start it; True if its first refresh mapped strays."""
         self.neighborhoods[nid].router = addr
-        self._act(self.engine.now, "elected", addr=addr, neighborhood=nid)
+        self._act(self.engine.now, "elected", f"addr={_text(addr)} neighborhood={nid}")
         self._start_router(nid, monitor)
         return self._router_refresh(nid)
 
@@ -550,7 +593,7 @@ class World:
             hood = self.neighborhoods[nid]
             hood.map = hood.map.set_active(addr, True)
         for intro in self.intros.deliver_for(addr, now):
-            self._act(now, "delivered", **{"from": intro.sender, "to": addr})
+            self._act(now, "delivered", f"from={_text(intro.sender)} to={_text(addr)}")
         if nid is not None:
             if hood.router == addr:
                 # The router itself came back: restart its chains, which
@@ -587,7 +630,7 @@ class World:
     def _on_introduction(self, now: int, intro: Introduction) -> None:
         sender, target = intro.sender, intro.target
         if self._live(target):
-            self._act(now, "introduced", **{"from": sender, "to": target})
+            self._act(now, "introduced", f"from={_text(sender)} to={_text(target)}")
         else:
             self._queue_intro(now, sender, target)
         self._introduce_next(now, sender, intro.targets, intro.stream, intro.seq + 1)
@@ -597,12 +640,12 @@ class World:
             return
         deadline = at + self._intro_timeout(sender)
         self.intros.add(sender, target, deadline=deadline)
-        self._act(at, "queued", **{"from": sender, "to": target, "deadline": deadline})
+        self._act(at, "queued", f"from={_text(sender)} to={_text(target)} deadline={deadline}")
         self.engine.schedule(deadline, KIND_TIMER, payload=IntroExpiry())
 
     def _on_intro_expiry(self, now: int, _expiry: IntroExpiry) -> None:
         for intro in self.intros.expire_due(now):
-            self._act(now, "expired", **{"from": intro.sender, "to": intro.target})
+            self._act(now, "expired", f"from={_text(intro.sender)} to={_text(intro.target)}")
 
     # -- commits -------------------------------------------------------------
 
@@ -626,7 +669,7 @@ class World:
         )
         self.commits.append(commit)
         idx = len(self.commits) - 1
-        self._act(now, "proposed", key=commit.key, by=addr, group=len(commit.group))
+        self._act(now, "proposed", f"key={commit.key} by={_text(addr)} group={len(commit.group)}")
         if commit.resolution is not None:
             self._report_commit(now, commit)
             return
@@ -656,7 +699,7 @@ class World:
 
     def _report_commit(self, now: int, commit: sync.PendingCommit) -> None:
         res = commit.resolution
-        self._act(now, "committed", key=commit.key, acks=len(res.acks), absent=_absent_text(res))
+        self._act(now, "committed", f"key={commit.key} acks={len(res.acks)} absent={_absent_text(res)}")
         nid = self.nid_of.get(commit.proposer)
         if nid is not None:
             hood = self.neighborhoods[nid]
@@ -681,7 +724,7 @@ class World:
         try:
             lower, upper = subdivide(nmap, critical_mass)
         except NoSplitNeeded:
-            self._act(now, "no-split", neighborhood=nid, members=len(nmap))
+            self._act(now, "no-split", f"neighborhood={nid} members={len(nmap)}")
             return
         del self.neighborhoods[nid]
         for half in (lower, upper):
@@ -689,7 +732,7 @@ class World:
             self.neighborhoods[hid] = Neighborhood(half)
             for rec in half.members:
                 self.nid_of[rec.address] = hid
-            self._act(now, "subdivided", source=nid, neighborhood=hid, members=len(half))
+            self._act(now, "subdivided", f"source={nid} neighborhood={hid} members={len(half)}")
             self._post_membership(hid)
 
     # -- timers and beacons ----------------------------------------------------
@@ -715,11 +758,11 @@ class World:
             return
         timeout = self.config.beacon_period * BEACON_TIMEOUT_FACTOR
         if not self._live(hood.router) and now - hood.last_beacon >= timeout:
-            self._act(now, "beacon-expired", addr=hood.router, neighborhood=nid)
+            self._act(now, "beacon-expired", f"addr={_text(hood.router)} neighborhood={nid}")
             hood.router = None
             cand = elect_router(hood.map, self.config.min_clients)
             if cand is None:
-                self._act(now, "no-router", neighborhood=nid)
+                self._act(now, "no-router", f"neighborhood={nid}")
                 return
             if self._install_router(nid, cand):
                 self._post_membership(nid)
@@ -733,7 +776,7 @@ class World:
         )
         for addr in added:
             self.nid_of[addr] = nid
-            self._act(self.engine.now, "mapped", addr=addr, neighborhood=nid)
+            self._act(self.engine.now, "mapped", f"addr={_text(addr)} neighborhood={nid}")
         return bool(added)
 
     # -- checks ---------------------------------------------------------------
@@ -744,8 +787,9 @@ class World:
     def _evaluate(self, check: ScriptCheck) -> CheckResult:
         kind, p = check.kind, check.params
         if kind in _ACTION_OF:
-            action, want = _ACTION_OF[kind], p.items()
-            ok = any(a.kind == action and all(f in a.fields for f in want) for a in self.actions)
+            # Each wanted field must be one of an action's fields, whole.
+            action, want = _ACTION_OF[kind], [f"{k}={_text(v)}" for k, v in p.items()]
+            ok = any(a.kind == action and all(f in a.fields() for f in want) for a in self.actions)
             return CheckResult(check, ok, "" if ok else "no matching action")
         addr = p.get("addr")
         if kind in ("router", "no-router"):
@@ -867,15 +911,15 @@ def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool =
 
 
 def _render_event(ev: SimEvent) -> str:
-    """An event's trace line: a script line's parameters (maybe none) as written, a check
-    as its line and kind, a world event's payload by its type's TRACE."""
+    """An event's trace line: its time, kind and target, if any, then its record's trace
+    body: a script line's parameters (maybe none) as written, a check as its line and
+    kind, a world event's payload as its type renders it."""
     at, _seq, kind, target, payload = ev
-    head = f"[{at:>6}] {kind}" if target is None else f"[{at:>6}] {kind} target={target}"
-    if isinstance(payload, ScriptEvent):
-        return f"{head} {payload.echo}" if payload.echo else head
-    if isinstance(payload, ScriptCheck):
-        return f"{head} check L{payload.line} {payload.kind}"
-    return f"{head} {payload.TRACE.format(payload)}"
+    body = payload.trace()
+    if target is not None:  # a script line's event, whose body may be empty
+        head = f"[{at:>6}] {kind} target={_text(target)}"
+        return f"{head} {body}" if body else head
+    return f"[{at:>6}] {kind} {body}"
 
 
 def render_report(report: ScenarioReport) -> str:

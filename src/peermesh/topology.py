@@ -14,11 +14,23 @@ from dataclasses import dataclass, replace
 from ipaddress import IPv4Address
 from typing import Iterable
 
-_DOTTED: dict[int, str] = {}  # a world prints its few thousand addresses ~10^5 times
-
 # A router candidate's thresholds, both inclusive.
 MIN_UPTIME_FRACTION = 0.9
 MIN_CAPACITY_BPS = 128_000.0
+
+
+class _DottedQuads(dict):
+    """Address -> its dotted-quad text, filled on an address's first lookup."""
+
+    def __missing__(self, address: int) -> str:
+        text = self[address] = ".".join(map(str, address.to_bytes(4, "big")))
+        return text
+
+
+# The one address-to-text table. A world prints its few thousand addresses
+# ~10^5 times, so its renderers call DOTTED.__getitem__ directly: one C-level
+# lookup, where str() would run NodeAddress.__str__ in Python.
+DOTTED = _DottedQuads()
 
 
 class NodeAddress(int):
@@ -27,10 +39,7 @@ class NodeAddress(int):
     __slots__ = ()
 
     def __str__(self) -> str:
-        text = _DOTTED.get(self)
-        if text is None:
-            text = _DOTTED[self] = ".".join(map(str, self.to_bytes(4, "big")))
-        return text
+        return DOTTED[self]
 
     __repr__ = __str__
 

@@ -213,6 +213,14 @@ def test_scripted_subdivide_event():
     assert any(a.kind == "subdivided" for a in report.actions)
 
 
+def test_a_subdivide_at_critical_mass_records_no_split():
+    text = SPLIT.replace("config critical_mass=4", "") + "at=20 event=subdivide addr=10.4.0.1 critical_mass=6\n"
+    report = run_scenario(parse_scenario(text, name="no-split"))
+    assert [a.render() for a in report.actions if a.kind in ("no-split", "subdivided")] == [
+        "[    20] no-split neighborhood=0 members=6"
+    ]
+
+
 # A router elected on a join maps a stray, and the stray pushes the
 # neighborhood past critical mass. The membership follow-up used to act on the
 # map it read before the election and split neighborhood 0 a second time.
@@ -244,7 +252,7 @@ def test_a_stray_mapped_at_election_splits_the_neighborhood_once(monkeypatch):
 
     monkeypatch.setattr(scenario, "World", RecordingWorld)
     report = run_scenario(parse_scenario(ELECTION_MAPS_A_STRAY, name="election-maps-a-stray"))
-    rendered = [f"{a.kind} {' '.join(f'{k}={v}' for k, v in a.fields)}" for a in report.actions]
+    rendered = [f"{a.kind} {a.body}" for a in report.actions]
     mapped = rendered.index("mapped addr=10.0.0.46 neighborhood=0")
     after = [r for r in rendered[mapped + 1 :] if r.startswith("subdivided")]
     assert [r.split()[1] for r in after] == ["source=0", "source=0"]
@@ -298,6 +306,36 @@ def test_committed_check_compares_absent_as_a_set():
         "L10 committed absent=10.2.0.3,10.2.0.4 key=channel: PASS",
         "L11 committed absent=10.2.0.4,10.2.0.3 key=channel: PASS",
     ]
+
+
+# Checks against one action, from=10.0.0.12 to=10.0.0.21: the first two match
+# it, the rest miss it by a trailing digit or by which address is which.
+NEAR_MISSES = """
+assert {check} from=10.0.0.12 to=10.0.0.21
+assert {check} to=10.0.0.21
+assert {check} from=10.0.0.1 to=10.0.0.21
+assert {check} from=10.0.0.12 to=10.0.0.2
+assert {check} from=10.0.0.1
+assert {check} from=10.0.0.21 to=10.0.0.12
+"""
+
+
+@pytest.mark.parametrize(
+    "check,kind", [("connected", "connect"), ("introduced", "introduced"), ("queued", "queued")]
+)
+def test_an_action_check_matches_whole_fields_only(check, kind):
+    world = World(Engine(1), WorldConfig())
+    tail = " deadline=90" if kind == "queued" else ""
+    world.actions.append(scenario.Action(5, kind, f"from=10.0.0.12 to=10.0.0.21{tail}"))
+    checks = parse_scenario(NEAR_MISSES.format(check=check)).checks
+    assert [world._evaluate(c).passed for c in checks] == [True, True, False, False, False, False]
+
+
+def test_no_action_holds_a_gc_tracked_object():
+    report = run_scenario(parse_scenario(CHURN, name="churn"), seed=5)
+    gc.collect()
+    assert len(report.actions) > 20
+    assert not [x for a in report.actions for x in a if gc.is_tracked(x)]
 
 
 def test_send_from_unknown_instance_is_a_scenario_error():

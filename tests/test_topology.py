@@ -5,6 +5,7 @@ import pytest
 
 from peermesh.scenario import Action
 from peermesh.topology import (
+    DOTTED,
     ClusterPlan,
     EmptyNeighborhoodError,
     NeighborhoodMap,
@@ -254,7 +255,9 @@ def test_address_text_is_the_dotted_quad(value):
     want = str(IPv4Address(value))
     a, b = parse_address(value), NodeAddress(value)
     assert a is not b  # two objects, one value, one text
+    DOTTED.pop(value, None)  # so that b, never parsed, fills the table
+    assert DOTTED[b] == want and DOTTED[a] == want
     assert str(a) == repr(a) == f"{a}" == str(b) == repr(b) == f"{b}" == want
-    action = Action(at=3, kind="joined", fields=(("addr", a), ("neighborhood", 0)))
+    action = Action(at=3, kind="joined", body=f"addr={DOTTED[b]} neighborhood=0")
     assert action.get("addr") == want and action.get("neighborhood") == "0"
     assert action.render() == f"[     3] joined addr={want} neighborhood=0"
