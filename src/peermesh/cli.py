@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _sweep_lines(rows: list[timing.SweepRow], fmt: str) -> list[str]:
     if fmt == "csv":
-        out = [timing.CSV_HEADER]
+        out = ["rows,columns,t_c,t_cl,t_c_prime,T_u"]
         for r in rows:
             out.append(
                 f"{r.rows},{r.columns},{r.cluster_phase.mean:.2f},{r.leader_phase.mean:.2f},"

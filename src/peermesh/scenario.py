@@ -27,7 +27,9 @@ The parser casts every value, so a script's config is a WorldConfig and the
 handlers and checks read each parameter as cast; a record keeps its
 parameters as written only to echo them in the trace and the verdict. Each
 engine event carries one record, a script line or check as parsed or a world
-event's typed payload; World.handle finds its handler in one table.
+event's typed payload, and no target: a script line's trace body names its
+own. World.handle finds a record's handler in one table; KIND_* below are the
+engine kinds of world events.
 
 A download registers the instance and probes its registry excerpt in the
 excerpt's order, which is the probe order: nearest address first. Handshakes
@@ -56,6 +58,7 @@ only that text, and a check matches it one whole key=value field at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from operator import itemgetter
@@ -63,18 +66,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
 
 from . import discovery, sync
-from .simcore import (
-    DEFAULT_SEED,
-    KIND_BEACON,
-    KIND_MESSAGE,
-    KIND_NODE_DOWN,
-    KIND_NODE_UP,
-    KIND_TIMER,
-    Engine,
-    RandomStream,
-    RunResult,
-    SimEvent,
-)
+from .simcore import DEFAULT_SEED, Engine, RandomStream, RunResult, SimEvent
 from .topology import (
     DOTTED,
     NeighborhoodMap,
@@ -90,6 +82,11 @@ _text = DOTTED.__getitem__  # an address's dotted quad
 DEFAULT_HORIZON_MARGIN = 1000
 # A router whose beacon is this many periods old has failed over.
 BEACON_TIMEOUT_FACTOR = 2
+# Engine event kinds of world events. A script line runs as its own kind,
+# except that up and down run as node-up and node-down (schedule_line).
+KIND_MESSAGE = "message-delivery"
+KIND_TIMER = "timer"
+KIND_BEACON = "beacon"
 
 
 def _address_list(text: str) -> tuple[NodeAddress, ...]:
@@ -134,6 +131,8 @@ _EVENT_PARAMS = {
     "subdivide": {**_EVENT, "critical_mass": _POSITIVE},
 }
 EVENT_KINDS = tuple(_EVENT_PARAMS)
+# The download parameters an instance's NodeRecord takes, by the field each sets.
+_RECORD_FIELDS = {"uptime": "uptime_fraction", "capacity": "link_capacity_bps", "metric": "metric"}
 # A check takes only these parameters; the first six match recorded actions.
 _PAIR = {**_AT, "from": _ADDRESS, "to": _ADDRESS}
 _NODE = {**_AT, "addr": _ADDRESS}
@@ -200,7 +199,8 @@ class ScriptEvent:
     echo: str  # the params as written, sorted key=value pairs
 
     def trace(self) -> str:
-        return self.echo
+        target = f"target={_text(self.addr)}"
+        return f"{target} {self.echo}" if self.echo else target
 
 
 @dataclass(frozen=True)
@@ -374,18 +374,20 @@ class CheckResult:
 
 
 class Introduction(NamedTuple):
-    """sender introduces itself to target. It carries the rest of the join's
+    """sender introduces itself to target; pair is their text, which the trace
+    line and the introduced action share. It carries the rest of the join's
     fan-out: the targets left, the joiner's stream, and its own reserved seq;
     the next introduction is due a hop delay after it, on seq + 1."""
 
     sender: NodeAddress
     target: NodeAddress
+    pair: str  # from=<sender> to=<target>
     targets: Iterator[NodeAddress]
     stream: RandomStream
     seq: int
 
     def trace(self) -> str:
-        return f"from={_text(self.sender)} to={_text(self.target)} type=introduction"
+        return f"{self.pair} type=introduction"
 
 
 class Proposal(NamedTuple):
@@ -459,7 +461,7 @@ class World:
         self.commits: list[sync.PendingCommit] = []
         self.actions: list[Action] = []
         self.check_results: list[CheckResult] = []
-        self._next_nid = 0
+        self._nids = itertools.count()  # neighborhood ids, each handed out once
         # Per neighborhood id (None: no neighborhood), the map snapshot an
         # introduction timeout was last computed from, and that timeout.
         self._intro_timeouts: dict[int | None, tuple[NeighborhoodMap | None, int]] = {}
@@ -472,11 +474,6 @@ class World:
     def _live(self, addr: NodeAddress | None) -> bool:
         rec = self.instances.get(addr)
         return rec is not None and rec.active
-
-    def _alloc_nid(self) -> int:
-        nid = self._next_nid
-        self._next_nid += 1
-        return nid
 
     def _intro_timeout(self, sender: NodeAddress) -> int:
         """The configured timeout, or ten moderate update periods of sender's
@@ -508,12 +505,7 @@ class World:
         addr, params = line.addr, line.params
         if addr in self.instances:
             raise ScenarioError(f"{addr} downloaded twice")
-        rec = NodeRecord(
-            address=addr,
-            uptime_fraction=params.get("uptime", 1.0),
-            link_capacity_bps=params.get("capacity", 1_000_000.0),
-            metric=params.get("metric", 0.0),
-        )
+        rec = NodeRecord(addr, **{_RECORD_FIELDS[k]: v for k, v in params.items() if k in _RECORD_FIELDS})
         self.instances[addr] = rec
         excerpt = self.registry.register(addr, now, cap=self.config.excerpt_cap)
         stream = self.engine.stream(f"node/{_text(addr)}")
@@ -541,7 +533,7 @@ class World:
         nid = self.nid_of.get(target)
         if nid is None:
             # The target was isolated; the pair founds a fresh neighborhood.
-            nid = self._alloc_nid()
+            nid = next(self._nids)
             self.directory.discard(target)
             pair = [self.instances[target], rec]
             self.neighborhoods[nid] = Neighborhood(NeighborhoodMap.build(pair))
@@ -565,12 +557,12 @@ class World:
         if cm is not None and len(hood.map) > cm:
             self._apply_subdivide(nid, cm)
 
-    def _install_router(self, nid: int, addr: NodeAddress, monitor: bool = False) -> bool:
-        """Make addr the router and start it; True if its first refresh mapped strays."""
+    def _install_router(self, nid: int, addr: NodeAddress, monitor: bool = False) -> None:
+        """Make addr the router, start it, and map the strays in its span."""
         self.neighborhoods[nid].router = addr
         self._act(self.engine.now, "elected", f"addr={_text(addr)} neighborhood={nid}")
         self._start_router(nid, monitor)
-        return self._router_refresh(nid)
+        self._router_refresh(nid)
 
     def _start_router(self, nid: int, monitor: bool = False) -> None:
         """Start the router's beacon and refresh chains; an election also
@@ -582,20 +574,27 @@ class World:
             self.engine.schedule(now + cfg.beacon_period, KIND_TIMER, payload=BeaconMonitor(nid))
         self.engine.schedule(now + cfg.refresh_period, KIND_TIMER, payload=RouterRefresh(nid))
 
-    def _on_up(self, now: int, line: ScriptEvent) -> None:
+    def _set_active(self, line: ScriptEvent, active: bool) -> int | None:
+        """Flip the line's instance up or down, in its record and in its
+        neighborhood's map; return that neighborhood's id, if it has one."""
         addr = line.addr
         rec = self.instances.get(addr)
         if rec is None:
-            raise ScenarioError(f"up for unknown instance {addr}")
-        self.instances[addr] = replace(rec, active=True)
+            raise ScenarioError(f"{line.kind} for unknown instance {addr}")
+        self.instances[addr] = replace(rec, active=active)
         nid = self.nid_of.get(addr)
         if nid is not None:
             hood = self.neighborhoods[nid]
-            hood.map = hood.map.set_active(addr, True)
+            hood.map = hood.map.set_active(addr, active)
+        return nid
+
+    def _on_up(self, now: int, line: ScriptEvent) -> None:
+        addr = line.addr
+        nid = self._set_active(line, True)
         for intro in self.intros.deliver_for(addr, now):
             self._act(now, "delivered", f"from={_text(intro.sender)} to={_text(addr)}")
         if nid is not None:
-            if hood.router == addr:
+            if self.neighborhoods[nid].router == addr:
                 # The router itself came back: restart its chains, which
                 # stopped while it was down. A fast down/up flap can leave an
                 # extra live chain; duplicate beacons only refresh last_beacon
@@ -604,15 +603,7 @@ class World:
             self._post_membership(nid)
 
     def _on_down(self, now: int, line: ScriptEvent) -> None:
-        addr = line.addr
-        rec = self.instances.get(addr)
-        if rec is None:
-            raise ScenarioError(f"down for unknown instance {addr}")
-        self.instances[addr] = replace(rec, active=False)
-        nid = self.nid_of.get(addr)
-        if nid is not None:
-            hood = self.neighborhoods[nid]
-            hood.map = hood.map.set_active(addr, False)
+        self._set_active(line, False)
         # A downed router keeps its role until its beacon goes stale; the
         # monitor timer performs the failover.
 
@@ -624,13 +615,14 @@ class World:
         """Schedule sender's introduction to the next of targets, if any is left, on seq."""
         target = next(targets, None)
         if target is not None:
-            intro = Introduction(sender, target, targets, stream, seq)
+            pair = f"from={_text(sender)} to={_text(target)}"
+            intro = Introduction(sender, target, pair, targets, stream, seq)
             self.engine.schedule(now + stream.hop_delay(), KIND_MESSAGE, payload=intro, seq=seq)
 
     def _on_introduction(self, now: int, intro: Introduction) -> None:
         sender, target = intro.sender, intro.target
         if self._live(target):
-            self._act(now, "introduced", f"from={_text(sender)} to={_text(target)}")
+            self._act(now, "introduced", intro.pair)
         else:
             self._queue_intro(now, sender, target)
         self._introduce_next(now, sender, intro.targets, intro.stream, intro.seq + 1)
@@ -728,7 +720,7 @@ class World:
             return
         del self.neighborhoods[nid]
         for half in (lower, upper):
-            hid = self._alloc_nid()
+            hid = next(self._nids)
             self.neighborhoods[hid] = Neighborhood(half)
             for rec in half.members:
                 self.nid_of[rec.address] = hid
@@ -741,8 +733,8 @@ class World:
         nid = refresh.neighborhood
         hood = self.neighborhoods.get(nid)
         if hood is not None and self._live(hood.router):
-            if self._router_refresh(nid):
-                self._post_membership(nid)
+            self._router_refresh(nid)
+            self._post_membership(nid)
             self.engine.schedule(now + self.config.refresh_period, KIND_TIMER, payload=refresh)
 
     def _on_beacon(self, now: int, beacon: Beacon) -> None:
@@ -764,12 +756,12 @@ class World:
             if cand is None:
                 self._act(now, "no-router", f"neighborhood={nid}")
                 return
-            if self._install_router(nid, cand):
-                self._post_membership(nid)
+            self._install_router(nid, cand)
+            self._post_membership(nid)
         self.engine.schedule(now + self.config.beacon_period, KIND_TIMER, payload=monitor)
 
-    def _router_refresh(self, nid: int) -> bool:
-        """Map the advertised strays inside the router's span; True if any were."""
+    def _router_refresh(self, nid: int) -> None:
+        """Map the advertised strays inside the router's span."""
         hood = self.neighborhoods[nid]
         hood.map, added = discovery.router_refresh(
             hood.router, self.directory, hood.map, self.instances.__getitem__
@@ -777,7 +769,6 @@ class World:
         for addr in added:
             self.nid_of[addr] = nid
             self._act(self.engine.now, "mapped", f"addr={_text(addr)} neighborhood={nid}")
-        return bool(added)
 
     # -- checks ---------------------------------------------------------------
 
@@ -857,8 +848,8 @@ class ScenarioReport:
 
 def schedule_line(engine: Engine, line: ScriptEvent) -> SimEvent:
     """Schedule a script line as its own event; up and down run as node-up and node-down."""
-    kind = {"up": KIND_NODE_UP, "down": KIND_NODE_DOWN}.get(line.kind, line.kind)
-    return engine.schedule(line.at, kind, target=line.addr, payload=line)
+    kind = {"up": "node-up", "down": "node-down"}.get(line.kind, line.kind)
+    return engine.schedule(line.at, kind, payload=line)
 
 
 def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool = True) -> ScenarioReport:
@@ -911,15 +902,10 @@ def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool =
 
 
 def _render_event(ev: SimEvent) -> str:
-    """An event's trace line: its time, kind and target, if any, then its record's trace
-    body: a script line's parameters (maybe none) as written, a check as its line and
-    kind, a world event's payload as its type renders it."""
-    at, _seq, kind, target, payload = ev
-    body = payload.trace()
-    if target is not None:  # a script line's event, whose body may be empty
-        head = f"[{at:>6}] {kind} target={_text(target)}"
-        return f"{head} {body}" if body else head
-    return f"[{at:>6}] {kind} {body}"
+    """An event's trace line: its time and kind, then its record's trace body: a script
+    line's target and parameters as written, a check as its line and kind, a world
+    event's payload as its type renders it."""
+    return f"[{ev.at:>6}] {ev.kind} {ev.payload.trace()}"
 
 
 def render_report(report: ScenarioReport) -> str:

@@ -43,13 +43,6 @@ _HOP_STEPS = 32  # PCG64 steps per refill of hop_delay's buffer, two draws each
 HOPS_PER_DRAW = 4
 DRAW_SPAN = _HOP_SPAN**HOPS_PER_DRAW
 
-# Event kind discriminants used by the simulation layers.
-KIND_MESSAGE = "message-delivery"
-KIND_NODE_UP = "node-up"
-KIND_NODE_DOWN = "node-down"
-KIND_TIMER = "timer"
-KIND_BEACON = "beacon"
-
 
 def units_to_ms(units: int | float) -> int | float:
     """Convert virtual time units to milliseconds (1 unit = 50 ms).
@@ -178,15 +171,14 @@ class RandomStream:
 
 
 class SimEvent(NamedTuple):
-    """A scheduled occurrence, held on the heap as it is. Heap order is
-    (at, seq), and seq is unique, so no kind, target or payload is ever
-    compared: the engine hands each seq out once, and a seq reserved with
-    Engine.reserve is used by one event at most."""
+    """A scheduled occurrence, held on the heap as it is: kind and payload are
+    the caller's. Heap order is (at, seq), and seq is unique, so no kind or
+    payload is ever compared: the engine hands each seq out once, and a seq
+    reserved with Engine.reserve is used by one event at most."""
 
     at: int
     seq: int
     kind: str
-    target: Any = None
     payload: Any = None
 
 
@@ -232,13 +224,12 @@ class Engine:
         self._next_seq += count
         return first
 
-    def schedule(
-        self, at: int, kind: str, target: Any = None, payload: Any = None, seq: int | None = None
-    ) -> SimEvent:
+    def schedule(self, at: int, kind: str, payload: Any = None, seq: int | None = None) -> SimEvent:
         """Queue an event at virtual time at, on the next fresh seq or on seq,
-        which must come from an earlier reserve(). An event on a reserved seq
-        must lie in the future: at the current time, it could sort ahead of
-        an event that has already run."""
+        which must come from an earlier reserve(). The engine only orders
+        events: kind and payload reach the handler as given. An event on a
+        reserved seq must lie in the future: at the current time, it could
+        sort ahead of an event that has already run."""
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} before current time {self.now}")
         if seq is None:
@@ -248,7 +239,7 @@ class Engine:
             raise ValueError(f"seq {seq} was never handed out")
         elif at == self.now:
             raise ValueError(f"an event on reserved seq {seq} must lie after {self.now}")
-        ev = SimEvent(at, seq, kind, target, payload)
+        ev = SimEvent(at, seq, kind, payload)
         heapq.heappush(self._heap, ev)
         return ev
 

@@ -58,8 +58,6 @@ SWEEP_TOTALS = (256, 512, 1024, 2048)
 MAX_TOTAL_HOPS = 1 << 16
 MAX_TRIALS = 1_000_000
 
-CSV_HEADER = "rows,columns,t_c,t_cl,t_c_prime,T_u"
-
 
 @dataclass(frozen=True)
 class HopsArrayDims:

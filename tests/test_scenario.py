@@ -7,6 +7,9 @@ import pytest
 
 from peermesh import cli, scenario
 from peermesh.scenario import (
+    KIND_BEACON,
+    KIND_MESSAGE,
+    KIND_TIMER,
     ScenarioError,
     ScenarioParseError,
     World,
@@ -17,13 +20,7 @@ from peermesh.scenario import (
     run_scenario,
     schedule_line,
 )
-from peermesh.simcore import (
-    KIND_BEACON,
-    KIND_MESSAGE,
-    KIND_TIMER,
-    Engine,
-    SimEvent,
-)
+from peermesh.simcore import Engine, SimEvent
 from peermesh.topology import NodeAddress, parse_address
 
 
@@ -461,7 +458,9 @@ def test_an_event_of_unknown_kind_is_a_scenario_error():
 WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced)
     (
         KIND_MESSAGE,
-        scenario.Introduction(A, B, iter([A]), Engine(1).stream("node/10.0.0.1"), 7),
+        scenario.Introduction(
+            A, B, "from=10.0.0.1 to=10.0.3.152", iter([A]), Engine(1).stream("node/10.0.0.1"), 7
+        ),
         {"type": "introduction", "from": A, "to": B},
     ),
     (
@@ -484,7 +483,7 @@ WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced)
 def test_a_world_payload_renders_as_the_dict_it_replaced(kind, payload, old):
     # World events once carried dicts, rendered as sorted key=value pairs.
     body = " ".join(f"{k}={old[k]}" for k in sorted(old))
-    line = scenario._render_event(SimEvent(41, 9, kind, None, payload))
+    line = scenario._render_event(SimEvent(41, 9, kind, payload))
     assert line == f"[    41] {kind} {body}"
     if B in old.values():
         assert "=10.0.3.152" in line

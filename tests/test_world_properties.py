@@ -121,6 +121,15 @@ class WorldMachine(RuleBasedStateMachine):
         assert len({a for a, _ in members}) == len(members)
 
     @invariant()
+    def no_neighborhood_outgrows_critical_mass(self):
+        # A router refresh or failover that maps nobody then has nothing for
+        # _post_membership to split, so both may call it unconditionally.
+        critical_mass = self.world.config.critical_mass
+        if critical_mass is not None:
+            for nid, hood in self.world.neighborhoods.items():
+                assert len(hood.map) <= critical_mass, f"neighborhood {nid} holds {len(hood.map)}"
+
+    @invariant()
     def routers_are_members_of_their_own_neighborhood(self):
         for hood in self.world.neighborhoods.values():
             assert hood.router is None or hood.router in hood.map
