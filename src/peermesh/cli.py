@@ -9,13 +9,14 @@ Subcommands:
   scenario run     replay a scripted world and evaluate its checks
   scenario list    names of the bundled scenario scripts
 
-All randomized commands take --seed and --trials; given the same arguments
-the output is byte-identical across runs.
+The timing commands take --seed and --trials, and scenario run takes --seed;
+given the same arguments the output is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import os
 import sys
@@ -24,13 +25,20 @@ from pathlib import Path
 
 from . import queueing, timing
 from .scenario import ScenarioError, ScenarioParseError, load_scenario, render_report, run_scenario
-from .simcore import DEFAULT_SEED, units_to_ms
+from .simcore import DEFAULT_SEED, check_seed, units_to_ms
 
 FORMATS = ("csv", "plot-data", "pretty")
 
 
-def _add_timing_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+def seed(text: str) -> int:
+    """Type of both --seed flags, named for argparse's "invalid seed value". A
+    world draws its streams as it runs, so a bad seed must fail here, up front."""
+    return check_seed(int(text))
+
+
+def _add_timing_flags(p: argparse.ArgumentParser, run) -> None:
+    p.set_defaults(run=run)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=timing.DEFAULT_TRIALS)
     p.add_argument("--mode", choices=timing.MODES, default=timing.MODE_TABLE_CONSISTENT)
     p.add_argument("--format", choices=FORMATS, default="csv")
@@ -44,23 +52,24 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p_timing.add_subparsers(dest="timing_command", required=True)
 
     p_tables = tsub.add_parser("tables", help="sweep all built-in fleet sizes")
-    _add_timing_flags(p_tables)
+    _add_timing_flags(p_tables, _cmd_timing_tables)
     p_tables.add_argument("--out", help="directory for table_<total>.csv files")
 
     p_sweep = tsub.add_parser("sweep", help="sweep factor pairs of one fleet size")
-    _add_timing_flags(p_sweep)
+    _add_timing_flags(p_sweep, _cmd_timing_sweep)
     p_sweep.add_argument("--total", type=int, required=True, help="total hops (power of two)")
 
     p_opt = tsub.add_parser("optimum", help="best shape per fleet size")
-    _add_timing_flags(p_opt)
+    _add_timing_flags(p_opt, _cmd_timing_optimum)
     p_opt.add_argument(
         "--total", type=int, action="append", help="fleet size; repeatable (default: built-ins)"
     )
 
     p_curve = tsub.add_parser("figure9", help="fleet size vs. update time in ms")
-    _add_timing_flags(p_curve)
+    _add_timing_flags(p_curve, _cmd_timing_curve)
 
     p_mm1 = sub.add_parser("mm1", help="single-queue load metrics")
+    p_mm1.set_defaults(run=_cmd_mm1)
     p_mm1.add_argument("--g", type=float, help="mean gap between arrivals, seconds")
     p_mm1.add_argument("--a", type=float, help="arrival rate, 1/s")
     p_mm1.add_argument("--l", type=float, help="message length, bits")
@@ -75,10 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn = sub.add_parser("scenario", help="scripted world replays")
     ssub = p_scn.add_subparsers(dest="scenario_command", required=True)
     p_run = ssub.add_parser("run", help="replay a scenario file")
+    p_run.set_defaults(run=_cmd_scenario_run)
     p_run.add_argument("file", help="path, or the name of a bundled scenario")
-    p_run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_run.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p_run.add_argument("--quiet", action="store_true", help="omit the event trace")
-    ssub.add_parser("list", help="bundled scenario names")
+    ssub.add_parser("list", help="bundled scenario names").set_defaults(run=_cmd_scenario_list)
 
     return parser
 
@@ -109,6 +119,8 @@ def _sweep_lines(rows: list[timing.SweepRow], fmt: str) -> list[str]:
 def _cmd_timing_tables(args) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
+        if args.format != "csv":
+            raise ValueError(f"--out writes csv tables, not --format {args.format}")
         out_dir.mkdir(parents=True, exist_ok=True)
     for total in timing.SWEEP_TOTALS:
         rows = timing.sweep(total, trials=args.trials, seed=args.seed, mode=args.mode)
@@ -165,44 +177,22 @@ def _cmd_timing_curve(args) -> int:
 def _cmd_mm1(args) -> int:
     if args.broadcast:
         if args.clients is None or args.payload_bytes is None:
-            print("mm1 --broadcast needs --clients and --bytes", file=sys.stderr)
-            return 2
-        try:
-            load = queueing.naive_broadcast_load(args.clients, args.payload_bytes, args.interval)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError("mm1 --broadcast needs --clients and --bytes")
+        load = queueing.naive_broadcast_load(args.clients, args.payload_bytes, args.interval)
         print(f"broadcast_bps {load:.6f}")
         return 0
     if args.p_max is not None and args.p_max < 0:
-        print(f"error: --p-max must be non-negative, got {args.p_max}", file=sys.stderr)
-        return 2
-    try:
-        inputs = queueing.MMOneInputs(
-            gap_interval_s=args.g,
-            arrival_rate_per_s=args.a,
-            message_bits=args.l,
-            line_speed_bps=args.b,
-            service_time_s=args.s,
-        )
-        metrics = queueing.mm1_metrics(inputs)
-    except queueing.UnstableSystemError as exc:
-        print(f"unstable: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for name in (
-        "arrival_rate_per_s",
-        "service_time_s",
-        "departure_rate_per_s",
-        "utilization",
-        "wait_time_s",
-        "residence_time_s",
-        "mean_in_system",
-        "mean_in_queue",
-    ):
-        print(f"{name} {getattr(metrics, name):.6f}")
+        raise ValueError(f"--p-max must be non-negative, got {args.p_max}")
+    inputs = queueing.MMOneInputs(
+        gap_interval_s=args.g,
+        arrival_rate_per_s=args.a,
+        message_bits=args.l,
+        line_speed_bps=args.b,
+        service_time_s=args.s,
+    )
+    metrics = queueing.mm1_metrics(inputs)
+    for field in dataclasses.fields(metrics):
+        print(f"{field.name} {getattr(metrics, field.name):.6f}")
     if args.p_max is not None:
         for k in range(args.p_max + 1):
             print(f"p_{k} {metrics.state_probability(k):.9f}")
@@ -216,32 +206,15 @@ def _bundled_dir():
     return resources.files("peermesh") / "scenarios"
 
 
-def _resolve_scenario(name: str) -> Path | None:
-    p = Path(name)
-    if p.exists():
-        return p
-    stem = name if name.endswith(".scenario") else f"{name}.scenario"
-    candidate = _bundled_dir() / stem
-    if candidate.is_file():
-        return Path(str(candidate))
-    return None
-
-
 def _cmd_scenario_run(args) -> int:
-    path = _resolve_scenario(args.file)
-    if path is None:
-        print(f"no such scenario: {args.file}", file=sys.stderr)
-        return 2
-    try:
-        script = load_scenario(path)
-    except (ScenarioParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run_scenario(script, seed=args.seed, trace=not args.quiet)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
+    path = Path(args.file)
+    if not path.exists():
+        stem = args.file if args.file.endswith(".scenario") else f"{args.file}.scenario"
+        path = Path(str(_bundled_dir() / stem))
+        if not path.is_file():
+            raise ValueError(f"no such scenario: {args.file}")
+    script = load_scenario(path)
+    report = run_scenario(script, seed=args.seed, trace=not args.quiet)
     _write_all(render_report(report))
     return 0 if report.passed else 1
 
@@ -271,39 +244,30 @@ def _cmd_scenario_list(args) -> int:
     return 0
 
 
-def _run(args) -> int:
-    if args.command == "timing":
-        handler = {
-            "tables": _cmd_timing_tables,
-            "sweep": _cmd_timing_sweep,
-            "optimum": _cmd_timing_optimum,
-            "figure9": _cmd_timing_curve,
-        }[args.timing_command]
-        try:
-            return handler(args)
-        except BrokenPipeError:
-            raise
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "mm1":
-        return _cmd_mm1(args)
-    if args.command == "scenario":
-        handler = {"run": _cmd_scenario_run, "list": _cmd_scenario_list}[args.scenario_command]
-        return handler(args)
-    raise AssertionError(args.command)
+# The stderr prefix of each rejected-input type that main names; "error" otherwise.
+_PREFIXES = {
+    queueing.UnstableSystemError: "unstable",
+    ScenarioParseError: "parse error",
+    ScenarioError: "scenario error",
+}
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: exit 0, 1 when a scenario check fails, 2 on rejected
+    input (one `<prefix>: <message>` line on stderr), 141 if stdout's reader goes."""
     try:
-        code = _run(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        code = args.run(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so caught before the rejections
         # `peermesh ... | head`: stdout goes to devnull, so the flush at exit writes nothing.
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a command writing to a closed pipe
+    except (ValueError, OSError, ScenarioError) as exc:
+        print(f"{_PREFIXES.get(type(exc), 'error')}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -55,13 +55,20 @@ def units_to_ms(units: int | float) -> int | float:
     return units * MS_PER_UNIT
 
 
+def check_seed(seed: int) -> int:
+    """`seed` if it is a master seed, 0..2**64-1: one outside would alias one inside."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in 0..{_MASK64}, got {seed}")
+    return seed
+
+
 def derive_seed(master_seed: int, stream_id: str) -> int:
     """Map (master seed, stream id) to a stable 64-bit child seed.
 
     Uses keyed blake2b so the mapping is independent of PYTHONHASHSEED and
     identical across platforms and runs.
     """
-    key = (master_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
+    key = check_seed(master_seed).to_bytes(8, "big")
     digest = hashlib.blake2b(stream_id.encode("utf-8"), digest_size=8, key=key)
     return int.from_bytes(digest.digest(), "big")
 

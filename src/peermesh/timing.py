@@ -213,24 +213,15 @@ def monte_carlo(
 
 
 def default_factor_pairs(total_hops: int) -> tuple[HopsArrayDims, ...]:
-    """Power-of-two factorizations of total_hops with both sides >= 4,
-    ordered by descending row count."""
-    if total_hops < 16:
-        raise ValueError("total_hops must be >= 16")
-    if total_hops > MAX_TOTAL_HOPS:
-        raise ValueError(f"total_hops must be <= {MAX_TOTAL_HOPS}")
-    pairs = []
-    rows = 4
-    while rows <= total_hops // 4:
-        if total_hops % rows == 0:
-            columns = total_hops // rows
-            if rows & (rows - 1) == 0 and columns & (columns - 1) == 0:
-                pairs.append(HopsArrayDims(rows=rows, columns=columns))
-        rows *= 2
-    if not pairs:
-        raise ValueError(f"{total_hops} has no power-of-two factorization with both sides >= 4")
-    pairs.sort(key=lambda d: -d.rows)
-    return tuple(pairs)
+    """Power-of-two splits rows x columns of total_hops with both sides >= 4,
+    ordered by descending row count. total_hops must be a power of two from
+    16 to MAX_TOTAL_HOPS, so that there is at least one."""
+    if not 16 <= total_hops <= MAX_TOTAL_HOPS or total_hops & (total_hops - 1):
+        raise ValueError(f"total_hops must be a power of two from 16 to {MAX_TOTAL_HOPS}, got {total_hops}")
+    # total_hops = 2**n; columns run 2**2 .. 2**(n-2)
+    return tuple(
+        HopsArrayDims(rows=total_hops >> k, columns=1 << k) for k in range(2, total_hops.bit_length() - 2)
+    )
 
 
 def sweep(
@@ -257,13 +248,7 @@ def find_optimum(
     seed: int = DEFAULT_SEED,
     mode: str = MODE_TABLE_CONSISTENT,
 ) -> OptimumResult:
-    """Factorization minimizing the mean round total.
-
-    total_hops must be a power of two >= 16 so that the candidate set (both
-    sides >= 4, powers of two) is non-empty.
-    """
-    if total_hops < 16 or total_hops & (total_hops - 1) != 0:
-        raise ValueError("total_hops must be a power of two >= 16")
+    """Factorization of default_factor_pairs minimizing the mean round total."""
     rows = sweep(total_hops, trials=trials, seed=seed, mode=mode)
     best = min(rows, key=lambda r: r.total.mean)
     dims = best.dims

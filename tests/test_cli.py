@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -5,7 +6,8 @@ import sys
 
 import pytest
 
-from peermesh import cli, timing
+from peermesh import cli, queueing, timing
+from peermesh.scenario import ScenarioError, ScenarioParseError
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +221,10 @@ def test_scenario_run_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
         (None, ("mm1", "--g", "nan", "--s", "0.1")),
         (None, ("mm1", "--broadcast", "--clients", "5", "--bytes", "64", "--interval", "nan")),
         (None, ("mm1", "--broadcast", "--clients", "1" + "0" * 400, "--bytes", "64")),
+        # --out names .csv files, so it takes no other format
+        (None, ("timing", "tables", "--trials", "1", "--out", "tables", "--format", "pretty")),
+        (None, ("scenario", "run", ".")),  # a directory: load_scenario's OSError
+        (None, ("mm1", "--broadcast", "--clients", "256")),
     ],
 )
 def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, script, argv):
@@ -234,6 +240,68 @@ def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, scr
     if script is not None:
         # the rejected line, by the parser or by the world, names itself
         assert f"bad.scenario:{len(script.splitlines())}:" in err
+    assert not (tmp_path / "tables").exists()  # rejected before --out made a directory
+
+
+@pytest.mark.parametrize(
+    "exc,prefix",
+    [
+        (queueing.UnstableSystemError("utilization 2 >= 1"), "unstable"),
+        (ScenarioParseError("bad.scenario:3: unknown event 'warp'"), "parse error"),
+        (ScenarioError("bad.scenario:1: down for unknown instance 10.0.0.9"), "scenario error"),
+        (IsADirectoryError(21, "Is a directory"), "error"),
+        (ValueError("total_hops must be a power of two"), "error"),
+    ],
+)
+def test_main_turns_each_rejection_into_one_prefixed_line(capsys, monkeypatch, exc, prefix):
+    def reject(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_mm1", reject)
+    assert run_cli(capsys, "mm1") == (2, "", f"{prefix}: {exc}\n")
+
+
+def test_a_handler_raising_broken_pipe_exits_141(capsys, monkeypatch, tmp_path):
+    def reject(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_cmd_mm1", reject)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd, fail_on="never"))
+        assert cli.main(["mm1"]) == 141
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(7919 + 2**64)])
+@pytest.mark.parametrize(
+    "argv", [("timing", "sweep", "--total", "256", "--trials", "5"), ("scenario", "run", "startup")]
+)
+def test_a_seed_outside_64_bits_is_a_usage_error(capsys, argv, seed):
+    # derive_seed would reject it too, but a world draws its first stream mid-run
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*argv, "--seed", seed])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f"argument --seed: invalid seed value: '{seed}'")
+
+
+def test_every_leaf_subcommand_has_a_handler():
+    def leaves(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, parser
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from leaves(child, (*path, name))
+
+    found = dict(leaves(cli.build_parser(), ()))
+    assert ("timing", "tables") in found and ("scenario", "list") in found
+    for path, parser in found.items():
+        assert callable(parser.get_default("run")), path
 
 
 # -- determinism --------------------------------------------------------------

@@ -89,6 +89,13 @@ def test_derive_seed_stable():
     assert derive_seed(1, "a") != derive_seed(2, "a")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 7919 + 2**64])
+def test_derive_seed_rejects_a_seed_outside_64_bits(seed):
+    # masked to 64 bits, each would alias a seed in range
+    with pytest.raises(ValueError, match="seed must be in 0.."):
+        derive_seed(seed, "a")
+
+
 def test_stream_replay_identical():
     a = RandomStream(42, "replay").hop_delays(1000)
     b = RandomStream(42, "replay").hop_delays(1000)

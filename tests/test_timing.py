@@ -182,10 +182,17 @@ def test_default_factor_pair_counts(total, count):
 
 
 def test_default_factor_pairs_rejects_bad_totals():
-    with pytest.raises(ValueError):
-        default_factor_pairs(8)
-    with pytest.raises(ValueError):
-        default_factor_pairs(96)  # no power-of-two split with both sides >= 4
+    for total in (0, 8, 96, 2**17):  # 96 has no power-of-two split with both sides >= 4
+        with pytest.raises(ValueError):
+            default_factor_pairs(total)
+    accepted = []
+    for total in range(1, 2**17 + 1):
+        try:
+            default_factor_pairs(total)
+        except ValueError:
+            continue
+        accepted.append(total)
+    assert accepted == [2**n for n in range(4, 17)]
 
 
 def test_sweep_row_order_follows_factor_pairs():
