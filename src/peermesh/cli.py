@@ -36,6 +36,17 @@ def seed(text: str) -> int:
     return check_seed(int(text))
 
 
+class UsageError(ValueError):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, which main reports in one line; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _add_timing_flags(p: argparse.ArgumentParser, run) -> None:
     p.set_defaults(run=run)
     p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
@@ -45,7 +56,7 @@ def _add_timing_flags(p: argparse.ArgumentParser, run) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="peermesh", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="peermesh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_timing = sub.add_parser("timing", help="update propagation timing estimates")
@@ -207,12 +218,11 @@ def _bundled_dir():
 
 
 def _cmd_scenario_run(args) -> int:
-    path = Path(args.file)
+    # A bundled scenario's name with no /, with or without .scenario, is that scenario.
+    bundled = _bundled_dir() / f"{args.file.removesuffix('.scenario')}.scenario"
+    path = Path(str(bundled)) if "/" not in args.file and bundled.is_file() else Path(args.file)
     if not path.exists():
-        stem = args.file if args.file.endswith(".scenario") else f"{args.file}.scenario"
-        path = Path(str(_bundled_dir() / stem))
-        if not path.is_file():
-            raise ValueError(f"no such scenario: {args.file}")
+        raise ValueError(f"no such scenario: {args.file}")
     script = load_scenario(path)
     report = run_scenario(script, seed=args.seed, trace=not args.quiet)
     _write_all(render_report(report))
@@ -246,6 +256,7 @@ def _cmd_scenario_list(args) -> int:
 
 # The stderr prefix of each rejected-input type that main names; "error" otherwise.
 _PREFIXES = {
+    UsageError: "usage error",
     queueing.UnstableSystemError: "unstable",
     ScenarioParseError: "parse error",
     ScenarioError: "scenario error",

@@ -39,12 +39,14 @@ recorded action times, not in state sequencing. Runs always get a horizon
 hitting it marks the trace truncated, which is a defined outcome.
 
 A join introduces the newcomer to every member it did not probe, one hop
-delay after another, one at a time: the join reserves a seq for each and
-schedules the first. Each introduction carries the targets left, the
-joiner's stream and its own seq; as it is delivered, it draws the next one's
-hop delay and schedules it on seq + 1. The queue holds one introduction per
-join in progress, and each runs where it would have run had the join
-scheduled them all.
+delay after another: each introduction carries the targets left and the
+joiner's stream, and schedules the next as it is delivered.
+
+Ties: at one time, script event lines run first, in file order, then timed
+checks, in file order, then world events in the order they were scheduled.
+That last order should decide only the order of lines in the trace and the
+action log, not an outcome. So a commit ack received at the commit's
+deadline does not count, whether it runs before the deadline event or after.
 
 The trace is rendered as the run goes: each engine event becomes its text
 line when it is dispatched, and no event is kept after its handler returns.
@@ -375,16 +377,13 @@ class CheckResult:
 
 class Introduction(NamedTuple):
     """sender introduces itself to target; pair is their text, which the trace
-    line and the introduced action share. It carries the rest of the join's
-    fan-out: the targets left, the joiner's stream, and its own reserved seq;
-    the next introduction is due a hop delay after it, on seq + 1."""
+    line and the introduced action share; targets and stream are the join's fan-out left."""
 
     sender: NodeAddress
     target: NodeAddress
     pair: str  # from=<sender> to=<target>
     targets: Iterator[NodeAddress]
     stream: RandomStream
-    seq: int
 
     def trace(self) -> str:
         return f"{self.pair} type=introduction"
@@ -522,8 +521,7 @@ class World:
             # Joining can split the neighborhood, so resolve the current id.
             members = self.neighborhoods[self.nid_of[addr]].map.addresses()
             targets = [m for m in members if m not in skip]
-            first = self.engine.reserve(len(targets))
-            self._introduce_next(result.finished_at, addr, iter(targets), stream, first)
+            self._introduce_next(result.finished_at, addr, iter(targets), stream)
         else:
             self.directory.add(addr)
             self._act(result.finished_at, "registered", f"addr={_text(addr)}")
@@ -610,14 +608,14 @@ class World:
     # -- introductions -----------------------------------------------------
 
     def _introduce_next(
-        self, now: int, sender: NodeAddress, targets: Iterator[NodeAddress], stream: RandomStream, seq: int
+        self, now: int, sender: NodeAddress, targets: Iterator[NodeAddress], stream: RandomStream
     ) -> None:
-        """Schedule sender's introduction to the next of targets, if any is left, on seq."""
+        """Schedule sender's introduction to the next of targets, if any is left."""
         target = next(targets, None)
         if target is not None:
             pair = f"from={_text(sender)} to={_text(target)}"
-            intro = Introduction(sender, target, pair, targets, stream, seq)
-            self.engine.schedule(now + stream.hop_delay(), KIND_MESSAGE, payload=intro, seq=seq)
+            intro = Introduction(sender, target, pair, targets, stream)
+            self.engine.schedule(now + stream.hop_delay(), KIND_MESSAGE, payload=intro)
 
     def _on_introduction(self, now: int, intro: Introduction) -> None:
         sender, target = intro.sender, intro.target
@@ -625,7 +623,7 @@ class World:
             self._act(now, "introduced", intro.pair)
         else:
             self._queue_intro(now, sender, target)
-        self._introduce_next(now, sender, intro.targets, intro.stream, intro.seq + 1)
+        self._introduce_next(now, sender, intro.targets, intro.stream)
 
     def _queue_intro(self, at: int, sender: NodeAddress, target: NodeAddress) -> None:
         if (sender, target) in self.intros:
@@ -678,7 +676,7 @@ class World:
 
     def _on_commit_ack(self, now: int, ack: CommitAck) -> None:
         commit = self.commits[ack.commit]
-        if commit.resolution is None:
+        if commit.resolution is None and now < commit.deadline:  # one at the deadline is late
             sync.ack(commit, ack.member, now)
             if commit.resolution is not None:
                 self._report_commit(now, commit)

@@ -179,9 +179,8 @@ class RandomStream:
 
 class SimEvent(NamedTuple):
     """A scheduled occurrence, held on the heap as it is: kind and payload are
-    the caller's. Heap order is (at, seq), and seq is unique, so no kind or
-    payload is ever compared: the engine hands each seq out once, and a seq
-    reserved with Engine.reserve is used by one event at most."""
+    the caller's. Heap order is (at, seq), and the engine hands each seq out
+    once, so no kind or payload is ever compared."""
 
     at: int
     seq: int
@@ -220,33 +219,14 @@ class Engine:
     def stream(self, label: str) -> RandomStream:
         return RandomStream(self.master_seed, label)
 
-    def reserve(self, count: int) -> int:
-        """Hand out count consecutive seqs without queueing anything, and return
-        the first. An event scheduled later on one of them runs where it would
-        have run had it been scheduled now: ahead of any event at the same time
-        that was scheduled after the reservation. Use each reserved seq once."""
-        if count < 0:
-            raise ValueError(f"cannot reserve {count} seqs")
-        first = self._next_seq
-        self._next_seq += count
-        return first
-
-    def schedule(self, at: int, kind: str, payload: Any = None, seq: int | None = None) -> SimEvent:
-        """Queue an event at virtual time at, on the next fresh seq or on seq,
-        which must come from an earlier reserve(). The engine only orders
-        events: kind and payload reach the handler as given. An event on a
-        reserved seq must lie in the future: at the current time, it could
-        sort ahead of an event that has already run."""
+    def schedule(self, at: int, kind: str, payload: Any = None) -> SimEvent:
+        """Queue an event at virtual time at, on the next seq, so events at one
+        time run in the order they were scheduled. The engine only orders
+        events: kind and payload reach the handler as given."""
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} before current time {self.now}")
-        if seq is None:
-            seq = self._next_seq
-            self._next_seq += 1
-        elif not 0 <= seq < self._next_seq:
-            raise ValueError(f"seq {seq} was never handed out")
-        elif at == self.now:
-            raise ValueError(f"an event on reserved seq {seq} must lie after {self.now}")
-        ev = SimEvent(at, seq, kind, payload)
+        ev = SimEvent(at, self._next_seq, kind, payload)
+        self._next_seq += 1
         heapq.heappush(self._heap, ev)
         return ev
 

@@ -225,6 +225,11 @@ def test_scenario_run_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
         (None, ("timing", "tables", "--trials", "1", "--out", "tables", "--format", "pretty")),
         (None, ("scenario", "run", ".")),  # a directory: load_scenario's OSError
         (None, ("mm1", "--broadcast", "--clients", "256")),
+        # argparse's own rejections
+        (None, ("timing", "sweep", "--total", "256", "--seed", "abc")),
+        (None, ("timing", "tables", "--trials", "abc")),
+        (None, ("timing", "sweep")),
+        (None, ("scenario",)),
     ],
 )
 def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, script, argv):
@@ -281,12 +286,10 @@ def test_a_handler_raising_broken_pipe_exits_141(capsys, monkeypatch, tmp_path):
 )
 def test_a_seed_outside_64_bits_is_a_usage_error(capsys, argv, seed):
     # derive_seed would reject it too, but a world draws its first stream mid-run
-    with pytest.raises(SystemExit) as exit_:
-        cli.main([*argv, "--seed", seed])
-    assert exit_.value.code == 2
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv, "--seed", seed)
+    assert code == 2
     assert out == ""
-    assert err.splitlines()[-1].endswith(f"argument --seed: invalid seed value: '{seed}'")
+    assert err == f"usage error: argument --seed: invalid seed value: '{seed}'\n"
 
 
 def test_every_leaf_subcommand_has_a_handler():

@@ -53,6 +53,13 @@ def test_quiet_output_is_the_golden_without_its_trace(capsys, target, golden):
     assert capsys.readouterr().out == _without_trace(golden.read_text())
 
 
+def test_a_bundled_name_is_not_shadowed_by_a_local_path(capsys, monkeypatch, tmp_path):
+    (tmp_path / "startup").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["scenario", "run", "startup", "--quiet"]) == 0
+    assert capsys.readouterr().out == _without_trace((GOLDEN / "startup.out").read_text())
+
+
 def test_quiet_run_renders_no_trace_line(capsys, monkeypatch):
     def refuse(ev):
         raise AssertionError(f"trace line rendered under --quiet: {ev}")

@@ -459,7 +459,7 @@ WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced)
     (
         KIND_MESSAGE,
         scenario.Introduction(
-            A, B, "from=10.0.0.1 to=10.0.3.152", iter([A]), Engine(1).stream("node/10.0.0.1"), 7
+            A, B, "from=10.0.0.1 to=10.0.3.152", iter([A]), Engine(1).stream("node/10.0.0.1")
         ),
         {"type": "introduction", "from": A, "to": B},
     ),

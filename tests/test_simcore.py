@@ -209,24 +209,6 @@ def test_engine_rejects_scheduling_in_the_past():
         eng.schedule(9, "late")
 
 
-def test_schedule_rejects_a_seq_never_handed_out():
-    eng = Engine(1)
-    first = eng.reserve(2)
-    eng.schedule(1, "fresh")
-    for seq in (-1, 3, 4):
-        with pytest.raises(ValueError):
-            eng.schedule(1, "bogus", seq=seq)
-    with pytest.raises(ValueError):
-        eng.reserve(-1)
-    with pytest.raises(ValueError):
-        eng.schedule(eng.now, "now", seq=first)
-    assert eng.schedule(1, "second", seq=first + 1).seq == 1
-    assert eng.schedule(1, "first", seq=first).seq == 0
-    seen = []
-    eng.run(lambda e, ev: seen.append(ev.kind))
-    assert seen == ["first", "second", "fresh"]
-
-
 def test_horizon_truncates_instead_of_failing():
     eng = Engine(1)
     for at in (1, 5, 9):
@@ -272,34 +254,24 @@ class Uncomparable(dict):
     __hash__ = None
 
 
-# An event: its time (few values, so many ties), the delay after which its
-# handler schedules one follow-up event, if any, and whether that follow-up
-# goes on a seq reserved when the event was scheduled (only after a delay:
-# a reserved seq cannot take the current time).
-plans = st.lists(
-    st.tuples(st.integers(0, 5), st.none() | st.integers(0, 3), st.booleans()), max_size=40
-)
+# An event: its time (few values, so many ties) and the delay after which its
+# handler schedules one follow-up event, if any.
+plans = st.lists(st.tuples(st.integers(0, 5), st.none() | st.integers(0, 3)), max_size=40)
 
 
 @given(plans, st.none() | st.integers(-1, 9))
 def test_engine_runs_every_event_once_in_at_seq_order(plan, horizon):
     eng = Engine(1)
-    for at, follow, reserve in plan:
-        seq = eng.reserve(1) if follow and reserve else None
-        eng.schedule(at, "planned", payload=Uncomparable(follow=follow, seq=seq))
+    for at, follow in plan:
+        eng.schedule(at, "planned", payload=Uncomparable(follow=follow))
     seen = []
-    reserved = []  # (at, seq) of each follow-up scheduled on a reserved seq
 
     def handler(e, ev):
         assert e.now == ev.at
         seen.append((ev.at, ev.seq))
-        follow, seq = ev.payload["follow"], ev.payload["seq"]
+        follow = ev.payload["follow"]
         if follow is not None:
-            payload = Uncomparable(follow=None, seq=None)
-            up = e.schedule(e.now + follow, "follow-up", payload=payload, seq=seq)
-            if seq is not None:
-                assert up.seq == seq
-                reserved.append((up.at, up.seq))
+            e.schedule(e.now + follow, "follow-up", payload=Uncomparable(follow=None))
 
     first = eng.run(handler, horizon=horizon)
     n_first = len(seen)
@@ -314,16 +286,11 @@ def test_engine_runs_every_event_once_in_at_seq_order(plan, horizon):
     if horizon is not None:
         assert all(at > horizon for at, _seq in seen[n_first:])
     # Every event ran once, in (at, seq) order, including those scheduled
-    # while the run went on.
-    scheduled = len(plan) + sum(follow is not None for _at, follow, _reserve in plan)
+    # while the run went on: at a tie, in the order they were scheduled.
+    scheduled = len(plan) + sum(follow is not None for _at, follow in plan)
     assert len(first) + len(rest) == len(seen) == scheduled
     assert sorted(seq for _at, seq in seen) == list(range(scheduled))
     assert seen == sorted(seen)
-    # A follow-up on a reserved seq runs ahead of every event at its time
-    # that was scheduled after the reservation, though it was queued later.
-    for at, seq in reserved:
-        later = [s for a, s in seen if a == at and s > seq]
-        assert all(seen.index((at, seq)) < seen.index((at, s)) for s in later)
     assert len(eng.run()) == 0
 
 

@@ -1,0 +1,109 @@
+"""No world outcome depends on the order in which same-time world events run.
+
+Two messages due at one instant have no inherent order, so each script here
+runs on a ShuffledEngine under drawn order seeds: its script lines and timed
+checks still run first at a tie, in file order, and the world events among
+themselves run in a random order. Every run must give the plain run's check
+verdicts and the same multiset of action lines.
+"""
+
+import importlib.util
+import sys
+from functools import cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from outcomes import assert_same_outcome, run_shuffled
+
+from peermesh.scenario import load_scenario, parse_scenario, render_report, run_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+BUNDLED = ROOT / "src" / "peermesh" / "scenarios"
+
+# The proposal lands at 105 and the ack at 115, the commit's deadline.
+DEADLINE_TIE = """\
+at=0 event=download addr=10.2.0.1
+at=2 event=download addr=10.2.0.2
+at=100 event=send addr=10.2.0.1 key=k timeout=15
+assert committed key=k acks=1 absent=10.2.0.2
+"""
+
+# 10.4.0.1 is elected at 1, so its beacons are due at 11, 21, ... It goes
+# down at 51, the unit a beacon is due: the line runs first, so that beacon
+# finds it down, the last beacon stays at 41, and the monitor fails it over
+# at 61, two periods later. The checks at 61 run before the monitor.
+BEACON_TIE = """\
+config min_clients=2 beacon_period=10 horizon=100
+at=0 event=download addr=10.4.0.1 uptime=0.99 capacity=512000
+at=1 event=download addr=10.4.0.2 uptime=0.98 capacity=256000
+at=2 event=download addr=10.4.0.3 uptime=0.97 capacity=256000
+at=51 event=down addr=10.4.0.1
+assert router at=61 addr=10.4.0.1
+assert router at=62 addr=10.4.0.2
+"""
+
+
+@cache
+def _gen():
+    """bench/gen.py, which builds the world-flat and world-split workloads' scripts."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return gen
+
+
+SCRIPTS = {
+    **{p.stem: p for p in sorted(BUNDLED.glob("*.scenario")) + sorted(GOLDEN.glob("*.scenario"))},
+    "deadline-tie": DEADLINE_TIE,
+    "beacon-tie": BEACON_TIE,
+    "flat-100": (733, 100, None),
+    "split-200": (733, 200, 16),
+}
+
+
+@cache
+def script(name: str):
+    source = SCRIPTS[name]
+    if isinstance(source, Path):
+        return load_scenario(source)
+    text = source if isinstance(source, str) else _gen().world_script(*source).text
+    return parse_scenario(text, name=name)
+
+
+@cache
+def plain(name: str) -> str:
+    return render_report(run_scenario(script(name), trace=False))
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+@settings(max_examples=8)
+@given(order_seed=st.integers(0, 2**32 - 1))
+def test_no_outcome_depends_on_the_order_of_same_time_world_events(name, order_seed):
+    report = run_shuffled(script(name), order_seed, trace=False)
+    assert_same_outcome(render_report(report), plain(name))
+
+
+@settings(max_examples=20)
+@given(order_seed=st.integers(0, 2**32 - 1))
+def test_an_ack_at_the_commit_deadline_does_not_count(order_seed):
+    report = run_shuffled(script("deadline-tie"), order_seed)
+    assert "[   115] message-delivery commit=0 member=10.2.0.2 type=commit-ack" in report.trace
+    assert "[   115] timer commit=0 type=commit-deadline" in report.trace
+    assert report.passed, render_report(report)
+
+
+@settings(max_examples=20)
+@given(order_seed=st.integers(0, 2**32 - 1))
+def test_a_down_line_runs_before_the_beacon_due_at_its_unit(order_seed):
+    report = run_shuffled(script("beacon-tie"), order_seed)
+    at_51 = [line for line in report.trace if line.startswith("[    51]")]
+    assert at_51[0] == "[    51] node-down target=10.4.0.1"
+    assert "[    51] beacon neighborhood=0" in at_51
+    expired = [a.render() for a in report.actions if a.kind == "beacon-expired"]
+    assert expired == ["[    61] beacon-expired addr=10.4.0.1 neighborhood=0"]
+    assert report.passed, render_report(report)
+

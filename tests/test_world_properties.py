@@ -3,7 +3,9 @@
 A state machine drives a World through its Engine with the passing of time
 and with parsed script lines (downloads, downs, ups, sends, subdivisions),
 and after every step checks that membership, routers, introductions and
-commits stay consistent.
+commits stay consistent. With a drawn order seed the world runs on a
+ShuffledEngine, which runs each line first at its unit and same-time world
+events in a random order; without one, on the plain Engine.
 Its settle rule lets the world come to rest and checks liveness: every
 neighborhood that has a router candidate has a live router.
 """
@@ -13,6 +15,7 @@ from collections import Counter
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+from outcomes import ShuffledEngine
 
 from peermesh.scenario import BEACON_TIMEOUT_FACTOR, World, WorldConfig, parse_scenario, schedule_line
 from peermesh.simcore import Engine
@@ -29,8 +32,9 @@ class WorldMachine(RuleBasedStateMachine):
         min_clients=st.integers(0, 3),
         intro_timeout=st.sampled_from([None, 5, 20]),
         seed=st.integers(0, 3),
+        order_seed=st.none() | st.integers(0, 2**32 - 1),
     )
-    def start(self, critical_mass, min_clients, intro_timeout, seed):
+    def start(self, critical_mass, min_clients, intro_timeout, seed, order_seed):
         config = WorldConfig(
             critical_mass=critical_mass,
             min_clients=min_clients,
@@ -39,7 +43,7 @@ class WorldMachine(RuleBasedStateMachine):
             intro_timeout=intro_timeout,
             commit_timeout=30,
         )
-        self.engine = Engine(seed)
+        self.engine = Engine(seed) if order_seed is None else ShuffledEngine(seed, order_seed)
         self.world = World(self.engine, config)
         self.now = 0
         self.sends = 0
