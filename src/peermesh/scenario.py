@@ -38,6 +38,11 @@ recorded action times, not in state sequencing. Runs always get a horizon
 (config, or last scripted time + 1000) because router beacons recur forever;
 hitting it marks the trace truncated, which is a defined outcome.
 
+Router lifecycle: only an election installs a router and starts its beacon
+monitor; each election or router-up starts a new incarnation of its beacon and
+refresh chains. Failover ends the old monitor, and each chain ends at its
+first tick after a newer incarnation, a lost role or a dead router.
+
 A join introduces the newcomer to every member it did not probe, one hop
 delay after another: each introduction carries the targets left and the
 joiner's stream, and schedules the next as it is delivered.
@@ -327,12 +332,13 @@ class Neighborhood:
     map: NeighborhoodMap
     router: NodeAddress | None = None
     last_beacon: int = -(10**9)
+    incarnation: int = 0  # router starts; only the latest one's chains run
 
 
 class Action(NamedTuple):
     """A recorded world action. Its fields are kept as the text they render
     as, one space-separated key=value body: one string per action, smaller
-    than a tuple of (key, text) pairs, and nothing the cyclic GC must track."""
+    than a tuple of (key, text) pairs, though the GC tracks it as a subclass."""
 
     at: int
     kind: str
@@ -427,6 +433,7 @@ class BeaconMonitor(NamedTuple):
 
 class RouterRefresh(NamedTuple):
     neighborhood: int
+    incarnation: int  # the router start whose chain this is
 
     def trace(self) -> str:
         return f"neighborhood={self.neighborhood} type=router-refresh"
@@ -434,6 +441,7 @@ class RouterRefresh(NamedTuple):
 
 class Beacon(NamedTuple):
     neighborhood: int
+    incarnation: int
 
     def trace(self) -> str:
         return f"neighborhood={self.neighborhood}"
@@ -544,33 +552,27 @@ class World:
         self._post_membership(nid)
 
     def _post_membership(self, nid: int) -> None:
-        """Elect a router if there is none, then split the neighborhood if it
-        has outgrown critical mass, counting the strays a new router mapped."""
-        hood = self.neighborhoods[nid]
+        """Elect a router if there is none, start it and its monitor and map the
+        strays in its span; then split the neighborhood past critical mass."""
+        hood, now = self.neighborhoods[nid], self.engine.now
         if hood.router is None:
-            cand = elect_router(hood.map, self.config.min_clients)
-            if cand is not None:
-                self._install_router(nid, cand, monitor=True)
+            hood.router = elect_router(hood.map, self.config.min_clients)
+            if hood.router is not None:
+                self._act(now, "elected", f"addr={_text(hood.router)} neighborhood={nid}")
+                self._start_router(nid)
+                self.engine.schedule(now + self.config.beacon_period, KIND_TIMER, payload=BeaconMonitor(nid))
+                self._router_refresh(nid)
         cm = self.config.critical_mass
         if cm is not None and len(hood.map) > cm:
             self._apply_subdivide(nid, cm)
 
-    def _install_router(self, nid: int, addr: NodeAddress, monitor: bool = False) -> None:
-        """Make addr the router, start it, and map the strays in its span."""
-        self.neighborhoods[nid].router = addr
-        self._act(self.engine.now, "elected", f"addr={_text(addr)} neighborhood={nid}")
-        self._start_router(nid, monitor)
-        self._router_refresh(nid)
-
-    def _start_router(self, nid: int, monitor: bool = False) -> None:
-        """Start the router's beacon and refresh chains; an election also
-        starts the beacon monitor, which runs until failover finds nobody."""
-        now, cfg = self.engine.now, self.config
-        self.neighborhoods[nid].last_beacon = now
-        self.engine.schedule(now + cfg.beacon_period, KIND_BEACON, payload=Beacon(nid))
-        if monitor:
-            self.engine.schedule(now + cfg.beacon_period, KIND_TIMER, payload=BeaconMonitor(nid))
-        self.engine.schedule(now + cfg.refresh_period, KIND_TIMER, payload=RouterRefresh(nid))
+    def _start_router(self, nid: int) -> None:
+        """Start a new incarnation of the router: its beacon and refresh chains."""
+        now, cfg, hood = self.engine.now, self.config, self.neighborhoods[nid]
+        hood.last_beacon, hood.incarnation = now, hood.incarnation + 1
+        chain = nid, hood.incarnation
+        self.engine.schedule(now + cfg.beacon_period, KIND_BEACON, payload=Beacon(*chain))
+        self.engine.schedule(now + cfg.refresh_period, KIND_TIMER, payload=RouterRefresh(*chain))
 
     def _set_active(self, line: ScriptEvent, active: bool) -> int | None:
         """Flip the line's instance up or down, in its record and in its
@@ -593,10 +595,7 @@ class World:
             self._act(now, "delivered", f"from={_text(intro.sender)} to={_text(addr)}")
         if nid is not None:
             if self.neighborhoods[nid].router == addr:
-                # The router itself came back: restart its chains, which
-                # stopped while it was down. A fast down/up flap can leave an
-                # extra live chain; duplicate beacons only refresh last_beacon
-                # more often, so that is harmless.
+                # The router itself came back: it starts a new incarnation.
                 self._start_router(nid)
             self._post_membership(nid)
 
@@ -727,36 +726,36 @@ class World:
 
     # -- timers and beacons ----------------------------------------------------
 
+    def _serving(self, tick: RouterRefresh | Beacon) -> bool:
+        """Whether tick's chain is its router's latest start, and that router is live."""
+        hood = self.neighborhoods.get(tick.neighborhood)
+        return hood is not None and hood.incarnation == tick.incarnation and self._live(hood.router)
+
     def _on_refresh(self, now: int, refresh: RouterRefresh) -> None:
-        nid = refresh.neighborhood
-        hood = self.neighborhoods.get(nid)
-        if hood is not None and self._live(hood.router):
-            self._router_refresh(nid)
-            self._post_membership(nid)
+        if self._serving(refresh):
+            self._router_refresh(refresh.neighborhood)
+            self._post_membership(refresh.neighborhood)
             self.engine.schedule(now + self.config.refresh_period, KIND_TIMER, payload=refresh)
 
     def _on_beacon(self, now: int, beacon: Beacon) -> None:
-        hood = self.neighborhoods.get(beacon.neighborhood)
-        if hood is not None and self._live(hood.router):
-            hood.last_beacon = now
+        if self._serving(beacon):
+            self.neighborhoods[beacon.neighborhood].last_beacon = now
             self.engine.schedule(now + self.config.beacon_period, KIND_BEACON, payload=beacon)
 
     def _on_monitor(self, now: int, monitor: BeaconMonitor) -> None:
-        nid = monitor.neighborhood
+        """Fail the router over once its beacon is stale, which ends this monitor."""
+        nid, period = monitor.neighborhood, self.config.beacon_period
         hood = self.neighborhoods.get(nid)
         if hood is None:
             return
-        timeout = self.config.beacon_period * BEACON_TIMEOUT_FACTOR
-        if not self._live(hood.router) and now - hood.last_beacon >= timeout:
-            self._act(now, "beacon-expired", f"addr={_text(hood.router)} neighborhood={nid}")
-            hood.router = None
-            cand = elect_router(hood.map, self.config.min_clients)
-            if cand is None:
-                self._act(now, "no-router", f"neighborhood={nid}")
-                return
-            self._install_router(nid, cand)
-            self._post_membership(nid)
-        self.engine.schedule(now + self.config.beacon_period, KIND_TIMER, payload=monitor)
+        if self._live(hood.router) or now - hood.last_beacon < period * BEACON_TIMEOUT_FACTOR:
+            self.engine.schedule(now + period, KIND_TIMER, payload=monitor)
+            return
+        self._act(now, "beacon-expired", f"addr={_text(hood.router)} neighborhood={nid}")
+        hood.router = None
+        self._post_membership(nid)
+        if hood.router is None:
+            self._act(now, "no-router", f"neighborhood={nid}")
 
     def _router_refresh(self, nid: int) -> None:
         """Map the advertised strays inside the router's span."""

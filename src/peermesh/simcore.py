@@ -24,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 MS_PER_UNIT = 50
 HOP_DELAY_MIN = 1
@@ -37,7 +37,6 @@ _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _HOP_SPAN = HOP_DELAY_MAX - HOP_DELAY_MIN + 1
 _HOP_REJECT = (1 << 32) % _HOP_SPAN  # Lemire's threshold: 6
-_HOP_STEPS = 32  # PCG64 steps per refill of hop_delay's buffer, two draws each
 # hop_delays packs this many hop delays into each int16 draw, one per decimal
 # digit: a draw uniform on {0..DRAW_SPAN-1} is that many independent digits.
 HOPS_PER_DRAW = 4
@@ -102,6 +101,24 @@ def _pcg64_seed(entropy: int) -> list[int]:
     return [state, inc]
 
 
+def _hop_draws(state: int, inc: int) -> Iterator[int]:
+    """Hop delays from the PCG64 generator at [state, inc], one per 32-bit
+    half of each 64-bit output that Lemire's draw keeps, low half first."""
+    mult, mask32, mask64, mask128 = _PCG_MULT, _MASK32, _MASK64, _MASK128
+    reject, span, least = _HOP_REJECT, _HOP_SPAN, HOP_DELAY_MIN
+    while True:
+        state = (state * mult + inc) & mask128
+        rot = state >> 122
+        out = (state >> 64 ^ state) & mask64
+        out = (out >> rot | out << 64 - rot) & mask64
+        low = (out & mask32) * span
+        if low & mask32 >= reject:
+            yield least + (low >> 32)
+        high = (out >> 32) * span
+        if high & mask32 >= reject:
+            yield least + (high >> 32)
+
+
 @cache
 def digit_sums():
     """int16 table of the hop delays packed draws carry, summed: entry
@@ -129,37 +146,17 @@ class RandomStream:
     def __init__(self, seed: int = DEFAULT_SEED, stream_id: str = "root"):
         self.seed = seed
         self.stream_id = stream_id
-        self._pcg: list[int] | None = None  # [state, increment] behind hop_delay
-        self._hops: list[int] = []  # buffered hop_delay draws, next one last
+        self._draws: Iterator[int] | None = None  # _hop_draws behind hop_delay
         self._gen = None  # numpy's Generator behind hop_delays
 
     def hop_delay(self) -> int:
         """The next uniform draw on {HOP_DELAY_MIN..HOP_DELAY_MAX}: the value
         numpy's scalar Generator(PCG64(derive_seed(seed, stream_id))).integers(
-        1, 10, endpoint=True) gives at the same position. Draws are made
-        _HOP_STEPS PCG64 steps at a time; the buffer goes with the stream."""
-        if not self._hops:
-            pcg = self._pcg
-            if pcg is None:
-                pcg = self._pcg = _pcg64_seed(derive_seed(self.seed, self.stream_id))
-            state, inc = pcg
-            mult, mask32, mask64, mask128, reject = _PCG_MULT, _MASK32, _MASK64, _MASK128, _HOP_REJECT
-            hops = []
-            for _ in range(_HOP_STEPS):
-                state = (state * mult + inc) & mask128
-                rot = state >> 122
-                out = (state >> 64 ^ state) & mask64
-                out = (out >> rot | out << 64 - rot) & mask64
-                low = (out & mask32) * _HOP_SPAN
-                if low & mask32 >= reject:
-                    hops.append(HOP_DELAY_MIN + (low >> 32))
-                high = (out >> 32) * _HOP_SPAN
-                if high & mask32 >= reject:
-                    hops.append(HOP_DELAY_MIN + (high >> 32))
-            pcg[0] = state
-            hops.reverse()
-            self._hops = hops
-        return self._hops.pop()
+        1, 10, endpoint=True) gives at the same position, drawn only when asked."""
+        draws = self._draws
+        if draws is None:
+            draws = self._draws = _hop_draws(*_pcg64_seed(derive_seed(self.seed, self.stream_id)))
+        return next(draws)
 
     def hop_delays(self, size):
         """An int16 array of packed hop delays from numpy's Generator.integers,

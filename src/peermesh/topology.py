@@ -204,28 +204,22 @@ def subdivide(nmap: NeighborhoodMap, critical_mass: int) -> tuple[NeighborhoodMa
     return lower, upper
 
 
-def ranked_candidates(nmap: NeighborhoodMap, min_clients: int) -> list[NodeAddress]:
-    """Eligible members in takeover order: highest uptime, then capacity, then
+def elect_router(nmap: NeighborhoodMap, min_clients: int) -> NodeAddress | None:
+    """The best eligible member, or None: highest uptime, then capacity, then
     closeness (low metric), ties by lowest address.
 
-    Needs min_clients active members. A candidate must clear
-    MIN_UPTIME_FRACTION and MIN_CAPACITY_BPS and be active: an offline node
-    cannot route, and failover must never re-elect the node whose loss
-    triggered it.
-    """
+    Needs min_clients active members. A candidate must clear MIN_UPTIME_FRACTION
+    and MIN_CAPACITY_BPS and be active: an offline node cannot route, and
+    failover must never re-elect the node whose loss triggered it."""
     active = nmap.active_members()
     if len(active) < min_clients:
-        return []
+        return None
     eligible = [
         r
         for r in active
         if r.uptime_fraction >= MIN_UPTIME_FRACTION and r.link_capacity_bps >= MIN_CAPACITY_BPS
     ]
-    eligible.sort(key=lambda r: (-r.uptime_fraction, -r.link_capacity_bps, r.metric, r.address))
-    return [r.address for r in eligible]
-
-
-def elect_router(nmap: NeighborhoodMap, min_clients: int) -> NodeAddress | None:
-    """Best eligible member, or None when nobody clears the thresholds."""
-    ranked = ranked_candidates(nmap, min_clients)
-    return ranked[0] if ranked else None
+    if not eligible:
+        return None
+    best = min(eligible, key=lambda r: (-r.uptime_fraction, -r.link_capacity_bps, r.metric, r.address))
+    return best.address

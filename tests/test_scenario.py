@@ -472,8 +472,8 @@ WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced)
     (KIND_TIMER, scenario.CommitDeadline(3), {"type": "commit-deadline", "commit": 3}),
     (KIND_TIMER, scenario.IntroExpiry(), {"type": "intro-expiry"}),
     (KIND_TIMER, scenario.BeaconMonitor(2), {"type": "beacon-monitor", "neighborhood": 2}),
-    (KIND_TIMER, scenario.RouterRefresh(2), {"type": "router-refresh", "neighborhood": 2}),
-    (KIND_BEACON, scenario.Beacon(2), {"neighborhood": 2}),
+    (KIND_TIMER, scenario.RouterRefresh(2, 1), {"type": "router-refresh", "neighborhood": 2}),
+    (KIND_BEACON, scenario.Beacon(2, 1), {"neighborhood": 2}),
 ]
 
 

@@ -12,6 +12,7 @@ from peermesh.simcore import (
     MS_PER_UNIT,
     Engine,
     RandomStream,
+    _hop_draws,
     _pcg64_seed,
     derive_seed,
     digit_sums,
@@ -113,8 +114,8 @@ def test_streams_differ_by_id():
 
 @pytest.mark.parametrize("seed", [0, 1, 701, 7919, 2**64 - 1])
 def test_buffered_hop_delay_is_the_scalar_draw_sequence(seed):
-    # Three buffer refills and a part: the values k scalar draws of numpy
-    # give, as plain ints.
+    # Nearly 200 draws, past the 64 a 32-step buffer once held: the values k
+    # scalar draws of numpy give, as plain ints.
     n = 3 * 64 + 5
     gen = np.random.Generator(np.random.PCG64(derive_seed(seed, "node/10.0.0.1")))
     scalar = numpy_hop_delays(gen, n)
@@ -131,14 +132,14 @@ def test_buffered_hop_delay_is_the_scalar_draw_sequence(seed):
     entropy=st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1),
 )
 def test_hop_delay_is_numpys_scalar_draw(seed, label, entropy):
-    # Three refills and a part, first on a derived seed, then on a seed of one
-    # or two 32-bit words: a derived seed is one word only once in 2**32.
+    # Nearly 200 draws, first on a derived seed, then on a seed of one or two
+    # 32-bit words: a derived seed is one word only once in 2**32.
     n = 3 * 64 + 5
     stream = RandomStream(seed, label)
     gen = np.random.Generator(np.random.PCG64(derive_seed(seed, label)))
     assert [stream.hop_delay() for _ in range(n)] == numpy_hop_delays(gen, n)
     stream = RandomStream(seed, label)
-    stream._pcg = _pcg64_seed(entropy)
+    stream._draws = _hop_draws(*_pcg64_seed(entropy))
     gen = np.random.Generator(np.random.PCG64(entropy))
     assert [stream.hop_delay() for _ in range(n)] == numpy_hop_delays(gen, n)
 
@@ -161,7 +162,7 @@ def test_hop_delay_rejects_as_numpy_does(low, high):
     probe.state = bits.state
     assert int(probe.random_raw()) == high << 32 | low
     stream = RandomStream()
-    stream._pcg = [state, inc]
+    stream._draws = _hop_draws(state, inc)
     assert [stream.hop_delay() for _ in range(100)] == numpy_hop_delays(np.random.Generator(bits), 100)
 
 

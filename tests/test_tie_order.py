@@ -5,6 +5,14 @@ runs on a ShuffledEngine under drawn order seeds: its script lines and timed
 checks still run first at a tie, in file order, and the world events among
 themselves run in a random order. Every run must give the plain run's check
 verdicts and the same multiset of action lines.
+
+Where the tie rule gives it, the trace is order-free too: the scripts in
+TRACE_STABLE must also give the plain run's multiset of trace lines. Left out:
+introduction-ties and the generated worlds, whose commits draw each ack's hop
+delay from one stream as proposals land, so same-time proposals swap delays;
+and routers-and-splits, where a neighborhood's beacon and monitor due at the
+unit of the refresh that splits it tick once more under its old id when they
+run before that refresh.
 """
 
 import importlib.util
@@ -75,8 +83,11 @@ def script(name: str):
 
 
 @cache
-def plain(name: str) -> str:
-    return render_report(run_scenario(script(name), trace=False))
+def plain(name: str, trace: bool = False) -> str:
+    return render_report(run_scenario(script(name), trace=trace))
+
+
+TRACE_STABLE = ("startup", "router-failover", "commit-timeout", "router-flap", "beacon-tie", "deadline-tie")
 
 
 @pytest.mark.parametrize("name", SCRIPTS)
@@ -85,6 +96,17 @@ def plain(name: str) -> str:
 def test_no_outcome_depends_on_the_order_of_same_time_world_events(name, order_seed):
     report = run_shuffled(script(name), order_seed, trace=False)
     assert_same_outcome(render_report(report), plain(name))
+
+
+@pytest.mark.parametrize("name", TRACE_STABLE)
+@settings(max_examples=8)
+@given(order_seed=st.integers(0, 2**32 - 1))
+def test_no_trace_line_depends_on_the_order_of_same_time_world_events(name, order_seed):
+    # router-failover once ran a second refresh chain in about half of the
+    # orders: its old router's refresh, due at the unit of the election, kept
+    # going when it ran after the election.
+    report = run_shuffled(script(name), order_seed)
+    assert_same_outcome(render_report(report), plain(name, trace=True))
 
 
 @settings(max_examples=20)

@@ -17,7 +17,6 @@ from peermesh.topology import (
     elect_router,
     form_clusters,
     parse_address,
-    ranked_candidates,
     subdivide,
 )
 
@@ -195,24 +194,22 @@ MIN_CLIENTS = 3
     ],
 )
 def test_router_eligibility_gates(uptime, capacity, active, eligible):
-    # Three more members keep the active population at min_clients either way.
+    # Three more members, active but too flaky to route, keep the active
+    # population at min_clients either way: addr(1) wins exactly when eligible.
     records = [
         NodeRecord(addr(1), uptime_fraction=uptime, link_capacity_bps=capacity, active=active),
-        NodeRecord(addr(2)),
-        NodeRecord(addr(3)),
-        NodeRecord(addr(4)),
+        *(NodeRecord(addr(i), uptime_fraction=0.5) for i in (2, 3, 4)),
     ]
-    ranked = ranked_candidates(NeighborhoodMap.build(records), MIN_CLIENTS)
-    assert (addr(1) in ranked) is eligible
-    assert ranked[-1:] == ([addr(1)] if eligible else [addr(4)])
+    winner = elect_router(NeighborhoodMap.build(records), MIN_CLIENTS)
+    assert winner == (addr(1) if eligible else None)
 
 
 def test_router_eligibility_needs_population():
     assert elect_router(build_map([1, 2]), MIN_CLIENTS) is None  # 2 members < min_clients=3
-    assert ranked_candidates(build_map([1, 2, 3]), MIN_CLIENTS) == [addr(1), addr(2), addr(3)]
+    assert elect_router(build_map([1, 2, 3]), MIN_CLIENTS) == addr(1)
     # Only active members count towards the population.
     nmap = build_map([1, 2, 3]).set_active(addr(3), False)
-    assert ranked_candidates(nmap, MIN_CLIENTS) == []
+    assert elect_router(nmap, MIN_CLIENTS) is None
 
 
 def test_election_prefers_uptime_then_capacity_then_metric():
@@ -221,10 +218,15 @@ def test_election_prefers_uptime_then_capacity_then_metric():
         NodeRecord(addr(2), uptime_fraction=0.99, link_capacity_bps=150_000.0),
         NodeRecord(addr(3), uptime_fraction=0.99, link_capacity_bps=200_000.0),
         NodeRecord(addr(4), uptime_fraction=0.99, link_capacity_bps=200_000.0, metric=5.0),
+        # ineligible fillers keep the active population at min_clients
+        *(NodeRecord(addr(i), uptime_fraction=0.5) for i in (5, 6, 7)),
     ]
-    nmap = NeighborhoodMap.build(records)
-    assert ranked_candidates(nmap, MIN_CLIENTS) == [addr(3), addr(4), addr(2), addr(1)]
-    assert elect_router(nmap, MIN_CLIENTS) == addr(3)
+    # Takeover order: each election's winner goes down before the next.
+    nmap, order = NeighborhoodMap.build(records), []
+    while (winner := elect_router(nmap, MIN_CLIENTS)) is not None:
+        order.append(winner)
+        nmap = nmap.set_active(winner, False)
+    assert order == [addr(3), addr(4), addr(2), addr(1)]
 
 
 def test_election_tie_breaks_on_lowest_address():

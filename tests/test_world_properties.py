@@ -19,7 +19,7 @@ from outcomes import ShuffledEngine
 
 from peermesh.scenario import BEACON_TIMEOUT_FACTOR, World, WorldConfig, parse_scenario, schedule_line
 from peermesh.simcore import Engine
-from peermesh.topology import parse_address, ranked_candidates
+from peermesh.topology import elect_router, parse_address
 
 # Uneven gaps, so that address distance orders the excerpts non-trivially.
 POOL = [parse_address(0x0A000000 + k) for k in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)]
@@ -109,7 +109,7 @@ class WorldMachine(RuleBasedStateMachine):
         self.now += MAX_COMMIT_TIMEOUT + (BEACON_TIMEOUT_FACTOR + 1) * config.beacon_period
         self.engine.run(self.world.handle, horizon=self.now)
         for nid, hood in self.world.neighborhoods.items():
-            if ranked_candidates(hood.map, config.min_clients):
+            if elect_router(hood.map, config.min_clients) is not None:
                 router = self.world.instances.get(hood.router)
                 assert router is not None and router.active, f"neighborhood {nid} has no live router"
 
