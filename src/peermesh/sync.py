@@ -20,7 +20,12 @@ writes outside a round go through a receipt-counted commit with a timeout.
 A merge walks the smaller of its two lists against the larger and touches
 only the slots that differ. Attribute lists share storage copy-on-write, so
 a hop whose sender's list already holds everything the receiver has hands
-the receiver that storage instead of a copy.
+the receiver that storage instead of a copy. No storage is written while it
+is shared, so within a round a merge depends only on the identity of its two
+storages: a hop that repeats the round's last merge, as every Redistribute
+hop after a chain's first does, reuses its result, and Redistribute costs one
+merge per chain. The list a chain or the ring carries belongs to the round
+and absorbs each hop's list in place.
 """
 
 from __future__ import annotations
@@ -90,8 +95,8 @@ class AttributeList:
 
     Storage is shared copy-on-write: `copy()`, and a merge that adds nothing
     to its larger input, hand out the same dict and flag both lists shared.
-    `put` copies a shared dict once, before its first write, so no list ever
-    sees another's writes.
+    `put` and `absorb` copy a shared dict once, before their first write, so
+    no list ever sees another's writes.
     """
 
     def __init__(self, entries: Iterable[AttributeEntry] = ()):
@@ -114,6 +119,17 @@ class AttributeList:
             self._entries = dict(self._entries)
             self._shared = False
         self._entries[slot] = entry
+
+    def absorb(self, other: "AttributeList") -> None:
+        """Merge `other` into this list in place; see `merge_lists`."""
+        mine = self._entries
+        for slot, entry in other._entries.items():
+            have = mine.get(slot)
+            if have is not entry and (have is None or _prefer(have, entry) is not have):
+                if self._shared:
+                    mine = self._entries = dict(mine)
+                    self._shared = False
+                mine[slot] = entry
 
     def get(self, key: str, owner: NodeAddress) -> AttributeEntry | None:
         return self._entries.get((key, owner))
@@ -142,23 +158,15 @@ class AttributeList:
 def merge_lists(a: AttributeList, b: AttributeList) -> AttributeList:
     """Union over (key, owner); conflicts resolved by version, then tuple order.
 
-    Walks the smaller list against the larger one and collects only the
-    slots where it adds or wins. A slot holding the same entry object on both
-    sides is skipped; `_prefer` runs only on a real conflict. When nothing is
-    collected the result shares the larger list's storage; otherwise it is
-    built once from that storage and the collected slots.
+    A copy of the larger list absorbs the smaller one: only the slots where
+    the smaller adds or wins are written. A slot holding the same entry
+    object on both sides is skipped; `_prefer` runs only on a real conflict.
+    When nothing is written the result shares the larger list's storage;
+    otherwise that storage is copied once, before the first write.
     """
     big, small = (a, b) if len(a._entries) >= len(b._entries) else (b, a)
-    base = big._entries
-    changes = {}
-    for slot, entry in small._entries.items():
-        mine = base.get(slot)
-        if mine is not entry and (mine is None or _prefer(mine, entry) is not mine):
-            changes[slot] = entry
-    if not changes:
-        return big.copy()
-    merged = AttributeList()
-    merged._entries = {**base, **changes}
+    merged = big.copy()
+    merged.absorb(small)
     return merged
 
 
@@ -168,6 +176,7 @@ def merge_lists(a: AttributeList, b: AttributeList) -> AttributeList:
 
 
 class Phase(Enum):
+    __hash__ = object.__hash__  # counting a hop hashes its phase; Enum's hash is Python code
     INTRA_FORWARD = "intra-forward"
     INTRA_REVERSE = "intra-reverse"
     LEADER_RING = "leader-ring"
@@ -180,14 +189,15 @@ class UpdateRound:
 
     The round is the generator `_run`: the four phases in order as plain
     loops, pausing before every hop, so `phase` names the phase of the next
-    hop. Within a phase the cluster chains go one after another. Owned by a
-    single event loop. `is_active` is consulted for each hop target as the
-    hop is delivered, so members lost mid-round are skipped and marked stale
-    instead of stalling a chain. A cluster head found dead in the leader
-    ring is passed over by a re-send to the next live member of its chain.
-    That member took the cluster list during IntraReverse and becomes the
-    head the ring and Redistribute use. Re-sends count in `retransmits`,
-    not in `phase_messages`.
+    hop; `run_round` runs it to the end without `step()`. Within a phase the
+    cluster chains go one after another. Owned by a single event loop.
+    `is_active` is consulted for each hop target as the hop is delivered, so
+    members lost mid-round are skipped and marked stale instead of stalling
+    a chain. A cluster head found dead in the leader ring is passed over by
+    a re-send to the next live member of its chain. That member took the
+    cluster list during IntraReverse and becomes the head the ring and
+    Redistribute use. Re-sends count in `retransmits`, not in
+    `phase_messages`.
     """
 
     def __init__(
@@ -213,6 +223,7 @@ class UpdateRound:
         self._chains = [c for c in chains if c]
         if not self._chains:
             raise ConfigurationError("no active members in any cluster")
+        self._last_merge = (None, None, None)  # (storage, storage, their merge)
         self._hops = self._run()
         next(self._hops, None)  # up to the first hop
 
@@ -232,7 +243,17 @@ class UpdateRound:
         return bool(chain)
 
     def _give(self, target: NodeAddress, src: AttributeList) -> None:
-        self.lists[target] = merge_lists(self.lists[target], src)
+        """Merge `src` into target's list, reusing the last merge on a repeat.
+        The cache holds both storages and flags them shared, so neither id is
+        reused and neither storage written while it is held."""
+        mine = self.lists[target]
+        a, b, merged = self._last_merge
+        if a is mine._entries and b is src._entries:
+            self.lists[target] = merged.copy()
+            return
+        merged = self.lists[target] = merge_lists(mine, src)
+        mine._shared = src._shared = True
+        self._last_merge = (mine._entries, src._entries, merged)
 
     def _walk(self, chain: list, step: int, deliver: Callable, live: Callable) -> Iterator[None]:
         """Hop along `chain` up from its first entry (step 1) or down from its
@@ -254,17 +275,11 @@ class UpdateRound:
     def _run(self) -> Iterator[None]:
         chains = self._chains
         final: list[AttributeList | None] = [None] * len(chains)
-        carried = None
-
-        def take(src: AttributeList) -> None:
-            nonlocal carried
-            carried = merge_lists(carried, src)
-
         # Each chain ascends from its leader, gathering its members' entries.
         self.phase = Phase.INTRA_FORWARD
         for k, chain in enumerate(chains):
             carried = self.lists[chain[0]].copy()
-            yield from self._walk(chain, 1, lambda t: take(self.lists[t]), self._live)
+            yield from self._walk(chain, 1, lambda t: carried.absorb(self.lists[t]), self._live)
             final[k] = carried
 
         # The top of each chain keeps the cluster list and sends it back down.
@@ -278,7 +293,7 @@ class UpdateRound:
         ring = list(range(len(chains)))
         carried = final[0].copy()
         if len(ring) > 1:
-            yield from self._walk(ring, 1, lambda k: take(final[k]), self._head_live)
+            yield from self._walk(ring, 1, lambda k: carried.absorb(final[k]), self._head_live)
             self._give(chains[ring[-1]][0], carried)
             push = lambda k: self._give(chains[k][0], carried)
             yield from self._walk(ring, -1, push, self._head_live)
@@ -312,10 +327,10 @@ def run_round(
     lists: Mapping[NodeAddress, AttributeList],
     is_active: Callable[[NodeAddress], bool] | None = None,
 ) -> UpdateRound:
-    """Start a round and step it to completion."""
+    """Start a round and drive it to completion."""
     r = UpdateRound(plan, lists, is_active)
-    while not r.done:
-        r.step()
+    for _ in r._hops:
+        pass
     return r
 
 

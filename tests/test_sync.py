@@ -3,6 +3,7 @@ from functools import reduce
 
 import pytest
 
+from peermesh import sync
 from peermesh.sync import (
     AttributeEntry,
     AttributeList,
@@ -185,6 +186,11 @@ def test_put_into_a_copy_or_its_source_leaves_the_other_alone():
     first.put(entry("new", addr(3)))
     assert second.entries() == before
     assert src.get("k", addr(1)).version == 1 and src.get("new", addr(3)) is None
+    # absorbing into a list that shares storage copies it first
+    third = second.copy()
+    second.absorb(AttributeList([entry("k", addr(1), version=4), entry("new", addr(3))]))
+    assert second.get("k", addr(1)).version == 4 and len(second) == 3
+    assert third.entries() == before
 
 
 def test_put_into_a_merge_that_shares_storage_or_its_inputs_leaves_the_rest_alone():
@@ -257,11 +263,9 @@ def test_round_converges_everyone_to_the_full_merge():
         assert all(finals[a] == want for a in plan.members)
 
 
-def test_round_at_the_largest_bench_shape_reaches_the_full_merge():
-    # 1024 members in 32 clusters of 32, all live; each owns two entries and
-    # half also hold a stale or conflicting copy of another member's slot.
-    rng = random.Random(701)
-    plan = make_plan(1024, 32)
+def bench_shape_lists(plan, rng):
+    """Each member owns two entries, and half also hold a stale or
+    conflicting copy of another member's slot."""
     members = plan.members
 
     def drawn(key, owner):
@@ -274,6 +278,14 @@ def test_round_at_the_largest_bench_shape_reaches_the_full_merge():
         if rng.random() < 0.5:
             other = rng.choice([b for b in members if b != a])
             lists[a].put(drawn(rng.choice(owned[other]).key, other))
+    return lists
+
+
+def test_round_at_the_largest_bench_shape_reaches_the_full_merge():
+    # 1024 members in 32 clusters of 32, all live.
+    plan = make_plan(1024, 32)
+    members = plan.members
+    lists = bench_shape_lists(plan, random.Random(701))
     want = reduce(merge_lists, lists.values())
     r = run_round(plan, lists)
     finals = r.final_lists()
@@ -289,11 +301,35 @@ def test_round_single_member():
     assert r.done and r.message_count == 0
 
 
-def test_round_input_lists_are_not_mutated():
-    plan = make_plan(6, 3)
-    lists = seed_lists(plan)
+def step_until_ring_leader_drops(plan, lists, cluster):
+    """Step a round whose leader of `cluster` drops right after the
+    ascending ring reaches it, holding its cluster's list."""
+    down = set()
+    r = UpdateRound(plan, lists, is_active=lambda a: a not in down)
+    while not r.done:
+        in_ring = r.phase is Phase.LEADER_RING
+        r.step()
+        if in_ring and not down and r.phase_messages[Phase.LEADER_RING] == cluster:
+            down.add(plan.leaders[cluster])
+    return r
+
+
+@pytest.mark.parametrize("shape", ["6-of-3", "1024-of-32", "ring-leader-drops"])
+def test_round_input_lists_are_not_mutated(shape):
+    if shape == "6-of-3":
+        plan = make_plan(6, 3)
+        lists = seed_lists(plan)
+    elif shape == "1024-of-32":
+        plan = make_plan(1024, 32)
+        lists = bench_shape_lists(plan, random.Random(1024))
+    else:
+        plan = make_plan(20, 4)
+        lists = seed_lists(plan, random.Random(5))
     before = {a: al.entries() for a, al in lists.items()}
-    run_round(plan, lists)
+    if shape == "ring-leader-drops":
+        assert step_until_ring_leader_drops(plan, lists, 2).retransmits == 1
+    else:
+        run_round(plan, lists)
     assert {a: al.entries() for a, al in lists.items()} == before
 
 
@@ -350,19 +386,44 @@ def test_round_survivors_converge_when_a_ring_leader_drops():
     plan = make_plan(20, 4)
     lists = seed_lists(plan, random.Random(5))
     victim = plan.leaders[2]
-    down = set()
-    r = UpdateRound(plan, lists, is_active=lambda a: a not in down)
-    while not r.done:
-        in_ring = r.phase is Phase.LEADER_RING
-        r.step()
-        if in_ring and not down and r.phase_messages[Phase.LEADER_RING] == 2:
-            down.add(victim)
+    r = step_until_ring_leader_drops(plan, lists, 2)
     want = oracle_merge(lists)  # the victim's entries joined the ring before it dropped
     finals = r.final_lists()
     assert all(finals[a] == want for a in plan.members if a != victim)
     assert r.stale == {victim}
     assert r.retransmits == 1
     assert r.phase_messages[Phase.LEADER_RING] == 2 * (len(plan.clusters) - 1)
+
+
+def test_redistribute_merges_once_per_chain(monkeypatch):
+    # Every member of a chain holds the cluster list and its leader the
+    # neighborhood list, so each Redistribute hop repeats one merge.
+    plan = make_plan(256, 16)
+    lists = seed_lists(plan, random.Random(16))
+    r = UpdateRound(plan, lists)
+    merges, depth = [], [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            if depth[0] == 0 and r.phase is Phase.REDISTRIBUTE:
+                merges.append(args)
+            depth[0] += 1  # a merge that absorbs is one merge
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(sync, "merge_lists", counted(sync.merge_lists))
+    monkeypatch.setattr(AttributeList, "absorb", counted(AttributeList.absorb))
+    while not r.done:
+        r.step()
+    assert r.phase_messages[Phase.REDISTRIBUTE] == 16 * 15
+    assert 0 < len(merges) <= len(plan.clusters) == 16
+    finals = r.final_lists()
+    storage = finals[plan.members[0]]._entries
+    assert all(finals[a]._entries is storage for a in plan.members)
 
 
 def test_stepping_a_done_round_raises():

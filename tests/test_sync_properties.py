@@ -1,7 +1,8 @@
 """Property tests: merge_lists is a last-writer-wins map CRDT that agrees with
-a plain dict-walk merge, an update round converges over its survivors when
-one member drops mid-round, and a commit resolves exactly once over the acks
-it received."""
+a plain dict-walk merge and with a copy that absorbs, an update round
+converges over its survivors when one member drops mid-round and is the same
+round whether run_round or step() drives it, and a commit resolves exactly
+once over the acks it received."""
 
 import dataclasses
 from functools import reduce
@@ -18,6 +19,7 @@ from peermesh.sync import (
     expire,
     merge_lists,
     propose_commit,
+    run_round,
 )
 from peermesh.topology import NeighborhoodMap, NodeAddress, NodeRecord, form_clusters, parse_address
 
@@ -92,6 +94,10 @@ def test_merge_agrees_with_the_reference_and_leaves_inputs_alone(pair):
     before = [(e, id(e)) for al in pair for e in al.entries()]
     assert merge_lists(a, b) == reference_merge(a, b)
     assert merge_lists(b, a) == reference_merge(a, b)
+    for x, y in (pair, pair[::-1]):
+        carried = x.copy()
+        carried.absorb(y)
+        assert carried == merge_lists(x, y)
     assert [(e, id(e)) for al in pair for e in al.entries()] == before
 
 
@@ -108,17 +114,22 @@ def _member_list(owner: NodeAddress, shared_version: int) -> AttributeList:
     )
 
 
-@settings(max_examples=1000)
-@given(st.data())
-def test_round_survivors_converge_when_a_member_drops(data):
+def _drawn_round_inputs(data):
+    """A plan of 1-24 members in clusters of 1-6, and each member's list."""
     count = data.draw(st.integers(1, 24), label="members")
     size = data.draw(st.integers(1, 6), label="cluster_size")
     nmap = NeighborhoodMap.build(NodeRecord(parse_address(0x0A000100 + i)) for i in range(count))
     plan = form_clusters(nmap, size)
     versions = data.draw(st.lists(st.integers(1, 5), min_size=count, max_size=count))
-    lists = {a: _member_list(a, v) for a, v in zip(plan.members, versions)}
+    return plan, {a: _member_list(a, v) for a, v in zip(plan.members, versions)}
+
+
+@settings(max_examples=1000)
+@given(st.data())
+def test_round_survivors_converge_when_a_member_drops(data):
+    plan, lists = _drawn_round_inputs(data)
     victim = data.draw(st.sampled_from(plan.members), label="victim")
-    hops = 3 * count + 2 * len(plan.clusters)
+    hops = 3 * len(plan.members) + 2 * len(plan.clusters)
     drop_at = data.draw(st.integers(0, hops), label="drop_at")  # past the end: no drop
 
     down: set[NodeAddress] = set()
@@ -146,6 +157,35 @@ def test_round_survivors_converge_when_a_member_drops(data):
     for a in survivors:
         assert merge_lists(finals[a], want) == finals[a]  # holds every survivor's entries
         assert finals[a] == finals[survivors[0]]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_run_round_and_step_give_the_same_round(data):
+    plan, lists = _drawn_round_inputs(data)
+    victim = data.draw(st.sampled_from(plan.members), label="victim")
+    kth = data.draw(st.integers(1, 8), label="live_queries")  # then the victim is down
+
+    def dropping_after_kth_query():
+        asked = 0
+
+        def is_active(a: NodeAddress) -> bool:
+            nonlocal asked
+            if a != victim:
+                return True
+            asked += 1
+            return asked <= kth
+
+        return is_active
+
+    def outcome(r: UpdateRound):
+        finals = {a: al.entries() for a, al in r.final_lists().items()}
+        return finals, r.message_count, list(r.phase_messages.items()), r.retransmits, r.stale
+
+    stepped = UpdateRound(plan, lists, dropping_after_kth_query())
+    while not stepped.done:
+        stepped.step()
+    assert outcome(run_round(plan, lists, dropping_after_kth_query())) == outcome(stepped)
 
 
 @settings(max_examples=200)
