@@ -5,31 +5,25 @@ churn, commits and subdivisions, then check what happened. Line grammar
 (blank lines and ``#`` comments are ignored):
 
   config <key>=<value> ...
-      World parameters: critical_mass, excerpt_cap, min_clients,
-      beacon_period, refresh_period, intro_timeout, commit_timeout, horizon.
-
   at=<units> event=<kind> addr=<dotted-quad> [key=value ...]
-      Kinds and the only parameters each takes besides at= and addr=:
-      download (domain=, uptime=, capacity=, metric=), up, down, send (key=,
-      value=, scope=, timeout=), subdivide (critical_mass=). A download's
-      domain= is not used; the trace only echoes it.
-
   assert <kind> [at=<units>] key=value ...
-      Kinds and the only parameters each takes: connected, connect-failed,
-      queued, delivered, expired, introduced (from=, to=: addresses);
-      router, no-router, member, isolated (addr=: an address); committed
-      (key=, and optionally acks=: a count, absent=: - or a comma-separated
-      address list, value=: the value sent). Checks with at= are evaluated
-      at that virtual time, the rest after the run; one timed past the
-      horizon fails. router and no-router fail for an unknown address.
+
+The tables _CONFIG_PARAMS, _EVENT_PARAMS and _CHECK_KINDS below are the one
+statement of a line's parameters: which kinds and keys exist, which
+parameters each takes and needs, what each value must be, and which recorded
+action a check matches. A download's domain= is not used; the trace only
+echoes it. Checks with at= are evaluated at that virtual time, the rest after
+the run; one timed past the horizon fails. router and no-router fail for an
+unknown address.
 
 The parser casts every value, so a script's config is a WorldConfig and the
 handlers and checks read each parameter as cast; a record keeps its
 parameters as written only to echo them in the trace and the verdict. Each
-engine event carries one record, a script line or check as parsed or a world
-event's typed payload, and no target: a script line's trace body names its
-own. World.handle finds a record's handler in one table; KIND_* below are the
-engine kinds of world events.
+script line keeps its name:line, which its run-time rejections start with.
+Each engine event carries one record, a script line or check as parsed or a
+world event's typed payload, and no target: a script line's trace body names
+its own. World.handle finds a record's handler in one table; KIND_* below are
+the engine kinds of world events.
 
 A download registers the instance and probes its registry excerpt in the
 excerpt's order, which is the probe order: nearest address first. Handshakes
@@ -70,7 +64,7 @@ import math
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import discovery, sync
 from .simcore import DEFAULT_SEED, Engine, RandomStream, RunResult, SimEvent
@@ -100,12 +94,21 @@ def _address_list(text: str) -> tuple[NodeAddress, ...]:
     return () if text == "-" else tuple(parse_address(a) for a in text.split(","))
 
 
-# Typed parameters as name -> (cast, test, what a value must be). The parser
-# checks them, so a script that parses never fails on a value in a handler.
-_TEXT = (str, lambda v: True, "text")
-_COUNT = (int, lambda v: v >= 0, "a non-negative integer")
-_POSITIVE = (int, lambda v: v > 0, "a positive integer")
-_ADDRESS = (parse_address, lambda v: True, "a dotted-quad address")
+class _Param(NamedTuple):
+    """A typed parameter: its cast, the test a cast value passes, what a value
+    must be, and whether a line of its kind needs it. The parser checks them,
+    so a script that parses never fails on a value in a handler."""
+
+    cast: Callable[[str], object]
+    test: Callable[[object], bool]
+    wants: str
+    needed: bool = False
+
+
+_TEXT = _Param(str, lambda v: True, "text")
+_COUNT = _Param(int, lambda v: v >= 0, "a non-negative integer")
+_POSITIVE = _Param(int, lambda v: v > 0, "a positive integer")
+_ADDRESS = _Param(parse_address, lambda v: True, "a dotted-quad address")
 _CONFIG_PARAMS = {
     "critical_mass": _POSITIVE,
     "excerpt_cap": _COUNT,
@@ -117,62 +120,50 @@ _CONFIG_PARAMS = {
     "horizon": _COUNT,
 }
 _AT = {"at": _COUNT}
-_EVENT = {**_AT, "addr": _ADDRESS}
+_EVENT = {**_AT, "addr": _ADDRESS}  # an event line without both is rejected first
 _EVENT_PARAMS = {
     "download": {
         **_EVENT,
         "domain": _TEXT,
-        "uptime": (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
-        "capacity": (float, lambda v: 0 < v < math.inf, "a positive number"),
-        "metric": (float, lambda v: 0 <= v < math.inf, "a non-negative number"),
+        "uptime": _Param(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+        "capacity": _Param(float, lambda v: 0 < v < math.inf, "a positive number"),
+        "metric": _Param(float, lambda v: 0 <= v < math.inf, "a non-negative number"),
     },
     "up": _EVENT,
     "down": _EVENT,
     "send": {
         **_EVENT,
-        "key": _TEXT,
-        "value": (str.encode, lambda v: True, "text"),
+        "key": _TEXT._replace(needed=True),
+        "value": _Param(str.encode, lambda v: True, "text"),
         "timeout": _POSITIVE,
-        "scope": (sync.validate_scope, lambda v: True, "local, global or group:<id>"),
+        "scope": _Param(sync.validate_scope, lambda v: True, "local, global or group:<id>"),
     },
     "subdivide": {**_EVENT, "critical_mass": _POSITIVE},
 }
-EVENT_KINDS = tuple(_EVENT_PARAMS)
 # The download parameters an instance's NodeRecord takes, by the field each sets.
 _RECORD_FIELDS = {"uptime": "uptime_fraction", "capacity": "link_capacity_bps", "metric": "metric"}
-# A check takes only these parameters; the first six match recorded actions.
 _PAIR = {**_AT, "from": _ADDRESS, "to": _ADDRESS}
-_NODE = {**_AT, "addr": _ADDRESS}
-_CHECK_PARAMS = {
-    "connected": _PAIR,
-    "connect-failed": _PAIR,
-    "queued": _PAIR,
-    "delivered": _PAIR,
-    "expired": _PAIR,
-    "introduced": _PAIR,
-    "router": _NODE,
-    "no-router": _NODE,
-    "member": _NODE,
-    "isolated": _NODE,
-    "committed": {
-        **_AT,
-        "key": _TEXT,
-        "acks": _COUNT,
-        "absent": (_address_list, lambda v: True, "- or a comma-separated list of addresses"),
-        "value": (str.encode, lambda v: True, "text"),
-    },
+_NODE = {**_AT, "addr": _ADDRESS._replace(needed=True)}
+_COMMITTED = {
+    **_AT,
+    "key": _TEXT._replace(needed=True),
+    "acks": _COUNT,
+    "absent": _Param(_address_list, lambda v: True, "- or a comma-separated list of addresses"),
+    "value": _Param(str.encode, lambda v: True, "text"),
 }
-CHECK_KINDS = tuple(_CHECK_PARAMS)
-# The recorded action kind each of the first six check kinds matches.
-_ACTION_OF = {kind: kind for kind in CHECK_KINDS[:6]} | {"connected": "connect"}
-# Parameters an event or check cannot do without.
-_REQUIRED_PARAMS = {
-    "send": ("key",),
-    "router": ("addr",),
-    "no-router": ("addr",),
-    "member": ("addr",),
-    "isolated": ("addr",),
-    "committed": ("key",),
+# Each check kind's recorded action to match (None: it reads the world) and parameters.
+_CHECK_KINDS = {
+    "connected": ("connect", _PAIR),
+    "connect-failed": ("connect-failed", _PAIR),
+    "queued": ("queued", _PAIR),
+    "delivered": ("delivered", _PAIR),
+    "expired": ("expired", _PAIR),
+    "introduced": ("introduced", _PAIR),
+    "router": (None, _NODE),
+    "no-router": (None, _NODE),
+    "member": (None, _NODE),
+    "isolated": (None, _NODE),
+    "committed": (None, _COMMITTED),
 }
 
 
@@ -202,12 +193,16 @@ class ScriptEvent:
     kind: str
     addr: NodeAddress
     params: dict[str, object]  # as cast, without at= and addr=
-    line: int
+    where: str  # name:line
     echo: str  # the params as written, sorted key=value pairs
 
     def trace(self) -> str:
         target = f"target={_text(self.addr)}"
         return f"{target} {self.echo}" if self.echo else target
+
+    def reject(self, why: str) -> ScenarioError:
+        """The error for this line contradicting the world, located at the line."""
+        return ScenarioError(f"{self.where}: {why}")
 
 
 @dataclass(frozen=True)
@@ -248,18 +243,18 @@ def _echo(params: dict[str, str], *skip: str) -> str:
     return " ".join(f"{k}={v}" for k, v in sorted(params.items()) if k not in skip)
 
 
-def _check(params: dict[str, str], kind: str, typed: Mapping, where: str, unknown: str) -> dict:
-    """The line's parameters cast by typed. Reject a line that lacks a required
-    parameter, carries a bad value, or carries a parameter that typed does not
-    list; unknown names the line's parameters in that message ("config key")."""
+def _check(params: dict[str, str], kind: str, typed: Mapping[str, _Param], where: str, unknown: str) -> dict:
+    """The line's parameters cast by typed. Reject a line that carries a
+    parameter that typed does not list, lacks one it needs, or carries a bad
+    value, in that order; unknown names the line's parameters ("config key")."""
     extra = [k for k in params if k not in typed]
     if extra:
         raise ScenarioParseError(f"{where}: unknown {unknown} {extra[0]!r}")
-    for key in _REQUIRED_PARAMS.get(kind, ()):
-        if key not in params:
-            raise ScenarioParseError(f"{where}: {kind} needs {key}=")
+    missing = [k for k, param in typed.items() if param.needed and k not in params]
+    if missing:
+        raise ScenarioParseError(f"{where}: {kind} needs {missing[0]}=")
     out = {}
-    for key, (cast, test, wants) in typed.items():
+    for key, (cast, test, wants, _needed) in typed.items():
         if key not in params:
             continue
         try:
@@ -291,10 +286,10 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
             if len(tokens) < 2:
                 raise ScenarioParseError(f"{where}: assert needs a kind")
             kind = tokens[1]
-            if kind not in CHECK_KINDS:
+            if kind not in _CHECK_KINDS:
                 raise ScenarioParseError(f"{where}: unknown assert kind {kind!r}")
             pairs = _split_pairs(tokens[2:], where)
-            params = _check(pairs, kind, _CHECK_PARAMS[kind], where, unknown=f"{kind} parameter")
+            params = _check(pairs, kind, _CHECK_KINDS[kind][1], where, unknown=f"{kind} parameter")
             at = params.pop("at", None)
             checks.append(ScriptCheck(kind, params, at, lineno, _echo(pairs, "at")))
             continue
@@ -303,11 +298,11 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioScript:
         if missing:
             raise ScenarioParseError(f"{where}: event line missing {missing}")
         kind = pairs.pop("event")
-        if kind not in EVENT_KINDS:
+        if kind not in _EVENT_PARAMS:
             raise ScenarioParseError(f"{where}: unknown event {kind!r}")
         params = _check(pairs, kind, _EVENT_PARAMS[kind], where, unknown=f"{kind} parameter")
         at, addr = params.pop("at"), params.pop("addr")
-        events.append(ScriptEvent(at, kind, addr, params, lineno, _echo(pairs, "at", "addr")))
+        events.append(ScriptEvent(at, kind, addr, params, where, _echo(pairs, "at", "addr")))
     return ScenarioScript(name=name, config=config, events=tuple(events), checks=tuple(checks))
 
 
@@ -511,7 +506,7 @@ class World:
     def _on_download(self, now: int, line: ScriptEvent) -> None:
         addr, params = line.addr, line.params
         if addr in self.instances:
-            raise ScenarioError(f"{addr} downloaded twice")
+            raise line.reject(f"{addr} downloaded twice")
         rec = NodeRecord(addr, **{_RECORD_FIELDS[k]: v for k, v in params.items() if k in _RECORD_FIELDS})
         self.instances[addr] = rec
         excerpt = self.registry.register(addr, now, cap=self.config.excerpt_cap)
@@ -580,7 +575,7 @@ class World:
         addr = line.addr
         rec = self.instances.get(addr)
         if rec is None:
-            raise ScenarioError(f"{line.kind} for unknown instance {addr}")
+            raise line.reject(f"{line.kind} for unknown instance {addr}")
         self.instances[addr] = replace(rec, active=active)
         nid = self.nid_of.get(addr)
         if nid is not None:
@@ -641,10 +636,10 @@ class World:
     def _on_send(self, now: int, line: ScriptEvent) -> None:
         addr, params = line.addr, line.params
         if not self._live(addr):
-            raise ScenarioError(f"send from unavailable instance {addr}")
+            raise line.reject(f"send from unavailable instance {addr}")
         nid = self.nid_of.get(addr)
         if nid is None:
-            raise ScenarioError(f"send from unmapped instance {addr}")
+            raise line.reject(f"send from unmapped instance {addr}")
         # A live proposer is online even if an earlier commit flagged it offline.
         group = {addr, *(r.address for r in self.neighborhoods[nid].map.active_members())}
         commit = sync.propose_commit(
@@ -701,10 +696,10 @@ class World:
     def _on_subdivide(self, now: int, line: ScriptEvent) -> None:
         nid = self.nid_of.get(line.addr)
         if nid is None:
-            raise ScenarioError(f"subdivide via unmapped instance {line.addr}")
+            raise line.reject(f"subdivide via unmapped instance {line.addr}")
         cm = line.params.get("critical_mass", self.config.critical_mass)
         if cm is None:
-            raise ScenarioError("subdivide needs critical_mass (param or config)")
+            raise line.reject("subdivide needs critical_mass (param or config)")
         self._apply_subdivide(nid, cm)
 
     def _apply_subdivide(self, nid: int, critical_mass: int) -> None:
@@ -774,9 +769,10 @@ class World:
 
     def _evaluate(self, check: ScriptCheck) -> CheckResult:
         kind, p = check.kind, check.params
-        if kind in _ACTION_OF:
+        action = _CHECK_KINDS[kind][0]
+        if action is not None:
             # Each wanted field must be one of an action's fields, whole.
-            action, want = _ACTION_OF[kind], [f"{k}={_text(v)}" for k, v in p.items()]
+            want = [f"{k}={_text(v)}" for k, v in p.items()]
             ok = any(a.kind == action and all(f in a.fields() for f in want) for a in self.actions)
             return CheckResult(check, ok, "" if ok else "no matching action")
         addr = p.get("addr")
@@ -867,18 +863,12 @@ def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool =
 
     lines: list[str] = []
     record, dispatch = lines.append, world.handle
-    render = _render_event if trace else None
 
-    def handle(engine: Engine, ev: SimEvent) -> None:
-        if render is not None:
-            record(render(ev))
-        try:
-            dispatch(engine, ev)
-        except ScenarioError as exc:
-            where = f"{script.name}:{ev.payload.line}" if isinstance(ev.payload, ScriptEvent) else script.name
-            raise ScenarioError(f"{where}: {exc}") from None
+    def traced(engine: Engine, ev: SimEvent) -> None:
+        record(_render_event(ev))
+        dispatch(engine, ev)
 
-    run = engine.run(handle, horizon=horizon)
+    run = engine.run(traced if trace else dispatch, horizon=horizon)
     for chk in script.checks:
         if chk.at is None:
             world.check_results.append(world._evaluate(chk))

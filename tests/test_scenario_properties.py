@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from peermesh import scenario
 from peermesh.scenario import (
-    CHECK_KINDS,
-    EVENT_KINDS,
     CheckResult,
     ScenarioError,
     ScenarioParseError,
@@ -47,7 +45,7 @@ def _line(*parts) -> str:
 event_lines = st.builds(
     _line,
     st.sampled_from(AT + [""]),
-    st.sampled_from([f"event={k}" for k in EVENT_KINDS] + ["event=warp", ""]),
+    st.sampled_from([f"event={k}" for k in scenario._EVENT_PARAMS] + ["event=warp", ""]),
     st.sampled_from(ADDR + [""]),
     extras,
 )
@@ -55,7 +53,7 @@ config_lines = st.builds(_line, st.just("config"), extras)
 assert_lines = st.builds(
     _line,
     st.just("assert"),
-    st.sampled_from(CHECK_KINDS + ("warp",)),
+    st.sampled_from([*scenario._CHECK_KINDS, "warp"]),
     st.sampled_from(AT + [""]),
     st.sampled_from(ADDR + [""]),
     extras,
@@ -81,7 +79,8 @@ def test_parser_returns_a_script_or_a_located_parse_error(lines):
     if script is None:
         return
     for ev in script.events:
-        written = dict(tok.split("=", 1) for tok in lines[ev.line - 1].split())
+        line = int(ev.where.removeprefix("prop:"))
+        written = dict(tok.split("=", 1) for tok in lines[line - 1].split())
         del written["at"], written["event"], written["addr"]
         echo = _assert_cast_and_echo(ev, scenario._EVENT_PARAMS[ev.kind], written)
         sim = schedule_line(Engine(), ev)
@@ -90,7 +89,7 @@ def test_parser_returns_a_script_or_a_located_parse_error(lines):
         written = dict(tok.split("=", 1) for tok in lines[chk.line - 1].split()[2:])
         written.pop("at", None)
         when = "" if chk.at is None else f" at={chk.at}"
-        echo = _assert_cast_and_echo(chk, scenario._CHECK_PARAMS[chk.kind], written)
+        echo = _assert_cast_and_echo(chk, scenario._CHECK_KINDS[chk.kind][1], written)
         assert CheckResult(chk, True, "").render() == f"L{chk.line} {chk.kind}{when} {echo}: PASS"
 
 
