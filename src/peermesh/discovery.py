@@ -11,7 +11,6 @@ exactly once: delivered on reactivation or expired at their deadline.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
@@ -36,9 +35,9 @@ class DownloadRegistry:
 
         The excerpt holds the cap nearest prior registrants by address
         distance, ties to the lower address, excluding the registrant itself.
-        Its order is the probe order: the merge, nearer first, of the walks
-        down and up from the registrant's bisect point in the sorted registry,
-        O(cap + log n) plus one list insert. A known address adds nothing.
+        Its order is the probe order: one sort, nearer first, of the up to 2*cap
+        registrants beside its bisect point in the sorted registry. That costs
+        O(cap log cap + log n) plus one list insert; a known address adds nothing.
         """
         if cap < 0:
             raise ValueError(f"excerpt cap must be non-negative, got {cap}")
@@ -47,8 +46,8 @@ class DownloadRegistry:
         known = self._known
         i = bisect_left(known, address)
         seen = i < len(known) and known[i] == address
-        below, above = known[max(i - cap, 0) : i][::-1], known[i + seen : i + seen + cap]
-        excerpt = tuple(heapq.merge(below, above, key=lambda a: (address_distance(a, address), a)))[:cap]
+        candidates = known[max(i - cap, 0) : i] + known[i + seen : i + seen + cap]
+        excerpt = tuple(sorted(candidates, key=lambda a: (address_distance(a, address), a))[:cap])
         if not seen:
             known.insert(i, address)
         self._last_at = at

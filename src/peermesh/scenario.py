@@ -44,8 +44,9 @@ joiner's stream, and schedules the next as it is delivered.
 Ties: at one time, script event lines run first, in file order, then timed
 checks, in file order, then world events in the order they were scheduled.
 That last order should decide only the order of lines in the trace and the
-action log, not an outcome. So a commit ack received at the commit's
-deadline does not count, whether it runs before the deadline event or after.
+action log, not an outcome. So a commit draws all its proposal and ack delays
+when it is sent, and an ack received at the commit's deadline does not count,
+whether it runs before the deadline event or after.
 
 The trace is rendered as the run goes: each engine event becomes its text
 line when it is dispatched, and no event is kept after its handler returns.
@@ -95,9 +96,8 @@ def _address_list(text: str) -> tuple[NodeAddress, ...]:
 
 
 class _Param(NamedTuple):
-    """A typed parameter: its cast, the test a cast value passes, what a value
-    must be, and whether a line of its kind needs it. The parser checks them,
-    so a script that parses never fails on a value in a handler."""
+    """How the parser casts and tests a parameter, what a value must be, and whether
+    its line needs it: a script that parses never fails on a value in a handler."""
 
     cast: Callable[[str], object]
     test: Callable[[object], bool]
@@ -201,7 +201,6 @@ class ScriptEvent:
         return f"{target} {self.echo}" if self.echo else target
 
     def reject(self, why: str) -> ScenarioError:
-        """The error for this line contradicting the world, located at the line."""
         return ScenarioError(f"{self.where}: {why}")
 
 
@@ -393,7 +392,7 @@ class Introduction(NamedTuple):
 class Proposal(NamedTuple):
     commit: int  # index into World.commits
     member: NodeAddress
-    stream: RandomStream  # the commit's, which draws the ack's hop delay too
+    ack_delay: int  # drawn after every proposal's delay, in member order, as the commit is sent
 
     def trace(self) -> str:
         return f"commit={self.commit} to={_text(self.member)} type=proposal"
@@ -658,15 +657,16 @@ class World:
             self._report_commit(now, commit)
             return
         stream = self.engine.stream(f"commit/{idx}")
-        for member in sorted(commit.group - {addr}):
-            proposal = Proposal(idx, member, stream)
-            self.engine.schedule(now + stream.hop_delay(), KIND_MESSAGE, payload=proposal)
+        members = sorted(commit.group - {addr})
+        arrivals = [now + stream.hop_delay() for _ in members]
+        for member, at in zip(members, arrivals):
+            self.engine.schedule(at, KIND_MESSAGE, payload=Proposal(idx, member, stream.hop_delay()))
         self.engine.schedule(commit.deadline, KIND_TIMER, payload=CommitDeadline(idx))
 
     def _on_proposal(self, now: int, proposal: Proposal) -> None:
         if self._live(proposal.member):
             ack = CommitAck(proposal.commit, proposal.member)
-            self.engine.schedule(now + proposal.stream.hop_delay(), KIND_MESSAGE, payload=ack)
+            self.engine.schedule(now + proposal.ack_delay, KIND_MESSAGE, payload=ack)
 
     def _on_commit_ack(self, now: int, ack: CommitAck) -> None:
         commit = self.commits[ack.commit]

@@ -249,6 +249,51 @@ def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, scr
 
 
 @pytest.mark.parametrize(
+    "name,script,message",
+    [
+        (
+            "twice",
+            "at=0 event=download addr=10.9.0.1\nat=5 event=download addr=10.9.0.1\n",
+            "twice.scenario:2: 10.9.0.1 downloaded twice",
+        ),
+        (
+            "up",
+            "at=0 event=download addr=10.9.0.1\nat=5 event=up addr=10.9.0.2\n",
+            "up.scenario:2: up for unknown instance 10.9.0.2",
+        ),
+        ("down", "at=0 event=down addr=10.9.0.2\n", "down.scenario:1: down for unknown instance 10.9.0.2"),
+        (
+            "offline",
+            "at=0 event=download addr=10.9.0.1\nat=1 event=download addr=10.9.0.2\n"
+            "at=5 event=down addr=10.9.0.1\nat=10 event=send addr=10.9.0.1 key=k\n",
+            "offline.scenario:4: send from unavailable instance 10.9.0.1",
+        ),
+        (
+            "unmapped",
+            "at=0 event=download addr=10.9.0.1\nat=5 event=send addr=10.9.0.1 key=k\n",
+            "unmapped.scenario:2: send from unmapped instance 10.9.0.1",
+        ),
+        (
+            "subunmapped",
+            "at=0 event=download addr=10.9.0.1\nat=5 event=subdivide addr=10.9.0.1\n",
+            "subunmapped.scenario:2: subdivide via unmapped instance 10.9.0.1",
+        ),
+        (
+            "subcm",
+            "at=0 event=download addr=10.9.0.1\nat=1 event=download addr=10.9.0.2\n"
+            "at=5 event=subdivide addr=10.9.0.1\n",
+            "subcm.scenario:3: subdivide needs critical_mass (param or config)",
+        ),
+    ],
+)
+def test_a_line_the_world_rejects_is_named_by_file_and_line(capsys, tmp_path, monkeypatch, name, script, message):
+    # The script parses; the world rejects the line when it runs.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.scenario").write_text(script)
+    assert run_cli(capsys, "scenario", "run", f"{name}.scenario") == (2, "", f"scenario error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "exc,prefix",
     [
         (queueing.UnstableSystemError("utilization 2 >= 1"), "unstable"),

@@ -1,7 +1,9 @@
 import gc
+import re
 import sys
 import weakref
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +139,33 @@ def test_reports_are_reproducible():
     assert a == b
     c = render_report(run_scenario(script, seed=43))
     assert a != c  # hop draws differ, so recorded handshake times differ
+
+
+# -- check kinds -------------------------------------------------------------------
+
+NEEDED = {"addr": "10.0.0.1", "key": "k"}  # a value for each parameter a check kind needs
+
+
+@pytest.mark.parametrize("kind", scenario._CHECK_KINDS)
+def test_every_check_kind_reaches_a_verdict(kind):
+    typed = scenario._CHECK_KINDS[kind][1]
+    pairs = " ".join(f"{k}={NEEDED[k]}" for k, param in typed.items() if param.needed)
+    script = parse_scenario(f"at=0 event=download addr=10.0.0.1\nassert {kind} {pairs}\n", name="one")
+    verdict = render_report(run_scenario(script)).splitlines()[-2]
+    assert re.fullmatch(rf"L2 {re.escape(kind)} {re.escape(pairs)}: (PASS|FAIL)( \(.+\))?", verdict), verdict
+
+
+def test_every_action_a_check_matches_is_recorded_by_a_shipped_script():
+    bundled_dir = resources.files("peermesh").joinpath("scenarios")
+    shipped = [p for p in bundled_dir.iterdir() if p.name.endswith(".scenario")]
+    shipped += sorted((Path(__file__).parent / "golden").glob("*.scenario"))
+    recorded = {
+        action.kind
+        for p in shipped
+        for action in run_scenario(parse_scenario(p.read_text(), name=p.name), trace=False).actions
+    }
+    matched = {action for action, _typed in scenario._CHECK_KINDS.values() if action is not None}
+    assert matched and matched <= recorded, matched - recorded
 
 
 # -- world behavior ----------------------------------------------------------------
@@ -465,7 +494,7 @@ WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced)
     ),
     (
         KIND_MESSAGE,
-        scenario.Proposal(3, B, Engine(1).stream("commit/3")),
+        scenario.Proposal(3, B, 4),
         {"type": "proposal", "commit": 3, "to": B},
     ),
     (KIND_MESSAGE, scenario.CommitAck(3, B), {"type": "commit-ack", "commit": 3, "member": B}),

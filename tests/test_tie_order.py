@@ -7,12 +7,11 @@ themselves run in a random order. Every run must give the plain run's check
 verdicts and the same multiset of action lines.
 
 Where the tie rule gives it, the trace is order-free too: the scripts in
-TRACE_STABLE must also give the plain run's multiset of trace lines. Left out:
-introduction-ties and the generated worlds, whose commits draw each ack's hop
-delay from one stream as proposals land, so same-time proposals swap delays;
-and routers-and-splits, where a neighborhood's beacon and monitor due at the
-unit of the refresh that splits it tick once more under its old id when they
-run before that refresh.
+TRACE_STABLE must also give the plain run's multiset of trace lines. A commit
+draws every proposal and ack delay when it is sent, so same-time proposals
+swap no delays. Left out: routers-and-splits, where a neighborhood's beacon
+and monitor due at the unit of the refresh that splits it tick once more
+under its old id when they run before that refresh.
 """
 
 import importlib.util
@@ -87,7 +86,17 @@ def plain(name: str, trace: bool = False) -> str:
     return render_report(run_scenario(script(name), trace=trace))
 
 
-TRACE_STABLE = ("startup", "router-failover", "commit-timeout", "router-flap", "beacon-tie", "deadline-tie")
+TRACE_STABLE = (
+    "startup",
+    "router-failover",
+    "commit-timeout",
+    "router-flap",
+    "introduction-ties",
+    "beacon-tie",
+    "deadline-tie",
+    "flat-100",
+    "split-200",
+)
 
 
 @pytest.mark.parametrize("name", SCRIPTS)
@@ -116,6 +125,30 @@ def test_an_ack_at_the_commit_deadline_does_not_count(order_seed):
     assert "[   115] message-delivery commit=0 member=10.2.0.2 type=commit-ack" in report.trace
     assert "[   115] timer commit=0 type=commit-deadline" in report.trace
     assert report.passed, render_report(report)
+
+
+# 10.2.0.1's proposals to 10.2.0.2 and 10.2.0.3 can land at one unit. Acks that
+# drew their delays as the proposals ran swapped them by tie order, and so which
+# member missed a short deadline.
+SAME_TIME_PROPOSALS = """\
+at=0 event=download addr=10.2.0.1
+at=1 event=download addr=10.2.0.2
+at=2 event=download addr=10.2.0.3
+at=100 event=send addr=10.2.0.1 key=k timeout={timeout}
+"""
+
+
+@pytest.mark.parametrize("seed", [7, 8, 32])
+@pytest.mark.parametrize("timeout", [5, 7, 15])
+def test_same_time_proposals_commit_alike_in_every_order(seed, timeout):
+    script = parse_scenario(SAME_TIME_PROPOSALS.format(timeout=timeout), name="proposals")
+    committed = {
+        action.render()
+        for order_seed in range(20)
+        for action in run_shuffled(script, order_seed, seed=seed, trace=False).actions
+        if action.kind == "committed"
+    }
+    assert len(committed) == 1, committed
 
 
 @settings(max_examples=20)
