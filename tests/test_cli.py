@@ -248,49 +248,39 @@ def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, scr
     assert not (tmp_path / "tables").exists()  # rejected before --out made a directory
 
 
-@pytest.mark.parametrize(
-    "name,script,message",
-    [
-        (
-            "twice",
-            "at=0 event=download addr=10.9.0.1\nat=5 event=download addr=10.9.0.1\n",
-            "twice.scenario:2: 10.9.0.1 downloaded twice",
-        ),
-        (
-            "up",
-            "at=0 event=download addr=10.9.0.1\nat=5 event=up addr=10.9.0.2\n",
-            "up.scenario:2: up for unknown instance 10.9.0.2",
-        ),
-        ("down", "at=0 event=down addr=10.9.0.2\n", "down.scenario:1: down for unknown instance 10.9.0.2"),
-        (
-            "offline",
-            "at=0 event=download addr=10.9.0.1\nat=1 event=download addr=10.9.0.2\n"
-            "at=5 event=down addr=10.9.0.1\nat=10 event=send addr=10.9.0.1 key=k\n",
-            "offline.scenario:4: send from unavailable instance 10.9.0.1",
-        ),
-        (
-            "unmapped",
-            "at=0 event=download addr=10.9.0.1\nat=5 event=send addr=10.9.0.1 key=k\n",
-            "unmapped.scenario:2: send from unmapped instance 10.9.0.1",
-        ),
-        (
-            "subunmapped",
-            "at=0 event=download addr=10.9.0.1\nat=5 event=subdivide addr=10.9.0.1\n",
-            "subunmapped.scenario:2: subdivide via unmapped instance 10.9.0.1",
-        ),
-        (
-            "subcm",
-            "at=0 event=download addr=10.9.0.1\nat=1 event=download addr=10.9.0.2\n"
-            "at=5 event=subdivide addr=10.9.0.1\n",
-            "subcm.scenario:3: subdivide needs critical_mass (param or config)",
-        ),
-    ],
-)
-def test_a_line_the_world_rejects_is_named_by_file_and_line(capsys, tmp_path, monkeypatch, name, script, message):
-    # The script parses; the world rejects the line when it runs.
+# Scripts that parse but that the world rejects as they run, by the one line
+# each prints after "scenario error: ".
+WORLD_REJECTIONS = {
+    "twice.scenario:2: 10.9.0.1 downloaded twice": (
+        "at=0 event=download addr=10.9.0.1\nat=5 event=download addr=10.9.0.1\n"
+    ),
+    "up.scenario:2: up for unknown instance 10.9.0.2": (
+        "at=0 event=download addr=10.9.0.1\nat=5 event=up addr=10.9.0.2\n"
+    ),
+    "down.scenario:1: down for unknown instance 10.9.0.2": "at=0 event=down addr=10.9.0.2\n",
+    "offline.scenario:4: send from unavailable instance 10.9.0.1": (
+        "at=0 event=download addr=10.9.0.1\nat=1 event=download addr=10.9.0.2\n"
+        "at=5 event=down addr=10.9.0.1\nat=10 event=send addr=10.9.0.1 key=k\n"
+    ),
+    "unmapped.scenario:2: send from unmapped instance 10.9.0.1": (
+        "at=0 event=download addr=10.9.0.1\nat=5 event=send addr=10.9.0.1 key=k\n"
+    ),
+    "subunmapped.scenario:2: subdivide via unmapped instance 10.9.0.1": (
+        "at=0 event=download addr=10.9.0.1\nat=5 event=subdivide addr=10.9.0.1\n"
+    ),
+    "subcm.scenario:3: subdivide needs critical_mass (param or config)": (
+        "at=0 event=download addr=10.9.0.1\nat=1 event=download addr=10.9.0.2\n"
+        "at=5 event=subdivide addr=10.9.0.1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("message", WORLD_REJECTIONS)
+def test_a_line_the_world_rejects_names_its_file_and_line(capsys, tmp_path, monkeypatch, message):
+    name = message.split(":")[0]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / f"{name}.scenario").write_text(script)
-    assert run_cli(capsys, "scenario", "run", f"{name}.scenario") == (2, "", f"scenario error: {message}\n")
+    (tmp_path / name).write_text(WORLD_REJECTIONS[message])
+    assert run_cli(capsys, "scenario", "run", name) == (2, "", f"scenario error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -86,17 +86,7 @@ def plain(name: str, trace: bool = False) -> str:
     return render_report(run_scenario(script(name), trace=trace))
 
 
-TRACE_STABLE = (
-    "startup",
-    "router-failover",
-    "commit-timeout",
-    "router-flap",
-    "introduction-ties",
-    "beacon-tie",
-    "deadline-tie",
-    "flat-100",
-    "split-200",
-)
+TRACE_STABLE = [name for name in SCRIPTS if name != "routers-and-splits"]
 
 
 @pytest.mark.parametrize("name", SCRIPTS)
