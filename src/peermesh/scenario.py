@@ -33,9 +33,10 @@ recorded action times, not in state sequencing. Runs always get a horizon
 hitting it marks the trace truncated, which is a defined outcome.
 
 Router lifecycle: only an election installs a router and starts its beacon
-monitor; each election or router-up starts a new incarnation of its beacon and
-refresh chains. Failover ends the old monitor, and each chain ends at its
-first tick after a newer incarnation, a lost role or a dead router.
+monitor; each election, and each `up` of a router that was down, starts a new
+incarnation of its beacon and refresh chains. Failover ends the old monitor,
+and each chain ends at its first tick after a newer incarnation, a lost role
+or a dead router.
 
 A join introduces the newcomer to every member it did not probe, one hop
 delay after another: each introduction carries the targets left and the
@@ -584,6 +585,8 @@ class World:
 
     def _on_up(self, now: int, line: ScriptEvent) -> None:
         addr = line.addr
+        if self._live(addr):
+            return  # already up: like a down for a down instance, it changes nothing
         nid = self._set_active(line, True)
         for intro in self.intros.deliver_for(addr, now):
             self._act(now, "delivered", f"from={_text(intro.sender)} to={_text(addr)}")

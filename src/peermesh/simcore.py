@@ -4,39 +4,28 @@ Time is counted in abstract integer units. One unit corresponds to 50 ms of
 wall-clock delay: the worst-case regional round trip (500 ms) divided by the
 largest per-hop delay value (10). Every source of randomness is a named
 stream derived from a single master seed, so any run can be replayed bit for
-bit.
-
-NEP 19 leaves numpy free to change the algorithm behind `Generator.integers`
-between releases, and every golden report and replay rests on the exact hop
-delays, so hop_delay owns the three algorithms behind numpy's
-`Generator(PCG64(seed)).integers(1, 10, endpoint=True)` and loads no numpy:
-  - SeedSequence: a pool of 4 32-bit words mixed from the seed's 32-bit words;
-  - PCG64: a 128-bit LCG with the XSL-RR 128/64 output (O'Neill, 2014);
-  - Lemire's bounded draw (ACM TOMACS 2019) on each 32-bit half u of a 64-bit
-    output, low half first: (u * 10 >> 32) + 1, rejecting u when the low 32
-    bits of u * 10 fall below 2**32 % 10 = 6.
+bit. World hop delays come from the standard library's Mersenne Twister
+through `random()` alone, whose sequence for a seed Python keeps the same in
+every release; Monte Carlo's packed draws come from numpy, loaded only when
+they are drawn.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 MS_PER_UNIT = 50
 HOP_DELAY_MIN = 1
 HOP_DELAY_MAX = 10
 DEFAULT_SEED = 7919
 
-_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _HOP_SPAN = HOP_DELAY_MAX - HOP_DELAY_MIN + 1
-_HOP_REJECT = (1 << 32) % _HOP_SPAN  # Lemire's threshold: 6
 # hop_delays packs this many hop delays into each int16 draw, one per decimal
 # digit: a draw uniform on {0..DRAW_SPAN-1} is that many independent digits.
 HOPS_PER_DRAW = 4
@@ -72,53 +61,6 @@ def derive_seed(master_seed: int, stream_id: str) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def _pcg64_seed(entropy: int) -> list[int]:
-    """[state, increment] of numpy's PCG64(entropy), 0 <= entropy < 2**128:
-    SeedSequence(entropy).generate_state(4, uint64) as (initstate, initseq),
-    then PCG's srandom."""
-    const = 0x43B0D7E5
-
-    def hashmix(value: int, mult: int = 0x931E8875) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return x ^ x >> 16
-
-    # the seed's 32-bit words, low first; numpy fills the rest of the pool with 0
-    pool = [hashmix(entropy >> shift & _MASK32) for shift in range(0, 128, 32)]
-    for src, dst in permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    const = 0x8B51F9DD
-    out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
-    seed = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
-    inc = ((seed[2] << 64 | seed[3]) << 1 | 1) & _MASK128
-    state = (((inc + (seed[0] << 64 | seed[1])) & _MASK128) * _PCG_MULT + inc) & _MASK128
-    return [state, inc]
-
-
-def _hop_draws(state: int, inc: int) -> Iterator[int]:
-    """Hop delays from the PCG64 generator at [state, inc], one per 32-bit
-    half of each 64-bit output that Lemire's draw keeps, low half first."""
-    mult, mask32, mask64, mask128 = _PCG_MULT, _MASK32, _MASK64, _MASK128
-    reject, span, least = _HOP_REJECT, _HOP_SPAN, HOP_DELAY_MIN
-    while True:
-        state = (state * mult + inc) & mask128
-        rot = state >> 122
-        out = (state >> 64 ^ state) & mask64
-        out = (out >> rot | out << 64 - rot) & mask64
-        low = (out & mask32) * span
-        if low & mask32 >= reject:
-            yield least + (low >> 32)
-        high = (out >> 32) * span
-        if high & mask32 >= reject:
-            yield least + (high >> 32)
-
-
 @cache
 def digit_sums():
     """int16 table of the hop delays packed draws carry, summed: entry
@@ -139,24 +81,26 @@ class RandomStream:
 
     Identical (seed, stream_id) pairs yield identical draw sequences;
     distinct stream ids derived from the same seed are independent for
-    simulation purposes. hop_delay and hop_delays each set up their own
-    generator on derive_seed(seed, stream_id) at their first call.
+    simulation purposes. hop_delay and hop_delays each seed their own
+    generator with derive_seed(seed, stream_id) at their first call.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED, stream_id: str = "root"):
         self.seed = seed
         self.stream_id = stream_id
-        self._draws: Iterator[int] | None = None  # _hop_draws behind hop_delay
+        self._rng: random.Random | None = None  # behind hop_delay
         self._gen = None  # numpy's Generator behind hop_delays
 
     def hop_delay(self) -> int:
-        """The next uniform draw on {HOP_DELAY_MIN..HOP_DELAY_MAX}: the value
-        numpy's scalar Generator(PCG64(derive_seed(seed, stream_id))).integers(
-        1, 10, endpoint=True) gives at the same position, drawn only when asked."""
-        draws = self._draws
-        if draws is None:
-            draws = self._draws = _hop_draws(*_pcg64_seed(derive_seed(self.seed, self.stream_id)))
-        return next(draws)
+        """The next uniform draw on {HOP_DELAY_MIN..HOP_DELAY_MAX}, drawn only
+        when asked: HOP_DELAY_MIN + int(10 * u) for the stream's next u =
+        random(), the one draw whose sequence Python promises to keep. For
+        every double u < 1, int(u * 10) is at most 9, and each of its ten
+        values has probability within 2**-49 of 1/10."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(derive_seed(self.seed, self.stream_id))
+        return HOP_DELAY_MIN + int(rng.random() * _HOP_SPAN)
 
     def hop_delays(self, size):
         """An int16 array of packed hop delays from numpy's Generator.integers,

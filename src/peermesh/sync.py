@@ -215,7 +215,6 @@ class UpdateRound:
             addr: lists[addr].copy() for addr in plan.members
         }
         self.stale: set[NodeAddress] = set()
-        self.message_count = 0
         self.retransmits = 0
         self.phase_messages: dict[Phase, int] = {p: 0 for p in Phase if p is not Phase.DONE}
         # Live member chains; clusters with no live member drop out of the round.
@@ -226,6 +225,10 @@ class UpdateRound:
         self._last_merge = (None, None, None)  # (storage, storage, their merge)
         self._hops = self._run()
         next(self._hops, None)  # up to the first hop
+
+    @property
+    def message_count(self) -> int:
+        return sum(self.phase_messages.values())
 
     def _live(self, addr: NodeAddress) -> bool:
         if self.is_active(addr):
@@ -268,7 +271,6 @@ class UpdateRound:
                 if step < 0:
                     i -= 1
             if 0 <= i < len(chain):
-                self.message_count += 1
                 self.phase_messages[self.phase] += 1
                 deliver(chain[i])
 

@@ -203,6 +203,26 @@ def test_directory_fallback_and_refresh_pickup():
     assert [a.get("addr") for a in mapped] == ["10.3.0.5"]
 
 
+# 10.4.0.1 is elected at 1 and is already up at 15, so that `up` changes
+# nothing: its beacons stay on 11, 21, 31, ...
+UP_WHILE_UP = """
+config min_clients=2 beacon_period=10 horizon=60
+at=0 event=download addr=10.4.0.1 uptime=0.99 capacity=512000
+at=1 event=download addr=10.4.0.2 uptime=0.98 capacity=256000
+at=15 event=up addr=10.4.0.1
+assert router addr=10.4.0.1
+"""
+
+
+def test_an_up_for_a_live_router_does_not_restart_it():
+    report = run_scenario(parse_scenario(UP_WHILE_UP, name="up-while-up"))
+    assert report.passed
+    beacons = [line[1:7].strip() for line in report.trace if line.endswith("beacon neighborhood=0")]
+    assert beacons == ["11", "21", "31", "41", "51"]
+    elected = [a.render() for a in report.actions if a.kind == "elected"]
+    assert elected == ["[     1] elected addr=10.4.0.1 neighborhood=0"]
+
+
 SPLIT = """
 config critical_mass=4
 

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,19 +14,10 @@ from peermesh.simcore import (
     MS_PER_UNIT,
     Engine,
     RandomStream,
-    _hop_draws,
-    _pcg64_seed,
     derive_seed,
     digit_sums,
     units_to_ms,
 )
-
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG_DEFAULT_MULTIPLIER_128
-
-
-def numpy_hop_delays(gen: np.random.Generator, n: int) -> list[int]:
-    return [int(gen.integers(HOP_DELAY_MIN, HOP_DELAY_MAX, endpoint=True)) for _ in range(n)]
-
 
 def digits(draws: np.ndarray) -> np.ndarray:
     """Packed draws as hop delays, one column per decimal digit, units first."""
@@ -112,58 +105,17 @@ def test_streams_differ_by_id():
         assert not np.array_equal(a[:, k], b[:, k])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 701, 7919, 2**64 - 1])
-def test_buffered_hop_delay_is_the_scalar_draw_sequence(seed):
-    # Nearly 200 draws, past the 64 a 32-step buffer once held: the values k
-    # scalar draws of numpy give, as plain ints.
-    n = 3 * 64 + 5
-    gen = np.random.Generator(np.random.PCG64(derive_seed(seed, "node/10.0.0.1")))
-    scalar = numpy_hop_delays(gen, n)
-    stream = RandomStream(seed, "node/10.0.0.1")
-    drawn = [stream.hop_delay() for _ in range(n)]
-    assert drawn == scalar
-    assert {type(d) for d in drawn} == {int}
-
-
 @settings(deadline=None)
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    label=st.text(max_size=12),
-    entropy=st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1),
-)
-def test_hop_delay_is_numpys_scalar_draw(seed, label, entropy):
-    # Nearly 200 draws, first on a derived seed, then on a seed of one or two
-    # 32-bit words: a derived seed is one word only once in 2**32.
+@given(seed=st.integers(0, 2**64 - 1), label=st.text(max_size=12))
+def test_hop_delay_is_ten_times_random_of_the_derived_seed(seed, label):
+    # Nearly 200 draws, each 1 + int(10 * u) for the next random() of the
+    # stream's own random.Random, as a plain int.
     n = 3 * 64 + 5
     stream = RandomStream(seed, label)
-    gen = np.random.Generator(np.random.PCG64(derive_seed(seed, label)))
-    assert [stream.hop_delay() for _ in range(n)] == numpy_hop_delays(gen, n)
-    stream = RandomStream(seed, label)
-    stream._draws = _hop_draws(*_pcg64_seed(entropy))
-    gen = np.random.Generator(np.random.PCG64(entropy))
-    assert [stream.hop_delay() for _ in range(n)] == numpy_hop_delays(gen, n)
-
-
-# 32-bit words u with (u * 10) % 2**32 < 6, which Lemire's draw rejects
-REJECTED = (0, 429_496_730, 3_435_973_837)
-
-
-@pytest.mark.parametrize("low,high", [(REJECTED[1], 7), (REJECTED[0], REJECTED[2]), (5, REJECTED[1])])
-def test_hop_delay_rejects_as_numpy_does(low, high):
-    # Random draws meet a rejected word about once in 7e8. So set both
-    # generators to the state one step before the output high:low: a state
-    # below 2**64 has rotation 0 and outputs itself.
-    assert all(u * 10 % 2**32 < 6 for u in REJECTED)
-    inc = np.random.PCG64(1).state["state"]["inc"]
-    state = (((high << 32 | low) - inc) * pow(PCG64_MULT, -1, 2**128)) % 2**128
-    bits = np.random.PCG64()
-    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-    probe = np.random.PCG64()
-    probe.state = bits.state
-    assert int(probe.random_raw()) == high << 32 | low
-    stream = RandomStream()
-    stream._draws = _hop_draws(state, inc)
-    assert [stream.hop_delay() for _ in range(100)] == numpy_hop_delays(np.random.Generator(bits), 100)
+    drawn = [stream.hop_delay() for _ in range(n)]
+    rng = random.Random(derive_seed(seed, label))
+    assert drawn == [HOP_DELAY_MIN + int(10 * rng.random()) for _ in range(n)]
+    assert {type(d) for d in drawn} == {int}
 
 
 def test_hop_delays_are_numpys_int16_draws():
