@@ -225,14 +225,15 @@ def _cmd_scenario_run(args) -> int:
         raise ValueError(f"no such scenario: {args.file}")
     script = load_scenario(path)
     report = run_scenario(script, seed=args.seed, trace=not args.quiet)
-    _write_all(render_report(report))
+    render_report(report, _write_all)
     return 0 if report.passed else 1
 
 
 def _write_all(text: str) -> None:
-    """Write `text` to stdout in full. Unbuffered (`python -u`), stdout sits on
-    a raw file, whose write comes back short when the reader closes mid-text;
-    so write the rest until it is taken or raises BrokenPipeError."""
+    """Write `text`, one block of a report, to stdout in full. Unbuffered
+    (`python -u`), stdout sits on a raw file, whose write comes back short
+    when the reader closes mid-text; so write the rest until it is taken or
+    raises BrokenPipeError."""
     raw = getattr(sys.stdout, "buffer", None)
     if not isinstance(raw, io.RawIOBase):
         sys.stdout.write(text)

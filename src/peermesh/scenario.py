@@ -83,6 +83,7 @@ from .topology import (
 
 _text = DOTTED.__getitem__  # an address's dotted quad
 DEFAULT_HORIZON_MARGIN = 1000
+_REPORT_BLOCK = 1 << 16  # characters render_report hands its write at once: 64 KiB of ASCII
 # A router whose beacon is this many periods old has failed over.
 BEACON_TIMEOUT_FACTOR = 2
 # Engine event kinds of world events. A script line runs as its own kind,
@@ -898,18 +899,40 @@ def _render_event(ev: SimEvent) -> str:
     return f"[{ev.at:>6}] {ev.kind} {ev.payload.trace()}"
 
 
-def render_report(report: ScenarioReport) -> str:
-    """The report's text; the trace block appears when the run recorded one."""
-    lines = [f"scenario {report.script.name}", f"seed {report.seed}"]
+def _report_lines(report: ScenarioReport) -> Iterator[str]:
+    """The report's lines; the trace block appears when the run recorded one."""
+    yield f"scenario {report.script.name}"
+    yield f"seed {report.seed}"
     if report.trace is not None:
         state = "truncated" if report.run.truncated else "complete"
-        lines.append(f"-- trace: {len(report.run)} events, {state} --")
-        lines.extend(report.trace)
-    lines.append(f"-- actions: {len(report.actions)} --")
-    lines.extend(a.render() for a in report.actions)
-    lines.append(f"-- checks: {len(report.checks)} --")
-    lines.extend(c.render() for c in report.checks)
+        yield f"-- trace: {len(report.run)} events, {state} --"
+        yield from report.trace
+    yield f"-- actions: {len(report.actions)} --"
+    for action in report.actions:
+        yield action.render()
+    yield f"-- checks: {len(report.checks)} --"
+    for check in report.checks:
+        yield check.render()
     verdict = "PASS" if report.passed else "FAIL"
     npass = sum(1 for c in report.checks if c.passed)
-    lines.append(f"-- result: {verdict} ({npass}/{len(report.checks)} checks) --")
-    return "\n".join(lines) + "\n"
+    yield f"-- result: {verdict} ({npass}/{len(report.checks)} checks) --"
+
+
+def render_report(report: ScenarioReport, write: Callable[[str], object]) -> None:
+    """Write the report's text through write as it renders it, in blocks of
+    about 64 KiB of whole lines: each block but the last holds at least
+    _REPORT_BLOCK characters and less than that plus one line, so the whole
+    text is never held at once. The trace block appears when the run recorded
+    one."""
+    block: list[str] = []
+    size = 0
+    for line in _report_lines(report):
+        block.append(line)
+        size += len(line) + 1
+        if size >= _REPORT_BLOCK:
+            block.append("")
+            write("\n".join(block))
+            block, size = [], 0
+    if block:
+        block.append("")
+        write("\n".join(block))

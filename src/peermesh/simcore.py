@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from typing import Any, Callable, NamedTuple
@@ -119,12 +120,11 @@ class RandomStream:
 
 
 class SimEvent(NamedTuple):
-    """A scheduled occurrence, held on the heap as it is: kind and payload are
-    the caller's. Heap order is (at, seq), and the engine hands each seq out
-    once, so no kind or payload is ever compared."""
+    """A scheduled occurrence: its time, kind and payload. The engine queues it
+    by its time alone, so kind and payload are the caller's and are never
+    compared."""
 
     at: int
-    seq: int
     kind: str
     payload: Any = None
 
@@ -145,48 +145,62 @@ Handler = Callable[["Engine", SimEvent], None]
 
 
 class Engine:
-    """Single-threaded event loop over a (at, seq)-ordered queue.
+    """Single-threaded event loop over a time-ordered queue.
 
-    All state mutation in a simulation happens from inside event handlers,
-    one event at a time; the clock never moves backwards.
+    The queue is a heap of the distinct pending times and a FIFO deque of
+    events for each, a calendar queue in the sense of Brown (CACM 31(10),
+    1988): events at one time run in the order they were scheduled, and one
+    that a handler schedules at the current time runs after those already
+    queued there. All state mutation in a simulation happens from inside event
+    handlers, one event at a time; the clock never moves backwards.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED):
         self.master_seed = seed
         self.now: int = 0
-        self._heap: list[SimEvent] = []
-        self._next_seq = 0
+        self._times: list[int] = []  # heap of the times that have a deque below
+        self._queues: dict[int, deque[SimEvent]] = {}
 
     def stream(self, label: str) -> RandomStream:
         return RandomStream(self.master_seed, label)
 
     def schedule(self, at: int, kind: str, payload: Any = None) -> SimEvent:
-        """Queue an event at virtual time at, on the next seq, so events at one
-        time run in the order they were scheduled. The engine only orders
-        events: kind and payload reach the handler as given."""
+        """Queue an event at virtual time at, behind every event already queued
+        there. The engine only orders events: kind and payload reach the
+        handler as given."""
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} before current time {self.now}")
-        ev = SimEvent(at, self._next_seq, kind, payload)
-        self._next_seq += 1
-        heapq.heappush(self._heap, ev)
+        ev = SimEvent(at, kind, payload)
+        queue = self._queues.get(at)
+        if queue is None:
+            queue = self._queues[at] = deque()
+            heapq.heappush(self._times, at)
+        queue.append(ev)
         return ev
 
     def run(self, handler: Handler | None = None, horizon: int | None = None) -> RunResult:
-        """Hand each event to handler in (at, seq) order until the queue drains.
+        """Hand each event to handler, by time and at a tie in scheduling order,
+        until the queue drains.
 
-        Nothing of a processed event is kept: a caller that wants a record
-        makes it in its handler. With a horizon, events beyond it stay queued
-        and the result is marked truncated; that is a defined outcome, not a
-        failure, and a later run() picks them up.
+        Each event leaves the queue before its handler runs, and nothing of a
+        processed event is kept: a caller that wants a record makes it in its
+        handler. With a horizon, events beyond it stay queued and the result
+        is marked truncated; that is a defined outcome, not a failure, and a
+        later run() picks them up.
         """
-        heap, pop = self._heap, heapq.heappop
+        times, queues = self._times, self._queues
         count = 0
-        while heap:
-            if horizon is not None and heap[0][0] > horizon:
+        while times:
+            at = times[0]
+            if horizon is not None and at > horizon:
                 return RunResult(count, truncated=True)
-            ev = pop(heap)
-            self.now = ev[0]
-            count += 1
-            if handler is not None:
-                handler(self, ev)
+            self.now = at
+            queue = queues[at]
+            while queue:
+                ev = queue.popleft()
+                count += 1
+                if handler is not None:
+                    handler(self, ev)
+            del queues[at]
+            heapq.heappop(times)
         return RunResult(count)

@@ -6,44 +6,58 @@ a tie, and events scheduled inside a handler run in a random order at a tie,
 drawn from the order seed. run_shuffled replays a script on it.
 
 assert_same_outcome compares two rendered reports of one script that may
-differ only in the order of lines within a unit.
+differ only in the order of lines within a unit. report_text collects the
+text that scenario.render_report writes for a report.
 """
 
 import heapq
+import io
 import random
 from unittest import mock
 
 from peermesh import scenario
-from peermesh.simcore import Engine, SimEvent
+from peermesh.simcore import Engine, RunResult, SimEvent
 
 
 class ShuffledEngine(Engine):
     """An Engine that breaks ties among handler-scheduled events at random.
 
-    An event scheduled outside run gets a negative seq in scheduling order, so
-    it runs ahead of every handler-scheduled event at its time, even one that
-    an earlier run queued. An event scheduled inside a handler gets a seq whose
-    high bits are random and whose low bits keep it unique."""
+    It keeps its own heap of (at, key, event). An event scheduled outside run
+    gets a negative key in scheduling order, so it runs ahead of every
+    handler-scheduled event at its time, even one that an earlier run queued.
+    An event scheduled inside a handler gets a key whose high bits are random
+    and whose low bits keep it unique, so no event is ever compared."""
 
     def __init__(self, seed: int, order_seed: int):
         super().__init__(seed)
         self._order = random.Random(order_seed)
         self._running = False
+        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._count = 0
 
     def schedule(self, at, kind, payload=None):
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} before current time {self.now}")
-        count = self._next_seq
-        self._next_seq += 1
-        seq = self._order.getrandbits(32) << 32 | count if self._running else count - 2**32
-        ev = SimEvent(at, seq, kind, payload)
-        heapq.heappush(self._heap, ev)
+        count = self._count
+        self._count += 1
+        key = self._order.getrandbits(32) << 32 | count if self._running else count - 2**32
+        ev = SimEvent(at, kind, payload)
+        heapq.heappush(self._heap, (at, key, ev))
         return ev
 
     def run(self, handler=None, horizon=None):
+        heap = self._heap
+        count = 0
         self._running = True
         try:
-            return super().run(handler, horizon)
+            while heap:
+                if horizon is not None and heap[0][0] > horizon:
+                    return RunResult(count, truncated=True)
+                self.now, _key, ev = heapq.heappop(heap)
+                count += 1
+                if handler is not None:
+                    handler(self, ev)
+            return RunResult(count)
         finally:
             self._running = False
 
@@ -52,6 +66,13 @@ def run_shuffled(script: scenario.ScenarioScript, order_seed: int, **kwargs) -> 
     """scenario.run_scenario(script, **kwargs), on a ShuffledEngine with order_seed."""
     with mock.patch.object(scenario, "Engine", lambda seed: ShuffledEngine(seed, order_seed)):
         return scenario.run_scenario(script, **kwargs)
+
+
+def report_text(report: scenario.ScenarioReport) -> str:
+    """The text scenario.render_report writes for report."""
+    out = io.StringIO()
+    scenario.render_report(report, out.write)
+    return out.getvalue()
 
 
 def _split(text: str) -> tuple[list[str], dict[str, list[str]]]:

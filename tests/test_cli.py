@@ -440,3 +440,35 @@ def test_unbuffered_report_to_a_reader_that_closes_early_exits_141(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert proc.stderr.read() == b""
+
+
+class CountingRaw(io.RawIOBase):
+    """A raw stdout that takes every write in full and keeps the size of each."""
+
+    def __init__(self):
+        self.sizes = []
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        self.data += data
+        return len(data)
+
+
+def test_an_unbuffered_report_is_written_in_blocks_not_lines(monkeypatch, tmp_path):
+    # Unbuffered, each write to a raw stdout is a syscall of its own.
+    script = tmp_path / "many.scenario"
+    script.write_text(
+        "".join(f"at={5 * i} event=download addr=10.0.0.{i + 1} domain=alpha\n" for i in range(100))
+    )
+    raw = CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii", write_through=True))
+    assert cli.main(["scenario", "run", str(script)]) == 0
+    text = raw.data.decode("ascii")
+    block = 1 << 16  # about 64 KiB at a time
+    assert len(text) > 3 * block
+    assert len(raw.sizes) <= len(text) // block + 3
+    assert max(raw.sizes) <= block + max(len(line) + 1 for line in text.splitlines())

@@ -6,6 +6,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from outcomes import report_text
 
 from peermesh import cli, scenario
 from peermesh.scenario import (
@@ -18,7 +19,6 @@ from peermesh.scenario import (
     WorldConfig,
     load_scenario,
     parse_scenario,
-    render_report,
     run_scenario,
     schedule_line,
 )
@@ -134,10 +134,10 @@ def test_bundled_scenarios_pass(name):
 
 def test_reports_are_reproducible():
     script = parse_scenario(bundled("startup.scenario"), name="startup.scenario")
-    a = render_report(run_scenario(script, seed=42))
-    b = render_report(run_scenario(script, seed=42))
+    a = report_text(run_scenario(script, seed=42))
+    b = report_text(run_scenario(script, seed=42))
     assert a == b
-    c = render_report(run_scenario(script, seed=43))
+    c = report_text(run_scenario(script, seed=43))
     assert a != c  # hop draws differ, so recorded handshake times differ
 
 
@@ -151,7 +151,7 @@ def test_every_check_kind_reaches_a_verdict(kind):
     typed = scenario._CHECK_KINDS[kind][1]
     pairs = " ".join(f"{k}={NEEDED[k]}" for k, param in typed.items() if param.needed)
     script = parse_scenario(f"at=0 event=download addr=10.0.0.1\nassert {kind} {pairs}\n", name="one")
-    verdict = render_report(run_scenario(script)).splitlines()[-2]
+    verdict = report_text(run_scenario(script)).splitlines()[-2]
     assert re.fullmatch(rf"L2 {re.escape(kind)} {re.escape(pairs)}: (PASS|FAIL)( \(.+\))?", verdict), verdict
 
 
@@ -401,7 +401,7 @@ def test_horizon_truncates_the_trace():
     script = parse_scenario(text, name="router-failover.scenario")
     report = run_scenario(script)
     assert report.run.truncated  # beacons recur past the configured horizon
-    rendered = render_report(report)
+    rendered = report_text(report)
     assert "truncated" in rendered
 
 
@@ -434,11 +434,11 @@ def test_render_report_sections():
     p = parse_scenario(
         "at=0 event=download addr=10.0.0.1\nassert isolated addr=10.0.0.1\n", name="tiny"
     )
-    out = render_report(run_scenario(p))
+    out = report_text(run_scenario(p))
     assert out.splitlines()[0] == "scenario tiny"
     assert "-- actions:" in out and "-- checks:" in out
     assert out.rstrip().endswith("(1/1 checks) --")
-    quiet = render_report(run_scenario(p, trace=False))
+    quiet = report_text(run_scenario(p, trace=False))
     assert "-- trace" not in quiet
     assert quiet == out[: out.index("-- trace")] + out[out.index("-- actions") :]
 
@@ -460,7 +460,7 @@ assert member at=30 addr=10.0.0.5
 
 def test_trace_header_counts_the_trace_lines():
     report = run_scenario(parse_scenario(CHURN, name="churn"), seed=5)
-    lines = render_report(report).splitlines()
+    lines = report_text(report).splitlines()
     header = lines.index(f"-- trace: {len(report.run)} events, truncated --")
     assert lines[header + 1 : lines.index(f"-- actions: {len(report.actions)} --")] == list(report.trace)
     assert len(report.trace) == len(report.run) > 50
@@ -532,7 +532,7 @@ WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced)
 def test_a_world_payload_renders_as_the_dict_it_replaced(kind, payload, old):
     # World events once carried dicts, rendered as sorted key=value pairs.
     body = " ".join(f"{k}={old[k]}" for k in sorted(old))
-    line = scenario._render_event(SimEvent(41, 9, kind, payload))
+    line = scenario._render_event(SimEvent(41, kind, payload))
     assert line == f"[    41] {kind} {body}"
     if B in old.values():
         assert "=10.0.3.152" in line

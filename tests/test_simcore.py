@@ -213,18 +213,24 @@ plans = st.lists(st.tuples(st.integers(0, 5), st.none() | st.integers(0, 3)), ma
 
 
 @given(plans, st.none() | st.integers(-1, 9))
-def test_engine_runs_every_event_once_in_at_seq_order(plan, horizon):
+def test_engine_runs_every_event_once_by_time_then_in_scheduling_order(plan, horizon):
     eng = Engine(1)
+    scheduled = []  # each event's payload index is its place in scheduling order
+
+    def schedule(at, kind, follow):
+        eng.schedule(at, kind, payload=Uncomparable(index=len(scheduled), follow=follow))
+        scheduled.append(at)
+
     for at, follow in plan:
-        eng.schedule(at, "planned", payload=Uncomparable(follow=follow))
+        schedule(at, "planned", follow)
     seen = []
 
     def handler(e, ev):
         assert e.now == ev.at
-        seen.append((ev.at, ev.seq))
+        seen.append((ev.at, ev.payload["index"]))
         follow = ev.payload["follow"]
         if follow is not None:
-            e.schedule(e.now + follow, "follow-up", payload=Uncomparable(follow=None))
+            schedule(e.now + follow, "follow-up", None)
 
     first = eng.run(handler, horizon=horizon)
     n_first = len(seen)
@@ -232,19 +238,34 @@ def test_engine_runs_every_event_once_in_at_seq_order(plan, horizon):
     if horizon is None:
         assert not first.truncated
     else:
-        assert all(at <= horizon for at, _seq in seen)
+        assert all(at <= horizon for at, _index in seen)
     rest = eng.run(handler)
     assert not rest.truncated
     assert first.truncated == (len(rest) > 0)
     if horizon is not None:
-        assert all(at > horizon for at, _seq in seen[n_first:])
-    # Every event ran once, in (at, seq) order, including those scheduled
-    # while the run went on: at a tie, in the order they were scheduled.
-    scheduled = len(plan) + sum(follow is not None for _at, follow in plan)
-    assert len(first) + len(rest) == len(seen) == scheduled
-    assert sorted(seq for _at, seq in seen) == list(range(scheduled))
+        assert all(at > horizon for at, _index in seen[n_first:])
+    # Every event ran once, by time, including those scheduled while the run
+    # went on: at a tie, first in first out, in the order they were scheduled.
+    assert len(first) + len(rest) == len(seen) == len(scheduled)
+    assert sorted(index for _at, index in seen) == list(range(len(scheduled)))
     assert seen == sorted(seen)
     assert len(eng.run()) == 0
+
+
+def test_an_event_scheduled_at_now_runs_after_those_queued_there_and_before_the_next_time():
+    eng = Engine(1)
+    for kind in ("a", "b", "c"):
+        eng.schedule(3, kind)
+    eng.schedule(4, "later")
+    seen = []
+
+    def handler(e, ev):
+        seen.append((e.now, ev.kind))
+        if ev.kind in ("a", "now-1"):
+            e.schedule(e.now, f"now-{len(seen)}")
+
+    assert len(eng.run(handler)) == 6
+    assert seen == [(3, "a"), (3, "b"), (3, "c"), (3, "now-1"), (3, "now-4"), (4, "later")]
 
 
 def test_empty_run():

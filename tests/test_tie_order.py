@@ -22,9 +22,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from outcomes import assert_same_outcome, run_shuffled
+from outcomes import assert_same_outcome, report_text, run_shuffled
 
-from peermesh.scenario import load_scenario, parse_scenario, render_report, run_scenario
+from peermesh.scenario import load_scenario, parse_scenario, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -83,7 +83,7 @@ def script(name: str):
 
 @cache
 def plain(name: str, trace: bool = False) -> str:
-    return render_report(run_scenario(script(name), trace=trace))
+    return report_text(run_scenario(script(name), trace=trace))
 
 
 TRACE_STABLE = [name for name in SCRIPTS if name != "routers-and-splits"]
@@ -94,7 +94,7 @@ TRACE_STABLE = [name for name in SCRIPTS if name != "routers-and-splits"]
 @given(order_seed=st.integers(0, 2**32 - 1))
 def test_no_outcome_depends_on_the_order_of_same_time_world_events(name, order_seed):
     report = run_shuffled(script(name), order_seed, trace=False)
-    assert_same_outcome(render_report(report), plain(name))
+    assert_same_outcome(report_text(report), plain(name))
 
 
 @pytest.mark.parametrize("name", TRACE_STABLE)
@@ -105,7 +105,19 @@ def test_no_trace_line_depends_on_the_order_of_same_time_world_events(name, orde
     # orders: its old router's refresh, due at the unit of the election, kept
     # going when it ran after the election.
     report = run_shuffled(script(name), order_seed)
-    assert_same_outcome(render_report(report), plain(name, trace=True))
+    assert_same_outcome(report_text(report), plain(name, trace=True))
+
+
+def test_some_order_seed_moves_a_trace_line_within_its_unit():
+    # Without a reordered tie the tests above show nothing.
+    want = run_scenario(script("introduction-ties")).trace
+    moved = [
+        got
+        for got in (run_shuffled(script("introduction-ties"), order_seed).trace for order_seed in range(20))
+        if got != want
+    ]
+    assert moved
+    assert all([line[:8] for line in got] == [line[:8] for line in want] for got in moved)
 
 
 @settings(max_examples=20)
@@ -114,7 +126,7 @@ def test_an_ack_at_the_commit_deadline_does_not_count(order_seed):
     report = run_shuffled(script("deadline-tie"), order_seed)
     assert "[   110] message-delivery commit=0 member=10.2.0.2 type=commit-ack" in report.trace
     assert "[   110] timer commit=0 type=commit-deadline" in report.trace
-    assert report.passed, render_report(report)
+    assert report.passed, report_text(report)
 
 
 # 10.2.0.1's proposals to 10.2.0.2 and 10.2.0.3 can land at one unit. Acks that
@@ -168,5 +180,5 @@ def test_a_down_line_runs_before_the_beacon_due_at_its_unit(order_seed):
     assert "[    51] beacon neighborhood=0" in at_51
     expired = [a.render() for a in report.actions if a.kind == "beacon-expired"]
     assert expired == ["[    61] beacon-expired addr=10.4.0.1 neighborhood=0"]
-    assert report.passed, render_report(report)
+    assert report.passed, report_text(report)
 
