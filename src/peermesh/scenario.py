@@ -29,14 +29,17 @@ A download registers the instance and probes its registry excerpt in the
 excerpt's order, which is the probe order: nearest address first. Handshakes
 complete within the originating event; the sampled hop delays show up in the
 recorded action times, not in state sequencing. Runs always get a horizon
-(config, or last scripted time + 1000) because router beacons recur forever;
+(config, or last scripted time + 1000) because router refreshes recur forever;
 hitting it marks the trace truncated, which is a defined outcome.
 
-Router lifecycle: only an election installs a router and starts its beacon
-monitor; each election, and each `up` of a router that was down, starts a new
-incarnation of its beacon and refresh chains. Failover ends the old monitor,
-and each chain ends at its first tick after a newer incarnation, a lost role
-or a dead router.
+Router lifecycle: only an election installs a router; each election, and each
+`up` of a router that was down, starts a new incarnation of its refresh chain,
+which ends at its first tick after a newer incarnation, a lost role or a dead
+router. A router beacons each beacon_period from its incarnation's start and a
+monitor checks each period from its election, but only a `down` ends a router,
+so neither runs as an event: the router's `down` schedules one Failover timer
+for the tick that finds its beacon stale, which a return or a split voids. The
+trace shows no beacons.
 
 A join introduces the newcomer to every member it did not probe, one hop
 delay after another: each introduction carries the targets left and the
@@ -90,7 +93,6 @@ BEACON_TIMEOUT_FACTOR = 2
 # except that up and down run as node-up and node-down (schedule_line).
 KIND_MESSAGE = "message-delivery"
 KIND_TIMER = "timer"
-KIND_BEACON = "beacon"
 
 
 def _address_list(text: str) -> tuple[NodeAddress, ...]:
@@ -327,8 +329,9 @@ class Neighborhood:
 
     map: NeighborhoodMap
     router: NodeAddress | None = None
-    last_beacon: int = -(10**9)
-    incarnation: int = 0  # router starts; only the latest one's chains run
+    elected: int = 0  # when the router was elected: its monitor ticks from here
+    started: int = 0  # when its incarnation started: its beacons tick from here
+    incarnation: int = 0  # router starts; only the latest one's refresh chain and failover run
 
 
 class Action(NamedTuple):
@@ -420,13 +423,6 @@ class IntroExpiry(NamedTuple):
         return "type=intro-expiry"
 
 
-class BeaconMonitor(NamedTuple):
-    neighborhood: int
-
-    def trace(self) -> str:
-        return f"neighborhood={self.neighborhood} type=beacon-monitor"
-
-
 class RouterRefresh(NamedTuple):
     neighborhood: int
     incarnation: int  # the router start whose chain this is
@@ -435,12 +431,12 @@ class RouterRefresh(NamedTuple):
         return f"neighborhood={self.neighborhood} type=router-refresh"
 
 
-class Beacon(NamedTuple):
+class Failover(NamedTuple):
     neighborhood: int
-    incarnation: int
+    incarnation: int  # the router start that went down
 
     def trace(self) -> str:
-        return f"neighborhood={self.neighborhood}"
+        return f"neighborhood={self.neighborhood} type=failover"
 
 
 class World:
@@ -548,27 +544,26 @@ class World:
         self._post_membership(nid)
 
     def _post_membership(self, nid: int) -> None:
-        """Elect a router if there is none, start it and its monitor and map the
-        strays in its span; then split the neighborhood past critical mass."""
+        """Elect a router if there is none, start it and map the strays in its
+        span; then split the neighborhood past critical mass."""
         hood, now = self.neighborhoods[nid], self.engine.now
         if hood.router is None:
             hood.router = elect_router(hood.map, self.config.min_clients)
             if hood.router is not None:
                 self._act(now, "elected", f"addr={_text(hood.router)} neighborhood={nid}")
+                hood.elected = now
                 self._start_router(nid)
-                self.engine.schedule(now + self.config.beacon_period, KIND_TIMER, payload=BeaconMonitor(nid))
                 self._router_refresh(nid)
         cm = self.config.critical_mass
         if cm is not None and len(hood.map) > cm:
             self._apply_subdivide(nid, cm)
 
     def _start_router(self, nid: int) -> None:
-        """Start a new incarnation of the router: its beacon and refresh chains."""
-        now, cfg, hood = self.engine.now, self.config, self.neighborhoods[nid]
-        hood.last_beacon, hood.incarnation = now, hood.incarnation + 1
-        chain = nid, hood.incarnation
-        self.engine.schedule(now + cfg.beacon_period, KIND_BEACON, payload=Beacon(*chain))
-        self.engine.schedule(now + cfg.refresh_period, KIND_TIMER, payload=RouterRefresh(*chain))
+        """Start a new incarnation of the router and its refresh chain."""
+        now, hood = self.engine.now, self.neighborhoods[nid]
+        hood.started, hood.incarnation = now, hood.incarnation + 1
+        refresh = RouterRefresh(nid, hood.incarnation)
+        self.engine.schedule(now + self.config.refresh_period, KIND_TIMER, payload=refresh)
 
     def _set_active(self, line: ScriptEvent, active: bool) -> int | None:
         """Flip the line's instance up or down, in its record and in its
@@ -598,9 +593,20 @@ class World:
             self._post_membership(nid)
 
     def _on_down(self, now: int, line: ScriptEvent) -> None:
-        self._set_active(line, False)
-        # A downed router keeps its role until its beacon goes stale; the
-        # monitor timer performs the failover.
+        """Take the instance down. A router's down times its failover: the first
+        monitor tick that finds its last beacon BEACON_TIMEOUT_FACTOR periods old.
+        The line runs before a beacon due now, so the last one went out before
+        now, at the incarnation's start or a whole number of periods after it."""
+        addr = line.addr
+        if addr in self.instances and not self._live(addr):
+            return  # already down: like an up for a live instance, it changes nothing
+        nid = self._set_active(line, False)
+        hood = self.neighborhoods.get(nid)
+        if hood is not None and hood.router == addr:
+            period, start = self.config.beacon_period, hood.started
+            stale = start + period * max(0, (now - 1 - start) // period) + BEACON_TIMEOUT_FACTOR * period
+            due = hood.elected - (hood.elected - stale) // period * period  # the first tick at or after stale
+            self.engine.schedule(due, KIND_TIMER, payload=Failover(nid, hood.incarnation))
 
     # -- introductions -----------------------------------------------------
 
@@ -723,12 +729,12 @@ class World:
             self._act(now, "subdivided", f"source={nid} neighborhood={hid} members={len(half)}")
             self._post_membership(hid)
 
-    # -- timers and beacons ----------------------------------------------------
+    # -- router timers ---------------------------------------------------------
 
-    def _serving(self, tick: RouterRefresh | Beacon) -> bool:
-        """Whether tick's chain is its router's latest start, and that router is live."""
-        hood = self.neighborhoods.get(tick.neighborhood)
-        return hood is not None and hood.incarnation == tick.incarnation and self._live(hood.router)
+    def _serving(self, refresh: RouterRefresh) -> bool:
+        """Whether refresh's chain is its router's latest start, and that router is live."""
+        hood = self.neighborhoods.get(refresh.neighborhood)
+        return hood is not None and hood.incarnation == refresh.incarnation and self._live(hood.router)
 
     def _on_refresh(self, now: int, refresh: RouterRefresh) -> None:
         if self._serving(refresh):
@@ -736,19 +742,11 @@ class World:
             self._post_membership(refresh.neighborhood)
             self.engine.schedule(now + self.config.refresh_period, KIND_TIMER, payload=refresh)
 
-    def _on_beacon(self, now: int, beacon: Beacon) -> None:
-        if self._serving(beacon):
-            self.neighborhoods[beacon.neighborhood].last_beacon = now
-            self.engine.schedule(now + self.config.beacon_period, KIND_BEACON, payload=beacon)
-
-    def _on_monitor(self, now: int, monitor: BeaconMonitor) -> None:
-        """Fail the router over once its beacon is stale, which ends this monitor."""
-        nid, period = monitor.neighborhood, self.config.beacon_period
+    def _on_failover(self, now: int, failover: Failover) -> None:
+        """Fail the router over, unless its neighborhood split or it came back since it went down."""
+        nid = failover.neighborhood
         hood = self.neighborhoods.get(nid)
-        if hood is None:
-            return
-        if self._live(hood.router) or now - hood.last_beacon < period * BEACON_TIMEOUT_FACTOR:
-            self.engine.schedule(now + period, KIND_TIMER, payload=monitor)
+        if hood is None or hood.incarnation != failover.incarnation or self._live(hood.router):
             return
         self._act(now, "beacon-expired", f"addr={_text(hood.router)} neighborhood={nid}")
         hood.router = None
@@ -823,9 +821,8 @@ class World:
         CommitAck: _on_commit_ack,
         CommitDeadline: _on_commit_deadline,
         IntroExpiry: _on_intro_expiry,
-        BeaconMonitor: _on_monitor,
         RouterRefresh: _on_refresh,
-        Beacon: _on_beacon,
+        Failover: _on_failover,
     }
 
 

@@ -10,7 +10,6 @@ from outcomes import report_text
 
 from peermesh import cli, scenario
 from peermesh.scenario import (
-    KIND_BEACON,
     KIND_MESSAGE,
     KIND_TIMER,
     ScenarioError,
@@ -204,9 +203,9 @@ def test_directory_fallback_and_refresh_pickup():
 
 
 # 10.4.0.1 is elected at 1 and is already up at 15, so that `up` changes
-# nothing: its beacons stay on 11, 21, 31, ...
+# nothing: its refreshes stay on 11, 21, 31, ...
 UP_WHILE_UP = """
-config min_clients=2 beacon_period=10 horizon=60
+config min_clients=2 refresh_period=10 horizon=60
 at=0 event=download addr=10.4.0.1 uptime=0.99 capacity=512000
 at=1 event=download addr=10.4.0.2 uptime=0.98 capacity=256000
 at=15 event=up addr=10.4.0.1
@@ -217,10 +216,34 @@ assert router addr=10.4.0.1
 def test_an_up_for_a_live_router_does_not_restart_it():
     report = run_scenario(parse_scenario(UP_WHILE_UP, name="up-while-up"))
     assert report.passed
-    beacons = [line[1:7].strip() for line in report.trace if line.endswith("beacon neighborhood=0")]
-    assert beacons == ["11", "21", "31", "41", "51"]
+    refreshes = [line[1:7].strip() for line in report.trace if line.endswith("type=router-refresh")]
+    assert refreshes == ["11", "21", "31", "41", "51"]
     elected = [a.render() for a in report.actions if a.kind == "elected"]
     assert elected == ["[     1] elected addr=10.4.0.1 neighborhood=0"]
+
+
+# 10.4.0.1 is elected at 1 and goes down at 21, so its last beacon went out
+# at 11 and it fails over at 31. The second down changes nothing: timed as a
+# first one, it would fail the router over again at 41, though 10.4.0.2 alone
+# is too few to elect a successor, so the neighborhood's incarnation stays.
+DOWN_TWICE = """
+config min_clients=2 beacon_period=10 horizon=100
+at=0 event=download addr=10.4.0.1 uptime=0.99 capacity=512000
+at=1 event=download addr=10.4.0.2 uptime=0.98 capacity=256000
+at=21 event=down addr=10.4.0.1
+at=25 event=down addr=10.4.0.1
+assert no-router addr=10.4.0.2
+"""
+
+
+def test_a_down_for_a_down_router_times_no_second_failover():
+    report = run_scenario(parse_scenario(DOWN_TWICE, name="down-twice"))
+    assert report.passed, report_text(report)
+    expired = [a.render() for a in report.actions if a.kind == "beacon-expired"]
+    assert expired == ["[    31] beacon-expired addr=10.4.0.1 neighborhood=0"]
+    assert [line for line in report.trace if line.endswith("type=failover")] == [
+        "[    31] timer neighborhood=0 type=failover"
+    ]
 
 
 SPLIT = """
@@ -400,7 +423,7 @@ def test_horizon_truncates_the_trace():
     text = bundled("router-failover.scenario")
     script = parse_scenario(text, name="router-failover.scenario")
     report = run_scenario(script)
-    assert report.run.truncated  # beacons recur past the configured horizon
+    assert report.run.truncated  # router refreshes recur past the configured horizon
     rendered = report_text(report)
     assert "truncated" in rendered
 
@@ -520,10 +543,14 @@ WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced)
     (KIND_MESSAGE, scenario.CommitAck(3, B), {"type": "commit-ack", "commit": 3, "member": B}),
     (KIND_TIMER, scenario.CommitDeadline(3), {"type": "commit-deadline", "commit": 3}),
     (KIND_TIMER, scenario.IntroExpiry(), {"type": "intro-expiry"}),
-    (KIND_TIMER, scenario.BeaconMonitor(2), {"type": "beacon-monitor", "neighborhood": 2}),
     (KIND_TIMER, scenario.RouterRefresh(2, 1), {"type": "router-refresh", "neighborhood": 2}),
-    (KIND_BEACON, scenario.Beacon(2, 1), {"neighborhood": 2}),
+    (KIND_TIMER, scenario.Failover(2, 1), {"type": "failover", "neighborhood": 2}),
 ]
+
+
+def test_every_world_payload_type_has_a_row():
+    handled = {key for key in World._ON if isinstance(key, type) and key is not scenario.ScriptCheck}
+    assert handled == {type(payload) for _, payload, _ in WORLD_PAYLOADS}
 
 
 @pytest.mark.parametrize(
@@ -548,7 +575,8 @@ def test_a_finished_world_is_freed_by_reference_counting():
         world = World(engine, script.config)
         for line in script.events:
             schedule_line(engine, line)
-        assert len(engine.run(world.handle, horizon=100)) > 50
+        # Router refreshes recur to the horizon: at 600 they bring the run past 50 events.
+        assert len(engine.run(world.handle, horizon=600)) > 50
         assert len(world.actions) > 20
         freed = weakref.ref(world)
         del engine, world

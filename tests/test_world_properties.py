@@ -8,16 +8,27 @@ ShuffledEngine, which runs each line first at its unit and same-time world
 events in a random order; without one, on the plain Engine.
 Its settle rule lets the world come to rest and checks liveness: every
 neighborhood that has a router candidate has a live router.
+
+A second property times failovers: a router that flaps down and up fails
+over when a walk of the beacon and monitor chains that the failover timer
+replaced says it would.
 """
 
 from collections import Counter
 
-from hypothesis import settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from outcomes import ShuffledEngine
 
-from peermesh.scenario import BEACON_TIMEOUT_FACTOR, World, WorldConfig, parse_scenario, schedule_line
+from peermesh.scenario import (
+    BEACON_TIMEOUT_FACTOR,
+    World,
+    WorldConfig,
+    parse_scenario,
+    run_scenario,
+    schedule_line,
+)
 from peermesh.simcore import Engine
 from peermesh.topology import elect_router, parse_address
 
@@ -167,3 +178,47 @@ WorldMachine.TestCase.settings = settings(
     max_examples=300, stateful_step_count=20, derandomize=True, deadline=None
 )
 TestWorldUnderChurn = WorldMachine.TestCase
+
+
+def walked_failover(elected, period, flaps):
+    """The first failover of the router elected at elected, as the old chains
+    ran it: a beacon each period from the router's latest start while it is
+    up, and a monitor tick each period from its election that fails it over
+    once it is down and its last beacon is BEACON_TIMEOUT_FACTOR periods old.
+    A flap line runs before the beacon and the tick due at its unit."""
+    up, start, last = True, elected, elected
+    for t in range(elected + 1, flaps[-1][0] + (BEACON_TIMEOUT_FACTOR + 2) * period):
+        for _, kind in (f for f in flaps if f[0] == t):
+            if kind == "down":
+                up = False
+            elif not up:
+                up, start, last = True, t, t
+        if up and (t - start) % period == 0:
+            last = t
+        if not up and (t - elected) % period == 0 and t - last >= BEACON_TIMEOUT_FACTOR * period:
+            return t
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    instances=st.integers(3, 4),
+    period=st.integers(1, 12),
+    # Gaps from none to two periods at the largest: the router often returns
+    # before its timeout, so a later down times its failover from that return.
+    flaps=st.lists(st.tuples(st.integers(0, 24), st.sampled_from(["down", "up"])), min_size=1, max_size=8),
+)
+@example(instances=3, period=10, flaps=[(10, "down"), (5, "up"), (12, "down")])
+def test_a_router_fails_over_when_the_beacon_and_monitor_chains_would(instances, period, flaps):
+    lines = [f"config min_clients=2 beacon_period={period}"]
+    lines += [f"at={i} event=download addr=10.5.0.{i + 1} uptime=0.9{9 - i} capacity=256000" for i in range(instances)]
+    at, timed = instances, []
+    for gap, kind in flaps:
+        at += gap
+        timed.append((at, kind))
+        lines.append(f"at={at} event={kind} addr=10.5.0.1")
+    report = run_scenario(parse_scenario("\n".join(lines), name="flaps"), trace=False)
+    elected = next(a for a in report.actions if a.kind == "elected")
+    assert elected.get("addr") == "10.5.0.1"
+    expired = [a.at for a in report.actions if a.kind == "beacon-expired"]
+    assert (expired[0] if expired else None) == walked_failover(elected.at, period, timed)
