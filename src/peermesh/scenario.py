@@ -58,16 +58,21 @@ A run without a trace (`--quiet`) only counts its events.
 
 Both the trace and the action log are built as text: each payload type
 renders its trace body, and each handler its action's fields, with one
-f-string, reading addresses from topology's table DOTTED. An action keeps
-only that text, and a check matches it one whole key=value field at a time.
+f-string, reading addresses from topology's table DOTTED. An action is held
+as its report line, its time included, and an Action is built from that line
+only when it is read; a check matches the line one whole key=value field at
+a time. The log is kept in time order as it grows: a handshake's actions
+carry its finish time, later than the event that records them, so they wait
+in a small heap until the world's clock reaches them.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -335,13 +340,21 @@ class Neighborhood:
 
 
 class Action(NamedTuple):
-    """A recorded world action. Its fields are kept as the text they render
-    as, one space-separated key=value body: one string per action, smaller
-    than a tuple of (key, text) pairs, though the GC tracks it as a subclass."""
+    """A recorded world action, as read from its report line: its fields are
+    the text they render as, one space-separated key=value body. The world
+    holds only the line, so no Action lives longer than its reader wants it."""
 
     at: int
     kind: str
     body: str
+
+    @classmethod
+    def parse(cls, line: str) -> Action:
+        """The action that renders as line. The first "] " ends the time: a
+        body may hold "]", but neither the time nor the kind does."""
+        stamp, _, rest = line.partition("] ")
+        kind, _, body = rest.partition(" ")
+        return cls(int(stamp[1:]), kind, body)
 
     def fields(self) -> list[str]:
         return self.body.split(" ")
@@ -355,6 +368,26 @@ class Action(NamedTuple):
 
     def render(self) -> str:
         return f"[{self.at:>6}] {self.kind} {self.body}"
+
+
+class ActionLog(Sequence):
+    """A run's actions as their report lines, in time order. Reading an item
+    builds its Action; the log itself holds strings, which the cyclic
+    collector does not track."""
+
+    __slots__ = ("lines",)
+
+    def __init__(self, lines: list[str]):
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, i: int) -> Action:
+        return Action.parse(self.lines[i])
+
+    def __iter__(self) -> Iterator[Action]:
+        return map(Action.parse, self.lines)
 
 
 def _absent_text(res: sync.CommitResult) -> str:
@@ -458,7 +491,11 @@ class World:
         self.neighborhoods: dict[int, Neighborhood] = {}
         self.nid_of: dict[NodeAddress, int] = {}
         self.commits: list[sync.PendingCommit] = []
-        self.actions: list[Action] = []
+        self._lines: list[str] = []  # each action's report line, in time order
+        # Actions stamped after the clock, as (at, order, line): a heap that
+        # _act drains into _lines as the clock reaches them.
+        self._later: list[tuple[int, int, str]] = []
+        self._order = itertools.count()
         self.check_results: list[CheckResult] = []
         self._nids = itertools.count()  # neighborhood ids, each handed out once
         # Per neighborhood id (None: no neighborhood), the map snapshot an
@@ -468,7 +505,28 @@ class World:
     # -- plumbing ----------------------------------------------------------
 
     def _act(self, at: int, kind: str, body: str) -> None:
-        self.actions.append(Action(at, kind, body))
+        """Record an action as its report line. Every action is stamped at the
+        clock or later, so holding back the later ones until the clock reaches
+        them keeps the log in time order, and in recording order at a tie."""
+        line = f"[{at:>6}] {kind} {body}"
+        later = self._later
+        if at > self.engine.now:
+            heapq.heappush(later, (at, next(self._order), line))
+            return
+        if later and later[0][0] <= at:
+            self._settle(at)
+        self._lines.append(line)
+
+    def _settle(self, upto: float) -> None:
+        """Move the held-back actions stamped at or before upto into the log."""
+        later, append = self._later, self._lines.append
+        while later and later[0][0] <= upto:
+            append(heapq.heappop(later)[2])
+
+    @property
+    def actions(self) -> ActionLog:
+        """Every action recorded so far, in time order, held-back ones included."""
+        return ActionLog(self._lines + [line for _, _, line in sorted(self._later)])
 
     def _live(self, addr: NodeAddress | None) -> bool:
         rec = self.instances.get(addr)
@@ -617,16 +675,22 @@ class World:
         target = next(targets, None)
         if target is not None:
             pair = f"from={_text(sender)} to={_text(target)}"
-            intro = Introduction(sender, target, pair, targets, stream)
+            # tuple.__new__ skips the NamedTuple's Python-level __new__: one per introduction.
+            intro = tuple.__new__(Introduction, (sender, target, pair, targets, stream))
             self.engine.schedule(now + stream.hop_delay(), KIND_MESSAGE, payload=intro)
 
     def _on_introduction(self, now: int, intro: Introduction) -> None:
-        sender, target = intro.sender, intro.target
-        if self._live(target):
-            self._act(now, "introduced", intro.pair)
+        # The world's most frequent event: _live and _act are inlined.
+        sender, target, pair, targets, stream = intro
+        rec = self.instances.get(target)
+        if rec is not None and rec.active:
+            later = self._later
+            if later and later[0][0] <= now:
+                self._settle(now)
+            self._lines.append(f"[{now:>6}] introduced {pair}")
         else:
             self._queue_intro(now, sender, target)
-        self._introduce_next(now, sender, intro.targets, intro.stream)
+        self._introduce_next(now, sender, targets, stream)
 
     def _queue_intro(self, at: int, sender: NodeAddress, target: NodeAddress) -> None:
         if (sender, target) in self.intros:
@@ -773,9 +837,12 @@ class World:
         kind, p = check.kind, check.params
         action = _CHECK_KINDS[kind][0]
         if action is not None:
-            # Each wanted field must be one of an action's fields, whole.
+            # Each wanted field must be one of an action's fields, whole. Only a
+            # line that names the kind after its time is parsed.
             want = [f"{k}={_text(v)}" for k, v in p.items()]
-            ok = any(a.kind == action and all(f in a.fields() for f in want) for a in self.actions)
+            marker = f"] {action} "
+            candidates = map(Action.parse, (line for line in self.actions.lines if marker in line))
+            ok = any(a.kind == action and all(f in a.fields() for f in want) for a in candidates)
             return CheckResult(check, ok, "" if ok else "no matching action")
         addr = p.get("addr")
         if kind in ("router", "no-router"):
@@ -832,7 +899,7 @@ class ScenarioReport:
     seed: int
     run: RunResult  # events processed, and whether the horizon cut the run
     trace: tuple[str, ...] | None  # one rendered line per event; None when not recorded
-    actions: tuple[Action, ...]
+    actions: ActionLog  # the report's action lines, in time order; each read builds its Action
     checks: tuple[CheckResult, ...]
 
     @property
@@ -866,34 +933,28 @@ def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool =
     record, dispatch = lines.append, world.handle
 
     def traced(engine: Engine, ev: SimEvent) -> None:
-        record(_render_event(ev))
+        # An event's trace line: its time and kind, then its record's trace body: a
+        # script line's target and parameters as written, a check as its line and
+        # kind, a world event's payload as its type renders it.
+        record(f"[{ev.at:>6}] {ev.kind} {ev.payload.trace()}")
         dispatch(engine, ev)
 
     run = engine.run(traced if trace else dispatch, horizon=horizon)
+    world._settle(math.inf)  # the run is over: no action can come before the held-back ones
     for chk in script.checks:
         if chk.at is None:
             world.check_results.append(world._evaluate(chk))
         elif chk.at > horizon:  # still queued: the run never got there
             world.check_results.append(CheckResult(chk, False, f"after the horizon {horizon}"))
     ordered = sorted(world.check_results, key=lambda r: r.check.line)
-    # Stable time order: actions are appended as handlers run, but handshake
-    # actions carry cursor timestamps later than the triggering event.
-    actions = sorted(world.actions, key=itemgetter(0))
     return ScenarioReport(
         script=script,
         seed=seed,
         run=run,
         trace=tuple(lines) if trace else None,
-        actions=tuple(actions),
+        actions=ActionLog(world._lines),
         checks=tuple(ordered),
     )
-
-
-def _render_event(ev: SimEvent) -> str:
-    """An event's trace line: its time and kind, then its record's trace body: a script
-    line's target and parameters as written, a check as its line and kind, a world
-    event's payload as its type renders it."""
-    return f"[{ev.at:>6}] {ev.kind} {ev.payload.trace()}"
 
 
 def _report_lines(report: ScenarioReport) -> Iterator[str]:
@@ -905,8 +966,7 @@ def _report_lines(report: ScenarioReport) -> Iterator[str]:
         yield f"-- trace: {len(report.run)} events, {state} --"
         yield from report.trace
     yield f"-- actions: {len(report.actions)} --"
-    for action in report.actions:
-        yield action.render()
+    yield from report.actions.lines
     yield f"-- checks: {len(report.checks)} --"
     for check in report.checks:
         yield check.render()

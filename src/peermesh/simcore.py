@@ -170,7 +170,7 @@ class Engine:
         handler as given."""
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} before current time {self.now}")
-        ev = SimEvent(at, kind, payload)
+        ev = tuple.__new__(SimEvent, (at, kind, payload))  # SimEvent's own __new__ runs in Python
         queue = self._queues.get(at)
         if queue is None:
             queue = self._queues[at] = deque()

@@ -127,10 +127,11 @@ class NeighborhoodMap:
     # -- mutations (return new snapshots) --------------------------------
 
     def add(self, record: NodeRecord) -> "NeighborhoodMap":
-        if record.address in self:
+        members = self.members
+        i = bisect_left(members, record.address, key=lambda r: r.address)
+        if i < len(members) and members[i].address == record.address:
             raise ValueError(f"{record.address} already in map")
-        members = tuple(sorted(self.members + (record,), key=lambda r: r.address))
-        return replace(self, members=members)
+        return replace(self, members=members[:i] + (record,) + members[i:])
 
     def remove(self, address: NodeAddress) -> "NeighborhoodMap":
         if address not in self:

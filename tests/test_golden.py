@@ -19,6 +19,7 @@ import pytest
 from peermesh import cli, scenario
 
 GOLDEN = Path(__file__).parent / "golden"
+BUNDLED_DIR = Path(__file__).resolve().parent.parent / "src" / "peermesh" / "scenarios"
 
 
 BUNDLED = ["startup", "router-failover", "commit-timeout"]
@@ -53,6 +54,19 @@ def test_quiet_output_is_the_golden_without_its_trace(capsys, target, golden):
     assert capsys.readouterr().out == _without_trace(golden.read_text())
 
 
+@pytest.mark.parametrize(
+    "path,golden",
+    [(BUNDLED_DIR / f"{name}.scenario", GOLDEN / f"{name}.out") for name in BUNDLED]
+    + [(p, p.with_suffix(".out")) for p in SCRIPTS],
+    ids=BUNDLED + [p.stem for p in SCRIPTS],
+)
+def test_each_action_renders_as_its_line_in_the_report(path, golden):
+    report = scenario.run_scenario(scenario.load_scenario(path), trace=False)
+    text = golden.read_text()
+    section = text[text.index("-- actions: ") : text.index("-- checks: ")].splitlines()[1:]
+    assert [a.render() for a in report.actions] == section
+
+
 def test_a_bundled_name_is_not_shadowed_by_a_local_path(capsys, monkeypatch, tmp_path):
     (tmp_path / "startup").mkdir()
     monkeypatch.chdir(tmp_path)
@@ -61,10 +75,12 @@ def test_a_bundled_name_is_not_shadowed_by_a_local_path(capsys, monkeypatch, tmp
 
 
 def test_quiet_run_renders_no_trace_line(capsys, monkeypatch):
-    def refuse(ev):
-        raise AssertionError(f"trace line rendered under --quiet: {ev}")
+    def refuse(record):
+        raise AssertionError(f"trace line rendered under --quiet: {record}")
 
-    monkeypatch.setattr(scenario, "_render_event", refuse)
+    # Every engine event's record renders its trace body through its trace().
+    for record_type in {scenario.ScriptEvent, *(k for k in scenario.World._ON if isinstance(k, type))}:
+        monkeypatch.setattr(record_type, "trace", refuse)
     script = GOLDEN / "routers-and-splits.scenario"
     assert cli.main(["scenario", "run", str(script), "--quiet"]) == 0
     assert capsys.readouterr().out == _without_trace(script.with_suffix(".out").read_text())

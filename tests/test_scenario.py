@@ -21,7 +21,7 @@ from peermesh.scenario import (
     run_scenario,
     schedule_line,
 )
-from peermesh.simcore import Engine, SimEvent
+from peermesh.simcore import Engine
 from peermesh.topology import NodeAddress, parse_address
 
 
@@ -395,16 +395,53 @@ assert {check} from=10.0.0.21 to=10.0.0.12
 def test_an_action_check_matches_whole_fields_only(check, kind):
     world = World(Engine(1), WorldConfig())
     tail = " deadline=90" if kind == "queued" else ""
-    world.actions.append(scenario.Action(5, kind, f"from=10.0.0.12 to=10.0.0.21{tail}"))
+    world._act(5, kind, f"from=10.0.0.12 to=10.0.0.21{tail}")
     checks = parse_scenario(NEAR_MISSES.format(check=check)).checks
     assert [world._evaluate(c).passed for c in checks] == [True, True, False, False, False, False]
 
 
+def _live_actions() -> list:
+    return [o for o in gc.get_objects() if type(o) is scenario.Action]
+
+
 def test_no_action_holds_a_gc_tracked_object():
+    before = _live_actions()  # other tests' parameters, held alive here so no id is reused
     report = run_scenario(parse_scenario(CHURN, name="churn"), seed=5)
     gc.collect()
+    # The report holds its actions as lines: no Action outlives its reader.
+    assert {id(o) for o in _live_actions()} == {id(o) for o in before}
     assert len(report.actions) > 20
     assert not [x for a in report.actions for x in a if gc.is_tracked(x)]
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        scenario.Action(1234567, "introduced", "from=10.0.0.1 to=10.0.0.2"),
+        scenario.Action(3, "proposed", "key=]a]b] by=10.0.0.1 group=2"),
+    ],
+    ids=["seven-digit-time", "bracket-in-key"],
+)
+def test_an_action_parses_back_from_its_line(action):
+    assert scenario.Action.parse(action.render()) == action
+
+
+# A send at a seven-digit time whose key holds "]", the character that ends a line's time.
+BRACKETS = """\
+at=1234560 event=download addr=10.5.0.1
+at=1234562 event=download addr=10.5.0.2
+at=1234567 event=send addr=10.5.0.1 key=]a]b] value=v
+"""
+
+
+def test_a_replay_reads_back_the_actions_it_recorded():
+    report = run_scenario(parse_scenario(BRACKETS, name="brackets"), trace=False)
+    assert [a for a in report.actions if a.kind == "proposed"] == [
+        scenario.Action(1234567, "proposed", "key=]a]b] by=10.5.0.1 group=2")
+    ]
+    assert [a.get("key") for a in report.actions if a.kind == "committed"] == ["]a]b]"]
+    assert [a.render() for a in report.actions] == report.actions.lines
+    assert report.actions[-1] == list(report.actions)[-1]
 
 
 def test_send_from_unknown_instance_is_a_scenario_error():
@@ -559,10 +596,9 @@ def test_every_world_payload_type_has_a_row():
 def test_a_world_payload_renders_as_the_dict_it_replaced(kind, payload, old):
     # World events once carried dicts, rendered as sorted key=value pairs.
     body = " ".join(f"{k}={old[k]}" for k in sorted(old))
-    line = scenario._render_event(SimEvent(41, kind, payload))
-    assert line == f"[    41] {kind} {body}"
+    assert payload.trace() == body
     if B in old.values():
-        assert "=10.0.3.152" in line
+        assert "=10.0.3.152" in body
 
 
 def test_a_finished_world_is_freed_by_reference_counting():

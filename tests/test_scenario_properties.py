@@ -84,7 +84,8 @@ def test_parser_returns_a_script_or_a_located_parse_error(lines):
         del written["at"], written["event"], written["addr"]
         echo = _assert_cast_and_echo(ev, scenario._EVENT_PARAMS[ev.kind], written)
         sim = schedule_line(Engine(), ev)
-        assert scenario._render_event(sim) == f"[{ev.at:>6}] {sim.kind} target={ev.addr} {echo}".rstrip()
+        assert sim.at == ev.at and sim.payload is ev
+        assert ev.trace() == f"target={ev.addr} {echo}".rstrip()
     for chk in script.checks:
         written = dict(tok.split("=", 1) for tok in lines[chk.line - 1].split()[2:])
         written.pop("at", None)
@@ -158,3 +159,4 @@ def test_parsed_scripts_run_or_stop_on_a_scenario_error(lines):
         run_scenario(script)
     except ScenarioError:
         pass
+

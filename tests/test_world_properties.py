@@ -11,7 +11,9 @@ neighborhood that has a router candidate has a live router.
 
 A second property times failovers: a router that flaps down and up fails
 over when a walk of the beacon and monitor chains that the failover timer
-replaced says it would.
+replaced says it would. A third checks that the action log, which holds back
+actions stamped after the clock, reads as the stable time sort of what was
+recorded.
 """
 
 from collections import Counter
@@ -222,3 +224,23 @@ def test_a_router_fails_over_when_the_beacon_and_monitor_chains_would(instances,
     assert elected.get("addr") == "10.5.0.1"
     expired = [a.at for a in report.actions if a.kind == "beacon-expired"]
     assert (expired[0] if expired else None) == walked_failover(elected.at, period, timed)
+
+
+# (clock step, how far past the clock the action is stamped): each action is
+# stamped at the clock or later, as a handshake's actions are.
+recordings = st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0, 0, 1, 2, 5])), max_size=30)
+
+
+@given(recordings)
+def test_the_action_log_is_the_stable_time_sort_of_what_was_recorded(steps):
+    world = World(Engine(), WorldConfig())
+    recorded = []
+    for n, (step, ahead) in enumerate(steps):
+        world.engine.now += step
+        at = world.engine.now + ahead
+        world._act(at, "k", f"n={n}")
+        recorded.append((at, f"n={n}"))
+        assert [(a.at, a.body) for a in world.actions] == sorted(recorded, key=lambda r: r[0])
+    world._settle(float("inf"))
+    assert world._later == []
+    assert [(a.at, a.body) for a in world.actions] == sorted(recorded, key=lambda r: r[0])
