@@ -29,17 +29,17 @@ A download registers the instance and probes its registry excerpt in the
 excerpt's order, which is the probe order: nearest address first. Handshakes
 complete within the originating event; the sampled hop delays show up in the
 recorded action times, not in state sequencing. Runs always get a horizon
-(config, or last scripted time + 1000) because router refreshes recur forever;
+(config, or last scripted time + 1000), which cuts long introduction fan-outs;
 hitting it marks the trace truncated, which is a defined outcome.
 
 Router lifecycle: only an election installs a router; each election, and each
-`up` of a router that was down, starts a new incarnation of its refresh chain,
-which ends at its first tick after a newer incarnation, a lost role or a dead
-router. A router beacons each beacon_period from its incarnation's start and a
-monitor checks each period from its election, but only a `down` ends a router,
-so neither runs as an event: the router's `down` schedules one Failover timer
-for the tick that finds its beacon stale, which a return or a split voids. The
-trace shows no beacons.
+`up` of a router that was down, starts an incarnation. Its refresh ticks fall
+each refresh_period from that start; one is queued only for a stray in the live
+router's span and maps only if its incarnation is current. A router beacons
+each beacon_period from its start and a monitor checks each period from its
+election, but only a `down` ends a router, so neither runs as an event: the
+`down` schedules one Failover timer for the tick that finds its beacon stale. A
+return or split voids it; it runs as a no-op, cheaper than an engine cancel.
 
 A join introduces the newcomer to every member it did not probe, one hop
 delay after another: each introduction carries the targets left and the
@@ -335,8 +335,9 @@ class Neighborhood:
     map: NeighborhoodMap
     router: NodeAddress | None = None
     elected: int = 0  # when the router was elected: its monitor ticks from here
-    started: int = 0  # when its incarnation started: its beacons tick from here
-    incarnation: int = 0  # router starts; only the latest one's refresh chain and failover run
+    started: int = 0  # when its incarnation started: its beacons and refresh ticks count from here
+    incarnation: int = 0  # router starts; only the latest one's refresh and failover run
+    refreshing: int = 0  # the incarnation whose refresh tick is queued, if any
 
 
 class Action(NamedTuple):
@@ -458,7 +459,7 @@ class IntroExpiry(NamedTuple):
 
 class RouterRefresh(NamedTuple):
     neighborhood: int
-    incarnation: int  # the router start whose chain this is
+    incarnation: int  # the router start whose tick this is
 
     def trace(self) -> str:
         return f"neighborhood={self.neighborhood} type=router-refresh"
@@ -576,12 +577,14 @@ class World:
             self._act(result.finished_at, "connect", f"from={_text(addr)} to={_text(result.connected_to)}")
             self._join_via(result.finished_at, rec, result.connected_to)
             skip = set(result.dead_targets) | {addr, result.connected_to}
-            # Joining can split the neighborhood, so resolve the current id.
-            members = self.neighborhoods[self.nid_of[addr]].map.addresses()
-            targets = [m for m in members if m not in skip]
-            self._introduce_next(result.finished_at, addr, iter(targets), stream)
+            # Joining can split the neighborhood, so resolve the current id; its snapshot never changes.
+            members = self.neighborhoods[self.nid_of[addr]].map.members
+            targets = (r.address for r in members if r.address not in skip)
+            self._introduce_next(result.finished_at, addr, targets, stream)
         else:
             self.directory.add(addr)
+            for nid in self.neighborhoods:
+                self._want_refresh(nid)
             self._act(result.finished_at, "registered", f"addr={_text(addr)}")
             self._act(result.finished_at, "isolated", f"addr={_text(addr)}")
 
@@ -603,7 +606,7 @@ class World:
 
     def _post_membership(self, nid: int) -> None:
         """Elect a router if there is none, start it and map the strays in its
-        span; then split the neighborhood past critical mass."""
+        span; queue a refresh for any stray left there; then split past critical mass."""
         hood, now = self.neighborhoods[nid], self.engine.now
         if hood.router is None:
             hood.router = elect_router(hood.map, self.config.min_clients)
@@ -612,16 +615,14 @@ class World:
                 hood.elected = now
                 self._start_router(nid)
                 self._router_refresh(nid)
+        self._want_refresh(nid)
         cm = self.config.critical_mass
         if cm is not None and len(hood.map) > cm:
             self._apply_subdivide(nid, cm)
 
     def _start_router(self, nid: int) -> None:
-        """Start a new incarnation of the router and its refresh chain."""
-        now, hood = self.engine.now, self.neighborhoods[nid]
-        hood.started, hood.incarnation = now, hood.incarnation + 1
-        refresh = RouterRefresh(nid, hood.incarnation)
-        self.engine.schedule(now + self.config.refresh_period, KIND_TIMER, payload=refresh)
+        hood = self.neighborhoods[nid]
+        hood.started, hood.incarnation = self.engine.now, hood.incarnation + 1
 
     def _set_active(self, line: ScriptEvent, active: bool) -> int | None:
         """Flip the line's instance up or down, in its record and in its
@@ -795,16 +796,24 @@ class World:
 
     # -- router timers ---------------------------------------------------------
 
-    def _serving(self, refresh: RouterRefresh) -> bool:
-        """Whether refresh's chain is its router's latest start, and that router is live."""
-        hood = self.neighborhoods.get(refresh.neighborhood)
-        return hood is not None and hood.incarnation == refresh.incarnation and self._live(hood.router)
+    def _want_refresh(self, nid: int) -> None:
+        """Queue the next tick of a live router with a stray in its span, once per incarnation. One due
+        now has not run: only a download line adds a stray or widens a span, and it runs first."""
+        hood = self.neighborhoods[nid]
+        if hood.refreshing == hood.incarnation or not self._live(hood.router):
+            return
+        if any(hood.map.members[0].address <= a <= hood.map.members[-1].address for a in self.directory):
+            hood.refreshing = hood.incarnation
+            start, period = hood.started, self.config.refresh_period
+            due = start + period * max(1, -((start - self.engine.now) // period))  # k >= 1, not before now
+            self.engine.schedule(due, KIND_TIMER, payload=RouterRefresh(nid, hood.incarnation))
 
     def _on_refresh(self, now: int, refresh: RouterRefresh) -> None:
-        if self._serving(refresh):
+        hood = self.neighborhoods.get(refresh.neighborhood)
+        if hood is not None and hood.incarnation == refresh.incarnation and self._live(hood.router):
+            hood.refreshing = 0
             self._router_refresh(refresh.neighborhood)
             self._post_membership(refresh.neighborhood)
-            self.engine.schedule(now + self.config.refresh_period, KIND_TIMER, payload=refresh)
 
     def _on_failover(self, now: int, failover: Failover) -> None:
         """Fail the router over, unless its neighborhood split or it came back since it went down."""

@@ -106,9 +106,6 @@ class NeighborhoodMap:
 
     # -- queries ---------------------------------------------------------
 
-    def addresses(self) -> tuple[NodeAddress, ...]:
-        return tuple(r.address for r in self.members)
-
     def member(self, address: NodeAddress) -> NodeRecord | None:
         i = bisect_left(self.members, address, key=lambda r: r.address)
         if i < len(self.members) and self.members[i].address == address:

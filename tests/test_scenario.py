@@ -202,14 +202,19 @@ def test_directory_fallback_and_refresh_pickup():
     assert [a.get("addr") for a in mapped] == ["10.3.0.5"]
 
 
-# 10.4.0.1 is elected at 1 and is already up at 15, so that `up` changes
-# nothing: its refreshes stay on 11, 21, 31, ...
+# 10.4.0.1 is elected at 1, so its refresh ticks fall on 11, 21, 31, ... It is
+# already up at 15, so that `up` changes nothing. 10.4.0.4 goes down at 16, so
+# 10.4.0.3, whose nearest registrant it is, is a stray inside the router's span
+# from 17: the tick at 21 maps it, not one at 25, as a restart at 15 would.
 UP_WHILE_UP = """
-config min_clients=2 refresh_period=10 horizon=60
+config min_clients=2 excerpt_cap=1 refresh_period=10 horizon=60
 at=0 event=download addr=10.4.0.1 uptime=0.99 capacity=512000
-at=1 event=download addr=10.4.0.2 uptime=0.98 capacity=256000
+at=1 event=download addr=10.4.0.4 uptime=0.98 capacity=256000
 at=15 event=up addr=10.4.0.1
+at=16 event=down addr=10.4.0.4
+at=17 event=download addr=10.4.0.3 uptime=0.97 capacity=256000
 assert router addr=10.4.0.1
+assert member addr=10.4.0.3
 """
 
 
@@ -217,7 +222,9 @@ def test_an_up_for_a_live_router_does_not_restart_it():
     report = run_scenario(parse_scenario(UP_WHILE_UP, name="up-while-up"))
     assert report.passed
     refreshes = [line[1:7].strip() for line in report.trace if line.endswith("type=router-refresh")]
-    assert refreshes == ["11", "21", "31", "41", "51"]
+    assert refreshes == ["21"]
+    mapped = [a.render() for a in report.actions if a.kind == "mapped"]
+    assert mapped == ["[    21] mapped addr=10.4.0.3 neighborhood=0"]
     elected = [a.render() for a in report.actions if a.kind == "elected"]
     assert elected == ["[     1] elected addr=10.4.0.1 neighborhood=0"]
 
@@ -456,11 +463,34 @@ def test_double_download_is_a_scenario_error():
         run_scenario(parse_scenario(text, name="twice"))
 
 
+# Instances download a unit or two apart with churn. Each join introduces the
+# newcomer to every member it did not probe, one hop delay after another, so at
+# seed 5 introductions run on until 79, past the horizon at 40.
+CROWD = """
+config min_clients=2 beacon_period=5 intro_timeout=20 commit_timeout=30 horizon=40
+at=0 event=download addr=10.0.0.1
+at=1 event=download addr=10.0.0.2
+at=2 event=download addr=10.0.0.3 uptime=0.95
+at=3 event=download addr=10.0.0.5
+at=4 event=down addr=10.0.0.2
+at=5 event=download addr=10.0.0.8
+at=6 event=download addr=10.0.0.13
+at=7 event=send addr=10.0.0.1 key=k value=v
+at=8 event=download addr=10.0.0.21
+at=9 event=up addr=10.0.0.2
+at=10 event=download addr=10.0.0.34
+at=11 event=down addr=10.0.0.1
+at=12 event=download addr=10.0.0.55
+at=13 event=download addr=10.0.0.89
+at=14 event=up addr=10.0.0.1
+at=15 event=download addr=10.0.0.144
+assert member at=14 addr=10.0.0.55
+"""
+
+
 def test_horizon_truncates_the_trace():
-    text = bundled("router-failover.scenario")
-    script = parse_scenario(text, name="router-failover.scenario")
-    report = run_scenario(script)
-    assert report.run.truncated  # router refreshes recur past the configured horizon
+    report = run_scenario(parse_scenario(CROWD, name="crowd"), seed=5)
+    assert report.run.truncated  # introductions are still due past the configured horizon
     rendered = report_text(report)
     assert "truncated" in rendered
 
@@ -519,7 +549,7 @@ assert member at=30 addr=10.0.0.5
 
 
 def test_trace_header_counts_the_trace_lines():
-    report = run_scenario(parse_scenario(CHURN, name="churn"), seed=5)
+    report = run_scenario(parse_scenario(CROWD, name="crowd"), seed=5)
     lines = report_text(report).splitlines()
     header = lines.index(f"-- trace: {len(report.run)} events, truncated --")
     assert lines[header + 1 : lines.index(f"-- actions: {len(report.actions)} --")] == list(report.trace)
@@ -604,14 +634,14 @@ def test_a_world_payload_renders_as_the_dict_it_replaced(kind, payload, old):
 def test_a_finished_world_is_freed_by_reference_counting():
     # No handler table or payload refers back to the world, so with the cyclic
     # collector off it dies with its last reference.
-    script = parse_scenario(CHURN, name="churn")
+    script = parse_scenario(CROWD, name="crowd")
     gc.disable()
     try:
         engine = Engine(5)
         world = World(engine, script.config)
         for line in script.events:
             schedule_line(engine, line)
-        # Router refreshes recur to the horizon: at 600 they bring the run past 50 events.
+        # By 600 every introduction, ack and expiry has run: more than 50 events.
         assert len(engine.run(world.handle, horizon=600)) > 50
         assert len(world.actions) > 20
         freed = weakref.ref(world)

@@ -63,7 +63,7 @@ def test_node_record_validation():
 
 def test_map_build_sorts_and_rejects_duplicates():
     nmap = build_map([30, 10, 20])
-    assert [int(a) for a in nmap.addresses()] == [10, 20, 30]
+    assert [int(r.address) for r in nmap.members] == [10, 20, 30]
     with pytest.raises(ValueError):
         build_map([10, 10])
 
@@ -72,7 +72,7 @@ def test_map_mutations_are_snapshots():
     nmap = build_map([10, 20])
     bigger = nmap.add(NodeRecord(addr(15)))
     assert len(nmap) == 2 and len(bigger) == 3
-    assert [int(a) for a in bigger.addresses()] == [10, 15, 20]
+    assert [int(r.address) for r in bigger.members] == [10, 15, 20]
     with pytest.raises(ValueError):
         bigger.add(NodeRecord(addr(15)))
 
@@ -133,7 +133,7 @@ def test_cluster_index_is_rank_over_size_exhaustively():
     nmap = build_map(range(10, 74))
     for size in (1, 3, 5, 8, 64, 100):
         plan = form_clusters(nmap, size)
-        assert plan.members == nmap.addresses()
+        assert plan.members == tuple(r.address for r in nmap.members)
         for ci, cluster in enumerate(plan.clusters):
             for a in cluster:
                 assert plan.members.index(a) // size == ci
@@ -152,7 +152,7 @@ def test_subdivide_even_and_odd():
     lower, upper = subdivide(build_map(range(1, 12)), 6)
     # the extra member goes to the lower-address half
     assert len(lower) == 6 and len(upper) == 5
-    assert max(int(a) for a in lower.addresses()) < min(int(a) for a in upper.addresses())
+    assert max(int(r.address) for r in lower.members) < min(int(r.address) for r in upper.members)
 
 
 def test_subdivide_checks_mass():
@@ -176,8 +176,8 @@ def test_subdivide_repeatedly_reaches_critical_mass():
                 nxt.append(m)
         maps = nxt
     assert [len(m) for m in maps] == [256, 256, 256, 256]
-    total = sorted(a for m in maps for a in m.addresses())
-    assert total == sorted(build_map(range(1, 1025)).addresses())
+    total = sorted(r.address for m in maps for r in m.members)
+    assert total == sorted(r.address for r in build_map(range(1, 1025)).members)
 
 
 MIN_CLIENTS = 3

@@ -11,20 +11,26 @@ neighborhood that has a router candidate has a live router.
 
 A second property times failovers: a router that flaps down and up fails
 over when a walk of the beacon and monitor chains that the failover timer
-replaced says it would. A third checks that the action log, which holds back
-actions stamped after the clock, reads as the stable time sort of what was
-recorded.
+replaced says it would. A third maps strays: a world that queues a router's
+refresh only while a stray lies in its span gives the verdicts and action lines
+of ChainWorld, the recurring refresh chain it replaced. A fourth checks that
+the action log, which holds back actions stamped after the clock, reads as the
+stable time sort of what was recorded.
 """
 
 from collections import Counter
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from outcomes import ShuffledEngine
 
+from peermesh import scenario
 from peermesh.scenario import (
     BEACON_TIMEOUT_FACTOR,
+    KIND_TIMER,
+    RouterRefresh,
     World,
     WorldConfig,
     parse_scenario,
@@ -224,6 +230,110 @@ def test_a_router_fails_over_when_the_beacon_and_monitor_chains_would(instances,
     assert elected.get("addr") == "10.5.0.1"
     expired = [a.at for a in report.actions if a.kind == "beacon-expired"]
     assert (expired[0] if expired else None) == walked_failover(elected.at, period, timed)
+
+
+class ChainWorld(World):
+    """The refresh as it ran before it was queued on demand: each router start
+    begins a chain that ticks every refresh_period, and a tick maps the strays
+    in the span and reschedules itself while its start is the latest one and
+    its router is live."""
+
+    def _start_router(self, nid):
+        super()._start_router(nid)
+        refresh = RouterRefresh(nid, self.neighborhoods[nid].incarnation)
+        self.engine.schedule(self.engine.now + self.config.refresh_period, KIND_TIMER, payload=refresh)
+
+    def _want_refresh(self, nid):
+        pass
+
+    def _on_refresh(self, now, refresh):
+        hood = self.neighborhoods.get(refresh.neighborhood)
+        if hood is not None and hood.incarnation == refresh.incarnation and self._live(hood.router):
+            World._on_refresh(self, now, refresh)
+            self.engine.schedule(now + self.config.refresh_period, KIND_TIMER, payload=refresh)
+
+    _ON = {**World._ON, RouterRefresh: _on_refresh}
+
+
+@st.composite
+def stray_scripts(draw):
+    """Downloads on a narrow address range with an excerpt of at most one, so a
+    download whose nearest registrant is down becomes a stray, often inside a
+    span. The first instance outranks the rest, so it routes its neighborhood
+    whenever it is live. After each download come down and up lines, each for
+    the first instance or the newest one, and router flaps: the first instance
+    goes down and comes back. A critical mass may split, and the horizon is 60
+    units past the last line."""
+    addrs = draw(st.lists(st.integers(1, 24), min_size=3, max_size=8, unique=True))
+    config = (
+        f"config min_clients={draw(st.integers(0, 2))} excerpt_cap={draw(st.integers(0, 1))}"
+        f" beacon_period={draw(st.integers(1, 12))} refresh_period={draw(st.integers(1, 16))}"
+        + draw(st.sampled_from(["", " critical_mass=2", " critical_mass=3"]))
+    )
+    lines, at = [], 0
+    for i, addr in enumerate(addrs):
+        at += draw(st.integers(0, 8))
+        uptime = "1.0" if i == 0 else draw(st.sampled_from(["0.5", "0.95"]))
+        lines.append(f"at={at} event=download addr=10.7.0.{addr} uptime={uptime}")
+        flaps = st.tuples(st.integers(0, 10), st.sampled_from(["down", "up", "down up"]), st.sampled_from([0, i]))
+        for gap, kinds, k in draw(st.lists(flaps, max_size=3)):
+            for kind in kinds.split():
+                at += gap
+                lines.append(f"at={at} event={kind} addr=10.7.0.{addrs[0 if kinds == 'down up' else k]}")
+    lines += [f"assert member addr=10.7.0.{a}" for a in addrs]
+    return "\n".join([f"{config} horizon={at + 60}", *lines])
+
+
+def verdicts_and_actions(world, text, seed):
+    with mock.patch.object(scenario, "World", world):
+        report = run_scenario(parse_scenario(text, name="strays"), seed=seed, trace=False)
+    return [c.passed for c in report.checks], sorted(report.actions.lines)
+
+
+# 10.6.0.27 takes over from 10.6.0.20 at 47, and 10.6.0.22 is a stray in its
+# span from 72, mapped by its tick at 73. The chain queued that tick at 60,
+# before the introduction due at 73; the world queues it at 72, after it, so
+# the mapped line moves within its unit (found by a differential replay).
+WITHIN_UNIT = """
+config min_clients=0 excerpt_cap=1 beacon_period=3 refresh_period=13
+at=0 event=download addr=10.6.0.33 uptime=0.65
+at=5 event=download addr=10.6.0.20 uptime=0.92
+at=11 event=download addr=10.6.0.27 uptime=0.93
+at=19 event=download addr=10.6.0.38 uptime=0.91
+at=43 event=download addr=10.6.0.7 uptime=0.53
+at=43 event=down addr=10.6.0.20
+at=47 event=download addr=10.6.0.24 uptime=0.50
+at=72 event=download addr=10.6.0.22 uptime=0.79
+assert member addr=10.6.0.22
+"""
+
+
+# Router 10.7.0.1 starts at 1. 10.7.0.8 is a stray from 3, due at 11, but the
+# router flaps first, so the tick at 11 is void and its return at 5 maps the
+# stray at 15. 10.7.0.4 is a stray from 25, a tick of that return: mapped then.
+FLAP_AND_TICK = """
+config min_clients=0 excerpt_cap=1 beacon_period=10 refresh_period=10
+at=0 event=download addr=10.7.0.1 uptime=1.0
+at=1 event=download addr=10.7.0.9 uptime=0.95
+at=2 event=download addr=10.7.0.5 uptime=0.95
+at=2 event=down addr=10.7.0.9
+at=3 event=download addr=10.7.0.8 uptime=0.95
+at=4 event=down addr=10.7.0.1
+at=5 event=up addr=10.7.0.1
+at=20 event=down addr=10.7.0.5
+at=25 event=download addr=10.7.0.4 uptime=0.95
+assert member at=16 addr=10.7.0.8
+assert isolated at=25 addr=10.7.0.4
+assert member at=26 addr=10.7.0.4
+"""
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=stray_scripts(), seed=st.integers(0, 7))
+@example(text=WITHIN_UNIT, seed=7)
+@example(text=FLAP_AND_TICK, seed=7919)
+def test_a_router_maps_strays_when_the_refresh_chain_would(text, seed):
+    assert verdicts_and_actions(World, text, seed) == verdicts_and_actions(ChainWorld, text, seed)
 
 
 # (clock step, how far past the clock the action is stamped): each action is
