@@ -11,6 +11,7 @@ exactly once: delivered on reactivation or expired at their deadline.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
@@ -65,30 +66,51 @@ class IntroductionQueue:
     """Held introductions for offline targets, keyed by (sender, target).
 
     Delivery and expiry pop what they return, so each introduction resolves
-    exactly once; both return in queue order.
+    exactly once; both return in queue order. The queue is indexed by target
+    and by deadline, so each call costs about what it returns: delivery reads
+    only its target's items, and expiry pops a heap of (deadline, queue order,
+    item) whose entries for items already resolved are dropped as they surface.
     """
 
     def __init__(self):
         self._items: dict[tuple[NodeAddress, NodeAddress], Introduction] = {}
+        self._by_target: dict[NodeAddress, dict[NodeAddress, Introduction]] = {}  # target -> sender -> item
+        self._deadlines: list[tuple[int, int, Introduction]] = []
+        self._added = 0
 
     def add(self, sender: NodeAddress, target: NodeAddress, deadline: int) -> Introduction:
         if (sender, target) in self._items:
             raise ValueError(f"introduction {sender} -> {target} is already pending")
         item = self._items[sender, target] = Introduction(sender, target, deadline)
+        self._by_target.setdefault(target, {})[sender] = item
+        heapq.heappush(self._deadlines, (deadline, self._added, item))
+        self._added += 1
         return item
 
-    def _pop(self, due: Callable[[Introduction], bool]) -> list[Introduction]:
-        out = [item for item in self._items.values() if due(item)]
-        for item in out:
-            del self._items[item.sender, item.target]
-        return out
+    def _resolve(self, item: Introduction) -> None:
+        del self._items[item.sender, item.target]
+        senders = self._by_target[item.target]
+        del senders[item.sender]
+        if not senders:
+            del self._by_target[item.target]
 
     def deliver_for(self, target: NodeAddress, now: int) -> list[Introduction]:
         """Hand over everything queued for a reactivated target before its deadline."""
-        return self._pop(lambda item: item.target == target and now < item.deadline)
+        out = [item for item in self._by_target.get(target, {}).values() if now < item.deadline]
+        for item in out:
+            self._resolve(item)
+        return out
 
     def expire_due(self, now: int) -> list[Introduction]:
-        return self._pop(lambda item: now >= item.deadline)
+        heap, due = self._deadlines, []
+        while heap and heap[0][0] <= now:
+            _deadline, order, item = heapq.heappop(heap)
+            if self._items.get((item.sender, item.target)) is item:  # pending, and not since requeued
+                due.append((order, item))
+        due.sort()
+        for _order, item in due:
+            self._resolve(item)
+        return [item for _order, item in due]
 
     def pending(self) -> tuple[Introduction, ...]:
         return tuple(self._items.values())

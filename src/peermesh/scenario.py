@@ -29,8 +29,8 @@ A download registers the instance and probes its registry excerpt in the
 excerpt's order, which is the probe order: nearest address first. Handshakes
 complete within the originating event; the sampled hop delays show up in the
 recorded action times, not in state sequencing. Runs always get a horizon
-(config, or last scripted time + 1000), which cuts long introduction fan-outs;
-hitting it marks the trace truncated, which is a defined outcome.
+(config, or last scripted time + 1000), which can cut a round short; hitting
+it marks the trace truncated, which is a defined outcome.
 
 Router lifecycle: only an election installs a router; each election, and each
 `up` of a router that was down, starts an incarnation. Its refresh ticks fall
@@ -41,16 +41,37 @@ election, but only a `down` ends a router, so neither runs as an event: the
 `down` schedules one Failover timer for the tick that finds its beacon stale. A
 return or split voids it; it runs as a no-op, cheaper than an engine cancel.
 
-A join introduces the newcomer to every member it did not probe, one hop
-delay after another: each introduction carries the targets left and the
-joiner's stream, and schedules the next as it is delivered.
+Each instance holds an attribute list from its download on, holding its own
+membership entry; `assert introduced from=A to=B` checks that B holds A's.
+Neighborhoods spread the entries by the paper's four-phase update round, run
+only when membership has changed since the last round: a join, a return, a
+mapped stray or a split stamps the neighborhood's last change, and queues a
+round start unless one is queued or running. The start is due at the later of the
+next unit and the last start plus one moderate update period of that round's
+members. It takes a snapshot of the live members in address order, cut into
+clusters of round(sqrt(n/3)) + 1, the closed-form optimum of a one-level round
+(a stand-in for an exact search), and times the round by
+timing.barrier_latency on the stream round/<nid>/<k>, k counting that
+neighborhood's rounds. The round's end gives every member of the snapshot the
+merge of the snapshot's lists, records one round action, and queues the next
+round only if membership changed in or after the unit the round started; no
+round recurs by itself. A join queues
+an introduction only for each member offline at its connect and each dead
+probe target; a delivered one gives its target the sender's entry.
 
 Ties: at one time, script event lines run first, in file order, then timed
 checks, in file order, then world events in the order they were scheduled.
 That last order should decide only the order of lines in the trace and the
 action log, not an outcome. So a commit draws all its proposal and ack delays
 when it is sent, and an ack received at the commit's deadline does not count,
-whether it runs before the deadline event or after.
+whether it runs before the deadline event or after. A round judges liveness
+by the instances' true state, which only script lines change, not by a map's
+flags, which a commit deadline changes; its snapshot counts only members
+mapped before its unit, and a change in the unit of its start is news for the
+next round, so a refresh map in that unit counts alike before or after it.
+A neighborhood that splits keeps its last map for the rounds of that unit, and
+a round whose neighborhood split in an earlier unit is void: so no two rounds
+that share a member end in one unit.
 
 The trace is rendered as the run goes: each engine event becomes its text
 line when it is dispatched, and no event is kept after its handler returns.
@@ -76,8 +97,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from . import discovery, sync
-from .simcore import DEFAULT_SEED, Engine, RandomStream, RunResult, SimEvent
+from . import discovery, sync, timing
+from .simcore import DEFAULT_SEED, Engine, RunResult, SimEvent
 from .topology import (
     DOTTED,
     NeighborhoodMap,
@@ -94,6 +115,8 @@ DEFAULT_HORIZON_MARGIN = 1000
 _REPORT_BLOCK = 1 << 16  # characters render_report hands its write at once: 64 KiB of ASCII
 # A router whose beacon is this many periods old has failed over.
 BEACON_TIMEOUT_FACTOR = 2
+# The attribute key of the entry each instance holds on its own membership.
+MEMBER_KEY = "member"
 # Engine event kinds of world events. A script line runs as its own kind,
 # except that up and down run as node-up and node-down (schedule_line).
 KIND_MESSAGE = "message-delivery"
@@ -167,7 +190,7 @@ _CHECK_KINDS = {
     "queued": ("queued", _PAIR),
     "delivered": ("delivered", _PAIR),
     "expired": ("expired", _PAIR),
-    "introduced": ("introduced", _PAIR),
+    "introduced": (None, _PAIR),
     "router": (None, _NODE),
     "no-router": (None, _NODE),
     "member": (None, _NODE),
@@ -330,7 +353,8 @@ def load_scenario(path: str | Path) -> ScenarioScript:
 
 @dataclass
 class Neighborhood:
-    """A neighborhood's membership snapshot and its router, if it has one."""
+    """A neighborhood's membership snapshot, its router, if it has one, and
+    the state of its update rounds."""
 
     map: NeighborhoodMap
     router: NodeAddress | None = None
@@ -338,6 +362,16 @@ class Neighborhood:
     started: int = 0  # when its incarnation started: its beacons and refresh ticks count from here
     incarnation: int = 0  # router starts; only the latest one's refresh and failover run
     refreshing: int = 0  # the incarnation whose refresh tick is queued, if any
+    rounds: int = 0  # rounds started, which number each round's stream
+    round_due: int = 0  # the earliest next round start: the last start plus an update period
+    pending: bool = False  # a round start is queued or a round is running
+    changed: int = -1  # the unit of the last membership change
+    split_at: int | None = None  # when the neighborhood split, which ended it
+
+
+def _membership(addr: NodeAddress) -> sync.AttributeList:
+    """A list that holds addr's membership entry alone."""
+    return sync.AttributeList((sync.AttributeEntry(MEMBER_KEY, sync.SCOPE_LOCAL, b"", 1, addr),))
 
 
 class Action(NamedTuple):
@@ -414,18 +448,22 @@ class CheckResult:
 # type's trace() renders its trace body: its keys in sorted order, then its type.
 
 
-class Introduction(NamedTuple):
-    """sender introduces itself to target; pair is their text, which the trace
-    line and the introduced action share; targets and stream are the join's fan-out left."""
-
-    sender: NodeAddress
-    target: NodeAddress
-    pair: str  # from=<sender> to=<target>
-    targets: Iterator[NodeAddress]
-    stream: RandomStream
+class RoundStart(NamedTuple):
+    neighborhood: int
+    hood: Neighborhood  # held, so that a start in the unit of its split reads the last map
 
     def trace(self) -> str:
-        return f"{self.pair} type=introduction"
+        return f"neighborhood={self.neighborhood} type=round-start"
+
+
+class RoundEnd(NamedTuple):
+    neighborhood: int
+    hood: Neighborhood
+    members: tuple[NodeAddress, ...]  # the snapshot the start took
+    latency: int
+
+    def trace(self) -> str:
+        return f"neighborhood={self.neighborhood} type=round-end"
 
 
 class Proposal(NamedTuple):
@@ -489,6 +527,8 @@ class World:
         self.directory: set[NodeAddress] = set()  # stray clients advertised in the search engine
         self.intros = discovery.IntroductionQueue()
         self.instances: dict[NodeAddress, NodeRecord] = {}
+        self.lists: dict[NodeAddress, sync.AttributeList] = {}  # each instance's attribute list
+        self.mapped_at: dict[NodeAddress, int] = {}  # when each mapped instance was first mapped
         self.neighborhoods: dict[int, Neighborhood] = {}
         self.nid_of: dict[NodeAddress, int] = {}
         self.commits: list[sync.PendingCommit] = []
@@ -565,6 +605,7 @@ class World:
             raise line.reject(f"{addr} downloaded twice")
         rec = NodeRecord(addr, **{_RECORD_FIELDS[k]: v for k, v in params.items() if k in _RECORD_FIELDS})
         self.instances[addr] = rec
+        self.lists[addr] = _membership(addr)
         excerpt = self.registry.register(addr, now, cap=self.config.excerpt_cap)
         stream = self.engine.stream(f"node/{_text(addr)}")
         result = discovery.bootstrap(excerpt, is_active=self._live, stream=stream, now=now)
@@ -576,11 +617,11 @@ class World:
         if result.connected_to is not None:
             self._act(result.finished_at, "connect", f"from={_text(addr)} to={_text(result.connected_to)}")
             self._join_via(result.finished_at, rec, result.connected_to)
-            skip = set(result.dead_targets) | {addr, result.connected_to}
-            # Joining can split the neighborhood, so resolve the current id; its snapshot never changes.
-            members = self.neighborhoods[self.nid_of[addr]].map.members
-            targets = (r.address for r in members if r.address not in skip)
-            self._introduce_next(result.finished_at, addr, targets, stream)
+            # Joining can split the neighborhood, so resolve the current id. A dead
+            # probe target among the members is already queued, and _queue_intro skips it.
+            for member in self.neighborhoods[self.nid_of[addr]].map.members:
+                if not self._live(member.address):
+                    self._queue_intro(result.finished_at, addr, member.address)
         else:
             self.directory.add(addr)
             for nid in self.neighborhoods:
@@ -597,16 +638,20 @@ class World:
             pair = [self.instances[target], rec]
             self.neighborhoods[nid] = Neighborhood(NeighborhoodMap.build(pair))
             self.nid_of[target] = nid
+            self.mapped_at[target] = self.engine.now
         else:
             hood = self.neighborhoods[nid]
             hood.map = hood.map.add(rec)
         self.nid_of[rec.address] = nid
+        self.mapped_at[rec.address] = self.engine.now
         self._act(at, "joined", f"addr={_text(rec.address)} neighborhood={nid}")
         self._post_membership(nid)
 
-    def _post_membership(self, nid: int) -> None:
+    def _post_membership(self, nid: int, news: bool = True) -> None:
         """Elect a router if there is none, start it and map the strays in its
-        span; queue a refresh for any stray left there; then split past critical mass."""
+        span; split past critical mass; else queue a refresh for any stray left
+        in the span, and a round if membership changed: news says whether it
+        did before this call."""
         hood, now = self.neighborhoods[nid], self.engine.now
         if hood.router is None:
             hood.router = elect_router(hood.map, self.config.min_clients)
@@ -614,11 +659,16 @@ class World:
                 self._act(now, "elected", f"addr={_text(hood.router)} neighborhood={nid}")
                 hood.elected = now
                 self._start_router(nid)
-                self._router_refresh(nid)
-        self._want_refresh(nid)
+                news |= self._router_refresh(nid)
         cm = self.config.critical_mass
         if cm is not None and len(hood.map) > cm:
             self._apply_subdivide(nid, cm)
+            return
+        self._want_refresh(nid)
+        if news:
+            hood.changed = now
+            if not hood.pending:
+                self._queue_round(nid, hood)
 
     def _start_router(self, nid: int) -> None:
         hood = self.neighborhoods[nid]
@@ -644,6 +694,7 @@ class World:
             return  # already up: like a down for a down instance, it changes nothing
         nid = self._set_active(line, True)
         for intro in self.intros.deliver_for(addr, now):
+            self.lists[addr].absorb(_membership(intro.sender))
             self._act(now, "delivered", f"from={_text(intro.sender)} to={_text(addr)}")
         if nid is not None:
             if self.neighborhoods[nid].router == addr:
@@ -667,31 +718,55 @@ class World:
             due = hood.elected - (hood.elected - stale) // period * period  # the first tick at or after stale
             self.engine.schedule(due, KIND_TIMER, payload=Failover(nid, hood.incarnation))
 
+    # -- update rounds -----------------------------------------------------
+
+    def _queue_round(self, nid: int, hood: Neighborhood) -> None:
+        hood.pending = True
+        due = max(self.engine.now + 1, hood.round_due)
+        self.engine.schedule(due, KIND_TIMER, payload=RoundStart(nid, hood))
+
+    def _on_round_start(self, now: int, start: RoundStart) -> None:
+        """Snapshot the live members mapped before this unit and time the
+        round. A change in this unit is news for the next round."""
+        nid, hood = start
+        if hood.split_at is not None and hood.split_at < now:
+            return
+        instances, mapped_at = self.instances, self.mapped_at
+        members = [
+            r.address for r in hood.map.members if mapped_at[r.address] < now and instances[r.address].active
+        ]
+        if len(members) < 2:
+            hood.pending = False
+            if hood.changed == now:
+                self._queue_round(nid, hood)
+            return
+        stream = self.engine.stream(f"round/{nid}/{hood.rounds}")
+        hood.rounds += 1
+        n = len(members)
+        size = round(math.sqrt(n / 3)) + 1
+        chain_hops = [min(size, n - i) - 1 for i in range(0, n, size)]
+        latency = timing.barrier_latency(chain_hops, stream.hop_delay)
+        hood.round_due = now + sync.update_period("moderate", [instances[a].metric for a in members])
+        end = RoundEnd(nid, hood, tuple(members), latency)
+        self.engine.schedule(now + latency, KIND_MESSAGE, payload=end)
+
+    def _on_round_end(self, now: int, end: RoundEnd) -> None:
+        """Give every member of the snapshot the merge of their lists, unless
+        the neighborhood split in an earlier unit; queue the next round if
+        membership changed in or after the unit the round started."""
+        nid, hood, members, latency = end
+        if hood.split_at is not None and hood.split_at < now:
+            return
+        lists = self.lists
+        merged = sync.merge_all([lists[a] for a in members])
+        for addr in members:
+            lists[addr] = merged.copy()
+        self._act(now, "round", f"latency={latency} members={len(members)} neighborhood={nid}")
+        hood.pending = False
+        if hood.changed >= now - latency:
+            self._queue_round(nid, hood)
+
     # -- introductions -----------------------------------------------------
-
-    def _introduce_next(
-        self, now: int, sender: NodeAddress, targets: Iterator[NodeAddress], stream: RandomStream
-    ) -> None:
-        """Schedule sender's introduction to the next of targets, if any is left."""
-        target = next(targets, None)
-        if target is not None:
-            pair = f"from={_text(sender)} to={_text(target)}"
-            # tuple.__new__ skips the NamedTuple's Python-level __new__: one per introduction.
-            intro = tuple.__new__(Introduction, (sender, target, pair, targets, stream))
-            self.engine.schedule(now + stream.hop_delay(), KIND_MESSAGE, payload=intro)
-
-    def _on_introduction(self, now: int, intro: Introduction) -> None:
-        # The world's most frequent event: _live and _act are inlined.
-        sender, target, pair, targets, stream = intro
-        rec = self.instances.get(target)
-        if rec is not None and rec.active:
-            later = self._later
-            if later and later[0][0] <= now:
-                self._settle(now)
-            self._lines.append(f"[{now:>6}] introduced {pair}")
-        else:
-            self._queue_intro(now, sender, target)
-        self._introduce_next(now, sender, targets, stream)
 
     def _queue_intro(self, at: int, sender: NodeAddress, target: NodeAddress) -> None:
         if (sender, target) in self.intros:
@@ -785,7 +860,7 @@ class World:
         except NoSplitNeeded:
             self._act(now, "no-split", f"neighborhood={nid} members={len(nmap)}")
             return
-        del self.neighborhoods[nid]
+        self.neighborhoods.pop(nid).split_at = now
         for half in (lower, upper):
             hid = next(self._nids)
             self.neighborhoods[hid] = Neighborhood(half)
@@ -812,8 +887,7 @@ class World:
         hood = self.neighborhoods.get(refresh.neighborhood)
         if hood is not None and hood.incarnation == refresh.incarnation and self._live(hood.router):
             hood.refreshing = 0
-            self._router_refresh(refresh.neighborhood)
-            self._post_membership(refresh.neighborhood)
+            self._post_membership(refresh.neighborhood, news=self._router_refresh(refresh.neighborhood))
 
     def _on_failover(self, now: int, failover: Failover) -> None:
         """Fail the router over, unless its neighborhood split or it came back since it went down."""
@@ -823,19 +897,21 @@ class World:
             return
         self._act(now, "beacon-expired", f"addr={_text(hood.router)} neighborhood={nid}")
         hood.router = None
-        self._post_membership(nid)
+        self._post_membership(nid, news=False)
         if hood.router is None:
             self._act(now, "no-router", f"neighborhood={nid}")
 
-    def _router_refresh(self, nid: int) -> None:
-        """Map the advertised strays inside the router's span."""
-        hood = self.neighborhoods[nid]
+    def _router_refresh(self, nid: int) -> bool:
+        """Map the advertised strays inside the router's span; whether it mapped any."""
+        hood, now = self.neighborhoods[nid], self.engine.now
         hood.map, added = discovery.router_refresh(
             hood.router, self.directory, hood.map, self.instances.__getitem__
         )
         for addr in added:
             self.nid_of[addr] = nid
-            self._act(self.engine.now, "mapped", f"addr={_text(addr)} neighborhood={nid}")
+            self.mapped_at[addr] = now
+            self._act(now, "mapped", f"addr={_text(addr)} neighborhood={nid}")
+        return bool(added)
 
     # -- checks ---------------------------------------------------------------
 
@@ -853,6 +929,15 @@ class World:
             candidates = map(Action.parse, (line for line in self.actions.lines if marker in line))
             ok = any(a.kind == action and all(f in a.fields() for f in want) for a in candidates)
             return CheckResult(check, ok, "" if ok else "no matching action")
+        if kind == "introduced":
+            # Whether a holder other than an owner holds the owner's membership entry.
+            lists = self.lists
+            owners = [p["from"]] if "from" in p else list(lists)
+            holders = [p["to"]] if "to" in p else list(lists)
+            ok = any(
+                lists[h].get(MEMBER_KEY, o) is not None for h in holders if h in lists for o in owners if o != h
+            )
+            return CheckResult(check, ok, "" if ok else "no such entry held")
         addr = p.get("addr")
         if kind in ("router", "no-router"):
             if addr not in self.instances:
@@ -892,7 +977,8 @@ class World:
         "send": _on_send,
         "subdivide": _on_subdivide,
         ScriptCheck: _on_check,
-        Introduction: _on_introduction,
+        RoundStart: _on_round_start,
+        RoundEnd: _on_round_end,
         Proposal: _on_proposal,
         CommitAck: _on_commit_ack,
         CommitDeadline: _on_commit_deadline,

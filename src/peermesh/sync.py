@@ -170,6 +170,20 @@ def merge_lists(a: AttributeList, b: AttributeList) -> AttributeList:
     return merged
 
 
+def merge_all(lists: Iterable[AttributeList]) -> AttributeList:
+    """The merge of every list: what each member holds after a round in which
+    nobody is lost. A copy of the largest storage absorbs each other distinct
+    storage once, so members that share storage, as a round leaves them, cost
+    one merge between them."""
+    distinct = list({id(lst._entries): lst for lst in lists}.values())
+    big = max(distinct, key=len)
+    merged = big.copy()
+    for lst in distinct:
+        if lst is not big:
+            merged.absorb(lst)
+    return merged
+
+
 # ---------------------------------------------------------------------------
 # Update rounds
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ uses only the low h - 4*(ceil(h/4) - 1) digits of its last; the ring is one
 such chain. A trial's draws are contiguous, in phase order: forward chains,
 ring, redistribute chains. Every statistic is reproducible from (dims,
 trials, seed, mode) alone, and trial i is the same whatever the trial count.
+barrier_latency computes one trial's total from hop delays handed over one at
+a time; a scenario world times its rounds with it.
 
 The functions that draw and summarize import numpy, and the table of digit
 sums is built at the first draw, so that importing timing, as the command
@@ -31,9 +33,10 @@ line does, loads none.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .simcore import DEFAULT_SEED, DRAW_SPAN, HOPS_PER_DRAW, RandomStream, digit_sums, units_to_ms
 
@@ -136,6 +139,23 @@ def _draw_trials(dims: HopsArrayDims, stream: RandomStream, mode: str, size: int
             forward_sums.sum(axis=1),
         )
     )
+
+
+def barrier_latency(chain_hops: Sequence[int], draw: Callable[[], int]) -> int:
+    """One round's latency under the barrier schedule, each phase starting
+    when the last one ends: twice the slowest forward chain (the reverse pass
+    retraces it), the ring's 2*(chains-1) hops, and the slowest of freshly
+    drawn redistribute chains. chain_hops gives each chain's hops, and draw
+    each hop's delay, taken in that order: forward chains, ring, redistribute
+    chains. Over a trial's hop delays in that order, this is the trial's
+    total in MODE_EQUATION_LITERAL."""
+
+    def slowest_chain() -> int:
+        return max(sum(draw() for _ in range(hops)) for hops in chain_hops)
+
+    forward = slowest_chain()
+    ring = sum(draw() for _ in range(2 * (len(chain_hops) - 1)))
+    return 2 * forward + ring + slowest_chain()
 
 
 def block_stream(seed: int, dims: HopsArrayDims, mode: str, block: int) -> RandomStream:

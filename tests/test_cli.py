@@ -421,13 +421,21 @@ def test_closed_stdout_exits_141_quietly_and_points_stdout_at_devnull(
     assert capsys.readouterr().err == ""
 
 
+def write_many(tmp_path):
+    """A script whose report is about five 64 KiB blocks: each of its 60 sends
+    puts a proposal and an ack per member, 39 of each, in the trace."""
+    script = tmp_path / "many.scenario"
+    script.write_text(
+        "".join(f"at={i} event=download addr=10.0.0.{i + 1} domain=alpha\n" for i in range(40))
+        + "".join(f"at={100 + 10 * i} event=send addr=10.0.0.1 key=k{i}\n" for i in range(60))
+    )
+    return script
+
+
 def test_unbuffered_report_to_a_reader_that_closes_early_exits_141(tmp_path):
     # Unbuffered, stdout is a raw file: once the reader goes, the report's
     # write returns short instead of raising, so the rest must be written.
-    script = tmp_path / "many.scenario"
-    script.write_text(
-        "".join(f"at={5 * i} event=download addr=10.0.0.{i + 1} domain=alpha\n" for i in range(60))
-    )
+    script = write_many(tmp_path)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONUNBUFFERED": "1", "PYTHONPATH": src}
     with subprocess.Popen(
@@ -460,10 +468,7 @@ class CountingRaw(io.RawIOBase):
 
 def test_an_unbuffered_report_is_written_in_blocks_not_lines(monkeypatch, tmp_path):
     # Unbuffered, each write to a raw stdout is a syscall of its own.
-    script = tmp_path / "many.scenario"
-    script.write_text(
-        "".join(f"at={5 * i} event=download addr=10.0.0.{i + 1} domain=alpha\n" for i in range(100))
-    )
+    script = write_many(tmp_path)
     raw = CountingRaw()
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii", write_through=True))
     assert cli.main(["scenario", "run", str(script)]) == 0

@@ -1,12 +1,14 @@
-"""Property test: the registry excerpt is the cap nearest other known
-addresses by (distance, address), whatever the order of registration."""
+"""Property tests: the registry excerpt is the cap nearest other known
+addresses by (distance, address), whatever the order of registration, and the
+indexed introduction queue returns what a scan of every pending item would."""
 
 import heapq
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from peermesh.discovery import DownloadRegistry
+from peermesh.discovery import DownloadRegistry, Introduction, IntroductionQueue
 from peermesh.topology import address_distance, parse_address
 
 TOP = 2**32 - 1
@@ -43,3 +45,66 @@ def test_register_ties_and_re_registration():
     assert reg.register(parse_address(3), 7, cap=9) == tuple(
         map(parse_address, (2, 4, 0, 8, TOP - 1, TOP))
     )
+
+
+class ScannedQueue:
+    """The introduction queue as a list in queue order, scanned on every call."""
+
+    def __init__(self):
+        self.items: list[Introduction] = []
+
+    def add(self, sender, target, deadline):
+        if any((i.sender, i.target) == (sender, target) for i in self.items):
+            raise ValueError("already pending")
+        self.items.append(Introduction(sender, target, deadline))
+
+    def _pop(self, due):
+        out = [i for i in self.items if due(i)]
+        self.items = [i for i in self.items if not due(i)]
+        return out
+
+    def deliver_for(self, target, now):
+        return self._pop(lambda i: i.target == target and now < i.deadline)
+
+    def expire_due(self, now):
+        return self._pop(lambda i: now >= i.deadline)
+
+
+PEERS = [parse_address(0x0A000000 + k) for k in range(4)]
+queue_calls = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(PEERS), st.sampled_from(PEERS), st.integers(0, 12)),
+        st.tuples(st.just("deliver_for"), st.sampled_from(PEERS)),
+        st.tuples(st.just("expire_due")),
+    ),
+    max_size=40,
+)
+
+
+# A pair delivered and queued again: the first item's deadline entry must not expire the second.
+REQUEUED = [("add", PEERS[0], PEERS[1], 2), ("deliver_for", PEERS[1]), ("add", PEERS[0], PEERS[1], 10), ("expire_due",)]
+
+
+@settings(max_examples=300)
+@given(queue_calls, st.lists(st.integers(0, 3), min_size=40, max_size=40))
+@example(REQUEUED, [0, 0, 0, 5] + [0] * 36)
+def test_the_introduction_queue_returns_what_a_scan_would(calls, steps):
+    queue, scanned = IntroductionQueue(), ScannedQueue()
+    now = 0
+    for call, step in zip(calls, steps):
+        now += step
+        if call[0] == "add":
+            _, sender, target, timeout = call
+            if (sender, target) in queue:
+                with pytest.raises(ValueError):
+                    queue.add(sender, target, now + timeout)
+                with pytest.raises(ValueError):
+                    scanned.add(sender, target, now + timeout)
+            else:
+                queue.add(sender, target, now + timeout)
+                scanned.add(sender, target, now + timeout)
+        elif call[0] == "deliver_for":
+            assert queue.deliver_for(call[1], now) == scanned.deliver_for(call[1], now)
+        else:
+            assert queue.expire_due(now) == scanned.expire_due(now)
+        assert list(queue.pending()) == scanned.items

@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 import sys
 import weakref
@@ -6,7 +7,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from outcomes import report_text
+from outcomes import assert_same_outcome, report_text, run_shuffled
 
 from peermesh import cli, scenario
 from peermesh.scenario import (
@@ -21,8 +22,9 @@ from peermesh.scenario import (
     run_scenario,
     schedule_line,
 )
-from peermesh.simcore import Engine
-from peermesh.topology import NodeAddress, parse_address
+from peermesh.simcore import Engine, RandomStream
+from peermesh.timing import barrier_latency
+from peermesh.topology import NeighborhoodMap, NodeAddress, parse_address
 
 
 def bundled(name: str) -> str:
@@ -253,6 +255,132 @@ def test_a_down_for_a_down_router_times_no_second_failover():
     ]
 
 
+# Downloads alone, one every 7 units: one neighborhood whose rounds each take
+# in the joins made while the last one ran.
+STEADY = "".join(f"at={7 * i} event=download addr=10.6.{i // 50}.{i % 50 + 1}\n" for i in range(90))
+
+
+@pytest.mark.parametrize("seed", [5, 7919])
+def test_a_round_takes_the_barrier_latency_of_its_stream(seed):
+    report = run_scenario(parse_scenario(STEADY, name="steady"), seed=seed, trace=False)
+    assert not report.run.truncated  # no news after the last round: the queue drains
+    rounds = [a for a in report.actions if a.kind == "round"]
+    assert len({a.get("members") for a in rounds}) > 3  # rounds of many sizes
+    for k, action in enumerate(rounds):
+        assert action.get("neighborhood") == "0"
+        n = int(action.get("members"))
+        size = round(math.sqrt(n / 3)) + 1  # a one-level round's closed-form optimum
+        chain_hops = [min(size, n - i) - 1 for i in range(0, n, size)]
+        stream = RandomStream(seed, f"round/0/{k}")
+        assert int(action.get("latency")) == barrier_latency(chain_hops, stream.hop_delay)
+
+
+# Scripts in which a router's tick maps a stray in the unit where a round starts
+# or ends, each with that unit. Both are world events, so either may run first.
+ROUND_TIES = {
+    # 10.9.0.2's join is news, so a round starts at 1, and the tick at 1 maps
+    # 10.9.0.3, a stray in the router's span since 0. The round counts only
+    # members mapped before its unit, so 10.9.0.3 waits for the next round.
+    "mapped-at-round-start": (
+        """
+config min_clients=0 excerpt_cap=1 refresh_period=1
+at=0 event=download addr=10.9.0.1 uptime=1.0
+at=0 event=download addr=10.9.0.4
+at=0 event=down addr=10.9.0.4
+at=0 event=download addr=10.9.0.3
+at=0 event=download addr=10.9.0.2
+""",
+        1,
+    ),
+    # 10.9.0.4's join queues a round start at 1, and the tick at 1 maps
+    # 10.9.0.3 and splits the neighborhood: a start after the split reads the
+    # map the neighborhood last had, so the round runs either way.
+    "split-at-round-start": (
+        """
+config min_clients=0 excerpt_cap=1 refresh_period=1 critical_mass=3
+at=0 event=download addr=10.9.0.1 uptime=1.0
+at=0 event=download addr=10.9.0.4
+at=0 event=download addr=10.9.0.2
+at=0 event=down addr=10.9.0.2
+at=0 event=download addr=10.9.0.3
+""",
+        1,
+    ),
+    # 10.9.0.4's join at 2 queues a round start at 3, which finds only
+    # 10.9.0.1 live, while the tick at 3 maps 10.9.0.3 and splits the
+    # neighborhood. The start reads the change stamped at 2, not the stray
+    # mapped at 3, so it queues no further start in either order.
+    "split-at-an-empty-round-start": (
+        """
+config min_clients=0 excerpt_cap=2 refresh_period=3 critical_mass=3
+at=0 event=download addr=10.9.0.1 uptime=1.0
+at=0 event=download addr=10.9.0.2
+at=0 event=down addr=10.9.0.2
+at=2 event=download addr=10.9.0.4
+at=2 event=down addr=10.9.0.4
+at=2 event=download addr=10.9.0.3
+""",
+        3,
+    ),
+    # The round from 1 ends at 8 at the default seed, when the tick maps
+    # 10.9.0.4 and splits the neighborhood: the round counts either way.
+    "split-at-round-end": (
+        """
+config min_clients=0 excerpt_cap=1 refresh_period=1 critical_mass=3
+at=0 event=download addr=10.9.0.1 uptime=1.0
+at=0 event=download addr=10.9.0.8
+at=0 event=download addr=10.9.0.5
+at=0 event=down addr=10.9.0.5
+at=8 event=download addr=10.9.0.4
+""",
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TIES)
+def test_a_round_that_ties_with_a_map_has_one_outcome_in_every_order(name):
+    text, unit = ROUND_TIES[name]
+    script = parse_scenario(text, name=name)
+    want = report_text(run_scenario(script))
+    stamp = f"[{unit:>6}]"
+    orders = set()
+    for order_seed in range(20):
+        got = run_shuffled(script, order_seed)
+        at_unit = [line for line in got.trace if line.startswith(stamp) and "type=" in line]  # world events
+        orders.add(tuple(line.endswith("router-refresh") for line in at_unit))
+        assert_same_outcome(report_text(got), want)
+    assert len(orders) == 2  # the tick ran before the round's event in some orders, after it in others
+
+
+def test_a_stray_mapped_in_the_unit_of_a_round_start_waits_for_the_next_round():
+    report = run_scenario(parse_scenario(ROUND_TIES["mapped-at-round-start"][0], name="mapped"))
+    assert [a.render() for a in report.actions if a.kind in ("mapped", "round")] == [
+        "[     1] mapped addr=10.9.0.3 neighborhood=0",
+        "[     8] round latency=7 members=2 neighborhood=0",
+        "[    77] round latency=26 members=3 neighborhood=0",
+    ]
+
+
+# The round that starts at 2 would end at 9, but its neighborhood splits at 3.
+SPLIT_MID_ROUND = """
+at=0 event=download addr=10.9.0.1
+at=1 event=download addr=10.9.0.2
+at=2 event=download addr=10.9.0.3
+at=2 event=download addr=10.9.0.4
+at=3 event=subdivide addr=10.9.0.1 critical_mass=2
+"""
+
+
+def test_a_round_whose_neighborhood_split_while_it_ran_is_void():
+    report = run_scenario(parse_scenario(SPLIT_MID_ROUND, name="split-mid-round"))
+    assert "[     9] message-delivery neighborhood=0 type=round-end" in report.trace
+    assert [a.render() for a in report.actions if a.kind == "round"] == [
+        "[    22] round latency=18 members=2 neighborhood=2",
+        "[    34] round latency=30 members=2 neighborhood=1",
+    ]
+
+
 SPLIT = """
 config critical_mass=4
 
@@ -336,6 +464,30 @@ def test_a_stray_mapped_at_election_splits_the_neighborhood_once(monkeypatch):
     assert all(nid in world.neighborhoods for nid in world.nid_of.values())
 
 
+# 10.9.0.10's join stretches neighborhood 0's span over 10.9.0.8, a stray, and
+# splits it. Only the half whose span holds the stray sees it, and maps it at
+# once, as its new router starts.
+SPLIT_OVER_A_STRAY = """
+config min_clients=0 critical_mass=3 excerpt_cap=2 refresh_period=10
+at=0 event=download addr=10.9.0.8
+at=0 event=down addr=10.9.0.8
+at=1 event=download addr=10.9.0.1 uptime=1.0
+at=2 event=download addr=10.9.0.2
+at=3 event=download addr=10.9.0.3
+at=4 event=download addr=10.9.0.10
+"""
+
+
+def test_a_join_that_splits_queues_no_refresh_for_the_neighborhood_it_ends():
+    report = run_scenario(parse_scenario(SPLIT_OVER_A_STRAY, name="split-over-a-stray"))
+    assert [a.render() for a in report.actions if a.kind in ("subdivided", "mapped")] == [
+        "[     4] subdivided source=0 neighborhood=1 members=2",
+        "[     4] subdivided source=0 neighborhood=2 members=2",
+        "[     4] mapped addr=10.9.0.8 neighborhood=2",
+    ]
+    assert not [line for line in report.trace if line.endswith("type=router-refresh")]
+
+
 COMMIT_VALUES = """
 at=0 event=download addr=10.5.0.1
 at=10 event=download addr=10.5.0.2
@@ -396,14 +548,23 @@ assert {check} from=10.0.0.21 to=10.0.0.12
 """
 
 
-@pytest.mark.parametrize(
-    "check,kind", [("connected", "connect"), ("introduced", "introduced"), ("queued", "queued")]
-)
+@pytest.mark.parametrize("check,kind", [("connected", "connect"), ("queued", "queued")])
 def test_an_action_check_matches_whole_fields_only(check, kind):
     world = World(Engine(1), WorldConfig())
     tail = " deadline=90" if kind == "queued" else ""
     world._act(5, kind, f"from=10.0.0.12 to=10.0.0.21{tail}")
     checks = parse_scenario(NEAR_MISSES.format(check=check)).checks
+    assert [world._evaluate(c).passed for c in checks] == [True, True, False, False, False, False]
+
+
+def test_an_introduced_check_matches_whole_addresses_only():
+    # The near misses, against the lists: 10.0.0.21 holds 10.0.0.12's
+    # membership entry, and every other instance holds only its own.
+    world = World(Engine(1), WorldConfig())
+    for text in ("10.0.0.1", "10.0.0.2", "10.0.0.12", "10.0.0.21"):
+        world.lists[parse_address(text)] = scenario._membership(parse_address(text))
+    world.lists[parse_address("10.0.0.21")].absorb(scenario._membership(parse_address("10.0.0.12")))
+    checks = parse_scenario(NEAR_MISSES.format(check="introduced")).checks
     assert [world._evaluate(c).passed for c in checks] == [True, True, False, False, False, False]
 
 
@@ -463,9 +624,9 @@ def test_double_download_is_a_scenario_error():
         run_scenario(parse_scenario(text, name="twice"))
 
 
-# Instances download a unit or two apart with churn. Each join introduces the
-# newcomer to every member it did not probe, one hop delay after another, so at
-# seed 5 introductions run on until 79, past the horizon at 40.
+# Instances download a unit or two apart with churn. Their joins and returns
+# are news to the neighborhood until 15, so at seed 5 the round that takes
+# them in is due to start at 52, past the horizon at 40.
 CROWD = """
 config min_clients=2 beacon_period=5 intro_timeout=20 commit_timeout=30 horizon=40
 at=0 event=download addr=10.0.0.1
@@ -490,7 +651,7 @@ assert member at=14 addr=10.0.0.55
 
 def test_horizon_truncates_the_trace():
     report = run_scenario(parse_scenario(CROWD, name="crowd"), seed=5)
-    assert report.run.truncated  # introductions are still due past the configured horizon
+    assert report.run.truncated  # a round start is still due past the configured horizon
     rendered = report_text(report)
     assert "truncated" in rendered
 
@@ -553,7 +714,7 @@ def test_trace_header_counts_the_trace_lines():
     lines = report_text(report).splitlines()
     header = lines.index(f"-- trace: {len(report.run)} events, truncated --")
     assert lines[header + 1 : lines.index(f"-- actions: {len(report.actions)} --")] == list(report.trace)
-    assert len(report.trace) == len(report.run) > 50
+    assert len(report.trace) == len(report.run) > 30
 
 
 def test_a_run_keeps_no_event_after_dispatching_it(monkeypatch):
@@ -594,14 +755,10 @@ def test_an_event_of_unknown_kind_is_a_scenario_error():
             engine.run(world.handle)
 
 
-WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced)
-    (
-        KIND_MESSAGE,
-        scenario.Introduction(
-            A, B, "from=10.0.0.1 to=10.0.3.152", iter([A]), Engine(1).stream("node/10.0.0.1")
-        ),
-        {"type": "introduction", "from": A, "to": B},
-    ),
+HOOD = scenario.Neighborhood(NeighborhoodMap())
+WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced or, for a later type, would render as)
+    (KIND_TIMER, scenario.RoundStart(2, HOOD), {"type": "round-start", "neighborhood": 2}),
+    (KIND_MESSAGE, scenario.RoundEnd(2, HOOD, (A, B), 40), {"type": "round-end", "neighborhood": 2}),
     (
         KIND_MESSAGE,
         scenario.Proposal(3, B, 4),
@@ -641,8 +798,9 @@ def test_a_finished_world_is_freed_by_reference_counting():
         world = World(engine, script.config)
         for line in script.events:
             schedule_line(engine, line)
-        # By 600 every introduction, ack and expiry has run: more than 50 events.
-        assert len(engine.run(world.handle, horizon=600)) > 50
+        # By 600 every round, ack and expiry has run: more than 30 events.
+        run = engine.run(world.handle, horizon=600)
+        assert len(run) > 30 and not run.truncated
         assert len(world.actions) > 20
         freed = weakref.ref(world)
         del engine, world

@@ -1,5 +1,6 @@
 """Property tests: merge_lists is a last-writer-wins map CRDT that agrees with
-a plain dict-walk merge and with a copy that absorbs, an update round
+a plain dict-walk merge and with a copy that absorbs, merge_all gives what a
+round in which nobody is lost leaves every member, an update round
 converges over its survivors when one member drops mid-round and is the same
 round whether run_round or step() drives it, and a commit resolves exactly
 once over the acks it received."""
@@ -17,6 +18,7 @@ from peermesh.sync import (
     UpdateRound,
     ack,
     expire,
+    merge_all,
     merge_lists,
     propose_commit,
     run_round,
@@ -122,6 +124,26 @@ def _drawn_round_inputs(data):
     plan = form_clusters(nmap, size)
     versions = data.draw(st.lists(st.integers(1, 5), min_size=count, max_size=count))
     return plan, {a: _member_list(a, v) for a, v in zip(plan.members, versions)}
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_merge_all_is_what_a_round_leaves_every_member(data):
+    count = data.draw(st.integers(1, 16), label="members")
+    size = data.draw(st.integers(1, 6), label="cluster_size")
+    nmap = NeighborhoodMap.build(NodeRecord(parse_address(0x0A000100 + i)) for i in range(count))
+    plan = form_clusters(nmap, size)
+    lists = {}
+    for a in plan.members:
+        # Some members share a storage with an earlier one, as a round leaves them.
+        earlier = data.draw(st.sampled_from([None, *lists]), label=f"shares {a}")
+        own = data.draw(attribute_lists, label=f"list {a}")
+        lists[a] = lists[earlier].copy() if earlier is not None else own
+    before = {a: lst.entries() for a, lst in lists.items()}
+    merged = merge_all(lists.values())
+    assert {a: lst.entries() for a, lst in lists.items()} == before
+    assert merged == reduce(merge_lists, lists.values())
+    assert all(final == merged for final in run_round(plan, lists).final_lists().values())
 
 
 @settings(max_examples=1000)

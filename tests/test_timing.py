@@ -16,6 +16,7 @@ from peermesh.timing import (
     _draw_trials,
     _phase_widths,
     _trial_components,
+    barrier_latency,
     block_stream,
     default_factor_pairs,
     find_optimum,
@@ -317,6 +318,21 @@ def test_equation_literal_draws_match_update_round_messages(dims):
     assert forward == messages[Phase.INTRA_FORWARD] == messages[Phase.INTRA_REVERSE]
     assert ring == messages[Phase.LEADER_RING]
     assert redistribute == messages[Phase.REDISTRIBUTE]
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 3])
+@pytest.mark.parametrize("dims", default_factor_pairs(256), ids=str)
+def test_barrier_latency_is_trial_zero_of_equation_literal(dims, seed):
+    # Block 0's stream, decoded hop by hop in the order barrier_latency takes
+    # its delays (forward chains, ring, redistribute chains), is trial 0.
+    stream = RecordingStream(seed, block_stream(seed, dims, MODE_EQUATION_LITERAL, 0).stream_id)
+    _draw_trials(dims, stream, MODE_EQUATION_LITERAL, BLOCK_TRIALS)
+    (draws,) = stream.draws
+    forward, ring, redistribute = decode_trial(dims, MODE_EQUATION_LITERAL, draws[0].tolist())
+    delays = iter([hop for chain in forward + [ring] + redistribute for hop in chain])
+    latency = barrier_latency([dims.rows] * dims.columns, delays.__next__)
+    assert next(delays, None) is None
+    assert latency == monte_carlo(dims, trials=1, seed=seed, mode=MODE_EQUATION_LITERAL).total.mean
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -236,7 +236,9 @@ class ChainWorld(World):
     """The refresh as it ran before it was queued on demand: each router start
     begins a chain that ticks every refresh_period, and a tick maps the strays
     in the span and reschedules itself while its start is the latest one and
-    its router is live."""
+    its router is live. Its ticks go through _post_membership whether they map
+    a stray or not, so they match the world's actions only if nothing but a
+    real membership change queues a round."""
 
     def _start_router(self, nid):
         super()._start_router(nid)
@@ -291,9 +293,8 @@ def verdicts_and_actions(world, text, seed):
 
 
 # 10.6.0.27 takes over from 10.6.0.20 at 47, and 10.6.0.22 is a stray in its
-# span from 72, mapped by its tick at 73. The chain queued that tick at 60,
-# before the introduction due at 73; the world queues it at 72, after it, so
-# the mapped line moves within its unit (found by a differential replay).
+# span from 72, mapped by its tick at 73. The chain queued that tick at 60 and
+# the world queues it at 72 (found by a differential replay).
 WITHIN_UNIT = """
 config min_clients=0 excerpt_cap=1 beacon_period=3 refresh_period=13
 at=0 event=download addr=10.6.0.33 uptime=0.65
