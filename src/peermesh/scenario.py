@@ -57,16 +57,25 @@ merge of the snapshot's lists, records one round action, and queues the next
 round only if membership changed in or after the unit the round started; no
 round recurs by itself. A join queues
 an introduction only for each member offline at its connect and each dead
-probe target; a delivered one gives its target the sender's entry.
+probe target; a delivered one gives its target the sender's entry. One
+IntroExpiry timer per distinct deadline expires them.
+
+World.flips is the one record of liveness: the units at which each instance
+went down or came up. An instance was live at unit t, after the lines at t,
+if it had flipped an even number of times by t. A send draws every proposal
+delay, then every ack delay, in member order, on the stream commit/<idx>, so
+no proposal or ack runs as an event: a member acks if it was live when its
+proposal lands, and its ack counts if it lands before the deadline. One
+CommitDue timer at the last ack, if that is before the deadline, resolves a
+commit that every member acked; one at the deadline resolves it over the acks
+it got, and the proposer's map flags the rest offline.
 
 Ties: at one time, script event lines run first, in file order, then timed
 checks, in file order, then world events in the order they were scheduled.
 That last order should decide only the order of lines in the trace and the
-action log, not an outcome. So a commit draws all its proposal and ack delays
-when it is sent, and an ack received at the commit's deadline does not count,
-whether it runs before the deadline event or after. A round judges liveness
-by the instances' true state, which only script lines change, not by a map's
-flags, which a commit deadline changes; its snapshot counts only members
+action log, not an outcome. A commit's receipts are computed, not run, so no
+tie reorders them. A round judges liveness by the liveness history, not by a
+map's flags, which commit absentees change; its snapshot counts only members
 mapped before its unit, and a change in the unit of its start is news for the
 next round, so a refresh map in that unit counts alike before or after it.
 A neighborhood that splits keeps its last map for the rounds of that unit, and
@@ -92,6 +101,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -466,28 +476,12 @@ class RoundEnd(NamedTuple):
         return f"neighborhood={self.neighborhood} type=round-end"
 
 
-class Proposal(NamedTuple):
+class CommitDue(NamedTuple):
     commit: int  # index into World.commits
-    member: NodeAddress
-    ack_delay: int  # drawn after every proposal's delay, in member order, as the commit is sent
+    receipts: tuple[tuple[NodeAddress, int, int], ...]  # (member, proposal_at, ack_at), drawn at the send
 
     def trace(self) -> str:
-        return f"commit={self.commit} to={_text(self.member)} type=proposal"
-
-
-class CommitAck(NamedTuple):
-    commit: int
-    member: NodeAddress
-
-    def trace(self) -> str:
-        return f"commit={self.commit} member={_text(self.member)} type=commit-ack"
-
-
-class CommitDeadline(NamedTuple):
-    commit: int
-
-    def trace(self) -> str:
-        return f"commit={self.commit} type=commit-deadline"
+        return f"commit={self.commit} type=commit-due"
 
 
 class IntroExpiry(NamedTuple):
@@ -514,10 +508,10 @@ class Failover(NamedTuple):
 class World:
     """Mutable simulation state; every change happens inside an event handler.
 
-    instances holds each instance's true record. The active flags in a
-    neighborhood map are that neighborhood's view, which commit absentees
-    turn offline. An instance is isolated exactly when it is known but not in
-    nid_of.
+    instances holds each instance's record as it downloaded; flips says
+    whether it is live. The active flags in a neighborhood map are that
+    neighborhood's view, which commit absentees turn offline. An instance is
+    isolated exactly when it is known but not in nid_of.
     """
 
     def __init__(self, engine: Engine, config: WorldConfig):
@@ -526,7 +520,9 @@ class World:
         self.registry = discovery.DownloadRegistry()
         self.directory: set[NodeAddress] = set()  # stray clients advertised in the search engine
         self.intros = discovery.IntroductionQueue()
+        self._expiries: set[int] = set()  # the deadlines an IntroExpiry timer is queued for
         self.instances: dict[NodeAddress, NodeRecord] = {}
+        self.flips: dict[NodeAddress, list[int]] = {}  # each instance's down and up units, in time order
         self.lists: dict[NodeAddress, sync.AttributeList] = {}  # each instance's attribute list
         self.mapped_at: dict[NodeAddress, int] = {}  # when each mapped instance was first mapped
         self.neighborhoods: dict[int, Neighborhood] = {}
@@ -570,8 +566,11 @@ class World:
         return ActionLog(self._lines + [line for _, _, line in sorted(self._later)])
 
     def _live(self, addr: NodeAddress | None) -> bool:
-        rec = self.instances.get(addr)
-        return rec is not None and rec.active
+        flips = self.flips.get(addr)  # None for an unknown address
+        return flips is not None and not len(flips) % 2
+
+    def _live_at(self, addr: NodeAddress, t: int) -> bool:
+        return not bisect_right(self.flips[addr], t) % 2  # the lines at t run first at t
 
     def _intro_timeout(self, sender: NodeAddress) -> int:
         """The configured timeout, or ten moderate update periods of sender's
@@ -605,6 +604,7 @@ class World:
             raise line.reject(f"{addr} downloaded twice")
         rec = NodeRecord(addr, **{_RECORD_FIELDS[k]: v for k, v in params.items() if k in _RECORD_FIELDS})
         self.instances[addr] = rec
+        self.flips[addr] = []
         self.lists[addr] = _membership(addr)
         excerpt = self.registry.register(addr, now, cap=self.config.excerpt_cap)
         stream = self.engine.stream(f"node/{_text(addr)}")
@@ -675,13 +675,13 @@ class World:
         hood.started, hood.incarnation = self.engine.now, hood.incarnation + 1
 
     def _set_active(self, line: ScriptEvent, active: bool) -> int | None:
-        """Flip the line's instance up or down, in its record and in its
-        neighborhood's map; return that neighborhood's id, if it has one."""
+        """Flip the line's instance up or down, in its liveness history and in
+        its neighborhood's map; return that neighborhood's id, if it has one."""
         addr = line.addr
-        rec = self.instances.get(addr)
-        if rec is None:
+        flips = self.flips.get(addr)
+        if flips is None:
             raise line.reject(f"{line.kind} for unknown instance {addr}")
-        self.instances[addr] = replace(rec, active=active)
+        flips.append(self.engine.now)
         nid = self.nid_of.get(addr)
         if nid is not None:
             hood = self.neighborhoods[nid]
@@ -731,10 +731,8 @@ class World:
         nid, hood = start
         if hood.split_at is not None and hood.split_at < now:
             return
-        instances, mapped_at = self.instances, self.mapped_at
-        members = [
-            r.address for r in hood.map.members if mapped_at[r.address] < now and instances[r.address].active
-        ]
+        instances, mapped_at, live = self.instances, self.mapped_at, self._live
+        members = [r.address for r in hood.map.members if mapped_at[r.address] < now and live(r.address)]
         if len(members) < 2:
             hood.pending = False
             if hood.changed == now:
@@ -774,9 +772,12 @@ class World:
         deadline = at + self._intro_timeout(sender)
         self.intros.add(sender, target, deadline=deadline)
         self._act(at, "queued", f"from={_text(sender)} to={_text(target)} deadline={deadline}")
-        self.engine.schedule(deadline, KIND_TIMER, payload=IntroExpiry())
+        if deadline not in self._expiries:  # a queued timer expires everything due at its unit
+            self._expiries.add(deadline)
+            self.engine.schedule(deadline, KIND_TIMER, payload=IntroExpiry())
 
     def _on_intro_expiry(self, now: int, _expiry: IntroExpiry) -> None:
+        self._expiries.discard(now)
         for intro in self.intros.expire_due(now):
             self._act(now, "expired", f"from={_text(intro.sender)} to={_text(intro.target)}")
 
@@ -809,27 +810,26 @@ class World:
         stream = self.engine.stream(f"commit/{idx}")
         members = sorted(commit.group - {addr})
         arrivals = [now + stream.hop_delay() for _ in members]
-        for member, at in zip(members, arrivals):
-            self.engine.schedule(at, KIND_MESSAGE, payload=Proposal(idx, member, stream.hop_delay()))
-        self.engine.schedule(commit.deadline, KIND_TIMER, payload=CommitDeadline(idx))
+        receipts = tuple((member, at, at + stream.hop_delay()) for member, at in zip(members, arrivals))
+        last, due = max(ack_at for _, _, ack_at in receipts), CommitDue(idx, receipts)
+        if last < commit.deadline:
+            self.engine.schedule(last, KIND_TIMER, payload=due)
+        self.engine.schedule(commit.deadline, KIND_TIMER, payload=due)
 
-    def _on_proposal(self, now: int, proposal: Proposal) -> None:
-        if self._live(proposal.member):
-            ack = CommitAck(proposal.commit, proposal.member)
-            self.engine.schedule(now + proposal.ack_delay, KIND_MESSAGE, payload=ack)
-
-    def _on_commit_ack(self, now: int, ack: CommitAck) -> None:
-        commit = self.commits[ack.commit]
-        if commit.resolution is None and now < commit.deadline:  # one at the deadline is late
-            sync.ack(commit, ack.member, now)
-            if commit.resolution is not None:
-                self._report_commit(now, commit)
-
-    def _on_commit_deadline(self, now: int, deadline: CommitDeadline) -> None:
-        commit = self.commits[deadline.commit]
+    def _on_commit_due(self, now: int, due: CommitDue) -> None:
+        """Resolve the commit over the receipts it got; before the deadline, only if it got all."""
+        commit = self.commits[due.commit]
+        if commit.resolution is not None:
+            return
+        deadline, live_at = commit.deadline, self._live_at
+        got = [m for m, proposal_at, ack_at in due.receipts if ack_at < deadline and live_at(m, proposal_at)]
+        if now < deadline and len(got) < len(due.receipts):
+            return
+        for member in got:
+            sync.ack(commit, member, now)
         if commit.resolution is None:
             sync.expire(commit, now)
-            self._report_commit(now, commit)
+        self._report_commit(now, commit)
 
     def _report_commit(self, now: int, commit: sync.PendingCommit) -> None:
         res = commit.resolution
@@ -905,7 +905,7 @@ class World:
         """Map the advertised strays inside the router's span; whether it mapped any."""
         hood, now = self.neighborhoods[nid], self.engine.now
         hood.map, added = discovery.router_refresh(
-            hood.router, self.directory, hood.map, self.instances.__getitem__
+            hood.router, self.directory, hood.map, lambda a: replace(self.instances[a], active=self._live(a))
         )
         for addr in added:
             self.nid_of[addr] = nid
@@ -979,9 +979,7 @@ class World:
         ScriptCheck: _on_check,
         RoundStart: _on_round_start,
         RoundEnd: _on_round_end,
-        Proposal: _on_proposal,
-        CommitAck: _on_commit_ack,
-        CommitDeadline: _on_commit_deadline,
+        CommitDue: _on_commit_due,
         IntroExpiry: _on_intro_expiry,
         RouterRefresh: _on_refresh,
         Failover: _on_failover,

@@ -422,12 +422,13 @@ def test_closed_stdout_exits_141_quietly_and_points_stdout_at_devnull(
 
 
 def write_many(tmp_path):
-    """A script whose report is about five 64 KiB blocks: each of its 60 sends
-    puts a proposal and an ack per member, 39 of each, in the trace."""
+    """A script whose report is about four 64 KiB blocks: each of its 1 200
+    sends puts its line and one or two commit timers in the trace, and a
+    proposed and a committed action in the log."""
     script = tmp_path / "many.scenario"
     script.write_text(
         "".join(f"at={i} event=download addr=10.0.0.{i + 1} domain=alpha\n" for i in range(40))
-        + "".join(f"at={100 + 10 * i} event=send addr=10.0.0.1 key=k{i}\n" for i in range(60))
+        + "".join(f"at={100 + 10 * i} event=send addr=10.0.0.1 key=k{i}\n" for i in range(1200))
     )
     return script
 

@@ -5,6 +5,7 @@ import sys
 import weakref
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from outcomes import assert_same_outcome, report_text, run_shuffled
@@ -22,7 +23,7 @@ from peermesh.scenario import (
     run_scenario,
     schedule_line,
 )
-from peermesh.simcore import Engine, RandomStream
+from peermesh.simcore import Engine, RandomStream, SimEvent
 from peermesh.timing import barrier_latency
 from peermesh.topology import NeighborhoodMap, NodeAddress, parse_address
 
@@ -536,6 +537,26 @@ def test_committed_check_compares_absent_as_a_set():
     ]
 
 
+def test_a_send_to_a_200_member_group_schedules_at_most_two_engine_events():
+    # Its receipts are computed at the send: one timer at the last ack, if that
+    # is before the deadline, and one at the deadline, however large the group.
+    downloads = "".join(f"at={i} event=download addr=10.9.{i // 100}.{i % 100 + 1}\n" for i in range(200))
+    script = parse_scenario(downloads + "at=500 event=send addr=10.9.0.1 key=k\n", name="big-send")
+    *joins, send = script.events
+    engine = Engine(5)
+    world = World(engine, script.config)
+    for line in joins:
+        schedule_line(engine, line)
+    engine.run(world.handle, horizon=499)
+    engine.now = 500
+    with mock.patch.object(engine, "schedule", wraps=engine.schedule) as schedule:
+        world.handle(engine, SimEvent(500, "send", send))
+    assert len(world.commits[0].group) == 200
+    assert schedule.call_count <= 2
+    engine.run(world.handle)
+    assert world.commits[0].resolution.full
+
+
 # Checks against one action, from=10.0.0.12 to=10.0.0.21: the first two match
 # it, the rest miss it by a trailing digit or by which address is which.
 NEAR_MISSES = """
@@ -645,6 +666,9 @@ at=12 event=download addr=10.0.0.55
 at=13 event=download addr=10.0.0.89
 at=14 event=up addr=10.0.0.1
 at=15 event=download addr=10.0.0.144
+at=16 event=send addr=10.0.0.13 key=j timeout=10
+at=17 event=send addr=10.0.0.8 key=i timeout=12
+at=18 event=send addr=10.0.0.21 key=h timeout=8
 assert member at=14 addr=10.0.0.55
 """
 
@@ -759,13 +783,7 @@ HOOD = scenario.Neighborhood(NeighborhoodMap())
 WORLD_PAYLOADS = [  # (kind, typed payload, the dict it replaced or, for a later type, would render as)
     (KIND_TIMER, scenario.RoundStart(2, HOOD), {"type": "round-start", "neighborhood": 2}),
     (KIND_MESSAGE, scenario.RoundEnd(2, HOOD, (A, B), 40), {"type": "round-end", "neighborhood": 2}),
-    (
-        KIND_MESSAGE,
-        scenario.Proposal(3, B, 4),
-        {"type": "proposal", "commit": 3, "to": B},
-    ),
-    (KIND_MESSAGE, scenario.CommitAck(3, B), {"type": "commit-ack", "commit": 3, "member": B}),
-    (KIND_TIMER, scenario.CommitDeadline(3), {"type": "commit-deadline", "commit": 3}),
+    (KIND_TIMER, scenario.CommitDue(3, ((B, 104, 110),)), {"type": "commit-due", "commit": 3}),
     (KIND_TIMER, scenario.IntroExpiry(), {"type": "intro-expiry"}),
     (KIND_TIMER, scenario.RouterRefresh(2, 1), {"type": "router-refresh", "neighborhood": 2}),
     (KIND_TIMER, scenario.Failover(2, 1), {"type": "failover", "neighborhood": 2}),
@@ -798,7 +816,7 @@ def test_a_finished_world_is_freed_by_reference_counting():
         world = World(engine, script.config)
         for line in script.events:
             schedule_line(engine, line)
-        # By 600 every round, ack and expiry has run: more than 30 events.
+        # By 600 every round, commit and expiry has run: more than 30 events.
         run = engine.run(world.handle, horizon=600)
         assert len(run) > 30 and not run.truncated
         assert len(world.actions) > 20

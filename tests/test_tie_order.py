@@ -8,8 +8,8 @@ verdicts and the same multiset of action lines.
 
 Where the tie rule gives it, the trace is order-free too: the scripts in
 TRACE_STABLE must also give the plain run's multiset of trace lines. A commit
-draws every proposal and ack delay when it is sent, so same-time proposals
-swap no delays.
+draws every proposal and ack delay when it is sent and runs no message as an
+event, so same-time proposals swap no delays and no ack races its deadline.
 """
 
 import importlib.util
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from outcomes import assert_same_outcome, report_text, run_shuffled
 
 from peermesh.scenario import load_scenario, parse_scenario, run_scenario
+from peermesh.simcore import DEFAULT_SEED, RandomStream
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -108,10 +109,10 @@ def test_no_trace_line_depends_on_the_order_of_same_time_world_events(name, orde
 
 def test_some_order_seed_moves_a_trace_line_within_its_unit():
     # Without a reordered tie the tests above show nothing.
-    want = run_scenario(script("introduction-ties")).trace
+    want = run_scenario(script("routers-and-splits")).trace
     moved = [
         got
-        for got in (run_shuffled(script("introduction-ties"), order_seed).trace for order_seed in range(20))
+        for got in (run_shuffled(script("routers-and-splits"), order_seed).trace for order_seed in range(20))
         if got != want
     ]
     assert moved
@@ -121,9 +122,12 @@ def test_some_order_seed_moves_a_trace_line_within_its_unit():
 @settings(max_examples=20)
 @given(order_seed=st.integers(0, 2**32 - 1))
 def test_an_ack_at_the_commit_deadline_does_not_count(order_seed):
+    # The send draws the proposal's delay, then the ack's, on commit/0.
+    stream = RandomStream(DEFAULT_SEED, "commit/0")
+    proposal_at = 100 + stream.hop_delay()
+    assert (proposal_at, proposal_at + stream.hop_delay()) == (105, 110)
     report = run_shuffled(script("deadline-tie"), order_seed)
-    assert "[   110] message-delivery commit=0 member=10.2.0.2 type=commit-ack" in report.trace
-    assert "[   110] timer commit=0 type=commit-deadline" in report.trace
+    assert [line for line in report.trace if "commit=0" in line] == ["[   110] timer commit=0 type=commit-due"]
     assert report.passed, report_text(report)
 
 
@@ -161,12 +165,12 @@ def test_same_time_proposals_commit_alike_in_every_order(seed, timeout):
 
 def test_some_same_time_proposal_case_lands_two_proposals_at_one_unit():
     # Without such a case the test above shows nothing: seed 8 lands both at 110.
-    def tied(seed, timeout):
-        trace = run_scenario(proposals(timeout), seed=seed).trace
-        units = [line[:8] for line in trace if line.endswith("type=proposal")]
-        return len(units) == 2 and units[0] == units[1]
+    # A send first draws one proposal delay per member, in member order.
+    def tied(seed):
+        stream = RandomStream(seed, "commit/0")
+        return stream.hop_delay() == stream.hop_delay()
 
-    assert any(tied(seed, timeout) for seed in PROPOSAL_SEEDS for timeout in PROPOSAL_TIMEOUTS)
+    assert any(tied(seed) for seed in PROPOSAL_SEEDS)
 
 
 @settings(max_examples=20)

@@ -15,10 +15,13 @@ replaced says it would. A third maps strays: a world that queues a router's
 refresh only while a stray lies in its span gives the verdicts and action lines
 of ChainWorld, the recurring refresh chain it replaced. A fourth checks that
 the action log, which holds back actions stamped after the clock, reads as the
-stable time sort of what was recorded.
+stable time sort of what was recorded. A fifth resolves commits: a world that
+computes each commit's receipts at the send gives the verdicts and action
+lines of MessageWorld, which ran each proposal and ack as an engine event.
 """
 
 from collections import Counter
+from typing import NamedTuple
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -26,9 +29,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from outcomes import ShuffledEngine
 
-from peermesh import scenario
+from peermesh import scenario, sync
 from peermesh.scenario import (
     BEACON_TIMEOUT_FACTOR,
+    KIND_MESSAGE,
     KIND_TIMER,
     RouterRefresh,
     World,
@@ -38,7 +42,7 @@ from peermesh.scenario import (
     schedule_line,
 )
 from peermesh.simcore import Engine
-from peermesh.topology import elect_router, parse_address
+from peermesh.topology import NodeAddress, elect_router, parse_address
 
 # Uneven gaps, so that address distance orders the excerpts non-trivially.
 POOL = [parse_address(0x0A000000 + k) for k in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)]
@@ -98,7 +102,7 @@ class WorldMachine(RuleBasedStateMachine):
         self._run(f"event=up addr={self._known(i)}")
 
     def _mapped_live(self):
-        return [a for a in sorted(self.world.nid_of) if self.world.instances[a].active]
+        return [a for a in sorted(self.world.nid_of) if self.world._live(a)]
 
     @precondition(lambda self: self._mapped_live())
     @rule(i=st.integers(0, len(POOL) - 1), timeout=st.integers(1, MAX_COMMIT_TIMEOUT))
@@ -129,8 +133,7 @@ class WorldMachine(RuleBasedStateMachine):
         self.engine.run(self.world.handle, horizon=self.now)
         for nid, hood in self.world.neighborhoods.items():
             if elect_router(hood.map, config.min_clients) is not None:
-                router = self.world.instances.get(hood.router)
-                assert router is not None and router.active, f"neighborhood {nid} has no live router"
+                assert self.world._live(hood.router), f"neighborhood {nid} has no live router"
 
     # -- invariants ------------------------------------------------------------
 
@@ -355,3 +358,120 @@ def test_the_action_log_is_the_stable_time_sort_of_what_was_recorded(steps):
     world._settle(float("inf"))
     assert world._later == []
     assert [(a.at, a.body) for a in world.actions] == sorted(recorded, key=lambda r: r[0])
+
+
+class Proposal(NamedTuple):
+    commit: int
+    member: NodeAddress
+    ack_delay: int
+
+
+class CommitAck(NamedTuple):
+    commit: int
+    member: NodeAddress
+
+
+class CommitDeadline(NamedTuple):
+    commit: int
+
+
+class MessageWorld(World):
+    """Commits as they ran before their receipts were computed at the send:
+    the send draws every proposal delay, then every ack delay, in member
+    order, and runs each proposal and each ack as an engine event. A member
+    acks if it is live when its proposal runs, an ack counts if it runs
+    before the deadline while the commit is unresolved, and the deadline is a
+    timer of its own. Its payloads render no trace, so it runs untraced."""
+
+    def _on_send(self, now, line):
+        addr, params = line.addr, line.params
+        nid = self.nid_of[addr]
+        group = {addr, *(r.address for r in self.neighborhoods[nid].map.active_members())}
+        commit = sync.propose_commit(
+            group=group,
+            proposer=addr,
+            key=params["key"],
+            value=params.get("value", b""),
+            now=now,
+            timeout=params.get("timeout", self.config.commit_timeout),
+        )
+        self.commits.append(commit)
+        idx = len(self.commits) - 1
+        self._act(now, "proposed", f"key={commit.key} by={addr} group={len(commit.group)}")
+        if commit.resolution is not None:
+            self._report_commit(now, commit)
+            return
+        stream = self.engine.stream(f"commit/{idx}")
+        members = sorted(commit.group - {addr})
+        arrivals = [now + stream.hop_delay() for _ in members]
+        for member, at in zip(members, arrivals):
+            self.engine.schedule(at, KIND_MESSAGE, payload=Proposal(idx, member, stream.hop_delay()))
+        self.engine.schedule(commit.deadline, KIND_TIMER, payload=CommitDeadline(idx))
+
+    def _on_proposal(self, now, proposal):
+        if self._live(proposal.member):
+            ack = CommitAck(proposal.commit, proposal.member)
+            self.engine.schedule(now + proposal.ack_delay, KIND_MESSAGE, payload=ack)
+
+    def _on_commit_ack(self, now, ack):
+        commit = self.commits[ack.commit]
+        if commit.resolution is None and now < commit.deadline:
+            sync.ack(commit, ack.member, now)
+            if commit.resolution is not None:
+                self._report_commit(now, commit)
+
+    def _on_commit_deadline(self, now, deadline):
+        commit = self.commits[deadline.commit]
+        if commit.resolution is None:
+            sync.expire(commit, now)
+            self._report_commit(now, commit)
+
+    _ON = {
+        **World._ON,
+        "send": _on_send,
+        Proposal: _on_proposal,
+        CommitAck: _on_commit_ack,
+        CommitDeadline: _on_commit_deadline,
+    }
+
+
+@st.composite
+def commit_scripts(draw):
+    """The sender downloads at 0 and stays up, and two to six more instances
+    download by 7, so all of them are mapped by 10. Sends from the sender
+    follow, each with a timeout of 1-30, and each with downs and ups of the
+    others 0-12 units after it: a proposal lands 1-10 units after its send, so
+    many of them fall in the unit of a proposal or next to it."""
+    addrs = [f"10.8.0.{k}" for k in range(1, draw(st.integers(3, 7)) + 1)]
+    lines = [f"at={k} event=download addr={a}" for k, a in enumerate(addrs)]
+    at, sends = 10, draw(st.integers(1, 4))
+    for k in range(sends):
+        at += draw(st.integers(1, 40))
+        lines.append(f"at={at} event=send addr={addrs[0]} key=k{k} timeout={draw(st.integers(1, 30))}")
+        flaps = st.tuples(st.integers(0, 12), st.sampled_from(["down", "up"]), st.sampled_from(addrs[1:]))
+        lines += [f"at={at + gap} event={kind} addr={a}" for gap, kind, a in draw(st.lists(flaps, max_size=4))]
+    lines += [f"assert committed key=k{k}" for k in range(sends)]
+    return "\n".join(lines)
+
+
+# At seed 7919 the proposals land at 105 (10.8.0.2 and 10.8.0.3) and 102
+# (10.8.0.4), and the acks would land at 108, 114 and 112, the deadline. 10.8.0.2
+# is down at its proposal's unit and 10.8.0.4's ack is late, so only the
+# proposer acks, though 10.8.0.2 is up again by its ack's unit.
+RECEIPT_EDGES = """
+at=0 event=download addr=10.8.0.1
+at=1 event=download addr=10.8.0.2
+at=2 event=download addr=10.8.0.3
+at=3 event=download addr=10.8.0.4
+at=100 event=send addr=10.8.0.1 key=k timeout=12
+at=105 event=down addr=10.8.0.2
+at=106 event=up addr=10.8.0.2
+assert committed key=k acks=1 absent=10.8.0.2,10.8.0.3,10.8.0.4
+"""
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=commit_scripts(), seed=st.integers(0, 7))
+@example(text=RECEIPT_EDGES, seed=7919)
+def test_commits_resolve_as_when_each_receipt_was_an_event(text, seed):
+    assert verdicts_and_actions(World, text, seed) == verdicts_and_actions(MessageWorld, text, seed)
