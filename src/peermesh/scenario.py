@@ -56,7 +56,7 @@ neighborhood's rounds. The round's end gives every member of the snapshot the
 merge of the snapshot's lists, records one round action, and queues the next
 round only if membership changed in or after the unit the round started; no
 round recurs by itself. A join queues
-an introduction only for each member offline at its connect and each dead
+an introduction only for each member down at its connect and each dead
 probe target; a delivered one gives its target the sender's entry. One
 IntroExpiry timer per distinct deadline expires them.
 
@@ -68,16 +68,20 @@ no proposal or ack runs as an event: a member acks if it was live when its
 proposal lands, and its ack counts if it lands before the deadline. One
 CommitDue timer at the last ack, if that is before the deadline, resolves a
 commit that every member acked; one at the deadline resolves it over the acks
-it got, and the proposer's map flags the rest offline.
+it got, and the absentees still in the proposer's neighborhood go offline.
+A map is a membership snapshot only: World.offline is the one record of what
+a neighborhood sees as offline, the instances that are down and those that a
+commit of their own neighborhood missed since their last flip. Commit groups
+and elections take the members not in it; no flip or absentee replaces a map.
 
 Ties: at one time, script event lines run first, in file order, then timed
 checks, in file order, then world events in the order they were scheduled.
 That last order should decide only the order of lines in the trace and the
 action log, not an outcome. A commit's receipts are computed, not run, so no
-tie reorders them. A round judges liveness by the liveness history, not by a
-map's flags, which commit absentees change; its snapshot counts only members
-mapped before its unit, and a change in the unit of its start is news for the
-next round, so a refresh map in that unit counts alike before or after it.
+tie reorders them. A round judges liveness by the liveness history, not by
+the offline view, which commit absentees change; its snapshot counts only
+members mapped before its unit, and a change in the unit of its start is news
+for the next round, so a refresh map in that unit counts alike either side.
 A neighborhood that splits keeps its last map for the rounds of that unit, and
 a round whose neighborhood split in an earlier unit is void: so no two rounds
 that share a member end in one unit.
@@ -417,8 +421,8 @@ class Action(NamedTuple):
 
 class ActionLog(Sequence):
     """A run's actions as their report lines, in time order. Reading an item
-    builds its Action; the log itself holds strings, which the cyclic
-    collector does not track."""
+    builds its Action, and a slice the log of its lines; the log itself holds
+    strings, which the cyclic collector does not track."""
 
     __slots__ = ("lines",)
 
@@ -428,8 +432,8 @@ class ActionLog(Sequence):
     def __len__(self) -> int:
         return len(self.lines)
 
-    def __getitem__(self, i: int) -> Action:
-        return Action.parse(self.lines[i])
+    def __getitem__(self, i: int | slice) -> Action | ActionLog:
+        return ActionLog(self.lines[i]) if isinstance(i, slice) else Action.parse(self.lines[i])
 
     def __iter__(self) -> Iterator[Action]:
         return map(Action.parse, self.lines)
@@ -509,9 +513,8 @@ class World:
     """Mutable simulation state; every change happens inside an event handler.
 
     instances holds each instance's record as it downloaded; flips says
-    whether it is live. The active flags in a neighborhood map are that
-    neighborhood's view, which commit absentees turn offline. An instance is
-    isolated exactly when it is known but not in nid_of.
+    whether it is live, and offline, not a map, what its neighborhood sees as
+    offline. An instance is isolated exactly when it is known but not in nid_of.
     """
 
     def __init__(self, engine: Engine, config: WorldConfig):
@@ -523,6 +526,7 @@ class World:
         self._expiries: set[int] = set()  # the deadlines an IntroExpiry timer is queued for
         self.instances: dict[NodeAddress, NodeRecord] = {}
         self.flips: dict[NodeAddress, list[int]] = {}  # each instance's down and up units, in time order
+        self.offline: set[NodeAddress] = set()  # down, or missed by a commit of its neighborhood since its last flip
         self.lists: dict[NodeAddress, sync.AttributeList] = {}  # each instance's attribute list
         self.mapped_at: dict[NodeAddress, int] = {}  # when each mapped instance was first mapped
         self.neighborhoods: dict[int, Neighborhood] = {}
@@ -572,6 +576,10 @@ class World:
     def _live_at(self, addr: NodeAddress, t: int) -> bool:
         return not bisect_right(self.flips[addr], t) % 2  # the lines at t run first at t
 
+    def _online(self, hood: Neighborhood) -> tuple[NodeRecord, ...]:
+        """The records of the members that hood sees online: those not offline."""
+        return tuple(r for r in hood.map.members if r.address not in self.offline)
+
     def _intro_timeout(self, sender: NodeAddress) -> int:
         """The configured timeout, or ten moderate update periods of sender's
         neighborhood, computed once per map snapshot: snapshots are immutable."""
@@ -619,9 +627,9 @@ class World:
             self._join_via(result.finished_at, rec, result.connected_to)
             # Joining can split the neighborhood, so resolve the current id. A dead
             # probe target among the members is already queued, and _queue_intro skips it.
-            for member in self.neighborhoods[self.nid_of[addr]].map.members:
-                if not self._live(member.address):
-                    self._queue_intro(result.finished_at, addr, member.address)
+            nid, nid_of = self.nid_of[addr], self.nid_of
+            for member in sorted(a for a in self.offline if nid_of.get(a) == nid and not self._live(a)):
+                self._queue_intro(result.finished_at, addr, member)
         else:
             self.directory.add(addr)
             for nid in self.neighborhoods:
@@ -654,7 +662,7 @@ class World:
         did before this call."""
         hood, now = self.neighborhoods[nid], self.engine.now
         if hood.router is None:
-            hood.router = elect_router(hood.map, self.config.min_clients)
+            hood.router = elect_router(self._online(hood), self.config.min_clients)
             if hood.router is not None:
                 self._act(now, "elected", f"addr={_text(hood.router)} neighborhood={nid}")
                 hood.elected = now
@@ -676,17 +684,17 @@ class World:
 
     def _set_active(self, line: ScriptEvent, active: bool) -> int | None:
         """Flip the line's instance up or down, in its liveness history and in
-        its neighborhood's map; return that neighborhood's id, if it has one."""
+        the offline view; return its neighborhood's id, if it has one."""
         addr = line.addr
         flips = self.flips.get(addr)
         if flips is None:
             raise line.reject(f"{line.kind} for unknown instance {addr}")
         flips.append(self.engine.now)
-        nid = self.nid_of.get(addr)
-        if nid is not None:
-            hood = self.neighborhoods[nid]
-            hood.map = hood.map.set_active(addr, active)
-        return nid
+        if active:
+            self.offline.discard(addr)
+        else:
+            self.offline.add(addr)
+        return self.nid_of.get(addr)
 
     def _on_up(self, now: int, line: ScriptEvent) -> None:
         addr = line.addr
@@ -790,8 +798,8 @@ class World:
         nid = self.nid_of.get(addr)
         if nid is None:
             raise line.reject(f"send from unmapped instance {addr}")
-        # A live proposer is online even if an earlier commit flagged it offline.
-        group = {addr, *(r.address for r in self.neighborhoods[nid].map.active_members())}
+        # A live proposer is online even if an earlier commit marked it offline.
+        group = {addr, *(r.address for r in self._online(self.neighborhoods[nid]))}
         commit = sync.propose_commit(
             group=group,
             proposer=addr,
@@ -834,12 +842,8 @@ class World:
     def _report_commit(self, now: int, commit: sync.PendingCommit) -> None:
         res = commit.resolution
         self._act(now, "committed", f"key={commit.key} acks={len(res.acks)} absent={_absent_text(res)}")
-        nid = self.nid_of.get(commit.proposer)
-        if nid is not None:
-            hood = self.neighborhoods[nid]
-            for a in res.absentees:
-                if a in hood.map:
-                    hood.map = hood.map.set_active(a, False)
+        nid, nid_of = self.nid_of[commit.proposer], self.nid_of
+        self.offline.update(a for a in res.absentees if nid_of[a] == nid)
 
     # -- subdivision ---------------------------------------------------------
 
@@ -904,9 +908,7 @@ class World:
     def _router_refresh(self, nid: int) -> bool:
         """Map the advertised strays inside the router's span; whether it mapped any."""
         hood, now = self.neighborhoods[nid], self.engine.now
-        hood.map, added = discovery.router_refresh(
-            hood.router, self.directory, hood.map, lambda a: replace(self.instances[a], active=self._live(a))
-        )
+        hood.map, added = discovery.router_refresh(hood.router, self.directory, hood.map, self.instances.__getitem__)
         for addr in added:
             self.nid_of[addr] = nid
             self.mapped_at[addr] = now

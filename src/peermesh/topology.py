@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from ipaddress import IPv4Address
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # A router candidate's thresholds, both inclusive.
 MIN_UPTIME_FRACTION = 0.9
@@ -202,20 +202,17 @@ def subdivide(nmap: NeighborhoodMap, critical_mass: int) -> tuple[NeighborhoodMa
     return lower, upper
 
 
-def elect_router(nmap: NeighborhoodMap, min_clients: int) -> NodeAddress | None:
-    """The best eligible member, or None: highest uptime, then capacity, then
-    closeness (low metric), ties by lowest address.
+def elect_router(online: Sequence[NodeRecord], min_clients: int) -> NodeAddress | None:
+    """The best eligible record of online, or None: highest uptime, then
+    capacity, then closeness (low metric), ties by lowest address.
 
-    Needs min_clients active members. A candidate must clear MIN_UPTIME_FRACTION
-    and MIN_CAPACITY_BPS and be active: an offline node cannot route, and
-    failover must never re-elect the node whose loss triggered it."""
-    active = nmap.active_members()
-    if len(active) < min_clients:
+    The caller passes the members it sees online, since an offline node cannot
+    route and failover must never re-elect the node whose loss triggered it.
+    Needs min_clients of them; a candidate must clear both MIN_ thresholds."""
+    if len(online) < min_clients:
         return None
     eligible = [
-        r
-        for r in active
-        if r.uptime_fraction >= MIN_UPTIME_FRACTION and r.link_capacity_bps >= MIN_CAPACITY_BPS
+        r for r in online if r.uptime_fraction >= MIN_UPTIME_FRACTION and r.link_capacity_bps >= MIN_CAPACITY_BPS
     ]
     if not eligible:
         return None

@@ -633,6 +633,15 @@ def test_a_replay_reads_back_the_actions_it_recorded():
     assert report.actions[-1] == list(report.actions)[-1]
 
 
+def test_a_slice_of_the_action_log_is_the_log_of_those_lines():
+    report = run_scenario(parse_scenario(BRACKETS, name="brackets"), trace=False)
+    head = report.actions[0:2]
+    assert isinstance(head, scenario.ActionLog)
+    assert head.lines == report.actions.lines[:2]
+    assert list(head) == list(report.actions)[:2]
+    assert report.actions[::-1][0] == report.actions[-1]
+
+
 def test_send_from_unknown_instance_is_a_scenario_error():
     text = "at=0 event=send addr=10.9.0.1 key=k value=v\n"
     with pytest.raises(ScenarioError):
@@ -825,3 +834,72 @@ def test_a_finished_world_is_freed_by_reference_counting():
         assert freed() is None
     finally:
         gc.enable()
+
+
+# -- the offline view ------------------------------------------------------------
+
+# 10.1.0.5 outranks the router 10.1.0.1, which is elected at 2 before it joins.
+# It is down when each proposal of k1 lands (a hop takes 1-10 units) and back
+# at 21, before the deadline at 40, so k1 lists it absent and it stays offline
+# to its neighborhood: k2's group leaves it out, and when the router fails
+# over, the three members left online are not enough to route. Its down and up
+# at 100 and 101 bring it back: it is elected, and k3's group holds everyone.
+ABSENT_THEN_BACK = """
+config min_clients=3 beacon_period=5 commit_timeout=30
+at=0 event=download addr=10.1.0.1 uptime=0.95
+at=1 event=download addr=10.1.0.2 uptime=0.5
+at=2 event=download addr=10.1.0.3 uptime=0.5
+at=3 event=download addr=10.1.0.4 uptime=0.5
+at=4 event=download addr=10.1.0.5 uptime=1.0
+at=10 event=send addr=10.1.0.1 key=k1
+at=10 event=down addr=10.1.0.5
+at=21 event=up addr=10.1.0.5
+at=50 event=send addr=10.1.0.2 key=k2
+at=60 event=down addr=10.1.0.1
+at=100 event=down addr=10.1.0.5
+at=101 event=up addr=10.1.0.5
+at=105 event=up addr=10.1.0.1
+at=110 event=send addr=10.1.0.2 key=k3
+assert committed key=k1 acks=4 absent=10.1.0.5
+assert committed key=k2 acks=4 absent=-
+assert no-router at=99 addr=10.1.0.2
+assert router at=102 addr=10.1.0.5
+assert committed key=k3 acks=5 absent=-
+"""
+
+# 10.2.0.4 is down when k1's proposal lands and back at 21. The split at 15
+# moves it out of the proposer's neighborhood before k1 resolves at 40, so k1
+# lists it absent but its own neighborhood still sees it online: k2's group
+# holds both members of the upper half.
+SPLIT_AFTER_SEND = """
+at=0 event=download addr=10.2.0.1
+at=1 event=download addr=10.2.0.2
+at=2 event=download addr=10.2.0.3
+at=3 event=download addr=10.2.0.4
+at=10 event=send addr=10.2.0.1 key=k1 timeout=30
+at=10 event=down addr=10.2.0.4
+at=15 event=subdivide addr=10.2.0.1 critical_mass=2
+at=21 event=up addr=10.2.0.4
+at=50 event=send addr=10.2.0.3 key=k2
+assert committed key=k1 acks=3 absent=10.2.0.4
+assert committed key=k2 acks=2 absent=-
+"""
+
+
+def proposed_groups(report):
+    return [(a.get("key"), a.get("group")) for a in report.actions if a.kind == "proposed"]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 7919])
+def test_an_absentee_is_offline_to_its_neighborhood_until_its_next_flips(seed):
+    report = run_scenario(parse_scenario(ABSENT_THEN_BACK, name="absent-then-back"), seed=seed, trace=False)
+    assert report.passed, [c.render() for c in report.checks]
+    assert proposed_groups(report) == [("k1", "5"), ("k2", "4"), ("k3", "5")]
+    assert [a.get("addr") for a in report.actions if a.kind == "elected"] == ["10.1.0.1", "10.1.0.5"]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 7919])
+def test_an_absentee_split_away_stays_online_to_its_own_neighborhood(seed):
+    report = run_scenario(parse_scenario(SPLIT_AFTER_SEND, name="split-after-send"), seed=seed, trace=False)
+    assert report.passed, [c.render() for c in report.checks]
+    assert proposed_groups(report) == [("k1", "4"), ("k2", "2")]

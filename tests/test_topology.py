@@ -200,16 +200,16 @@ def test_router_eligibility_gates(uptime, capacity, active, eligible):
         NodeRecord(addr(1), uptime_fraction=uptime, link_capacity_bps=capacity, active=active),
         *(NodeRecord(addr(i), uptime_fraction=0.5) for i in (2, 3, 4)),
     ]
-    winner = elect_router(NeighborhoodMap.build(records), MIN_CLIENTS)
+    winner = elect_router(NeighborhoodMap.build(records).active_members(), MIN_CLIENTS)
     assert winner == (addr(1) if eligible else None)
 
 
 def test_router_eligibility_needs_population():
-    assert elect_router(build_map([1, 2]), MIN_CLIENTS) is None  # 2 members < min_clients=3
-    assert elect_router(build_map([1, 2, 3]), MIN_CLIENTS) == addr(1)
+    assert elect_router(build_map([1, 2]).active_members(), MIN_CLIENTS) is None  # 2 members < min_clients=3
+    assert elect_router(build_map([1, 2, 3]).active_members(), MIN_CLIENTS) == addr(1)
     # Only active members count towards the population.
     nmap = build_map([1, 2, 3]).set_active(addr(3), False)
-    assert elect_router(nmap, MIN_CLIENTS) is None
+    assert elect_router(nmap.active_members(), MIN_CLIENTS) is None
 
 
 def test_election_prefers_uptime_then_capacity_then_metric():
@@ -223,7 +223,7 @@ def test_election_prefers_uptime_then_capacity_then_metric():
     ]
     # Takeover order: each election's winner goes down before the next.
     nmap, order = NeighborhoodMap.build(records), []
-    while (winner := elect_router(nmap, MIN_CLIENTS)) is not None:
+    while (winner := elect_router(nmap.active_members(), MIN_CLIENTS)) is not None:
         order.append(winner)
         nmap = nmap.set_active(winner, False)
     assert order == [addr(3), addr(4), addr(2), addr(1)]
@@ -231,14 +231,14 @@ def test_election_prefers_uptime_then_capacity_then_metric():
 
 def test_election_tie_breaks_on_lowest_address():
     nmap = build_map([7, 3, 9], uptime_fraction=0.95, link_capacity_bps=200_000.0)
-    assert elect_router(nmap, MIN_CLIENTS) == addr(3)
+    assert elect_router(nmap.active_members(), MIN_CLIENTS) == addr(3)
 
 
 def test_election_returns_none_when_nobody_qualifies():
     nmap = build_map([1, 2, 3], uptime_fraction=0.5)
-    assert elect_router(nmap, MIN_CLIENTS) is None
+    assert elect_router(nmap.active_members(), MIN_CLIENTS) is None
     small = build_map([1, 2])
-    assert elect_router(small, MIN_CLIENTS) is None
+    assert elect_router(small.active_members(), MIN_CLIENTS) is None
 
 
 def test_cluster_plan_is_immutable():

@@ -17,10 +17,14 @@ of ChainWorld, the recurring refresh chain it replaced. A fourth checks that
 the action log, which holds back actions stamped after the clock, reads as the
 stable time sort of what was recorded. A fifth resolves commits: a world that
 computes each commit's receipts at the send gives the verdicts and action
-lines of MessageWorld, which ran each proposal and ack as an engine event.
+lines of MessageWorld, which ran each proposal and ack as an engine event. A
+sixth keeps the offline view: a world that holds it as one set gives the
+verdicts, action lines and trace lines of MapFlagWorld, which mirrored it into
+the active flags of every neighborhood map.
 """
 
 from collections import Counter
+from dataclasses import replace
 from typing import NamedTuple
 from unittest import mock
 
@@ -28,8 +32,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from outcomes import ShuffledEngine
+from test_scenario import ABSENT_THEN_BACK, SPLIT_AFTER_SEND
 
-from peermesh import scenario, sync
+from peermesh import discovery, scenario, sync
 from peermesh.scenario import (
     BEACON_TIMEOUT_FACTOR,
     KIND_MESSAGE,
@@ -126,13 +131,13 @@ class WorldMachine(RuleBasedStateMachine):
     def settle(self):
         """Let every commit resolve, then give a dead router's beacon time to
         go stale and the monitor a period to fail it over. A neighborhood
-        whose map yields a candidate must then have a live router; the map's
-        active flags decide, since commit absentees are offline only there."""
+        whose online members yield a candidate must then have a live router;
+        the offline view decides, since commit absentees are offline only there."""
         config = self.world.config
         self.now += MAX_COMMIT_TIMEOUT + (BEACON_TIMEOUT_FACTOR + 1) * config.beacon_period
         self.engine.run(self.world.handle, horizon=self.now)
         for nid, hood in self.world.neighborhoods.items():
-            if elect_router(hood.map, config.min_clients) is not None:
+            if elect_router(self.world._online(hood), config.min_clients) is not None:
                 assert self.world._live(hood.router), f"neighborhood {nid} has no live router"
 
     # -- invariants ------------------------------------------------------------
@@ -174,6 +179,14 @@ class WorldMachine(RuleBasedStateMachine):
         for s, t in pending:
             resolved[str(s), str(t)] += 1
         assert resolved == queued
+
+    @invariant()
+    def the_offline_view_holds_the_down_and_the_missed(self):
+        world = self.world
+        assert {a for a in world.instances if not world._live(a)} <= world.offline
+        assert world.offline <= world.instances.keys()
+        missed = {a for c in world.commits if c.resolution is not None for a in c.resolution.absentees}
+        assert {a for a in world.offline if world._live(a)} <= missed
 
     @invariant()
     def commits_resolve_once_by_their_deadline(self):
@@ -386,7 +399,7 @@ class MessageWorld(World):
     def _on_send(self, now, line):
         addr, params = line.addr, line.params
         nid = self.nid_of[addr]
-        group = {addr, *(r.address for r in self.neighborhoods[nid].map.active_members())}
+        group = {addr, *(r.address for r in self._online(self.neighborhoods[nid]))}
         commit = sync.propose_commit(
             group=group,
             proposer=addr,
@@ -475,3 +488,120 @@ assert committed key=k acks=1 absent=10.8.0.2,10.8.0.3,10.8.0.4
 @example(text=RECEIPT_EDGES, seed=7919)
 def test_commits_resolve_as_when_each_receipt_was_an_event(text, seed):
     assert verdicts_and_actions(World, text, seed) == verdicts_and_actions(MessageWorld, text, seed)
+
+
+class MapFlagWorld(World):
+    """The offline view as it was kept before World.offline was its one
+    record: each flip and each absentee in the proposer's neighborhood
+    replaced the map with its member's active flag set, a stray was mapped
+    with its live flag, and commit groups and elections read the active
+    members. It still keeps offline, which only its joins read, and only for
+    the members that are down."""
+
+    def _set_active(self, line, active):
+        nid = super()._set_active(line, active)
+        if nid is not None:
+            hood = self.neighborhoods[nid]
+            hood.map = hood.map.set_active(line.addr, active)
+        return nid
+
+    def _online(self, hood):
+        return hood.map.active_members()
+
+    def _report_commit(self, now, commit):
+        res = commit.resolution
+        self._act(now, "committed", f"key={commit.key} acks={len(res.acks)} absent={scenario._absent_text(res)}")
+        hood = self.neighborhoods[self.nid_of[commit.proposer]]
+        for a in res.absentees:
+            if a in hood.map:
+                hood.map = hood.map.set_active(a, False)
+
+    def _router_refresh(self, nid):
+        hood, now = self.neighborhoods[nid], self.engine.now
+        hood.map, added = discovery.router_refresh(
+            hood.router, self.directory, hood.map, lambda a: replace(self.instances[a], active=self._live(a))
+        )
+        for addr in added:
+            self.nid_of[addr] = nid
+            self.mapped_at[addr] = now
+            self._act(now, "mapped", f"addr={addr} neighborhood={nid}")
+        return bool(added)
+
+
+@st.composite
+def offline_scripts(draw):
+    """Three to ten instances download on a narrow address range with mixed
+    uptimes, each after the first followed by churn: downs, ups, subdivisions
+    and sends with timeouts of 1-20 from any instance live by the script. A send
+    from an instance that is not mapped, or a subdivision through one, is a
+    scenario error; both worlds must then raise the same one."""
+    addrs = [f"10.9.0.{k}" for k in draw(st.lists(st.integers(1, 40), min_size=3, max_size=10, unique=True))]
+    config = (
+        f"config min_clients={draw(st.integers(0, 3))} beacon_period={draw(st.integers(1, 8))}"
+        f" refresh_period={draw(st.integers(1, 16))} excerpt_cap={draw(st.integers(1, 3))}"
+        + draw(st.sampled_from(["", " critical_mass=3", " critical_mass=5"]))
+    )
+    lines, at, down, sends = [], 0, set(), 0
+    step = st.tuples(
+        st.integers(0, 12), st.sampled_from(["down", "up", "send", "send", "subdivide"]), st.integers(0, 9)
+    )
+    for i, addr in enumerate(addrs):
+        at += draw(st.integers(0, 4))
+        lines.append(f"at={at} event=download addr={addr} uptime={draw(st.sampled_from(['0.5', '0.95', '1.0']))}")
+        for gap, kind, k in draw(st.lists(step, max_size=3 if i else 0)):
+            at += gap
+            target = addrs[k % (i + 1)]
+            if kind == "send":
+                if target in down:
+                    continue
+                sends += 1
+                lines.append(f"at={at} event=send addr={target} key=k{sends} timeout={draw(st.integers(1, 20))}")
+            elif kind == "subdivide":
+                lines.append(f"at={at} event=subdivide addr={target} critical_mass={draw(st.integers(1, 3))}")
+            else:
+                (down.add if kind == "down" else down.discard)(target)
+                lines.append(f"at={at} event={kind} addr={target}")
+    lines += [f"assert committed key=k{k}" for k in range(1, sends + 1)]
+    return "\n".join([f"{config} horizon={at + 60}", *lines])
+
+
+def outcome(world, text, seed):
+    """The verdicts, action lines and trace lines of a traced replay, or the
+    scenario error that stopped it."""
+    with mock.patch.object(scenario, "World", world):
+        try:
+            report = run_scenario(parse_scenario(text, name="offline"), seed=seed)
+        except scenario.ScenarioError as exc:
+            return str(exc)
+    return [c.passed for c in report.checks], report.actions.lines, report.trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=offline_scripts(), seed=st.integers(0, 7))
+@example(text=ABSENT_THEN_BACK, seed=7)
+@example(text=SPLIT_AFTER_SEND, seed=7)
+def test_the_offline_view_is_the_one_the_map_flags_mirrored(text, seed):
+    assert outcome(World, text, seed) == outcome(MapFlagWorld, text, seed)
+
+
+def test_a_flip_leaves_the_map_alone():
+    engine = Engine(7)
+    world = World(engine, WorldConfig())
+
+    def run(text, horizon):
+        for line in parse_scenario(text).events:
+            schedule_line(engine, line)
+        engine.run(world.handle, horizon=horizon)
+
+    run("\n".join(f"at={k} event=download addr=10.3.0.{k + 1}" for k in range(4)), 5)
+    hood = world.neighborhoods[world.nid_of[parse_address("10.3.0.1")]]
+    before = hood.map
+    run("at=10 event=down addr=10.3.0.4", 10)
+    run("at=11 event=up addr=10.3.0.4", 11)
+    # 10.3.0.2 is down for every proposal (a hop takes 1-10 units), and back before the deadline.
+    run("at=20 event=send addr=10.3.0.1 key=k timeout=30\nat=20 event=down addr=10.3.0.2", 20)
+    run("at=31 event=up addr=10.3.0.2", 60)
+    (commit,) = world.commits
+    assert commit.resolution.absentees == {parse_address("10.3.0.2")}
+    assert world.offline == {parse_address("10.3.0.2")}
+    assert hood.map is before and world.neighborhoods[world.nid_of[parse_address("10.3.0.1")]] is hood
