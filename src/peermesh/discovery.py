@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .simcore import RandomStream
 from .topology import NeighborhoodMap, NodeAddress, NodeRecord, address_distance
@@ -55,8 +55,7 @@ class DownloadRegistry:
         return excerpt
 
 
-@dataclass(frozen=True)
-class Introduction:
+class Introduction(NamedTuple):
     sender: NodeAddress
     target: NodeAddress
     deadline: int

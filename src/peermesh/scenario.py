@@ -13,8 +13,9 @@ statement of a line's parameters: which kinds and keys exist, which
 parameters each takes and needs, what each value must be, and which recorded
 action a check matches. A download's domain= is not used; the trace only
 echoes it. Checks with at= are evaluated at that virtual time, the rest after
-the run; one timed past the horizon fails. router and no-router fail for an
-unknown address.
+the run; one timed past the horizon fails. A timed action check matches only
+the lines stamped at or before its time, an untimed one every line. router
+and no-router fail for an unknown address.
 
 The parser casts every value, so a script's config is a WorldConfig and the
 handlers and checks read each parameter as cast; a record keeps its
@@ -57,8 +58,12 @@ merge of the snapshot's lists, records one round action, and queues the next
 round only if membership changed in or after the unit the round started; no
 round recurs by itself. A join queues
 an introduction only for each member down at its connect and each dead
-probe target; a delivered one gives its target the sender's entry. One
-IntroExpiry timer per distinct deadline expires them.
+probe target; a delivered one gives its target the sender's entry, a list
+the world keeps from the download on and never writes. One IntroExpiry timer
+per distinct deadline expires them. A neighborhood keeps its members' metrics
+sorted, as they join, are mapped or split off (membership never shrinks
+inside a neighborhood), and an introduction's timeout is ten moderate update
+periods of their median, read once for each batch a join queues.
 
 World.flips is the one record of liveness: the units at which each instance
 went down or came up. An instance was live at unit t, after the lines at t,
@@ -105,9 +110,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -367,10 +372,13 @@ def load_scenario(path: str | Path) -> ScenarioScript:
 
 @dataclass
 class Neighborhood:
-    """A neighborhood's membership snapshot, its router, if it has one, and
-    the state of its update rounds."""
+    """A neighborhood's membership snapshot, its members' metrics, sorted,
+    its router, if it has one, and the state of its update rounds."""
 
     map: NeighborhoodMap
+    # Sorted from the map it starts with; a join or a mapped stray inserts
+    # into it, and nothing removes: membership never shrinks in a neighborhood.
+    metrics: list[float] = field(init=False)
     router: NodeAddress | None = None
     elected: int = 0  # when the router was elected: its monitor ticks from here
     started: int = 0  # when its incarnation started: its beacons and refresh ticks count from here
@@ -381,6 +389,9 @@ class Neighborhood:
     pending: bool = False  # a round start is queued or a round is running
     changed: int = -1  # the unit of the last membership change
     split_at: int | None = None  # when the neighborhood split, which ended it
+
+    def __post_init__(self):
+        self.metrics = sorted(r.metric for r in self.map.members)
 
 
 def _membership(addr: NodeAddress) -> sync.AttributeList:
@@ -528,6 +539,7 @@ class World:
         self.flips: dict[NodeAddress, list[int]] = {}  # each instance's down and up units, in time order
         self.offline: set[NodeAddress] = set()  # down, or missed by a commit of its neighborhood since its last flip
         self.lists: dict[NodeAddress, sync.AttributeList] = {}  # each instance's attribute list
+        self.own: dict[NodeAddress, sync.AttributeList] = {}  # each instance's own membership entry alone, never written
         self.mapped_at: dict[NodeAddress, int] = {}  # when each mapped instance was first mapped
         self.neighborhoods: dict[int, Neighborhood] = {}
         self.nid_of: dict[NodeAddress, int] = {}
@@ -539,9 +551,6 @@ class World:
         self._order = itertools.count()
         self.check_results: list[CheckResult] = []
         self._nids = itertools.count()  # neighborhood ids, each handed out once
-        # Per neighborhood id (None: no neighborhood), the map snapshot an
-        # introduction timeout was last computed from, and that timeout.
-        self._intro_timeouts: dict[int | None, tuple[NeighborhoodMap | None, int]] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -582,17 +591,11 @@ class World:
 
     def _intro_timeout(self, sender: NodeAddress) -> int:
         """The configured timeout, or ten moderate update periods of sender's
-        neighborhood, computed once per map snapshot: snapshots are immutable."""
+        neighborhood, read from its sorted metrics (an isolated sender's: [0.0])."""
         if self.config.intro_timeout is not None:
             return self.config.intro_timeout
         nid = self.nid_of.get(sender)
-        nmap = None if nid is None else self.neighborhoods[nid].map
-        cached = self._intro_timeouts.get(nid)
-        if cached is None or cached[0] is not nmap:
-            metrics = [r.metric for r in nmap.members] if nmap is not None else []
-            timeout = 10 * sync.update_period("moderate", metrics or [0.0])
-            cached = self._intro_timeouts[nid] = (nmap, timeout)
-        return cached[1]
+        return 10 * sync.update_period("moderate", [0.0] if nid is None else self.neighborhoods[nid].metrics)
 
     # -- event dispatch ------------------------------------------------------
 
@@ -613,23 +616,23 @@ class World:
         rec = NodeRecord(addr, **{_RECORD_FIELDS[k]: v for k, v in params.items() if k in _RECORD_FIELDS})
         self.instances[addr] = rec
         self.flips[addr] = []
-        self.lists[addr] = _membership(addr)
+        self.own[addr] = own = _membership(addr)
+        self.lists[addr] = own.copy()
         excerpt = self.registry.register(addr, now, cap=self.config.excerpt_cap)
         stream = self.engine.stream(f"node/{_text(addr)}")
         result = discovery.bootstrap(excerpt, is_active=self._live, stream=stream, now=now)
         for attempt in result.attempts:
             if not attempt.alive:
                 self._act(attempt.at, "connect-failed", f"from={_text(addr)} to={_text(attempt.target)}")
-        for dead in result.dead_targets:
-            self._queue_intro(result.finished_at, addr, dead)
+        self._queue_intros(result.finished_at, addr, result.dead_targets)
         if result.connected_to is not None:
             self._act(result.finished_at, "connect", f"from={_text(addr)} to={_text(result.connected_to)}")
             self._join_via(result.finished_at, rec, result.connected_to)
             # Joining can split the neighborhood, so resolve the current id. A dead
-            # probe target among the members is already queued, and _queue_intro skips it.
+            # probe target among the members is already queued, and _queue_intros skips it.
             nid, nid_of = self.nid_of[addr], self.nid_of
-            for member in sorted(a for a in self.offline if nid_of.get(a) == nid and not self._live(a)):
-                self._queue_intro(result.finished_at, addr, member)
+            down = sorted(a for a in self.offline if nid_of.get(a) == nid and not self._live(a))
+            self._queue_intros(result.finished_at, addr, down)
         else:
             self.directory.add(addr)
             for nid in self.neighborhoods:
@@ -650,6 +653,7 @@ class World:
         else:
             hood = self.neighborhoods[nid]
             hood.map = hood.map.add(rec)
+            insort(hood.metrics, rec.metric)
         self.nid_of[rec.address] = nid
         self.mapped_at[rec.address] = self.engine.now
         self._act(at, "joined", f"addr={_text(rec.address)} neighborhood={nid}")
@@ -701,9 +705,10 @@ class World:
         if self._live(addr):
             return  # already up: like a down for a down instance, it changes nothing
         nid = self._set_active(line, True)
+        mine, own, to = self.lists[addr], self.own, f" to={_text(addr)}"
         for intro in self.intros.deliver_for(addr, now):
-            self.lists[addr].absorb(_membership(intro.sender))
-            self._act(now, "delivered", f"from={_text(intro.sender)} to={_text(addr)}")
+            mine.absorb(own[intro.sender])
+            self._act(now, "delivered", f"from={_text(intro.sender)}{to}")
         if nid is not None:
             if self.neighborhoods[nid].router == addr:
                 # The router itself came back: it starts a new incarnation.
@@ -774,12 +779,18 @@ class World:
 
     # -- introductions -----------------------------------------------------
 
-    def _queue_intro(self, at: int, sender: NodeAddress, target: NodeAddress) -> None:
-        if (sender, target) in self.intros:
+    def _queue_intros(self, at: int, sender: NodeAddress, targets: Sequence[NodeAddress]) -> None:
+        """Queue sender's introduction to each target, in order, that has none
+        pending from it: one timeout, and one deadline, for the whole batch."""
+        intros = self.intros
+        fresh = [t for t in targets if (sender, t) not in intros]
+        if not fresh:
             return
         deadline = at + self._intro_timeout(sender)
-        self.intros.add(sender, target, deadline=deadline)
-        self._act(at, "queued", f"from={_text(sender)} to={_text(target)} deadline={deadline}")
+        head, tail = f"from={_text(sender)} to=", f" deadline={deadline}"
+        for target in fresh:
+            intros.add(sender, target, deadline=deadline)
+            self._act(at, "queued", f"{head}{_text(target)}{tail}")
         if deadline not in self._expiries:  # a queued timer expires everything due at its unit
             self._expiries.add(deadline)
             self.engine.schedule(deadline, KIND_TIMER, payload=IntroExpiry())
@@ -912,6 +923,7 @@ class World:
         for addr in added:
             self.nid_of[addr] = nid
             self.mapped_at[addr] = now
+            insort(hood.metrics, self.instances[addr].metric)
             self._act(now, "mapped", f"addr={_text(addr)} neighborhood={nid}")
         return bool(added)
 
@@ -925,10 +937,17 @@ class World:
         action = _CHECK_KINDS[kind][0]
         if action is not None:
             # Each wanted field must be one of an action's fields, whole. Only a
-            # line that names the kind after its time is parsed.
+            # line that names the kind after its time is parsed. A timed check
+            # reads the lines stamped by its time: the log and the held-back
+            # lines that the clock has reached, settled into it.
+            if check.at is None:
+                lines = self.actions.lines
+            else:
+                self._settle(check.at)
+                lines = self._lines
             want = [f"{k}={_text(v)}" for k, v in p.items()]
             marker = f"] {action} "
-            candidates = map(Action.parse, (line for line in self.actions.lines if marker in line))
+            candidates = map(Action.parse, (line for line in lines if marker in line))
             ok = any(a.kind == action and all(f in a.fields() for f in want) for a in candidates)
             return CheckResult(check, ok, "" if ok else "no matching action")
         if kind == "introduced":

@@ -31,7 +31,6 @@ and absorbs each hop's list in place.
 from __future__ import annotations
 
 import re
-import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping
@@ -452,10 +451,12 @@ def update_period(update_class: str, metrics: Iterable[float]) -> int:
     """
     if update_class not in UPDATE_PERIOD_BASES:
         raise ValueError(f"unknown update class {update_class!r}")
-    values = list(metrics)
+    values = sorted(metrics)
     if not values:
         raise ValueError("metrics must be non-empty")
-    if any(m < 0 for m in values):
+    if values[0] < 0:
         raise ValueError("metrics must be non-negative")
+    half = len(values) // 2
+    median = values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2
     base = UPDATE_PERIOD_BASES[update_class]
-    return max(1, round(base * (1.0 + statistics.median(values) / REFERENCE_METRIC)))
+    return max(1, round(base * (1.0 + median / REFERENCE_METRIC)))

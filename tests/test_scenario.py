@@ -706,6 +706,26 @@ def test_a_check_timed_past_the_horizon_fails(tmp_path, capsys):
     assert out.endswith("-- result: FAIL (1/2 checks) --\n")
 
 
+# 10.0.0.2's handshake starts at its download at 10, and its connect line is
+# stamped at its end, some hop delays later (17 at the default seed).
+EARLY_CHECK = """
+at=0 event=download addr=10.0.0.1
+at=10 event=download addr=10.0.0.2
+assert connected at=10 from=10.0.0.2 to=10.0.0.1
+assert connected at=20 from=10.0.0.2 to=10.0.0.1
+assert connected from=10.0.0.2 to=10.0.0.1
+"""
+
+
+def test_a_timed_action_check_reads_only_the_lines_stamped_by_its_time():
+    report = run_scenario(parse_scenario(EARLY_CHECK, name="early"), trace=False)
+    (connect,) = [a for a in report.actions if a.kind == "connect"]
+    assert 10 < connect.at <= 20
+    assert [c.passed for c in report.checks] == [False, True, True]
+    edge = "\n".join(EARLY_CHECK.splitlines()[:3] + [f"assert connected at={connect.at - k} to=10.0.0.1" for k in (0, 1)])
+    assert [c.passed for c in run_scenario(parse_scenario(edge, name="edge"), trace=False).checks] == [True, False]
+
+
 def test_load_scenario_from_path(tmp_path):
     p = tmp_path / "tiny.scenario"
     p.write_text("at=0 event=download addr=10.0.0.1\nassert isolated addr=10.0.0.1\n")

@@ -74,17 +74,20 @@ def test_sync_and_topology_import_nothing_else():
 
 def test_scenario_run_and_mm1_load_no_numpy():
     # Only timing's Monte Carlo needs numpy; a world replay draws its own hop
-    # delays, and queue sizing is arithmetic.
+    # delays, and queue sizing is arithmetic. Nor does importing the command
+    # line, or a replay, load statistics: an update period sorts its metrics once.
     code = (
         "import contextlib, io, json, sys; from peermesh import cli\n"
+        "loaded = lambda *tops: sorted(m for m in sys.modules if m.partition('.')[0] in tops)\n"
+        "imported = loaded('statistics')\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['scenario', 'run', 'startup']), cli.main(['mm1', '--g', '2', '--l', '8000', '--b', '16000'])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')]))"
+        "print(json.dumps([codes, imported, loaded('numpy', 'statistics')]))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT / "src", check=True
     )
-    assert json.loads(done.stdout) == [[0, 0], []]
+    assert json.loads(done.stdout) == [[0, 0], [], []]
 
 
 def test_cli_and_timing_import_no_numpy():

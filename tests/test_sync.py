@@ -514,6 +514,12 @@ def test_commit_validates_inputs():
         ("moderate", [100.0, 0.0, 100.0], 100),
         ("aggressive", [50.0], 15),
         ("light", [10.0, 20.0, 30.0], 300),
+        # An even count takes the mean of the two middle items: 20, not 10 or 30.
+        ("moderate", [0.0, 10.0, 30.0, 100.0], 60),
+        ("light", [30.0, 10.0, 20.0], 300),  # unsorted
+        ("moderate", [100.0, 0.0, 30.0, 10.0], 60),  # even and unsorted
+        ("moderate", [15, 10], 56),  # integers: a median of 12.5
+        ("aggressive", [40, 0, 20], 12),
     ],
 )
 def test_update_period_values(cls, metrics, expected):
@@ -535,3 +541,5 @@ def test_update_period_validation():
         update_period("moderate", [])
     with pytest.raises(ValueError):
         update_period("moderate", [-1.0])
+    with pytest.raises(ValueError):
+        update_period("moderate", [5.0, -1.0])  # the negative is not first

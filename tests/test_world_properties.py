@@ -20,9 +20,14 @@ computes each commit's receipts at the send gives the verdicts and action
 lines of MessageWorld, which ran each proposal and ack as an engine event. A
 sixth keeps the offline view: a world that holds it as one set gives the
 verdicts, action lines and trace lines of MapFlagWorld, which mirrored it into
-the active flags of every neighborhood map.
+the active flags of every neighborhood map. A seventh times introductions: a
+world that reads each timeout from its neighborhood's sorted metrics gives the
+verdicts, action lines and trace lines of ScanTimeoutWorld, which took the
+median of a scan of the sender's map.
 """
 
+import statistics
+from bisect import insort
 from collections import Counter
 from dataclasses import replace
 from typing import NamedTuple
@@ -91,10 +96,11 @@ class WorldMachine(RuleBasedStateMachine):
         i=st.integers(0, len(POOL) - 1),
         uptime=st.sampled_from(["0.5", "0.95", "1.0"]),
         capacity=st.sampled_from(["100000", "1000000"]),
+        metric=st.sampled_from(["0", "7", "40"]),
     )
-    def download(self, i, uptime, capacity):
+    def download(self, i, uptime, capacity, metric):
         fresh = [a for a in POOL if a not in self.world.instances]
-        self._run(f"event=download addr={fresh[i % len(fresh)]} uptime={uptime} capacity={capacity}")
+        self._run(f"event=download addr={fresh[i % len(fresh)]} uptime={uptime} capacity={capacity} metric={metric}")
 
     @precondition(lambda self: self.world.instances)
     @rule(i=st.integers(0, len(POOL) - 1))
@@ -164,6 +170,17 @@ class WorldMachine(RuleBasedStateMachine):
     def routers_are_members_of_their_own_neighborhood(self):
         for hood in self.world.neighborhoods.values():
             assert hood.router is None or hood.router in hood.map
+
+    @invariant()
+    def every_neighborhood_keeps_its_members_metrics_sorted(self):
+        for nid, hood in self.world.neighborhoods.items():
+            assert hood.metrics == sorted(r.metric for r in hood.map.members), f"neighborhood {nid}"
+
+    @invariant()
+    def every_kept_membership_list_holds_its_own_entry_alone(self):
+        # Deliveries absorb these lists, so none may take a write.
+        for addr, own in self.world.own.items():
+            assert [e.owner for e in own.entries()] == [addr]
 
     @invariant()
     def introductions_resolve_at_most_once(self):
@@ -524,6 +541,7 @@ class MapFlagWorld(World):
         for addr in added:
             self.nid_of[addr] = nid
             self.mapped_at[addr] = now
+            insort(hood.metrics, self.instances[addr].metric)
             self._act(now, "mapped", f"addr={addr} neighborhood={nid}")
         return bool(added)
 
@@ -605,3 +623,53 @@ def test_a_flip_leaves_the_map_alone():
     assert commit.resolution.absentees == {parse_address("10.3.0.2")}
     assert world.offline == {parse_address("10.3.0.2")}
     assert hood.map is before and world.neighborhoods[world.nid_of[parse_address("10.3.0.1")]] is hood
+
+
+class ScanTimeoutWorld(World):
+    """The introduction timeout as it was computed before each neighborhood
+    kept its metrics sorted: ten moderate update periods over the median of
+    a scan of the sender's current map, or of [0.0] for an isolated sender,
+    with update_period's arithmetic as it was, on statistics.median."""
+
+    def _intro_timeout(self, sender):
+        if self.config.intro_timeout is not None:
+            return self.config.intro_timeout
+        nid = self.nid_of.get(sender)
+        metrics = [0.0] if nid is None else [r.metric for r in self.neighborhoods[nid].map.members]
+        base = sync.UPDATE_PERIOD_BASES["moderate"]
+        return 10 * max(1, round(base * (1.0 + statistics.median(metrics) / sync.REFERENCE_METRIC)))
+
+
+@st.composite
+def timeout_scripts(draw):
+    """Three to twelve instances with drawn metrics download on a narrow
+    address range with an excerpt of one or two, so a download whose nearest
+    registrants are down becomes a stray, which a router's refresh maps if it
+    lies in a span. Each download is followed by downs and ups of the
+    instances so far, so joins queue introductions for down members. A
+    critical mass of 2-5 splits neighborhoods into halves of odd and even
+    sizes. intro_timeout is unset, so every queued line's deadline is set by
+    the median metric of the sender's neighborhood."""
+    addrs = [f"10.10.0.{k}" for k in draw(st.lists(st.integers(1, 30), min_size=3, max_size=12, unique=True))]
+    config = (
+        f"config min_clients={draw(st.integers(0, 2))} excerpt_cap={draw(st.integers(1, 2))}"
+        f" beacon_period={draw(st.integers(1, 8))} refresh_period={draw(st.integers(1, 12))}"
+        + draw(st.sampled_from(["", " critical_mass=2", " critical_mass=3", " critical_mass=5"]))
+    )
+    lines, at = [], 0
+    for i, addr in enumerate(addrs):
+        at += draw(st.integers(0, 6))
+        uptime = "1.0" if i == 0 else draw(st.sampled_from(["0.5", "0.95"]))
+        lines.append(f"at={at} event=download addr={addr} uptime={uptime} metric={draw(st.integers(0, 60))}")
+        flaps = st.tuples(st.integers(0, 8), st.sampled_from(["down", "up"]), st.integers(0, i))
+        for gap, kind, k in draw(st.lists(flaps, max_size=3)):
+            at += gap
+            lines.append(f"at={at} event={kind} addr={addrs[k]}")
+    lines += [f"assert member addr={a}" for a in addrs]
+    return "\n".join([f"{config} horizon={at + 60}", *lines])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=timeout_scripts(), seed=st.integers(0, 7))
+def test_an_introduction_times_out_as_when_each_join_scanned_its_map(text, seed):
+    assert outcome(World, text, seed) == outcome(ScanTimeoutWorld, text, seed)
