@@ -36,9 +36,10 @@ class DownloadRegistry:
 
         The excerpt holds the cap nearest prior registrants by address
         distance, ties to the lower address, excluding the registrant itself.
-        Its order is the probe order: one sort, nearer first, of the up to 2*cap
-        registrants beside its bisect point in the sorted registry. That costs
-        O(cap log cap + log n) plus one list insert; a known address adds nothing.
+        Its order is the probe order, nearer first: a merge of the registrants
+        below its bisect point in the sorted registry, walked down, and those
+        above it, walked up, in which a tie goes to the one below. That costs
+        O(cap + log n) plus one list insert; a known address adds nothing.
         """
         if cap < 0:
             raise ValueError(f"excerpt cap must be non-negative, got {cap}")
@@ -47,8 +48,17 @@ class DownloadRegistry:
         known = self._known
         i = bisect_left(known, address)
         seen = i < len(known) and known[i] == address
-        candidates = known[max(i - cap, 0) : i] + known[i + seen : i + seen + cap]
-        excerpt = tuple(sorted(candidates, key=lambda a: (address_distance(a, address), a))[:cap])
+        below, above = known[max(i - cap, 0) : i][::-1], known[i + seen : i + seen + cap]
+        excerpt, lo, hi = [], 0, 0
+        while lo < len(below) and hi < len(above) and lo + hi < cap:
+            if address_distance(below[lo], address) <= address_distance(above[hi], address):
+                excerpt.append(below[lo])
+                lo += 1
+            else:
+                excerpt.append(above[hi])
+                hi += 1
+        left = cap - lo - hi  # one side ran out, or the excerpt is full
+        excerpt = tuple(excerpt + below[lo : lo + left] + above[hi : hi + left])
         if not seen:
             known.insert(i, address)
         self._last_at = at

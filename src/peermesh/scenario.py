@@ -526,6 +526,9 @@ class World:
     instances holds each instance's record as it downloaded; flips says
     whether it is live, and offline, not a map, what its neighborhood sees as
     offline. An instance is isolated exactly when it is known but not in nid_of.
+    An instance's list in lists is a value that a handler replaces, never one
+    it writes into: a round's end hands every member one merged list, and a
+    download the kept list in own.
     """
 
     def __init__(self, engine: Engine, config: WorldConfig):
@@ -616,8 +619,7 @@ class World:
         rec = NodeRecord(addr, **{_RECORD_FIELDS[k]: v for k, v in params.items() if k in _RECORD_FIELDS})
         self.instances[addr] = rec
         self.flips[addr] = []
-        self.own[addr] = own = _membership(addr)
-        self.lists[addr] = own.copy()
+        self.own[addr] = self.lists[addr] = _membership(addr)
         excerpt = self.registry.register(addr, now, cap=self.config.excerpt_cap)
         stream = self.engine.stream(f"node/{_text(addr)}")
         result = discovery.bootstrap(excerpt, is_active=self._live, stream=stream, now=now)
@@ -705,10 +707,14 @@ class World:
         if self._live(addr):
             return  # already up: like a down for a down instance, it changes nothing
         nid = self._set_active(line, True)
-        mine, own, to = self.lists[addr], self.own, f" to={_text(addr)}"
-        for intro in self.intros.deliver_for(addr, now):
-            mine.absorb(own[intro.sender])
-            self._act(now, "delivered", f"from={_text(intro.sender)}{to}")
+        delivered = self.intros.deliver_for(addr, now)
+        if delivered:
+            # The old list may be a round's, which other members hold too: replace it, never write into it.
+            mine, own, to = self.lists[addr].copy(), self.own, f" to={_text(addr)}"
+            for intro in delivered:
+                mine.absorb(own[intro.sender])
+                self._act(now, "delivered", f"from={_text(intro.sender)}{to}")
+            self.lists[addr] = mine
         if nid is not None:
             if self.neighborhoods[nid].router == addr:
                 # The router itself came back: it starts a new incarnation.
@@ -756,7 +762,7 @@ class World:
         n = len(members)
         size = round(math.sqrt(n / 3)) + 1
         chain_hops = [min(size, n - i) - 1 for i in range(0, n, size)]
-        latency = timing.barrier_latency(chain_hops, stream.hop_delay)
+        latency = timing.barrier_latency(chain_hops, stream.next_delays(2 * n - 2))
         hood.round_due = now + sync.update_period("moderate", [instances[a].metric for a in members])
         end = RoundEnd(nid, hood, tuple(members), latency)
         self.engine.schedule(now + latency, KIND_MESSAGE, payload=end)
@@ -769,9 +775,7 @@ class World:
         if hood.split_at is not None and hood.split_at < now:
             return
         lists = self.lists
-        merged = sync.merge_all([lists[a] for a in members])
-        for addr in members:
-            lists[addr] = merged.copy()
+        lists.update(dict.fromkeys(members, sync.merge_all([lists[a] for a in members])))
         self._act(now, "round", f"latency={latency} members={len(members)} neighborhood={nid}")
         hood.pending = False
         if hood.changed >= now - latency:
@@ -828,8 +832,9 @@ class World:
             return
         stream = self.engine.stream(f"commit/{idx}")
         members = sorted(commit.group - {addr})
-        arrivals = [now + stream.hop_delay() for _ in members]
-        receipts = tuple((member, at, at + stream.hop_delay()) for member, at in zip(members, arrivals))
+        k = len(members)
+        delays = stream.next_delays(2 * k)  # every proposal's delay, then every ack's, in member order
+        receipts = tuple((m, now + there, now + there + back) for m, there, back in zip(members, delays, delays[k:]))
         last, due = max(ack_at for _, _, ack_at in receipts), CommitDue(idx, receipts)
         if last < commit.deadline:
             self.engine.schedule(last, KIND_TIMER, payload=due)

@@ -103,6 +103,14 @@ class RandomStream:
             rng = self._rng = random.Random(derive_seed(self.seed, self.stream_id))
         return HOP_DELAY_MIN + int(rng.random() * _HOP_SPAN)
 
+    def next_delays(self, k: int) -> list[int]:
+        """The next k hop delays as a list: what k hop_delay() calls return."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(derive_seed(self.seed, self.stream_id))
+        draw = rng.random
+        return [HOP_DELAY_MIN + int(draw() * _HOP_SPAN) for _ in range(k)]
+
     def hop_delays(self, size):
         """An int16 array of packed hop delays from numpy's Generator.integers,
         each uniform on {0..DRAW_SPAN-1}. A draw carries HOPS_PER_DRAW hop

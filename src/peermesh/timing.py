@@ -36,7 +36,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, Callable
+from itertools import accumulate, pairwise
+from typing import TYPE_CHECKING
 
 from .simcore import DEFAULT_SEED, DRAW_SPAN, HOPS_PER_DRAW, RandomStream, digit_sums, units_to_ms
 
@@ -141,21 +142,24 @@ def _draw_trials(dims: HopsArrayDims, stream: RandomStream, mode: str, size: int
     )
 
 
-def barrier_latency(chain_hops: Sequence[int], draw: Callable[[], int]) -> int:
+def barrier_latency(chain_hops: Sequence[int], delays: Sequence[int]) -> int:
     """One round's latency under the barrier schedule, each phase starting
     when the last one ends: twice the slowest forward chain (the reverse pass
     retraces it), the ring's 2*(chains-1) hops, and the slowest of freshly
-    drawn redistribute chains. chain_hops gives each chain's hops, and draw
-    each hop's delay, taken in that order: forward chains, ring, redistribute
-    chains. Over a trial's hop delays in that order, this is the trial's
-    total in MODE_EQUATION_LITERAL."""
-
-    def slowest_chain() -> int:
-        return max(sum(draw() for _ in range(hops)) for hops in chain_hops)
-
-    forward = slowest_chain()
-    ring = sum(draw() for _ in range(2 * (len(chain_hops) - 1)))
-    return 2 * forward + ring + slowest_chain()
+    drawn redistribute chains. chain_hops gives each chain's hops, and delays
+    every hop's delay in this order: forward chains, each chain's hops
+    together, then the ring, then redistribute chains as forward. That is
+    2*sum(chain_hops) + 2*(len(chain_hops)-1) delays: 2n-2 for chains that
+    hold n members. Over a trial's hop delays in that order, this is the
+    trial's total in MODE_EQUATION_LITERAL."""
+    bounds = list(accumulate(chain_hops, initial=0))
+    hops, ring = bounds[-1], 2 * (len(chain_hops) - 1)
+    if len(delays) != 2 * hops + ring:
+        raise ValueError(f"{len(chain_hops)} chains of {hops} hops take {2 * hops + ring} delays, got {len(delays)}")
+    spans, off = list(pairwise(bounds)), hops + ring
+    forward = max(sum(delays[a:b]) for a, b in spans)
+    redistribute = max(sum(delays[off + a : off + b]) for a, b in spans)
+    return 2 * forward + sum(delays[hops:off]) + redistribute
 
 
 def block_stream(seed: int, dims: HopsArrayDims, mode: str, block: int) -> RandomStream:

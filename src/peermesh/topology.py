@@ -128,7 +128,7 @@ class NeighborhoodMap:
         i = bisect_left(members, record.address, key=lambda r: r.address)
         if i < len(members) and members[i].address == record.address:
             raise ValueError(f"{record.address} already in map")
-        return replace(self, members=members[:i] + (record,) + members[i:])
+        return NeighborhoodMap(members[:i] + (record,) + members[i:], self.remote_routers)
 
     def remove(self, address: NodeAddress) -> "NeighborhoodMap":
         if address not in self:

@@ -273,7 +273,7 @@ def test_a_round_takes_the_barrier_latency_of_its_stream(seed):
         size = round(math.sqrt(n / 3)) + 1  # a one-level round's closed-form optimum
         chain_hops = [min(size, n - i) - 1 for i in range(0, n, size)]
         stream = RandomStream(seed, f"round/0/{k}")
-        assert int(action.get("latency")) == barrier_latency(chain_hops, stream.hop_delay)
+        assert int(action.get("latency")) == barrier_latency(chain_hops, [stream.hop_delay() for _ in range(2 * n - 2)])
 
 
 # Scripts in which a router's tick maps a stray in the unit where a round starts
@@ -380,6 +380,49 @@ def test_a_round_whose_neighborhood_split_while_it_ran_is_void():
         "[    22] round latency=18 members=2 neighborhood=2",
         "[    34] round latency=30 members=2 neighborhood=1",
     ]
+
+
+# Three joins, then rounds until the last one holds all three members.
+THREE_JOIN = """
+at=0 event=download addr=10.9.1.1
+at=1 event=download addr=10.9.1.2
+at=2 event=download addr=10.9.1.3
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 7, 7919])
+def test_a_return_after_a_round_keeps_the_other_members_lists(monkeypatch, seed):
+    # A round's end hands its members one merged list. Then 10.9.1.3 goes down,
+    # 10.9.1.4 joins and queues an introduction to it, and 10.9.1.3 comes back and
+    # is delivered that introduction; the horizon falls before the next round can
+    # end. Only 10.9.1.3's list may take 10.9.1.4's entry.
+    rounds = [a for a in run_scenario(parse_scenario(THREE_JOIN), seed=seed, trace=False).actions if a.kind == "round"]
+    last = rounds[-1]
+    assert last.get("members") == "3"
+    t = last.at
+    text = THREE_JOIN + (
+        f"config horizon={t + 3}\n"
+        f"at={t + 1} event=down addr=10.9.1.3\n"
+        f"at={t + 2} event=download addr=10.9.1.4\n"
+        f"at={t + 3} event=up addr=10.9.1.3\n"
+    )
+    worlds = []
+
+    class RecordingWorld(scenario.World):
+        def __init__(self, *args):
+            super().__init__(*args)
+            worlds.append(self)
+
+    monkeypatch.setattr(scenario, "World", RecordingWorld)
+    report = run_scenario(parse_scenario(text, name="return-after-round"), seed=seed, trace=False)
+    assert [a.render() for a in report.actions if a.kind == "delivered"] == [
+        f"[{t + 3:>6}] delivered from=10.9.1.4 to=10.9.1.3"
+    ]
+    assert [a.at for a in report.actions if a.kind == "round"][-1] == t  # no later round ended
+    (world,) = worlds
+    a1, a2, a3, a4 = (parse_address(f"10.9.1.{k}") for k in range(1, 5))
+    owners = {addr: [e.owner for e in world.lists[addr].entries()] for addr in (a1, a2, a3)}
+    assert owners == {a1: [a1, a2, a3], a2: [a1, a2, a3], a3: [a1, a2, a3, a4]}
 
 
 SPLIT = """

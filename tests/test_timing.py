@@ -329,10 +329,19 @@ def test_barrier_latency_is_trial_zero_of_equation_literal(dims, seed):
     _draw_trials(dims, stream, MODE_EQUATION_LITERAL, BLOCK_TRIALS)
     (draws,) = stream.draws
     forward, ring, redistribute = decode_trial(dims, MODE_EQUATION_LITERAL, draws[0].tolist())
-    delays = iter([hop for chain in forward + [ring] + redistribute for hop in chain])
-    latency = barrier_latency([dims.rows] * dims.columns, delays.__next__)
-    assert next(delays, None) is None
+    delays = [hop for chain in forward + [ring] + redistribute for hop in chain]
+    latency = barrier_latency([dims.rows] * dims.columns, delays)
     assert latency == monte_carlo(dims, trials=1, seed=seed, mode=MODE_EQUATION_LITERAL).total.mean
+
+
+def test_barrier_latency_reads_each_phase_from_its_place_in_the_delays():
+    # Chains of 2 and 1 hops (5 members): forward [1, 2] and [9], ring [4, 5],
+    # redistribute [6, 7] and [3]; 2n - 2 = 8 delays in all.
+    delays = [1, 2, 9, 4, 5, 6, 7, 3]
+    assert barrier_latency([2, 1], delays) == 2 * 9 + (4 + 5) + (6 + 7)
+    for wrong in (delays[:-1], delays + [1]):
+        with pytest.raises(ValueError, match="take 8 delays"):
+            barrier_latency([2, 1], wrong)
 
 
 @pytest.mark.parametrize("mode", MODES)
