@@ -49,8 +49,8 @@ class DownloadRegistry:
         i = bisect_left(known, address)
         seen = i < len(known) and known[i] == address
         below, above = known[max(i - cap, 0) : i][::-1], known[i + seen : i + seen + cap]
-        excerpt, lo, hi = [], 0, 0
-        while lo < len(below) and hi < len(above) and lo + hi < cap:
+        excerpt, lo, hi, nb, na = [], 0, 0, len(below), len(above)
+        while lo < nb and hi < na and lo + hi < cap:
             if address_distance(below[lo], address) <= address_distance(above[hi], address):
                 excerpt.append(below[lo])
                 lo += 1

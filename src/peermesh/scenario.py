@@ -52,9 +52,10 @@ next unit and the last start plus one moderate update period of that round's
 members. It takes a snapshot of the live members in address order, cut into
 clusters of round(sqrt(n/3)) + 1, the closed-form optimum of a one-level round
 (a stand-in for an exact search), and times the round by
-timing.barrier_latency on the stream round/<nid>/<k>, k counting that
-neighborhood's rounds. The round's end gives every member of the snapshot the
-merge of the snapshot's lists, records one round action, and queues the next
+timing.barrier_latency over the 2n-2 hop delays it draws in one call on the
+stream round/<nid>/<k>, k counting that neighborhood's rounds. The round's end
+hands every member of the snapshot one list, the merge of the snapshot's
+lists, records one round action, and queues the next
 round only if membership changed in or after the unit the round started; no
 round recurs by itself. A join queues
 an introduction only for each member down at its connect and each dead
@@ -68,7 +69,8 @@ periods of their median, read once for each batch a join queues.
 World.flips is the one record of liveness: the units at which each instance
 went down or came up. An instance was live at unit t, after the lines at t,
 if it had flipped an even number of times by t. A send draws every proposal
-delay, then every ack delay, in member order, on the stream commit/<idx>, so
+delay, then every ack delay, in member order, in one call on the stream
+commit/<idx>, so
 no proposal or ack runs as an event: a member acks if it was live when its
 proposal lands, and its ack counts if it lands before the deadline. One
 CommitDue timer at the last ack, if that is before the deadline, resolves a
@@ -750,8 +752,9 @@ class World:
         nid, hood = start
         if hood.split_at is not None and hood.split_at < now:
             return
-        instances, mapped_at, live = self.instances, self.mapped_at, self._live
-        members = [r.address for r in hood.map.members if mapped_at[r.address] < now and live(r.address)]
+        instances, mapped_at, flips = self.instances, self.mapped_at, self.flips
+        # Live: an even number of flips, as _live reads it, without a call per member.
+        members = [a for a in (r.address for r in hood.map.members) if mapped_at[a] < now and not len(flips[a]) % 2]
         if len(members) < 2:
             hood.pending = False
             if hood.changed == now:

@@ -4,17 +4,18 @@ Time is counted in abstract integer units. One unit corresponds to 50 ms of
 wall-clock delay: the worst-case regional round trip (500 ms) divided by the
 largest per-hop delay value (10). Every source of randomness is a named
 stream derived from a single master seed, so any run can be replayed bit for
-bit. World hop delays come from the standard library's Mersenne Twister
-through `random()` alone, whose sequence for a seed Python keeps the same in
-every release; Monte Carlo's packed draws come from numpy, loaded only when
-they are drawn.
+bit. World hop delays are counter-based (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011): block j of a stream is the 64-byte
+keyed BLAKE2b (RFC 7693) of its stream id, numbered by its salt, so no
+generator state is seeded and the sequence is fixed by the hash's
+specification, not by a Python release. Monte Carlo's packed draws come from
+numpy, loaded only when they are drawn.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
@@ -27,6 +28,10 @@ DEFAULT_SEED = 7919
 
 _MASK64 = (1 << 64) - 1
 _HOP_SPAN = HOP_DELAY_MAX - HOP_DELAY_MIN + 1
+# A stream block's bytes as hop delays: byte b < 250 is HOP_DELAY_MIN + b % 10,
+# so each delay has 25 bytes, and the six bytes 250..255 are dropped.
+_DELAY_OF_BYTE = bytes(range(HOP_DELAY_MIN, HOP_DELAY_MAX + 1)) * (256 // _HOP_SPAN) + bytes(256 % _HOP_SPAN)
+_DROPPED = bytes(range(256 - 256 % _HOP_SPAN, 256))
 # hop_delays packs this many hop delays into each int16 draw, one per decimal
 # digit: a draw uniform on {0..DRAW_SPAN-1} is that many independent digits.
 HOPS_PER_DRAW = 4
@@ -82,34 +87,56 @@ class RandomStream:
 
     Identical (seed, stream_id) pairs yield identical draw sequences;
     distinct stream ids derived from the same seed are independent for
-    simulation purposes. hop_delay and hop_delays each seed their own
-    generator with derive_seed(seed, stream_id) at their first call.
+    simulation purposes.
+
+    hop_delay and next_delays read the stream's blocks in order: block j is
+    blake2b(stream_id in UTF-8, digest_size=64, key=the seed as 8 big-endian
+    bytes, salt=j as 16 little-endian bytes), for j = 0, 1, ... Each byte b
+    below 250 is the hop delay HOP_DELAY_MIN + b % 10, exactly uniform on
+    {HOP_DELAY_MIN..HOP_DELAY_MAX}; bytes 250..255 are dropped, so a block
+    gives 62.5 delays on average. A block is read only when a draw needs it,
+    and next_delays(k) hands out what k hop_delay() calls would, leaving the
+    stream at the same next draw, across block boundaries too. hop_delays
+    seeds numpy with derive_seed(seed, stream_id) at its first call, apart
+    from these blocks.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED, stream_id: str = "root"):
         self.seed = seed
         self.stream_id = stream_id
-        self._rng: random.Random | None = None  # behind hop_delay
+        self._delays = b""  # hop delays read from blocks, handed out up to _pos
+        self._pos = 0
+        self._blocks = 0  # blocks read: the next block's number
         self._gen = None  # numpy's Generator behind hop_delays
 
+    def _read_blocks(self, k: int) -> None:
+        """Keep the delays not yet handed out and read blocks until there are
+        at least k of them."""
+        key, message = check_seed(self.seed).to_bytes(8, "big"), self.stream_id.encode("utf-8")
+        delays, j = self._delays[self._pos :], self._blocks
+        while len(delays) < k:
+            block = hashlib.blake2b(message, digest_size=64, key=key, salt=j.to_bytes(16, "little")).digest()
+            delays += block.translate(_DELAY_OF_BYTE, _DROPPED)
+            j += 1
+        self._delays, self._pos, self._blocks = delays, 0, j
+
     def hop_delay(self) -> int:
-        """The next uniform draw on {HOP_DELAY_MIN..HOP_DELAY_MAX}, drawn only
-        when asked: HOP_DELAY_MIN + int(10 * u) for the stream's next u =
-        random(), the one draw whose sequence Python promises to keep. For
-        every double u < 1, int(u * 10) is at most 9, and each of its ten
-        values has probability within 2**-49 of 1/10."""
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = random.Random(derive_seed(self.seed, self.stream_id))
-        return HOP_DELAY_MIN + int(rng.random() * _HOP_SPAN)
+        """The stream's next hop delay, uniform on {HOP_DELAY_MIN..HOP_DELAY_MAX}."""
+        pos = self._pos
+        if pos == len(self._delays):
+            self._read_blocks(1)
+            pos = 0
+        self._pos = pos + 1
+        return self._delays[pos]
 
     def next_delays(self, k: int) -> list[int]:
         """The next k hop delays as a list: what k hop_delay() calls return."""
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = random.Random(derive_seed(self.seed, self.stream_id))
-        draw = rng.random
-        return [HOP_DELAY_MIN + int(draw() * _HOP_SPAN) for _ in range(k)]
+        pos = self._pos
+        if len(self._delays) - pos < k:
+            self._read_blocks(k)
+            pos = 0
+        self._pos = pos + k
+        return list(self._delays[pos : pos + k])
 
     def hop_delays(self, size):
         """An int16 array of packed hop delays from numpy's Generator.integers,

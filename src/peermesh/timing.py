@@ -23,8 +23,9 @@ uses only the low h - 4*(ceil(h/4) - 1) digits of its last; the ring is one
 such chain. A trial's draws are contiguous, in phase order: forward chains,
 ring, redistribute chains. Every statistic is reproducible from (dims,
 trials, seed, mode) alone, and trial i is the same whatever the trial count.
-barrier_latency computes one trial's total from hop delays handed over one at
-a time; a scenario world times its rounds with it.
+barrier_latency computes one trial's total from its hop delays handed over as
+one sequence in that phase order, each chain's hops together; a scenario world
+times its rounds with it, drawing a round's 2n-2 delays in one call.
 
 The functions that draw and summarize import numpy, and the table of digit
 sums is built at the first draw, so that importing timing, as the command

@@ -10,11 +10,19 @@ pin the output across versions. After a deliberate change to the output,
 regenerate them with `peermesh scenario run <name or file> >
 tests/golden/<name>.out` (or the timing command above) and say so in
 CHANGES.md.
+
+The benchmark's two worlds are too large for a golden file, so BENCH_WORLDS
+pins the SHA-256 of the script bench/gen.py generates for each at seed 701
+and of its report, traced and --quiet: a failure says whether the input or
+the output moved. After a deliberate change, replace the digests that the
+failure prints and say so in CHANGES.md.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
+from test_tie_order import _gen
 
 from peermesh import cli, scenario
 
@@ -89,3 +97,36 @@ def test_quiet_run_renders_no_trace_line(capsys, monkeypatch):
 def test_timing_tables_output_matches_golden(capsys):
     assert cli.main(["timing", "tables", "--trials", "200", "--seed", "7919"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "timing-tables.out").read_bytes()
+
+
+# bench/gen.py's worlds at seed 701: name -> (script, traced report, --quiet report) SHA-256.
+BENCH_WORLDS = {
+    "world-flat": (
+        "fe03ff878a849d12f4e20fc67f09a7a7819bd30de8a62e284ebf51ea4ce1974e",
+        "a28f604660d41b7ab1e8ef8a2c9e7ec3f8675c92ac10b36adc85250601a00a60",
+        "450afbaa82c022ed6aa1054a522d1c7a65fd249fab854a0d08e2dc86ade3a8c0",
+    ),
+    "world-split": (
+        "285397277fb02b5e4aa002c4beaf7f8f38da5b69f50d05bb8545de6d05eb5bff",
+        "8bfee80843c3393eaba400eff2197b62d6c0fa4f0d7b9e7c937961a28dbda3d0",
+        "267c5ed7aa29b730bcb21caefec86334f4124f88657c3cbc1fdd44c9db5b9ea8",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", BENCH_WORLDS)
+def test_a_bench_world_replays_to_its_pinned_reports(capsys, tmp_path, name):
+    script_digest, traced_digest, quiet_digest = BENCH_WORLDS[name]
+    gen = _gen()
+    text = gen.world_script(701, **{"world-flat": gen.WORLD_FLAT, "world-split": gen.WORLD_SPLIT}[name]).text
+    assert _sha256(text) == script_digest, f"bench/gen.py now generates another {name} script"
+    path = tmp_path / f"{name}.scenario"  # the name the bench gives it, which the report's first line shows
+    path.write_text(text)
+    for flags, want in (([], traced_digest), (["--quiet"], quiet_digest)):
+        assert cli.main(["scenario", "run", str(path), "--seed", "701", *flags]) == 0
+        got = _sha256(capsys.readouterr().out)
+        assert got == want, f"{name} {' '.join(flags) or 'traced'} report moved: its digest is now {got}"

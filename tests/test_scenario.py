@@ -323,7 +323,7 @@ at=2 event=download addr=10.9.0.3
 """,
         3,
     ),
-    # The round from 1 ends at 8 at the default seed, when the tick maps
+    # The round from 1 ends at 12 at the default seed, when the tick maps
     # 10.9.0.4 and splits the neighborhood: the round counts either way.
     "split-at-round-end": (
         """
@@ -332,9 +332,9 @@ at=0 event=download addr=10.9.0.1 uptime=1.0
 at=0 event=download addr=10.9.0.8
 at=0 event=download addr=10.9.0.5
 at=0 event=down addr=10.9.0.5
-at=8 event=download addr=10.9.0.4
+at=12 event=download addr=10.9.0.4
 """,
-        8,
+        12,
     ),
 }
 
@@ -344,11 +344,13 @@ def test_a_round_that_ties_with_a_map_has_one_outcome_in_every_order(name):
     text, unit = ROUND_TIES[name]
     script = parse_scenario(text, name=name)
     want = report_text(run_scenario(script))
-    stamp = f"[{unit:>6}]"
+    stamp, kind = f"[{unit:>6}]", "round-end" if name.endswith("round-end") else "round-start"
     orders = set()
     for order_seed in range(20):
         got = run_shuffled(script, order_seed)
         at_unit = [line for line in got.trace if line.startswith(stamp) and "type=" in line]  # world events
+        assert any(line.endswith("type=router-refresh") for line in at_unit)
+        assert any(line.endswith(f"type={kind}") for line in at_unit)  # the tie the case is named for
         orders.add(tuple(line.endswith("router-refresh") for line in at_unit))
         assert_same_outcome(report_text(got), want)
     assert len(orders) == 2  # the tick ran before the round's event in some orders, after it in others
@@ -356,14 +358,14 @@ def test_a_round_that_ties_with_a_map_has_one_outcome_in_every_order(name):
 
 def test_a_stray_mapped_in_the_unit_of_a_round_start_waits_for_the_next_round():
     report = run_scenario(parse_scenario(ROUND_TIES["mapped-at-round-start"][0], name="mapped"))
-    assert [a.render() for a in report.actions if a.kind in ("mapped", "round")] == [
-        "[     1] mapped addr=10.9.0.3 neighborhood=0",
-        "[     8] round latency=7 members=2 neighborhood=0",
-        "[    77] round latency=26 members=3 neighborhood=0",
-    ]
+    mapped, first, second = [a for a in report.actions if a.kind in ("mapped", "round")]
+    assert mapped.render() == "[     1] mapped addr=10.9.0.3 neighborhood=0"
+    assert first.at - int(first.get("latency")) == 1  # the round started in the unit of the map
+    assert [first.get("members"), second.get("members")] == ["2", "3"]
 
 
-# The round that starts at 2 would end at 9, but its neighborhood splits at 3.
+# The round that starts at 2 ends 3 or more units later, but its neighborhood
+# splits at 3.
 SPLIT_MID_ROUND = """
 at=0 event=download addr=10.9.0.1
 at=1 event=download addr=10.9.0.2
@@ -375,11 +377,11 @@ at=3 event=subdivide addr=10.9.0.1 critical_mass=2
 
 def test_a_round_whose_neighborhood_split_while_it_ran_is_void():
     report = run_scenario(parse_scenario(SPLIT_MID_ROUND, name="split-mid-round"))
-    assert "[     9] message-delivery neighborhood=0 type=round-end" in report.trace
-    assert [a.render() for a in report.actions if a.kind == "round"] == [
-        "[    22] round latency=18 members=2 neighborhood=2",
-        "[    34] round latency=30 members=2 neighborhood=1",
-    ]
+    assert "[     2] timer neighborhood=0 type=round-start" in report.trace
+    (end,) = [line for line in report.trace if line.endswith("neighborhood=0 type=round-end")]
+    assert int(end[1:7]) > 3  # the round ran on past the split
+    rounds = [a for a in report.actions if a.kind == "round"]
+    assert sorted((a.get("neighborhood"), a.get("members")) for a in rounds) == [("1", "2"), ("2", "2")]
 
 
 # Three joins, then rounds until the last one holds all three members.
@@ -750,7 +752,7 @@ def test_a_check_timed_past_the_horizon_fails(tmp_path, capsys):
 
 
 # 10.0.0.2's handshake starts at its download at 10, and its connect line is
-# stamped at its end, some hop delays later (17 at the default seed).
+# stamped at its end, one hop delay later: at 11 to 20.
 EARLY_CHECK = """
 at=0 event=download addr=10.0.0.1
 at=10 event=download addr=10.0.0.2

@@ -1,10 +1,12 @@
-import random
+import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from peermesh import simcore
 from peermesh.simcore import (
     DEFAULT_SEED,
     DRAW_SPAN,
@@ -105,22 +107,68 @@ def test_streams_differ_by_id():
         assert not np.array_equal(a[:, k], b[:, k])
 
 
-@settings(deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), label=st.text(max_size=12))
-def test_hop_delay_is_ten_times_random_of_the_derived_seed(seed, label):
-    # Nearly 200 draws, each 1 + int(10 * u) for the next random() of the
-    # stream's own random.Random, as a plain int.
-    n = 3 * 64 + 5
+def reference_delays(seed: int, stream_id: str, n: int) -> list[int]:
+    """The first n hop delays of a stream, built from hashlib as RandomStream
+    documents them: block j is the 64-byte BLAKE2b of the stream id keyed by
+    the seed's 8 big-endian bytes, with j as its 16-byte little-endian salt;
+    each byte below 250 is the delay 1 + byte % 10, and the rest are dropped."""
+    out, j = [], 0
+    while len(out) < n:
+        salt = j.to_bytes(16, "little")
+        block = hashlib.blake2b(stream_id.encode(), digest_size=64, key=seed.to_bytes(8, "big"), salt=salt).digest()
+        out += [1 + b % 10 for b in block if b < 250]
+        j += 1
+    return out[:n]
+
+
+@pytest.mark.parametrize(
+    "seed,label,head",
+    [
+        (DEFAULT_SEED, "round/0/0", [3, 5, 3, 1, 1, 6, 7, 7, 8, 9]),
+        (2**64 - 1, "node/10.0.0.1", [4, 3, 2, 6, 9, 3, 3, 3, 6, 5]),
+    ],
+)
+def test_hop_delay_is_the_documented_blake2b_block_construction(seed, label, head):
+    # 200 draws read at least four blocks; the literal head pins the construction itself.
+    want = reference_delays(seed, label, 200)
+    assert want[:10] == head
     stream = RandomStream(seed, label)
-    drawn = [stream.hop_delay() for _ in range(n)]
-    rng = random.Random(derive_seed(seed, label))
-    assert drawn == [HOP_DELAY_MIN + int(10 * rng.random()) for _ in range(n)]
+    drawn = [stream.hop_delay() for _ in range(200)]
+    assert drawn == want
     assert {type(d) for d in drawn} == {int}
+
+
+# Draws: None for one hop_delay(), k for next_delays(k).
+draw_mixes = st.lists(st.none() | st.integers(0, 300), max_size=12)
+
+
+@given(seed=st.integers(0, 2**64 - 1), label=st.text(max_size=12), mix=draw_mixes)
+@example(seed=DEFAULT_SEED, label="commit/0", mix=[61, None, 300, 0, None, 62, 1])
+def test_bulk_draws_are_the_single_draws(seed, label, mix):
+    mixed, single = RandomStream(seed, label), RandomStream(seed, label)
+    got = []
+    for k in mix:
+        if k is None:
+            got.append(mixed.hop_delay())
+        else:
+            bulk = mixed.next_delays(k)
+            assert type(bulk) is list and len(bulk) == k
+            got += bulk
+    assert got == [single.hop_delay() for _ in got]
+    assert {type(d) for d in got} <= {int}
+    assert mixed.hop_delay() == single.hop_delay()  # both streams stand at the same next draw
+
+
+def test_each_delay_has_25_of_the_256_bytes():
+    # A block's bytes in every value: 250 kept, 25 for each delay, and 250..255 dropped.
+    delays = bytes(range(256)).translate(simcore._DELAY_OF_BYTE, simcore._DROPPED)
+    assert list(delays) == [HOP_DELAY_MIN + b % 10 for b in range(250)]
+    assert Counter(delays) == {d: 25 for d in range(HOP_DELAY_MIN, HOP_DELAY_MAX + 1)}
 
 
 def test_hop_delays_are_numpys_int16_draws():
     # hop_delays sets numpy up at its first call, on the derived seed, apart
-    # from hop_delay's generator: timing's draws do not move. Each packed
+    # from hop_delay's blocks: timing's draws do not move. Each packed
     # draw is numpy's int16 draw on {0..9999}.
     label = "timing/8x8/table_consistent/block/0"
     gen = np.random.Generator(np.random.PCG64(derive_seed(9, label)))

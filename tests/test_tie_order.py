@@ -15,6 +15,7 @@ event, so same-time proposals swap no delays and no ack races its deadline.
 import importlib.util
 import sys
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -29,11 +30,11 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 BUNDLED = ROOT / "src" / "peermesh" / "scenarios"
 
-# The proposal lands at 105 and the ack at 110, the commit's deadline.
+# The proposal lands at 106 and the ack at 112, the commit's deadline.
 DEADLINE_TIE = """\
 at=0 event=download addr=10.2.0.1
 at=2 event=download addr=10.2.0.2
-at=100 event=send addr=10.2.0.1 key=k timeout=10
+at=100 event=send addr=10.2.0.1 key=k timeout=12
 assert committed key=k acks=1 absent=10.2.0.2
 """
 
@@ -123,21 +124,24 @@ def test_some_order_seed_moves_a_trace_line_within_its_unit():
 @given(order_seed=st.integers(0, 2**32 - 1))
 def test_an_ack_at_the_commit_deadline_does_not_count(order_seed):
     # The send draws the proposal's delay, then the ack's, on commit/0.
-    stream = RandomStream(DEFAULT_SEED, "commit/0")
-    proposal_at = 100 + stream.hop_delay()
-    assert (proposal_at, proposal_at + stream.hop_delay()) == (105, 110)
+    send = script("deadline-tie").events[-1]
+    there, back = RandomStream(DEFAULT_SEED, "commit/0").next_delays(2)
+    deadline = send.at + send.params["timeout"]
+    assert send.at + there + back == deadline
     report = run_shuffled(script("deadline-tie"), order_seed)
-    assert [line for line in report.trace if "commit=0" in line] == ["[   110] timer commit=0 type=commit-due"]
+    assert [line for line in report.trace if "commit=0" in line] == [f"[{deadline:>6}] timer commit=0 type=commit-due"]
     assert report.passed, report_text(report)
 
 
-# 10.2.0.1's proposals to 10.2.0.2 and 10.2.0.3 can land at one unit. Acks that
+# Two of 10.2.0.1's proposals to 10.2.0.2-5 can land at one unit. Acks that
 # drew their delays as the proposals ran swapped them by tie order, and so which
 # member missed a short deadline.
 SAME_TIME_PROPOSALS = """\
 at=0 event=download addr=10.2.0.1
 at=1 event=download addr=10.2.0.2
 at=2 event=download addr=10.2.0.3
+at=3 event=download addr=10.2.0.4
+at=4 event=download addr=10.2.0.5
 at=100 event=send addr=10.2.0.1 key=k timeout={timeout}
 """
 
@@ -164,13 +168,19 @@ def test_same_time_proposals_commit_alike_in_every_order(seed, timeout):
 
 
 def test_some_same_time_proposal_case_lands_two_proposals_at_one_unit():
-    # Without such a case the test above shows nothing: seed 8 lands both at 110.
-    # A send first draws one proposal delay per member, in member order.
-    def tied(seed):
-        stream = RandomStream(seed, "commit/0")
-        return stream.hop_delay() == stream.hop_delay()
+    # Without such a case the test above shows nothing. A send draws one
+    # proposal delay per member, then one ack delay per member, in member
+    # order. The case must also put the deadline between the two acks, so that
+    # swapping their delays would change which member misses it.
+    def tied(seed, timeout):
+        *downloads, send = proposals(timeout).events
+        k = len(downloads) - 1  # every instance but the proposer
+        delays = RandomStream(seed, "commit/0").next_delays(2 * k)
+        receipts = [(send.at + there, send.at + there + back) for there, back in zip(delays, delays[k:])]
+        deadline = send.at + timeout
+        return any(p == q and (a < deadline) != (b < deadline) for (p, a), (q, b) in combinations(receipts, 2))
 
-    assert any(tied(seed) for seed in PROPOSAL_SEEDS)
+    assert any(tied(seed, timeout) for seed in PROPOSAL_SEEDS for timeout in PROPOSAL_TIMEOUTS)
 
 
 @settings(max_examples=20)

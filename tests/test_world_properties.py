@@ -51,7 +51,7 @@ from peermesh.scenario import (
     run_scenario,
     schedule_line,
 )
-from peermesh.simcore import Engine
+from peermesh.simcore import Engine, RandomStream
 from peermesh.topology import NodeAddress, elect_router, parse_address
 
 # Uneven gaps, so that address distance orders the excerpts non-trivially.
@@ -484,19 +484,19 @@ def commit_scripts(draw):
     return "\n".join(lines)
 
 
-# At seed 7919 the proposals land at 105 (10.8.0.2 and 10.8.0.3) and 102
-# (10.8.0.4), and the acks would land at 108, 114 and 112, the deadline. 10.8.0.2
-# is down at its proposal's unit and 10.8.0.4's ack is late, so only the
-# proposer acks, though 10.8.0.2 is up again by its ack's unit.
+# At seed 7919 the proposals land at 106 (10.8.0.2 and 10.8.0.3) and 101
+# (10.8.0.4), and the acks would land at 114, the deadline, 108 and 102.
+# 10.8.0.3 is down at its proposal's unit, though up again by its ack's, and
+# 10.8.0.2's ack is late, so 10.8.0.4 alone acks with the proposer.
 RECEIPT_EDGES = """
 at=0 event=download addr=10.8.0.1
 at=1 event=download addr=10.8.0.2
 at=2 event=download addr=10.8.0.3
 at=3 event=download addr=10.8.0.4
-at=100 event=send addr=10.8.0.1 key=k timeout=12
-at=105 event=down addr=10.8.0.2
-at=106 event=up addr=10.8.0.2
-assert committed key=k acks=1 absent=10.8.0.2,10.8.0.3,10.8.0.4
+at=100 event=send addr=10.8.0.1 key=k timeout=14
+at=106 event=down addr=10.8.0.3
+at=107 event=up addr=10.8.0.3
+assert committed key=k acks=2 absent=10.8.0.2,10.8.0.3
 """
 
 
@@ -505,6 +505,22 @@ assert committed key=k acks=1 absent=10.8.0.2,10.8.0.3,10.8.0.4
 @example(text=RECEIPT_EDGES, seed=7919)
 def test_commits_resolve_as_when_each_receipt_was_an_event(text, seed):
     assert verdicts_and_actions(World, text, seed) == verdicts_and_actions(MessageWorld, text, seed)
+
+
+def test_the_receipt_edges_example_lands_a_down_on_a_proposal_and_an_ack_on_the_deadline():
+    # The differential above keeps passing if its example loses these edges.
+    script = parse_scenario(RECEIPT_EDGES, name="receipt-edges")
+    *downloads, send, down, up = script.events
+    members = sorted(e.addr for e in downloads if e.addr != send.addr)
+    k, deadline = len(members), send.at + send.params["timeout"]
+    delays = RandomStream(7919, "commit/0").next_delays(2 * k)
+    proposal = dict(zip(members, (send.at + there for there in delays)))
+    ack = {m: proposal[m] + back for m, back in zip(members, delays[k:])}
+    assert (down.kind, up.kind, down.addr) == ("down", "up", up.addr)
+    assert proposal[down.addr] == down.at and up.at < ack[down.addr] < deadline  # only the down keeps its ack out
+    assert deadline in ack.values()
+    report = run_scenario(script, seed=7919, trace=False)
+    assert report.passed, [c.render() for c in report.checks]
 
 
 class MapFlagWorld(World):
