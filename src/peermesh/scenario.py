@@ -102,14 +102,14 @@ renders its trace body, and each handler its action's fields, with one
 f-string, reading addresses from topology's table DOTTED. An action is held
 as its report line, its time included, and an Action is built from that line
 only when it is read; a check matches the line one whole key=value field at
-a time. The log is kept in time order as it grows: a handshake's actions
-carry its finish time, later than the event that records them, so they wait
-in a small heap until the world's clock reaches them.
+a time. The log is kept in recording order: a handshake's actions carry its
+finish time, later than the event that records them, so the log is read
+through a stable sort by the stamp in each line's [at] prefix, which
+run_scenario takes once when the run is over.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from bisect import bisect_right, insort
@@ -452,6 +452,11 @@ class ActionLog(Sequence):
         return map(Action.parse, self.lines)
 
 
+def _stamp(line: str) -> int:
+    """The time in an action line's [at] prefix."""
+    return int(line[1 : line.index("]")])
+
+
 def _absent_text(res: sync.CommitResult) -> str:
     return ",".join(map(_text, sorted(res.absentees))) or "-"
 
@@ -549,39 +554,20 @@ class World:
         self.neighborhoods: dict[int, Neighborhood] = {}
         self.nid_of: dict[NodeAddress, int] = {}
         self.commits: list[sync.PendingCommit] = []
-        self._lines: list[str] = []  # each action's report line, in time order
-        # Actions stamped after the clock, as (at, order, line): a heap that
-        # _act drains into _lines as the clock reaches them.
-        self._later: list[tuple[int, int, str]] = []
-        self._order = itertools.count()
+        self._lines: list[str] = []  # each action's report line, in recording order
         self.check_results: list[CheckResult] = []
         self._nids = itertools.count()  # neighborhood ids, each handed out once
 
     # -- plumbing ----------------------------------------------------------
 
     def _act(self, at: int, kind: str, body: str) -> None:
-        """Record an action as its report line. Every action is stamped at the
-        clock or later, so holding back the later ones until the clock reaches
-        them keeps the log in time order, and in recording order at a tie."""
-        line = f"[{at:>6}] {kind} {body}"
-        later = self._later
-        if at > self.engine.now:
-            heapq.heappush(later, (at, next(self._order), line))
-            return
-        if later and later[0][0] <= at:
-            self._settle(at)
-        self._lines.append(line)
-
-    def _settle(self, upto: float) -> None:
-        """Move the held-back actions stamped at or before upto into the log."""
-        later, append = self._later, self._lines.append
-        while later and later[0][0] <= upto:
-            append(heapq.heappop(later)[2])
+        """Record an action as its report line, stamped at the clock or later."""
+        self._lines.append(f"[{at:>6}] {kind} {body}")
 
     @property
     def actions(self) -> ActionLog:
-        """Every action recorded so far, in time order, held-back ones included."""
-        return ActionLog(self._lines + [line for _, _, line in sorted(self._later)])
+        """Every action recorded so far, in time order, and in recording order at a tie."""
+        return ActionLog(sorted(self._lines, key=_stamp))
 
     def _live(self, addr: NodeAddress | None) -> bool:
         flips = self.flips.get(addr)  # None for an unknown address
@@ -946,17 +932,11 @@ class World:
         if action is not None:
             # Each wanted field must be one of an action's fields, whole. Only a
             # line that names the kind after its time is parsed. A timed check
-            # reads the lines stamped by its time: the log and the held-back
-            # lines that the clock has reached, settled into it.
-            if check.at is None:
-                lines = self.actions.lines
-            else:
-                self._settle(check.at)
-                lines = self._lines
+            # reads only the lines stamped by its time.
             want = [f"{k}={_text(v)}" for k, v in p.items()]
-            marker = f"] {action} "
-            candidates = map(Action.parse, (line for line in lines if marker in line))
-            ok = any(a.kind == action and all(f in a.fields() for f in want) for a in candidates)
+            marker, until = f"] {action} ", math.inf if check.at is None else check.at
+            candidates = map(Action.parse, (line for line in self._lines if marker in line))
+            ok = any(a.kind == action and a.at <= until and all(f in a.fields() for f in want) for a in candidates)
             return CheckResult(check, ok, "" if ok else "no matching action")
         if kind == "introduced":
             # Whether a holder other than an owner holds the owner's membership entry.
@@ -1062,7 +1042,6 @@ def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool =
         dispatch(engine, ev)
 
     run = engine.run(traced if trace else dispatch, horizon=horizon)
-    world._settle(math.inf)  # the run is over: no action can come before the held-back ones
     for chk in script.checks:
         if chk.at is None:
             world.check_results.append(world._evaluate(chk))
@@ -1074,7 +1053,7 @@ def run_scenario(script: ScenarioScript, seed: int = DEFAULT_SEED, trace: bool =
         seed=seed,
         run=run,
         trace=tuple(lines) if trace else None,
-        actions=ActionLog(world._lines),
+        actions=world.actions,
         checks=tuple(ordered),
     )
 

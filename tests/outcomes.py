@@ -7,7 +7,9 @@ drawn from the order seed. run_shuffled replays a script on it.
 
 assert_same_outcome compares two rendered reports of one script that may
 differ only in the order of lines within a unit. report_text collects the
-text that scenario.render_report writes for a report.
+text that scenario.render_report writes for a report, and
+verdicts_and_actions the part of it that reference_world.run_reference
+gives too: the check verdicts and the sorted action lines.
 """
 
 import heapq
@@ -73,6 +75,12 @@ def report_text(report: scenario.ScenarioReport) -> str:
     out = io.StringIO()
     scenario.render_report(report, out.write)
     return out.getvalue()
+
+
+def verdicts_and_actions(report: scenario.ScenarioReport) -> tuple[list[bool], list[str]]:
+    """The report's check verdicts, in line order, and its action lines, sorted:
+    what a replay must give whatever order same-unit lines were recorded in."""
+    return [c.passed for c in report.checks], sorted(report.actions.lines)
 
 
 def _split(text: str) -> tuple[list[str], dict[str, list[str]]]:

@@ -384,6 +384,13 @@ def test_a_round_whose_neighborhood_split_while_it_ran_is_void():
     assert sorted((a.get("neighborhood"), a.get("members")) for a in rounds) == [("1", "2"), ("2", "2")]
 
 
+def recorded_worlds(monkeypatch) -> list:
+    """The worlds that run_scenario builds from now on, as it builds them."""
+    worlds, build = [], scenario.World
+    monkeypatch.setattr(scenario, "World", lambda *args: worlds.append(build(*args)) or worlds[-1])
+    return worlds
+
+
 # Three joins, then rounds until the last one holds all three members.
 THREE_JOIN = """
 at=0 event=download addr=10.9.1.1
@@ -408,14 +415,7 @@ def test_a_return_after_a_round_keeps_the_other_members_lists(monkeypatch, seed)
         f"at={t + 2} event=download addr=10.9.1.4\n"
         f"at={t + 3} event=up addr=10.9.1.3\n"
     )
-    worlds = []
-
-    class RecordingWorld(scenario.World):
-        def __init__(self, *args):
-            super().__init__(*args)
-            worlds.append(self)
-
-    monkeypatch.setattr(scenario, "World", RecordingWorld)
+    worlds = recorded_worlds(monkeypatch)
     report = run_scenario(parse_scenario(text, name="return-after-round"), seed=seed, trace=False)
     assert [a.render() for a in report.actions if a.kind == "delivered"] == [
         f"[{t + 3:>6}] delivered from=10.9.1.4 to=10.9.1.3"
@@ -493,14 +493,7 @@ at=84 event=download addr=10.0.3.152
 
 
 def test_a_stray_mapped_at_election_splits_the_neighborhood_once(monkeypatch):
-    worlds = []
-
-    class RecordingWorld(scenario.World):
-        def __init__(self, *args):
-            super().__init__(*args)
-            worlds.append(self)
-
-    monkeypatch.setattr(scenario, "World", RecordingWorld)
+    worlds = recorded_worlds(monkeypatch)
     report = run_scenario(parse_scenario(ELECTION_MAPS_A_STRAY, name="election-maps-a-stray"))
     rendered = [f"{a.kind} {a.body}" for a in report.actions]
     mapped = rendered.index("mapped addr=10.0.0.46 neighborhood=0")

@@ -4,7 +4,8 @@ A public function, class or constant of src/peermesh/*.py must be named in
 src/ or bench/ by some top-level statement other than the one that defines
 it. The package's __init__.py is not read, so a re-export there never counts
 as a use: callers import each name from its module. What the command line
-and the sync round import is checked in a fresh interpreter.
+and the sync round import is checked in a fresh interpreter, and no class
+in tests/ derives from the scenario World.
 """
 
 import ast
@@ -101,3 +102,16 @@ def test_cli_and_timing_import_no_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT / "src", check=True
     )
     assert json.loads(done.stdout) == []
+
+
+def test_no_test_forks_the_world():
+    # A change to the world's model changes tests/reference_world.py in the
+    # same commit; no test keeps an old rule alive in a subclass of World.
+    forks = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        if any(getattr(base, "id", getattr(base, "attr", None)) == "World" for base in node.bases)
+    ]
+    assert forks == []
