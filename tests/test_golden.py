@@ -4,7 +4,9 @@ Each bundled scenario prints exactly what tests/golden/<name>.out holds, and
 each tests/golden/<name>.scenario prints exactly what the .out beside it
 holds; a new golden needs only those two files. With --quiet, each prints
 its .out without the trace block. `timing tables --trials 200 --seed 7919`
-prints tests/golden/timing-tables.out, which pins the Monte Carlo draws.
+prints tests/golden/timing-tables.out, which pins the Monte Carlo draws, and
+TIMING_RUNS pins the SHA-256 of longer timing runs, `figure9` and the
+equation_literal ring among them.
 Acceptance 09 checks that a rerun matches within one version; these files
 pin the output across versions. After a deliberate change to the output,
 regenerate them with `peermesh scenario run <name or file> >
@@ -97,6 +99,25 @@ def test_quiet_run_renders_no_trace_line(capsys, monkeypatch):
 def test_timing_tables_output_matches_golden(capsys):
     assert cli.main(["timing", "tables", "--trials", "200", "--seed", "7919"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "timing-tables.out").read_bytes()
+
+
+# Monte Carlo output too long for a golden file: command -> SHA-256 of its stdout.
+# The first two are the bench's mc-tables leg; the third is the one golden of
+# the equation_literal ring.
+TIMING_RUNS = {
+    "timing tables --trials 1500 --seed 701": "de3b3db3d04dd642e770aad8dad17e26917cdb306fb1b557141adb17a7e98f15",
+    "timing figure9 --trials 1500 --seed 701": "aae57bfd38a5d4649f5b658412473b134e168e9500fddabacbd84947e919ed74",
+    "timing figure9 --trials 200 --seed 7919 --mode equation_literal": (
+        "24b3dc550da98aece79105b073f20803047f77a0934931ae8bb3e34372f8f9a5"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", TIMING_RUNS)
+def test_a_timing_run_prints_its_pinned_output(capsys, command):
+    assert cli.main(command.split()) == 0
+    got = _sha256(capsys.readouterr().out)
+    assert got == TIMING_RUNS[command], f"`{command}` output moved: its digest is now {got}"
 
 
 # bench/gen.py's worlds at seed 701: name -> (script, traced report, --quiet report) SHA-256.
