@@ -8,14 +8,16 @@ bit. World hop delays are counter-based (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011): block j of a stream is the 64-byte
 keyed BLAKE2b (RFC 7693) of its stream id, numbered by its salt, so no
 generator state is seeded and the sequence is fixed by the hash's
-specification, not by a Python release. Monte Carlo's packed draws come from
-numpy, loaded only when they are drawn.
+specification, not by a Python release. Monte Carlo's packed draws are
+Lemire's bounded method (ACM TOMACS 2019) run here over PCG64's raw words
+(O'Neill, 2014), which NEP 19 keeps stable: numpy loads only when they are drawn.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
@@ -32,8 +34,8 @@ _HOP_SPAN = HOP_DELAY_MAX - HOP_DELAY_MIN + 1
 # so each delay has 25 bytes, and the six bytes 250..255 are dropped.
 _DELAY_OF_BYTE = bytes(range(HOP_DELAY_MIN, HOP_DELAY_MAX + 1)) * (256 // _HOP_SPAN) + bytes(256 % _HOP_SPAN)
 _DROPPED = bytes(range(256 - 256 % _HOP_SPAN, 256))
-# hop_delays packs this many hop delays into each int16 draw, one per decimal
-# digit: a draw uniform on {0..DRAW_SPAN-1} is that many independent digits.
+# hop_delays packs this many hop delays into each draw, one per decimal digit:
+# a draw uniform on {0..DRAW_SPAN-1} is that many independent digits.
 HOPS_PER_DRAW = 4
 DRAW_SPAN = _HOP_SPAN**HOPS_PER_DRAW
 
@@ -68,18 +70,25 @@ def derive_seed(master_seed: int, stream_id: str) -> int:
 
 
 @cache
-def digit_sums():
-    """int16 table of the hop delays packed draws carry, summed: entry
-    d*DRAW_SPAN + x is the sum over the low d digits of draw x, for d in
-    0..HOPS_PER_DRAW. Built at the first call, so that importing simcore
+def digit_sums(digits: int):
+    """int8 table of the hop delays a draw's low `digits` digits carry, summed:
+    entry x is the sum of HOP_DELAY_MIN + x // 10**k % 10 over k < digits, for
+    x in 0..DRAW_SPAN-1. Built at the first call, so that importing simcore
     loads no numpy."""
     import numpy as np
 
-    draws = np.arange(DRAW_SPAN)
-    sums = np.zeros((HOPS_PER_DRAW + 1, DRAW_SPAN), dtype=np.int16)
-    for d in range(HOPS_PER_DRAW):
-        sums[d + 1] = sums[d] + draws // 10**d % 10 + HOP_DELAY_MIN
-    return sums.ravel()
+    draws = np.arange(DRAW_SPAN, dtype=np.int16)
+    return sum((draws // 10**k % 10 + HOP_DELAY_MIN).astype(np.int8) for k in range(digits))
+
+
+@cache
+def quarter_sums():
+    """int8 table of the hop delays a kept quarter carries, summed: entry q is
+    digit_sums(HOPS_PER_DRAW)[(q * DRAW_SPAN) >> 16]. Draw x's quarters run on
+    from ceil(x * 2**16 / DRAW_SPAN), so no temporary is 2**16 wide."""
+    import numpy as np
+
+    return np.repeat(digit_sums(HOPS_PER_DRAW), np.diff(-(-np.arange(DRAW_SPAN + 1) * 2**16 // DRAW_SPAN)))
 
 
 class RandomStream:
@@ -97,8 +106,7 @@ class RandomStream:
     gives 62.5 delays on average. A block is read only when a draw needs it,
     and next_delays(k) hands out what k hop_delay() calls would, leaving the
     stream at the same next draw, across block boundaries too. hop_delays
-    seeds numpy with derive_seed(seed, stream_id) at its first call, apart
-    from these blocks.
+    draws from PCG64 instead, apart from these blocks.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED, stream_id: str = "root"):
@@ -107,7 +115,7 @@ class RandomStream:
         self._delays = b""  # hop delays read from blocks, handed out up to _pos
         self._pos = 0
         self._blocks = 0  # blocks read: the next block's number
-        self._gen = None  # numpy's Generator behind hop_delays
+        self._bits = self._kept = None  # hop_delays' PCG64 and its quarters kept, not yet handed out
 
     def _read_blocks(self, k: int) -> None:
         """Keep the delays not yet handed out and read blocks until there are
@@ -139,16 +147,27 @@ class RandomStream:
         return list(self._delays[pos : pos + k])
 
     def hop_delays(self, size):
-        """An int16 array of packed hop delays from numpy's Generator.integers,
-        each uniform on {0..DRAW_SPAN-1}. A draw carries HOPS_PER_DRAW hop
-        delays, one per decimal digit, units digit first: digit k is the hop
-        delay HOP_DELAY_MIN + draw // 10**k % 10. A caller that needs fewer
-        hops from a draw uses its low digits."""
+        """The stream's next kept quarters, a uint16 array of shape `size`.
+        Each word of PCG64(derive_seed(seed, stream_id)).random_raw is four
+        little-endian 16-bit quarters, low first; q is kept when (q * DRAW_SPAN)
+        mod 2**16 >= 2**16 % DRAW_SPAN, and stands for the draw (q * DRAW_SPAN)
+        >> 16, uniform on {0..DRAW_SPAN-1}: at a stream's first call, the draws
+        of numpy's Generator.integers(0, DRAW_SPAN, dtype=int16). Later calls
+        continue one sequence. A draw carries HOPS_PER_DRAW hop delays, units
+        digit first: digit k is HOP_DELAY_MIN + draw // 10**k % 10."""
         import numpy as np
 
-        if self._gen is None:
-            self._gen = np.random.Generator(np.random.PCG64(derive_seed(self.seed, self.stream_id)))
-        return self._gen.integers(0, DRAW_SPAN, size=size, dtype=np.int16)
+        if self._bits is None:
+            self._bits, self._kept = np.random.PCG64(derive_seed(self.seed, self.stream_id)), np.empty(0, "<u2")
+        n, parts, have = math.prod(size) if isinstance(size, tuple) else size, [self._kept], len(self._kept)
+        while have < n:  # over-draw by n/8; 2**13 words a pass at most, for compress's intp indices
+            words = self._bits.random_raw(min(2**13, -(-(n - have + n // 8) // 4)))
+            quarters = words.astype("<u8", copy=False).view("<u2")
+            parts.append(quarters.compress(quarters * np.uint16(DRAW_SPAN) >= 2**16 % DRAW_SPAN))
+            have += len(parts[-1])
+        kept = np.concatenate(parts) if have > len(parts[-1]) else parts[-1]
+        self._kept = kept[n:]
+        return kept[:n].reshape(size)
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id!r})"

@@ -15,20 +15,20 @@ uniform draws on {1..10} virtual units (1 unit = 50 ms). One trial costs:
   redistribute_phase  max over chains of freshly drawn per-chain sums;
   total               the exact sum of the three.
 
-Trials come in blocks of BLOCK_TRIALS. Block j draws every hop of its trials
-in one call on its own derived stream, `timing/{rows}x{columns}/{mode}/block/{j}`,
-one trial per row. Each int16 drawn carries four hops, one per decimal digit
-(see RandomStream.hop_delays), so a chain of h hops takes ceil(h/4) draws and
-uses only the low h - 4*(ceil(h/4) - 1) digits of its last; the ring is one
-such chain. A trial's draws are contiguous, in phase order: forward chains,
-ring, redistribute chains. Every statistic is reproducible from (dims,
-trials, seed, mode) alone, and trial i is the same whatever the trial count.
-barrier_latency computes one trial's total from its hop delays handed over as
-one sequence in that phase order, each chain's hops together; a scenario world
-times its rounds with it, drawing a round's 2n-2 delays in one call.
+Trials come in blocks of BLOCK_TRIALS. Block j draws every hop of its trials in
+one call on its own derived stream, `timing/{rows}x{columns}/{mode}/block/{j}`,
+one trial per row. A draw, a kept PCG64 quarter, carries four hops, one per
+decimal digit (see RandomStream.hop_delays), so a chain of h hops takes
+ceil(h/4) draws and uses only the low h - 4*(ceil(h/4) - 1) digits of the last;
+the ring is one such chain. A trial's draws are contiguous, in phase order:
+forward chains, ring, redistribute chains. Statistics depend on (dims, trials,
+seed, mode) alone, and trial i is the same at any trial count. barrier_latency
+computes one trial's total from its hop delays handed over as one sequence in
+that phase order, each chain's hops together; a scenario world times its rounds
+with it, drawing a round's 2n-2 delays in one call.
 
-The functions that draw and summarize import numpy, and the table of digit
-sums is built at the first draw, so that importing timing, as the command
+The functions that draw and summarize import numpy, and the tables of digit
+sums are built at the first draw, so that importing timing, as the command
 line does, loads none.
 """
 
@@ -40,7 +40,7 @@ from functools import cache
 from itertools import accumulate, pairwise
 from typing import TYPE_CHECKING
 
-from .simcore import DEFAULT_SEED, DRAW_SPAN, HOPS_PER_DRAW, RandomStream, digit_sums, units_to_ms
+from .simcore import DEFAULT_SEED, DRAW_SPAN, HOPS_PER_DRAW, RandomStream, digit_sums, quarter_sums, units_to_ms
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,51 +96,42 @@ def _phase_widths(dims: HopsArrayDims, mode: str) -> tuple[int, int, int]:
     return dims.total_hops, ring_hops, dims.total_hops
 
 
-def _draw_digits(hops: int) -> list[int]:
-    """Digits used of each draw of a chain of `hops` hops: every digit, but
-    only the low ones of the last draw."""
-    return [min(HOPS_PER_DRAW, hops - first) for first in range(0, hops, HOPS_PER_DRAW)]
-
-
 @cache
-def _draw_offsets(dims: HopsArrayDims, mode: str) -> np.ndarray:
-    """Each draw's offset into simcore.digit_sums, in one trial's draw order:
-    forward chains, ring, redistribute chains. A pass's draws are laid out
-    (draws per chain, columns), so chain c is column c."""
-    import numpy as np
-
+def _draw_layout(dims: HopsArrayDims, mode: str) -> tuple[int, int, list[tuple[slice, int]]]:
+    """(forward draws, draws per trial, short draws) of one trial. Its draws
+    run forward chains, ring, redistribute chains; a pass's are laid out
+    (draws per chain, columns), so chain c is column c. A short draw ends a
+    chain or the ring with only its low `digits` used: (columns, digits)."""
     _, ring, _ = _phase_widths(dims, mode)
-    chains = np.repeat(np.array(_draw_digits(dims.rows), dtype=np.uint16), dims.columns)
-    return np.concatenate((chains, np.array(_draw_digits(ring), dtype=np.uint16), chains)) * DRAW_SPAN
+    forward = -(-dims.rows // HOPS_PER_DRAW) * dims.columns
+    ring_end = forward + -(-ring // HOPS_PER_DRAW)
+    width, cols, rest, ring_rest = ring_end + forward, dims.columns, dims.rows % HOPS_PER_DRAW, ring % HOPS_PER_DRAW
+    short = [(forward - cols, forward, rest), (width - cols, width, rest), (ring_end - 1, ring_end, ring_rest)]
+    return forward, width, [(slice(a, b), digits) for a, b, digits in short if digits]
 
 
 def _draw_trials(dims: HopsArrayDims, stream: RandomStream, mode: str, size: int) -> np.ndarray:
     """Phase times of `size` trials from one draw of shape (size, draws per trial).
 
-    Row i of the draw is trial i. One gather through digit_sums turns each
-    draw into the summed hop delays it carries, and chain sums add those up.
-    Returns int64 rows (cluster_phase, leader_phase, redistribute_phase,
-    forward delay summed over every chain), one column per trial.
+    Row i of the draw is trial i. Gathered through quarter_sums a few rows at
+    a time, each kept quarter gives its draw's summed hop delays; a short
+    draw is gathered again, by value, through digit_sums. Chains sum in
+    int32. Returns int64 rows (cluster_phase, leader_phase,
+    redistribute_phase, forward delay over every chain), one column a trial.
     """
     import numpy as np
 
-    offsets = _draw_offsets(dims, mode)
-    draws = stream.hop_delays((size, len(offsets)))
-    # uint16 holds every index: at most HOPS_PER_DRAW*DRAW_SPAN + DRAW_SPAN - 1
-    sums = digit_sums().take(draws.view(np.uint16) + offsets)
-    chain_draws = -(-dims.rows // HOPS_PER_DRAW)
-    forward = chain_draws * dims.columns
-    chains = (size, chain_draws, dims.columns)
-    forward_sums = sums[:, :forward].reshape(chains).sum(axis=1, dtype=np.int64)
-    redist_sums = sums[:, -forward:].reshape(chains).sum(axis=1, dtype=np.int64)
-    return np.stack(
-        (
-            2 * forward_sums.max(axis=1),
-            sums[:, forward:-forward].sum(axis=1, dtype=np.int64),
-            redist_sums.max(axis=1),
-            forward_sums.sum(axis=1),
-        )
-    )
+    forward, width, short = _draw_layout(dims, mode)
+    quarters = stream.hop_delays((size, width))
+    sums, rows = np.empty((size, width), np.int8), max(1, 2**14 // width)
+    for r in range(0, size, rows):  # a slice at a time: take copies its indices to intp
+        quarter_sums().take(quarters[r : r + rows], out=sums[r : r + rows])
+    for columns, digits in short:
+        sums[:, columns] = digit_sums(digits).take(quarters[:, columns].astype(np.uint32) * DRAW_SPAN >> 16)
+    forward_sums = np.einsum("ijk->ik", sums[:, :forward].reshape(size, -1, dims.columns), dtype=np.int32)
+    redist_sums = np.einsum("ijk->ik", sums[:, -forward:].reshape(size, -1, dims.columns), dtype=np.int32)
+    ring_sums = sums[:, forward:-forward].sum(axis=1, dtype=np.int64)
+    return np.array((2 * forward_sums.max(axis=1), ring_sums, redist_sums.max(axis=1), forward_sums.sum(axis=1)))
 
 
 def barrier_latency(chain_hops: Sequence[int], delays: Sequence[int]) -> int:

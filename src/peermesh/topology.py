@@ -56,10 +56,22 @@ class NoSplitNeeded(ValueError):
     """Raised by subdivide when membership is at or below critical mass."""
 
 
+# Each octet's text as IPv4Address accepts it: 1-3 ASCII digits, at most 255,
+# with no leading zero.
+_OCTETS = {str(n): n for n in range(256)}
+
+
 def parse_address(value: str | int | IPv4Address) -> NodeAddress:
-    """Accept dotted-quad text, a 32-bit integer, or an existing address."""
+    """Accept dotted-quad text, a 32-bit integer, or an existing address.
+    Four octets as IPv4Address accepts them are read directly; any other
+    input goes to IPv4Address, which accepts or rejects it."""
     if isinstance(value, NodeAddress):
         return value
+    if type(value) is str:
+        octets = [_OCTETS.get(part) for part in value.split(".")]
+        if len(octets) == 4 and None not in octets:
+            a, b, c, d = octets
+            return NodeAddress(a << 24 | b << 16 | c << 8 | d)
     return NodeAddress(IPv4Address(value))
 
 

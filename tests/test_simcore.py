@@ -18,11 +18,20 @@ from peermesh.simcore import (
     RandomStream,
     derive_seed,
     digit_sums,
+    quarter_sums,
     units_to_ms,
 )
+from peermesh.timing import MODES, SWEEP_TOTALS, _draw_layout, block_stream, default_factor_pairs
 
-def digits(draws: np.ndarray) -> np.ndarray:
-    """Packed draws as hop delays, one column per decimal digit, units first."""
+
+def values(quarters: np.ndarray) -> np.ndarray:
+    """The packed draws kept quarters stand for: (q * DRAW_SPAN) >> 16."""
+    return quarters.astype(np.uint32) * DRAW_SPAN >> 16
+
+
+def digits(quarters: np.ndarray) -> np.ndarray:
+    """Kept quarters as hop delays, one column per decimal digit of their draws, units first."""
+    draws = values(quarters)
     return np.stack([draws // 10**k % 10 + HOP_DELAY_MIN for k in range(HOPS_PER_DRAW)], axis=-1)
 
 
@@ -47,11 +56,13 @@ def test_units_to_ms_rejects_negative():
 
 
 def test_hop_delay_range_and_mean():
-    draws = RandomStream(123, "hops").hop_delays(200_000)
-    assert draws.dtype == np.int16
+    quarters = RandomStream(123, "hops").hop_delays(200_000)
+    assert quarters.dtype == np.uint16
+    assert (quarters * np.uint16(DRAW_SPAN) >= 2**16 % DRAW_SPAN).all()  # every quarter handed out is a kept one
+    draws = values(quarters)
     assert draws.min() >= 0
     assert draws.max() <= DRAW_SPAN - 1 == 10**HOPS_PER_DRAW - 1
-    hops = digits(draws)
+    hops = digits(quarters)
     assert hops.min() >= HOP_DELAY_MIN
     assert hops.max() <= HOP_DELAY_MAX
     # each digit uniform on {1..10}: mean 5.5, std of the sample mean ~ 0.0064
@@ -71,12 +82,18 @@ def test_hop_delay_frequencies():
 
 
 def test_digit_sums_match_enumeration():
-    # entry d*DRAW_SPAN + x sums the hop delays of the low d digits of x
-    table = digit_sums()
-    assert table.dtype == np.int16
-    assert table.shape == ((HOPS_PER_DRAW + 1) * DRAW_SPAN,)
-    want = [sum(int(c) + 1 for c in f"{x:04d}"[::-1][:d]) for d in range(HOPS_PER_DRAW + 1) for x in range(DRAW_SPAN)]
-    assert table.tolist() == want
+    # digit_sums(d)[x] sums the hop delays of the low d digits of draw x, and
+    # quarter_sums()[q] those of every digit of the draw quarter q stands for
+    for d in range(1, HOPS_PER_DRAW + 1):
+        table = digit_sums(d)
+        assert table.dtype == np.int8
+        assert table.shape == (DRAW_SPAN,)
+        assert table.tolist() == [sum(int(c) + 1 for c in f"{x:04d}"[::-1][:d]) for x in range(DRAW_SPAN)]
+    whole = [sum(int(c) + 1 for c in f"{x:04d}") for x in range(DRAW_SPAN)]
+    table = quarter_sums()
+    assert table.dtype == np.int8
+    assert table.shape == (2**16,)
+    assert table.tolist() == [whole[q * DRAW_SPAN >> 16] for q in range(2**16)]
 
 
 def test_derive_seed_stable():
@@ -167,18 +184,96 @@ def test_each_delay_has_25_of_the_256_bytes():
 
 
 def test_hop_delays_are_numpys_int16_draws():
-    # hop_delays sets numpy up at its first call, on the derived seed, apart
-    # from hop_delay's blocks: timing's draws do not move. Each packed
-    # draw is numpy's int16 draw on {0..9999}.
-    label = "timing/8x8/table_consistent/block/0"
-    gen = np.random.Generator(np.random.PCG64(derive_seed(9, label)))
-    stream = RandomStream(9, label)
-    stream.hop_delay()
-    for size in ((64, 34), 50):
+    # hop_delays sets PCG64 up at its first call, on the derived seed, apart
+    # from hop_delay's blocks: timing's draws do not move. The draw each kept
+    # quarter of a stream's first call stands for is numpy's int16 draw on
+    # {0..9999}. Only a first call matches: numpy drops the unused half of its
+    # last 32-bit word and caches half a word between calls.
+    for block, size in enumerate(((64, 34), 50)):
+        label = f"timing/8x8/table_consistent/block/{block}"
+        gen = np.random.Generator(np.random.PCG64(derive_seed(9, label)))
+        stream = RandomStream(9, label)
+        stream.hop_delay()
         drawn = stream.hop_delays(size)
-        assert drawn.dtype == np.int16
-        want = gen.integers(0, 10000, size=size, dtype=np.int16)
-        assert np.array_equal(drawn, want)
+        assert drawn.dtype == np.uint16
+        assert drawn.shape == np.shape(np.empty(size))
+        assert np.array_equal(values(drawn), gen.integers(0, 10000, size=size, dtype=np.int16))
+
+
+def reference_draws(seed: int, stream_id: str, n: int) -> list[int]:
+    """The first n draws of a stream's hop_delays, built in plain Python as
+    RandomStream documents them: each 64-bit word of PCG64(derive_seed(seed,
+    stream_id)).random_raw is four 16-bit quarters, low quarter first; a
+    quarter q is kept when q * 10000 mod 2**16 >= 2**16 % 10000, and stands
+    for the draw q * 10000 >> 16."""
+    bits, out = np.random.PCG64(derive_seed(seed, stream_id)), []
+    while len(out) < n:
+        word = int(bits.random_raw())
+        quarters = [word >> 16 * k & 0xFFFF for k in range(4)]
+        out += [q * 10000 >> 16 for q in quarters if q * 10000 % 2**16 >= 2**16 % 10000]
+    return out[:n]
+
+
+@pytest.mark.parametrize(
+    "seed,label,head",
+    [
+        (DEFAULT_SEED, "timing/64x4/table_consistent/block/0", [785, 5824, 7905, 1759, 5166, 4053, 1723, 8243, 5784]),
+        (2**64 - 1, "timing/4x512/equation_literal/block/2", [3330, 3696, 5009, 738, 7448, 8510, 8694, 7267, 362]),
+    ],
+)
+def test_hop_delays_are_the_documented_pcg64_quarter_construction(seed, label, head):
+    # 300 draws take about 82 words; the literal head pins the construction itself.
+    want = reference_draws(seed, label, 300)
+    assert want[: len(head)] == head
+    assert values(RandomStream(seed, label).hop_delays(300)).tolist() == want
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dims", [d for total in SWEEP_TOTALS for d in default_factor_pairs(total)], ids=str)
+def test_a_timing_block_draws_what_numpys_integers_draws(dims, mode):
+    # Every block shape of the built-in sweeps: a block's one call is numpy's
+    # int16 draw of the same shape on the same seed.
+    width = _draw_layout(dims, mode)[1]
+    for block in range(3):
+        stream = block_stream(DEFAULT_SEED, dims, mode, block)
+        gen = np.random.Generator(np.random.PCG64(derive_seed(DEFAULT_SEED, stream.stream_id)))
+        want = gen.integers(0, DRAW_SPAN, size=(64, width), dtype=np.int16)
+        assert np.array_equal(values(stream.hop_delays((64, width))), want)
+
+
+def test_a_short_over_draw_is_topped_up():
+    # Found by a scan: the first ceil((20 + 20 // 8) / 4) = 6 words of this
+    # stream hold only 18 kept quarters, so hop_delays(20) draws
+    # ceil((20 - 18 + 20 // 8) / 4) = 1 word more, and still draws numpy's values.
+    label = "top-up/28"
+    first = np.random.PCG64(derive_seed(DEFAULT_SEED, label)).random_raw(6).view("<u2")
+    assert (first * np.uint16(DRAW_SPAN) >= 2**16 % DRAW_SPAN).sum() == 18
+    stream = RandomStream(DEFAULT_SEED, label)
+    drawn = stream.hop_delays(20)
+    gen = np.random.Generator(np.random.PCG64(derive_seed(DEFAULT_SEED, label)))
+    assert np.array_equal(values(drawn), gen.integers(0, DRAW_SPAN, size=20, dtype=np.int16))
+    after = np.random.PCG64(derive_seed(DEFAULT_SEED, label))
+    after.random_raw(7)
+    assert stream._bits.state == after.state
+
+
+@pytest.mark.parametrize("size", [0, (0, 7)], ids=["0", "0x7"])
+def test_an_empty_draw_draws_nothing(size):
+    stream = RandomStream(DEFAULT_SEED, "empty")
+    drawn = stream.hop_delays(size)
+    assert drawn.shape == np.shape(np.empty(size))
+    assert drawn.dtype == np.uint16
+    assert np.array_equal(stream.hop_delays(100), RandomStream(DEFAULT_SEED, "empty").hop_delays(100))
+
+
+@given(seed=st.integers(0, 2**64 - 1), sizes=st.lists(st.integers(0, 300), max_size=6))
+@example(seed=DEFAULT_SEED, sizes=[20, 1, 0, 300])  # the first call takes the top-up path
+def test_successive_hop_delays_continue_one_sequence(seed, sizes):
+    stream = RandomStream(seed, "top-up/28")
+    got = [stream.hop_delays(k) for k in sizes]
+    assert [len(g) for g in got] == sizes
+    whole = RandomStream(seed, "top-up/28").hop_delays(sum(sizes))
+    assert np.array_equal(np.concatenate([np.empty(0, np.uint16), *got]), whole)
 
 
 def test_latency_model_unit_scale():

@@ -4,8 +4,8 @@ A public function, class or constant of src/peermesh/*.py must be named in
 src/ or bench/ by some top-level statement other than the one that defines
 it. The package's __init__.py is not read, so a re-export there never counts
 as a use: callers import each name from its module. What the command line
-and the sync round import is checked in a fresh interpreter, and no class
-in tests/ derives from the scenario World.
+and the sync round import is checked in a fresh interpreter, src/ calls no
+numpy Generator, and no class in tests/ derives from the scenario World.
 """
 
 import ast
@@ -102,6 +102,20 @@ def test_cli_and_timing_import_no_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT / "src", check=True
     )
     assert json.loads(done.stdout) == []
+
+
+def test_src_calls_no_numpy_generator():
+    # NEP 19 keeps a bit generator's raw stream stable, not the algorithm of
+    # Generator.integers: simcore states its own draw over PCG64's raw words,
+    # so that a numpy upgrade cannot move timing's output.
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) in ("Generator", "integers")
+    ]
+    assert calls == []
 
 
 def test_no_test_forks_the_world():

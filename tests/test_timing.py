@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from peermesh.simcore import DEFAULT_SEED, HOPS_PER_DRAW, RandomStream
+from peermesh.simcore import DEFAULT_SEED, DRAW_SPAN, HOPS_PER_DRAW, RandomStream
 from peermesh.sync import AttributeList, Phase, run_round
 from peermesh.timing import (
     BLOCK_TRIALS,
@@ -28,26 +28,30 @@ from peermesh.topology import NeighborhoodMap, NodeRecord, form_clusters, parse_
 
 
 class FixedStream:
-    """Stream stub returning a constant delay for every hop: each packed draw
-    has every digit at value - 1."""
+    """Stream stub returning a constant delay for every hop: each kept quarter
+    stands for the draw with every digit at value - 1 (the last quarter of a
+    draw is always a kept one)."""
 
     def __init__(self, value: int):
         self.value = value
 
     def hop_delays(self, size):
-        return np.full(size, int(str(self.value - 1) * HOPS_PER_DRAW), dtype=np.int16)
+        draw = int(str(self.value - 1) * HOPS_PER_DRAW)
+        return np.full(size, ((draw + 1) * 2**16 - 1) // DRAW_SPAN, dtype=np.uint16)
 
     def hop_delay(self):
         return self.value
 
 
-def hops_of(draw: int) -> list[int]:
-    """The hop delays one packed draw carries, units digit first."""
+def hops_of(quarter: int) -> list[int]:
+    """The hop delays one kept quarter carries, units digit first: the digits
+    of the draw (quarter * DRAW_SPAN) >> 16 it stands for."""
+    draw = quarter * DRAW_SPAN >> 16
     return [draw // 10**k % 10 + 1 for k in range(HOPS_PER_DRAW)]
 
 
 def decode_trial(dims, mode, draws):
-    """One trial's packed draws, decoded hop by hop in draw order: (forward
+    """One trial's kept quarters, decoded hop by hop in draw order: (forward
     chains, ring hops, redistribute chains). A pass lays its draws out (draws
     per chain, columns); a chain of h hops reads the low digits of its last
     draw only."""
@@ -70,7 +74,7 @@ def decode_trial(dims, mode, draws):
 
 
 class RecordingStream(RandomStream):
-    """A real stream that also keeps every packed draw it hands out."""
+    """A real stream that also keeps every kept quarter it hands out."""
 
     def __init__(self, seed: int, stream_id: str):
         super().__init__(seed, stream_id)
@@ -302,7 +306,7 @@ def test_block_means_lie_within_five_standard_errors_of_exact(total, mode):
 def test_equation_literal_draws_match_update_round_messages(dims):
     # The timing model draws one delay per hop of a real round over
     # `columns` clusters of `rows + 1` members, in one draw sliced by phase.
-    # Counted in hops carried, not int16s drawn: each draw carries up to
+    # Counted in hops carried, not quarters drawn: each draw carries up to
     # HOPS_PER_DRAW of them.
     stream = RecordingStream(DEFAULT_SEED, "differential")
     one_trial(dims, stream, mode=MODE_EQUATION_LITERAL)

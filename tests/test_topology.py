@@ -1,7 +1,10 @@
 import random
+import re
 from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from peermesh.scenario import Action
 from peermesh.topology import (
@@ -43,6 +46,38 @@ def test_parse_address_forms():
 def test_parse_address_rejects_garbage():
     with pytest.raises(ValueError):
         parse_address("not-an-address")
+
+
+# Octet texts near the edges of what IPv4Address accepts: leading zeros, 256
+# and up, non-ASCII digits, signs, spaces, empty parts, and any text at all.
+edge_octets = st.sampled_from(
+    ["0", "00", "01", "007", "09", "255", "256", "999", "1000", "٣", "²", "١٢"]
+    + ["+1", "-0", " 1", "1 ", "", "0x1", "1_0"]
+)
+octets = st.integers(0, 255).map(str)
+quad = st.lists(octets, min_size=4, max_size=4)
+one_off = st.builds(lambda q, at, part: q[:at] + [part] + q[at + 1 :], quad, st.integers(0, 3), edge_octets)
+any_parts = st.lists(octets | edge_octets | st.text(max_size=4), min_size=3, max_size=5)
+parts = quad | one_off | st.lists(octets, min_size=3, max_size=5) | any_parts
+dotted = parts.map(".".join) | st.text(max_size=16)
+
+
+@given(dotted)
+@example("10.0.3.17")
+@example("10.0.03.17")
+@example("10.0.3.256")
+@example("10.0.3.17.1")
+@example("10.0.٣.17")
+def test_parse_address_reads_text_as_ipv4address_does(text):
+    try:
+        want = NodeAddress(IPv4Address(text))
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            parse_address(text)
+    else:
+        got = parse_address(text)
+        assert type(got) is NodeAddress
+        assert got == want
 
 
 def test_address_distance():
